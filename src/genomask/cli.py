@@ -21,12 +21,17 @@ from .errors import GenomaskError, InputError
 from .masking import MaskedSequence, Ordering
 
 
+def _parse_ints(text: str, what: str) -> list[int]:
+    """Comma-separated integers; InputError on anything else."""
+    try:
+        return [int(v) for v in text.split(",") if v.strip()]
+    except ValueError as exc:
+        raise InputError(f"bad {what} {text!r}") from exc
+
+
 def _parse_positions(text: str, n: int) -> tuple[int, ...]:
     """Comma-separated 1-based indices -> sorted 0-based tuple."""
-    try:
-        vals = [int(v) for v in text.split(",") if v.strip()]
-    except ValueError as exc:
-        raise InputError(f"bad position list {text!r}") from exc
+    vals = _parse_ints(text, "position list")
     if not vals:
         raise InputError("empty position list")
     if any(v < 1 or v > n for v in vals):
@@ -35,10 +40,23 @@ def _parse_positions(text: str, n: int) -> tuple[int, ...]:
 
 
 def _parse_order(text: str, n: int) -> Ordering:
-    vals = [int(v) for v in text.split(",") if v.strip()]
+    vals = _parse_ints(text, "--order")
     if sorted(vals) != list(range(1, n + 1)):
         raise InputError("--order must be a comma-separated permutation of 1..n")
     return Ordering(tuple(v - 1 for v in vals))
+
+
+def _parse_symbols(text: str) -> tuple[int, ...]:
+    """A run of decimal digits, one symbol each, e.g. 010110."""
+    text = text.strip()
+    if not text.isdecimal():
+        raise InputError(f"--x must be a run of digits, got {text!r}")
+    return tuple(int(ch) for ch in text)
+
+
+def _check_runs(runs: int) -> None:
+    if runs < 0:
+        raise InputError(f"--runs must be >= 0 (0 = exact), got {runs}")
 
 
 def _load_model(args) -> HmmModel:
@@ -81,7 +99,7 @@ def cmd_mask(args) -> int:
     if args.sample:
         x = model.sample(rng)
     elif args.x:
-        x = tuple(int(ch) for ch in args.x.strip())
+        x = _parse_symbols(args.x)
     else:
         raise InputError("provide --x SEQUENCE or --sample")
     ordering = _parse_order(args.order, model.n) if args.order else None
@@ -102,6 +120,7 @@ def cmd_rate(args) -> int:
     model = _load_model(args)
     K = _parse_positions(args.k, model.n)
     ordering = _parse_order(args.order, model.n) if args.order else None
+    _check_runs(args.runs)
     if args.runs > 0:
         rng = np.random.default_rng(args.seed)
         est, err = mechanism.achievable_rate_mc(model, K, ordering,
@@ -137,6 +156,7 @@ def cmd_window(args) -> int:
     model = _load_model(args)
     K = _parse_positions(args.k, model.n)
     omegas = [int(v) for v in args.omega.split(",")]
+    _check_runs(args.runs)
     rng = np.random.default_rng(args.seed)
     if args.runs > 0:
         est, err = baselines.window_leakage_sweep(model, K, omegas,

@@ -19,6 +19,7 @@ the immutable backward table and advance in lockstep.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,6 +36,11 @@ from .mechanism import RATIO_SNAP, RATIO_TOL, _validate_sensitive
 
 #: Sensitive sets larger than this make the 2^|K| hypothesis loop pointless.
 MAX_SENSITIVE = 12
+
+#: Bytes one float64 belief array (batch, num_u, m) of ``erasure_rate_mc``
+#: may take; its batch is the largest one up to ``MAX_MC_BATCH`` that fits.
+BELIEF_BUDGET_BYTES = 64 * 2**20
+MAX_MC_BATCH = 512
 
 #: Belief-filter normalizers must match the predicted output probability
 #: to this absolute tolerance.
@@ -163,6 +169,12 @@ def sensitive_conditionals(hmm: HmmModel, K,
     return out
 
 
+def _inverse_or_zero(x: np.ndarray, keep=None) -> np.ndarray:
+    """1 / x where ``keep`` (default: x > 0), 0 elsewhere."""
+    return np.divide(1.0, x, out=np.zeros_like(x),
+                     where=x > 0 if keep is None else keep)
+
+
 class BatchMaskingSession:
     """Lockstep masking of a batch of sequences sharing (hmm, K).
 
@@ -208,23 +220,19 @@ class BatchMaskingSession:
         num_u, m = self.table.num_u, self.hmm.m
         if self.pos == 0:
             base = self.hmm.initial_state[None, :] * self.table.values[0]
-            z = base.sum(axis=1)
-            pred = np.zeros_like(base)
-            np.divide(base, z[:, None], out=pred, where=z[:, None] > 0)
+            pred = base * _inverse_or_zero(base.sum(axis=1))[:, None]
             return np.broadcast_to(pred, (self.batch, num_u, m)).copy()
         if self.pos >= self.table.plain_from:
             # no sensitive positions remain: the plain chain kernel applies
             flat = self.belief.reshape(self.batch * num_u, m) @ self.trans
             return flat.reshape(self.batch, num_u, m)
         g = self.table.values[self.pos]                     # (num_u, m)
-        z = self.trans @ g.T                                # (m, num_u)
-        ratio = np.zeros_like(self.belief)
-        np.divide(self.belief, z.T[None, :, :], out=ratio,
-                  where=(z.T[None, :, :] > 0) & (self.belief > 0))
-        # out[b,u,k] = sum_s ratio[b,u,s] * T[s,k] * g[u,k]
-        pred = np.matmul(ratio.transpose(1, 0, 2), self.trans)  # (num_u, b, m)
-        pred *= g[:, None, :]
-        return pred.transpose(1, 0, 2).copy()
+        zinv = _inverse_or_zero(g @ self.trans.T)           # 1 / z[u, s]
+        # out[b,u,k] = sum_s belief[b,u,s] / z[u,s] * T[s,k] * g[u,k]
+        pred = ((self.belief * zinv).reshape(self.batch * num_u, m)
+                @ self.trans).reshape(self.batch, num_u, m)
+        pred *= g
+        return pred
 
     def _position_tables(self):
         """(pred_states, pred_symbols, mins, ratios) for the current position."""
@@ -237,15 +245,12 @@ class BatchMaskingSession:
         live = self.live & (mass > 1e-12)
         # defensive renormalization; mass is 1 for live hypotheses unless a
         # degenerate (theta or epsilon = 0) model starved some states
-        np.divide(pred, mass[:, :, None], out=pred,
-                  where=live[:, :, None])
-        pred[~live] = 0.0
+        pred *= _inverse_or_zero(mass, live)[:, :, None]
         arity = self.hmm.alphabet.size
         if self.pos in self._slot:
             comp = self.table.u_components[:, self._slot[self.pos]]
-            px = np.zeros((self.batch, self.table.num_u, arity))
-            px[:, np.arange(self.table.num_u), comp] = 1.0
-            px[~live] = 0.0
+            px = np.where(live[:, :, None] & (comp[:, None] == np.arange(arity)),
+                          1.0, 0.0)
             mins = np.zeros((self.batch, arity))  # sensitive: always erase
         else:
             px = np.matmul(pred, self.emissions[self.pos].T)
@@ -281,36 +286,38 @@ class BatchMaskingSession:
         return ratios[np.arange(self.batch), self.u_true, x_col]
 
     def advance(self, y_col) -> None:
-        """Filter beliefs through the produced outcomes and move on."""
+        """Filter beliefs through the produced outcomes and move on.
+
+        The output likelihood given state s is sum_v coef[u, v] p(v | s): for
+        a released y, coef is ratio(u, y) at v = y and 0 elsewhere; for an
+        erasure, coef is 1 - ratio(u, v), which is right only because
+        sum_v p(v | s) = 1.  Ratios lie in [0, 1], so the factor is >= 0.
+        """
         y_col = np.asarray(y_col, dtype=np.int64)
         pred, px, mins, ratios = self._position_tables()
         released = y_col != STAR
         if self.pos in self._slot and released.any():
             raise InputError("sensitive positions must be erased")
-        b_idx = np.arange(self.batch)
         emis = self.emissions[self.pos]                     # (arity, m)
-        # released: factor = p(v | state) * release-ratio(u, v)
-        # erased:   factor = 1 - sum_v p(v | state) * release-ratio(u, v)
-        weighted = np.matmul(ratios, emis)
-        y_safe = np.where(released, y_col, 0)
-        rel_factor = emis[y_safe][:, None, :] * \
-            ratios[b_idx, :, y_safe][:, :, None]
-        factor = np.where(released[:, None, None], rel_factor, 1.0 - weighted)
-        np.maximum(factor, 0.0, out=factor)
-        new_belief = pred * factor
+        (arity, m), num_u = emis.shape, self.table.num_u
+        hit = y_col[:, None] == np.arange(arity)            # (batch, arity)
+        if np.any(released & ~hit.any(axis=1)):
+            raise InputError("released symbol outside the alphabet")
+        coef = np.where(released[:, None, None], ratios * hit[:, None, :],
+                        1.0 - ratios)
+        factor = coef.reshape(self.batch * num_u, arity) @ emis
+        new_belief = pred * factor.reshape(self.batch, num_u, m)
         norms = new_belief.sum(axis=2)
-        expected = np.where(released, mins[b_idx, y_safe],
+        expected = np.where(released, (mins * hit).sum(axis=1),
                             1.0 - mins.sum(axis=1))
         bad = self.live & (np.abs(norms - expected[:, None]) > NORM_TOL)
         if bad.any():
             raise NumericalError(
                 "belief normalizer deviates from the predicted output "
                 "probability beyond tolerance")
-        np.divide(new_belief, norms[:, :, None], out=new_belief,
-                  where=self.live[:, :, None] & (norms[:, :, None] > 0))
         # hypotheses whose context became impossible drop out of the minimum
         self.live = self.live & (norms > 0)
-        new_belief[~self.live] = 0.0
+        new_belief *= _inverse_or_zero(norms, self.live)[:, :, None]
         self.belief = new_belief
         self.pos += 1
         self._cache = None
@@ -377,12 +384,21 @@ def mask_hmm_batch(hmm: HmmModel, xs, K, rng: np.random.Generator,
     return out
 
 
-def erasure_rate_mc(hmm: HmmModel, K, runs: int, rng: np.random.Generator,
-                    batch_size: int = 512):
-    """Monte-Carlo rate of the mechanism on an HMM: (mean of 1 - e/n, stderr)."""
+def erasure_rate_mc(hmm: HmmModel, K, runs: int, rng: np.random.Generator):
+    """Monte-Carlo rate of the mechanism on an HMM: (mean of 1 - e/n, stderr).
+
+    Runs go in batches sized so that one belief array stays within
+    ``BELIEF_BUDGET_BYTES``.
+    """
     if runs < 1:
         raise InputError("runs must be >= 1")
     K = _validate_sensitive(K, hmm.n)
+    num_u = math.prod(hmm.arities[k] for k in K)
+    batch_size = min(MAX_MC_BATCH, BELIEF_BUDGET_BYTES // (8 * num_u * hmm.m))
+    if batch_size < 1:
+        raise CapacityError(
+            f"one belief row of {num_u} x {hmm.m} float64 exceeds "
+            f"the {BELIEF_BUDGET_BYTES}-byte budget")
     table = sensitive_backward_table(hmm, K)
     rates = np.empty(runs)
     done = 0

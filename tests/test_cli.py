@@ -174,3 +174,20 @@ def test_exit_codes(tmp_path, capsys):
           "--out", str(panel)])
     capsys.readouterr()
     assert main(["lp", "--panel", str(panel), "--k", "1"]) == 3
+
+
+def test_negative_runs_rejected(panel_file, capsys):
+    for cmd in (["rate"], ["window", "--omega", "0,2"]):
+        assert main(cmd + ["--panel", str(panel_file), "--k", "1",
+                           "--runs", "-3"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: --runs") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("flags", [["--x", "01a10110"],
+                                   ["--x", "0110 0110"],
+                                   ["--sample", "--order", "1,a,3,4,5,6,7,8"]])
+def test_mask_non_digit_input_rejected(panel_file, capsys, flags):
+    assert main(["mask", "--panel", str(panel_file), "--k", "1"] + flags) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1

@@ -159,11 +159,29 @@ def _walk_all_prefixes(model, K, x_sensitive, tol=1e-10):
     return worst
 
 
-@pytest.mark.parametrize("n,m,K", [(4, 2, (0,)), (5, 3, (1, 3)), (4, 3, (3,))])
-def test_session_predictive_matches_brute_force_everywhere(rng, n, m, K):
-    model = random_hmm(rng, n, m)
-    x_sens = [int(rng.integers(2)) for _ in K]
+# epsilon = 0 or theta = 0 put exact zeros in the beliefs, the kernel
+# normalizers and the hypothesis priors, so the session's zero inverses run
+DEGENERATE = [pytest.param(4, 2, (0,), 0.0, None, id="4-2-eps0"),
+              pytest.param(4, 3, (3,), None, 0.0, id="4-3-theta0"),
+              pytest.param(5, 3, (1, 3), 0.0, 0.0, id="5-3-eps0-theta0")]
+
+
+@pytest.mark.parametrize("n,m,K,eps,theta", [
+    pytest.param(4, 2, (0,), None, None, id="4-2-K0"),
+    pytest.param(5, 3, (1, 3), None, None, id="5-3-K1"),
+    pytest.param(4, 3, (3,), None, None, id="4-3-K2")] + DEGENERATE)
+def test_session_predictive_matches_brute_force_everywhere(rng, n, m, K,
+                                                           eps, theta):
+    model = random_hmm(rng, n, m, eps=eps, theta=theta)
+    # the predictive does not depend on the true assignment: take the first
+    # one of positive prior
+    prior = sensitive_backward_table(model, K).prior
+    x_sens = sensitive_assignments(model.arities, K)[int(np.argmax(prior > 0))]
     assert _walk_all_prefixes(model, K, x_sens) <= 1e-10
+    if eps == theta == 0.0:
+        # an assignment of prior zero: its hypothesis is dead at every prefix
+        # and the filter must hold it at zero throughout
+        assert not np.all(prior > 0)
 
 
 def hmm_session_joint(model, K):
@@ -196,9 +214,11 @@ def hmm_session_joint(model, K):
     return out
 
 
-@pytest.mark.parametrize("n,m,K", [(4, 2, (0,)), (5, 3, (1, 3))])
-def test_session_output_law_matches_enumeration(rng, n, m, K):
-    model = random_hmm(rng, n, m)
+@pytest.mark.parametrize("n,m,K,eps,theta", [
+    pytest.param(4, 2, (0,), None, None, id="4-2-K0"),
+    pytest.param(5, 3, (1, 3), None, None, id="5-3-K1")] + DEGENERATE)
+def test_session_output_law_matches_enumeration(rng, n, m, K, eps, theta):
+    model = random_hmm(rng, n, m, eps=eps, theta=theta)
     dist = exact_output_distribution(model, K)
     got = hmm_session_joint(model, K)
     num_u = len(dist.u_values)
@@ -246,6 +266,15 @@ def test_prior_zero_sensitive_value_rejected():
     model = HmmModel(np.array([[0, 0], [0, 1]]), epsilon=0.2, theta=0.0)
     with pytest.raises(InputError):
         BatchMaskingSession(model, (0,), np.array([[1]]))
+
+
+def test_advance_rejects_symbols_outside_alphabet(rng):
+    model = random_hmm(rng, 4, 3)
+    for y in (2, -2):
+        ses = MaskingSession(model, [0], x_sensitive=[1])
+        ses.advance(STAR)
+        with pytest.raises(InputError):
+            ses.advance(y)
 
 
 def test_belief_rows_stay_normalized(rng):
@@ -301,3 +330,26 @@ def test_batch_rate_agrees_with_exact(rng):
     exact = achievable_rate_exact(model, [0])
     est, err = erasure_rate_mc(model, [0], runs=4000, rng=rng)
     assert abs(est - exact) < 4 * max(err, 1e-6)
+
+
+def test_mc_batch_fits_belief_budget(rng, monkeypatch):
+    import genomask.hmm as hmm_mod
+
+    model = random_hmm(rng, 5, 3, eps=0.15, theta=0.05)
+    K = (0, 2)                                   # 4 hypotheses
+    row = 8 * 4 * model.m
+    sizes = []
+    real = model.sample_batch
+
+    def recording(count, rng_):
+        sizes.append(count)
+        return real(count, rng_)
+
+    monkeypatch.setattr(model, "sample_batch", recording)
+    monkeypatch.setattr(hmm_mod, "BELIEF_BUDGET_BYTES", 7 * row + 5)
+    erasure_rate_mc(model, K, runs=30, rng=rng)
+    assert sizes == [7, 7, 7, 7, 2]
+    assert all(b * row <= hmm_mod.BELIEF_BUDGET_BYTES for b in sizes)
+    monkeypatch.setattr(hmm_mod, "BELIEF_BUDGET_BYTES", row - 1)
+    with pytest.raises(CapacityError):
+        erasure_rate_mc(model, K, runs=30, rng=rng)
