@@ -20,17 +20,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import hmm as _hmm
 from .distributions import (
     DEFAULT_ENUMERATION_BUDGET,
     HmmModel,
     SequenceModel,
     sensitive_assignments,
-    validate_sequence,
 )
 from .errors import DegenerateSensitiveError, InputError, NumericalError
-from .info import entropy, mutual_information
-from .masking import STAR, MaskedSequence, Ordering
-from .mechanism import EnumeratedMechanism, _validate_sensitive
+from .info import entropy, kl_divergence, mutual_information, sample_stderr
+from .masking import STAR, MaskedSequence, Ordering, _validate_sensitive
+from .mechanism import EnumeratedMechanism
 
 
 @dataclass(frozen=True)
@@ -102,38 +102,40 @@ def window_leakage_exact(model: SequenceModel, K, omega: int,
     return mutual_information(joint) / h_k
 
 
-def _suffix_likelihoods(hmm: HmmModel, xs: np.ndarray) -> np.ndarray:
-    """beta[i, b, s] = p(x_i..x_{n-1} | S_i = s), renormalized per step with
-    a shared per-sample scale (scales cancel in posteriors)."""
-    n, m = hmm.n, hmm.m
-    batch = xs.shape[0]
+def _suffix_rows(hmm: HmmModel, xs: np.ndarray, rows) -> dict[int, np.ndarray]:
+    """{i: beta_i} for i in the ascending ``rows`` (each in 1..n), where
+    beta_i[b, s] = p(x_i..x_{n-1} | S_i = s), renormalized per step with a
+    per-sample scale (scales cancel in posteriors)."""
     t = hmm.transition_matrix
-    beta = np.empty((n + 1, batch, m))
-    beta[n] = 1.0
-    for i in range(n - 1, -1, -1):
+    cur = np.ones((xs.shape[0], hmm.m))
+    out = {hmm.n: cur} if hmm.n in rows else {}
+    for i in range(hmm.n - 1, (rows[0] if rows else hmm.n) - 1, -1):
         emis = hmm.emission_likelihoods(i)          # (arity, m)
-        cur = (beta[i + 1] @ t.T) * emis[xs[:, i]]  # (batch, m)
+        cur = (cur @ t.T) * emis[xs[:, i]]          # (batch, m)
         scale = cur.max(axis=1, keepdims=True)
         np.divide(cur, scale, out=cur, where=scale > 0)
-        beta[i] = cur
-    return beta
+        if i in rows:
+            out[i] = cur
+    return out
 
 
 def window_leakage_mc(hmm: HmmModel, K, omega: int, samples: int,
-                      rng: np.random.Generator, batch_size: int = 512):
+                      rng: np.random.Generator):
     """Estimate normalized prefix-window leakage at one omega; see
     `window_leakage_sweep` for the shared-pass version."""
-    est, err = window_leakage_sweep(hmm, K, [omega], samples, rng, batch_size)
+    est, err = window_leakage_sweep(hmm, K, [omega], samples, rng)
     return est[0], err[0]
 
 
 def window_leakage_sweep(hmm: HmmModel, K, omegas, samples: int,
-                         rng: np.random.Generator, batch_size: int = 512):
+                         rng: np.random.Generator):
     """Normalized leakage of the prefix-window baseline for several omegas.
 
     Only the paper's setting K = {first position} is supported: the
     posterior of x_0 given the released suffix is exact (hidden-state
     forward/backward), and one backward pass per sample serves every omega.
+    Samples go in batches sized so that the suffix rows kept for the
+    omegas, plus the working row, stay within ``hmm.BELIEF_BUDGET_BYTES``.
     Returns (estimates, standard errors) as arrays aligned with omegas.
     """
     K = _validate_sensitive(K, hmm.n)
@@ -142,8 +144,8 @@ def window_leakage_sweep(hmm: HmmModel, K, omegas, samples: int,
     omegas = [int(w) for w in omegas]
     if any(w < 0 or w > hmm.n for w in omegas):
         raise InputError("omega out of range")
-    from . import hmm as _hmm
-
+    kept = sorted({w for w in omegas if w > 0})
+    batch_size = _hmm.mc_batch_size(8 * hmm.m * (len(kept) + 1))
     table = _hmm.sensitive_backward_table(hmm, K)
     prior = table.prior
     h_k = entropy(prior)
@@ -151,7 +153,7 @@ def window_leakage_sweep(hmm: HmmModel, K, omegas, samples: int,
         raise DegenerateSensitiveError("sensitive symbol carries no entropy")
 
     arity = hmm.alphabet.size
-    n, m = hmm.n, hmm.m
+    m = hmm.m
     t = hmm.transition_matrix
     # alpha[w, v, s] = p(x_0 = v, S_w = s): sample-independent, one chain
     # of no-observation propagations
@@ -169,7 +171,7 @@ def window_leakage_sweep(hmm: HmmModel, K, omegas, samples: int,
     while done < samples:
         b = min(batch_size, samples - done)
         xs = hmm.sample_batch(b, rng)
-        beta = _suffix_likelihoods(hmm, xs)
+        beta = _suffix_rows(hmm, xs, kept)
         truth = xs[:, 0]
         for w in omegas:
             if w == 0:
@@ -184,10 +186,8 @@ def window_leakage_sweep(hmm: HmmModel, K, omegas, samples: int,
     ests, errs = [], []
     for w in omegas:
         vals = np.concatenate(neglog[w])
-        cond_h = float(vals.mean())
-        stderr = float(vals.std(ddof=1) / math.sqrt(len(vals))) if len(vals) > 1 else 0.0
-        ests.append((h_k - cond_h) / h_k)
-        errs.append(stderr / h_k)
+        ests.append((h_k - float(vals.mean())) / h_k)
+        errs.append(sample_stderr(vals) / h_k)
     return np.array(ests), np.array(errs)
 
 
@@ -212,12 +212,8 @@ class RobustnessResult:
 def sequence_kl(p_model: SequenceModel, q_model: SequenceModel,
                 budget: int = DEFAULT_ENUMERATION_BUDGET) -> float:
     """D(p || q) over whole sequences, in bits (exact, enumerated)."""
-    space, p = p_model.joint_table(budget)
-    _, q = q_model.joint_table(budget)
-    mask = p > 0
-    if np.any(q[mask] == 0):
-        return float("inf")
-    return float(np.sum(p[mask] * (np.log2(p[mask]) - np.log2(q[mask]))))
+    return kl_divergence(p_model.joint_table(budget)[1],
+                         q_model.joint_table(budget)[1])
 
 
 def sequence_kl_mc(p_model: SequenceModel, q_model: SequenceModel,
@@ -232,8 +228,7 @@ def sequence_kl_mc(p_model: SequenceModel, q_model: SequenceModel,
         if lq == -math.inf:
             return float("inf"), 0.0
         vals[i] = (lp - lq) / math.log(2)
-    stderr = float(vals.std(ddof=1) / math.sqrt(samples)) if samples > 1 else 0.0
-    return float(vals.mean()), stderr
+    return float(vals.mean()), sample_stderr(vals)
 
 
 def robustness_experiment(pair: MismatchPair, K,

@@ -24,9 +24,8 @@ from .distributions import (
     SequenceModel,
     sensitive_assignments,
 )
-from .info import entropy, kl_divergence, mutual_information  # noqa: F401  (re-export)
-from .masking import STAR, Ordering
-from .mechanism import EnumeratedMechanism, OutputDistribution, _validate_sensitive
+from .masking import STAR, Ordering, _validate_sensitive
+from .mechanism import EnumeratedMechanism, OutputDistribution
 from .simplex import linear_program
 
 
@@ -78,39 +77,23 @@ def markov_sufficient_condition_check(model: SequenceModel, K,
 
     def argmin_sets(cond, live):
         mins = np.where(live[:, None], cond, np.inf).min(axis=0)
-        sets = []
-        for v in range(cond.shape[1]):
-            sets.append({
-                u for u in np.flatnonzero(live)
-                if cond[u, v] <= mins[v] + tol
-            })
-        return sets
+        return [{u for u in np.flatnonzero(live) if cond[u, v] <= mins[v] + tol}
+                for v in range(cond.shape[1])]
 
     candidates = {}
     for pos in range(model.n):
         cond, totals = engine.predictive(engine.q, pos)
         candidates[pos] = argmin_sets(cond, totals > 0)
 
-    def walk(depth, wq) -> bool:
-        if depth == model.n:
-            return True
-        pos = ordering.perm[depth]
-        cond, totals = engine.predictive(wq, pos)
+    for _, pos, _, _, cond, totals, _, _, _ in engine.walk(ordering):
+        if pos is None:
+            continue
         sets = candidates[pos]
         for v, now in enumerate(argmin_sets(cond, totals > 0)):
             sets[v] &= now
             if not sets[v]:
                 return False
-        mins, ratios = engine.release_table(cond, totals, pos)
-        for y in (*range(model.arities[pos]), STAR):
-            if y != STAR and mins[y] <= 0.0:
-                continue
-            wq2 = wq * engine.step_factor(pos, y, ratios)
-            if wq2.max() > 0.0 and not walk(depth + 1, wq2):
-                return False
-        return True
-
-    return walk(0, engine.q.copy())
+    return True
 
 
 @dataclass

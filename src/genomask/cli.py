@@ -18,7 +18,7 @@ import numpy as np
 from . import baselines, bounds, experiments, hardness, hmm, mechanism
 from .distributions import HmmModel, load_model_config, load_panel, save_panel
 from .errors import GenomaskError, InputError
-from .masking import MaskedSequence, Ordering
+from .masking import Ordering, transcript_to_json_lines
 
 
 def _parse_ints(text: str, what: str) -> list[int]:
@@ -109,8 +109,6 @@ def cmd_mask(args) -> int:
         masked, transcript = mechanism.mask_sequence(model, x, K, ordering, rng)
     _emit(args, masked.text())
     if args.transcript:
-        from .masking import transcript_to_json_lines
-
         Path(args.transcript).write_text(
             transcript_to_json_lines(transcript) + "\n")
     return 0

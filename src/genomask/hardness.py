@@ -21,9 +21,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .distributions import SequenceModel
+from .distributions import SequenceModel, validate_sequence
 from .errors import CapacityError, InputError
-from .masking import STAR, Ordering
+from .masking import Ordering
 from .mechanism import EnumeratedMechanism
 
 MAX_EDGES_ENUMERATION = 16
@@ -120,8 +120,6 @@ class ParityModel(SequenceModel):
         return bits
 
     def joint_prob(self, x) -> float:
-        from .distributions import validate_sequence
-
         x = validate_sequence(x, self.arities)
         return 0.0 if self._bits_of(x) is None else 2.0 ** -self.num_edges
 
@@ -202,47 +200,26 @@ def verify_deterministic_rule(instance: HittingSetInstance, element_order,
             f"{MAX_EDGES_ENUMERATION}")
     model = ParityModel(instance)
     order = tuple(int(v) for v in element_order)
-    perm = tuple(v - 1 for v in order) + model.K
-    ordering = Ordering(perm)
+    ordering = Ordering(tuple(v - 1 for v in order) + model.K)
     engine = EnumeratedMechanism(model, model.K)
     expected = deterministic_erasure_set(instance, order)
 
     erased_elements: set[int] = set()
-    ok = True
-
-    def walk(depth, wq):
-        nonlocal ok
-        if not ok or depth == model.n:
-            return
-        pos = ordering.perm[depth]
-        cond, totals = engine.predictive(wq, pos)
-        mins, ratios = engine.release_table(cond, totals, pos)
-        if pos < instance.m:
-            with np.errstate(invalid="ignore"):
-                defined = (~np.isnan(cond)) & (cond > 0)
-            vals = ratios[defined]
-            if np.any((vals > tol) & (vals < 1.0 - tol)):
-                ok = False  # a genuinely random decision: rule is wrong
-                return
-            if mins.max() <= tol:
-                erased_elements.add(pos + 1)
-                if (pos + 1) not in expected:
-                    ok = False
-                    return
-            else:
-                # released: the decision must not depend on the value or u
-                if np.any(vals < 1.0 - tol) or (pos + 1) in expected:
-                    ok = False
-                    return
-        for y in (*range(model.arities[pos]), STAR):
-            if y != STAR and mins[y] <= 0.0:
-                continue
-            wq2 = wq * engine.step_factor(pos, y, ratios)
-            if wq2.max() > 0.0:
-                walk(depth + 1, wq2)
-
-    walk(0, engine.q.copy())
-    return ok and erased_elements == set(expected)
+    for _, pos, _, _, cond, _, mins, ratios, _ in engine.walk(ordering):
+        if pos is None or pos >= instance.m:
+            continue
+        with np.errstate(invalid="ignore"):
+            defined = (~np.isnan(cond)) & (cond > 0)
+        vals = ratios[defined]
+        if np.any((vals > tol) & (vals < 1.0 - tol)):
+            return False  # a genuinely random decision: rule is wrong
+        if mins.max() <= tol:
+            if (pos + 1) not in expected:
+                return False
+            erased_elements.add(pos + 1)
+        elif np.any(vals < 1.0 - tol) or (pos + 1) in expected:
+            return False  # released: must not depend on the value or u
+    return erased_elements == expected
 
 
 def best_ordering_exhaustive(instance: HittingSetInstance):

@@ -24,21 +24,33 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distributions import HmmModel, sensitive_assignments, validate_sequence
+from .distributions import (
+    HmmModel,
+    assignment_index,
+    sensitive_assignments,
+    validate_sequence,
+)
 from .errors import (
     CapacityError,
     ImpossibleContextError,
     InputError,
     NumericalError,
 )
-from .masking import STAR, MaskedSequence, Ordering, TranscriptEntry
-from .mechanism import RATIO_SNAP, RATIO_TOL, _validate_sensitive
+from .info import sample_stderr
+from .masking import (
+    STAR,
+    MaskedSequence,
+    TranscriptEntry,
+    _validate_sensitive,
+    release_ratios,
+)
 
 #: Sensitive sets larger than this make the 2^|K| hypothesis loop pointless.
 MAX_SENSITIVE = 12
 
-#: Bytes one float64 belief array (batch, num_u, m) of ``erasure_rate_mc``
-#: may take; its batch is the largest one up to ``MAX_MC_BATCH`` that fits.
+#: Bytes the per-batch float64 arrays of a Monte-Carlo loop may take (the
+#: (batch, num_u, m) beliefs of ``erasure_rate_mc``, the kept suffix rows of
+#: ``baselines.window_leakage_sweep``); see `mc_batch_size`.
 BELIEF_BUDGET_BYTES = 64 * 2**20
 MAX_MC_BATCH = 512
 
@@ -81,9 +93,7 @@ def sensitive_backward_table(hmm: HmmModel, K) -> SensitiveBackwardTable:
             f"|K| = {len(K)} exceeds the supported maximum {MAX_SENSITIVE}")
     n, m = hmm.n, hmm.m
     ucomp = _u_components(hmm, K)
-    num_u = ucomp.shape[0] if K else 1
-    if not K:
-        ucomp = np.zeros((1, 0), dtype=np.int64)
+    num_u = ucomp.shape[0]
     t = hmm.transition_matrix
     values = np.ones((n, num_u, m))
     slot = {k: j for j, k in enumerate(K)}
@@ -111,8 +121,6 @@ def transition_given_sensitive(hmm: HmmModel, table: SensitiveBackwardTable,
     """
     if not 1 <= i < hmm.n:
         raise InputError(f"kernel position {i} out of range 1..{hmm.n - 1}")
-    from .distributions import assignment_index
-
     code = assignment_index(u, hmm.arities, table.K)
     g = table.values[i, code]
     raw = hmm.transition_matrix * g[None, :]
@@ -126,8 +134,6 @@ def transition_given_sensitive(hmm: HmmModel, table: SensitiveBackwardTable,
 def initial_given_sensitive(hmm: HmmModel, table: SensitiveBackwardTable,
                             u) -> np.ndarray:
     """p(S_0 | sensitive = u)."""
-    from .distributions import assignment_index
-
     code = assignment_index(u, hmm.arities, table.K)
     raw = hmm.initial_state * table.values[0, code]
     z = raw.sum()
@@ -187,9 +193,6 @@ class BatchMaskingSession:
     def __init__(self, hmm: HmmModel, K, x_sensitive, table=None):
         self.hmm = hmm
         self.K = _validate_sensitive(K, hmm.n)
-        if len(self.K) > MAX_SENSITIVE:
-            raise CapacityError(
-                f"|K| = {len(self.K)} exceeds the supported maximum {MAX_SENSITIVE}")
         self.table = table if table is not None else sensitive_backward_table(hmm, self.K)
         if self.table.K != self.K:
             raise InputError("backward table was built for a different K")
@@ -257,21 +260,13 @@ class BatchMaskingSession:
             masked = np.where(live[:, :, None], px, np.inf)
             mins = masked.min(axis=1)
             mins[~np.isfinite(mins)] = 0.0
-        ratios = np.zeros_like(px)
-        np.divide(np.broadcast_to(mins[:, None, :], px.shape), px, out=ratios,
-                  where=px > 0)
-        if np.any(ratios > 1.0 + RATIO_TOL):
-            raise NumericalError("release ratio left [0, 1] beyond tolerance")
-        np.clip(ratios, 0.0, 1.0, out=ratios)
-        ratios[ratios > 1.0 - RATIO_SNAP] = 1.0
+        ratios = release_ratios(mins[:, None, :], px)
         self._cache = (pred, px, mins, ratios)
         return self._cache
 
     def predictive(self, u) -> np.ndarray:
         """p(x_pos | sensitive = u, prefix) for the current position,
         shape (batch, arity)."""
-        from .distributions import assignment_index
-
         code = assignment_index(u, self.hmm.arities, self.K)
         _, px, _, _ = self._position_tables()
         if not np.all(self.live[:, code]):
@@ -376,12 +371,26 @@ def mask_hmm_batch(hmm: HmmModel, xs, K, rng: np.random.Generator,
                    table=None) -> np.ndarray:
     """Mask a batch of sequences in lockstep; returns (batch, n) outcomes."""
     xs = np.asarray(xs, dtype=np.int64)
+    if xs.ndim != 2 or xs.shape[1] != hmm.n:
+        raise InputError(f"xs must have shape (batch, {hmm.n})")
+    if xs.size and (xs.min() < 0 or xs.max() >= hmm.alphabet.size):
+        raise InputError(f"symbols must lie in 0..{hmm.alphabet.size - 1}")
     K = _validate_sensitive(K, hmm.n)
     session = BatchMaskingSession(hmm, K, xs[:, list(K)], table)
     out = np.empty_like(xs)
     for i in range(hmm.n):
         out[:, i], _ = session.step(xs[:, i], rng)
     return out
+
+
+def mc_batch_size(row_bytes: int) -> int:
+    """Largest batch up to ``MAX_MC_BATCH`` whose rows of ``row_bytes``
+    each fit in ``BELIEF_BUDGET_BYTES``; `CapacityError` if one does not."""
+    batch_size = min(MAX_MC_BATCH, BELIEF_BUDGET_BYTES // row_bytes)
+    if batch_size < 1:
+        raise CapacityError(f"one {row_bytes}-byte batch row exceeds "
+                            f"the {BELIEF_BUDGET_BYTES}-byte budget")
+    return batch_size
 
 
 def erasure_rate_mc(hmm: HmmModel, K, runs: int, rng: np.random.Generator):
@@ -394,11 +403,7 @@ def erasure_rate_mc(hmm: HmmModel, K, runs: int, rng: np.random.Generator):
         raise InputError("runs must be >= 1")
     K = _validate_sensitive(K, hmm.n)
     num_u = math.prod(hmm.arities[k] for k in K)
-    batch_size = min(MAX_MC_BATCH, BELIEF_BUDGET_BYTES // (8 * num_u * hmm.m))
-    if batch_size < 1:
-        raise CapacityError(
-            f"one belief row of {num_u} x {hmm.m} float64 exceeds "
-            f"the {BELIEF_BUDGET_BYTES}-byte budget")
+    batch_size = mc_batch_size(8 * num_u * hmm.m)
     table = sensitive_backward_table(hmm, K)
     rates = np.empty(runs)
     done = 0
@@ -408,6 +413,4 @@ def erasure_rate_mc(hmm: HmmModel, K, runs: int, rng: np.random.Generator):
         ys = mask_hmm_batch(hmm, xs, K, rng, table)
         rates[done:done + b] = 1.0 - (ys == STAR).sum(axis=1) / hmm.n
         done += b
-    from .mechanism import _sample_stderr
-
-    return float(rates.mean()), _sample_stderr(rates)
+    return float(rates.mean()), sample_stderr(rates)

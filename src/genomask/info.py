@@ -1,4 +1,5 @@
-"""Exact information measures for small discrete distributions (base-2)."""
+"""Exact information measures for small discrete distributions (base-2),
+and the standard error of a Monte-Carlo mean."""
 
 from __future__ import annotations
 
@@ -48,3 +49,11 @@ def mutual_information(joint) -> float:
     mask = joint > 0
     outer = np.outer(pa, pb)
     return float(np.sum(joint[mask] * (np.log2(joint[mask]) - np.log2(outer[mask]))))
+
+
+def sample_stderr(values: np.ndarray) -> float:
+    """Standard error of the mean of ``values``; 0 for fewer than two
+    samples or when they are all equal."""
+    if values.size < 2 or np.ptp(values) == 0.0:
+        return 0.0
+    return float(values.std(ddof=1) / np.sqrt(values.size))

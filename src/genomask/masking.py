@@ -1,4 +1,5 @@
-"""Shared vocabulary for masked sequences, orderings and transcripts."""
+"""Shared vocabulary for masked sequences, orderings and transcripts, and
+the release-ratio rule that both the enumeration and the HMM paths apply."""
 
 from __future__ import annotations
 
@@ -6,13 +7,49 @@ import json
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .errors import InputError
+import numpy as np
+
+from .errors import InputError, NumericalError
 
 #: Sentinel for the erasure symbol. Symbols are non-negative integers,
 #: so -1 is safe in integer arrays.
 STAR = -1
 
 STAR_CHAR = "*"
+
+#: Probabilities may leave [0, 1] by at most this much before it is treated
+#: as a logic error rather than round-off.
+RATIO_TOL = 1e-9
+
+#: Release ratios this close to 1 are round-off residue of an exact 1 (two
+#: mathematically equal conditionals summed in different orders); snapping
+#: keeps certain releases certain, so impossible branches carry mass 0
+#: exactly rather than ~1e-16.
+RATIO_SNAP = 1e-13
+
+
+def _validate_sensitive(K, n: int) -> tuple[int, ...]:
+    K = tuple(sorted({int(k) for k in K}))
+    if any(k < 0 or k >= n for k in K):
+        raise InputError(f"sensitive positions {K} outside 0..{n - 1}")
+    return K
+
+
+def release_ratios(mins: np.ndarray, cond: np.ndarray) -> np.ndarray:
+    """Release probabilities ``mins / cond`` (0 where ``cond`` is not
+    positive), with ``mins`` broadcast against ``cond``.
+
+    Ratios beyond ``RATIO_TOL`` outside [0, 1] raise `NumericalError`; the
+    rest are clipped into [0, 1] and snapped to 1 within ``RATIO_SNAP``.
+    """
+    ratios = np.zeros_like(cond)
+    np.divide(np.broadcast_to(mins, cond.shape), cond, out=ratios,
+              where=cond > 0)
+    if np.any(ratios > 1.0 + RATIO_TOL) or np.any(ratios < -RATIO_TOL):
+        raise NumericalError("release ratio outside [0, 1] beyond tolerance")
+    np.clip(ratios, 0.0, 1.0, out=ratios)
+    ratios[ratios > 1.0 - RATIO_SNAP] = 1.0
+    return ratios
 
 
 def symbol_char(v: int) -> str:

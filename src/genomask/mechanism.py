@@ -14,6 +14,13 @@ space, which is the authoritative (slow) reference path.  The mechanism's
 belief about the data may differ from the true distribution
 (``mechanism_model``), which is what the model-mismatch analysis exercises.
 
+One walker, `EnumeratedMechanism.walk`, visits the prefix tree of produced
+outputs depth first, yielding ``(depth, pos, wp, wq, cond, totals, mins,
+ratios, path)`` per node (leaves have ``pos is None``) and entering a branch
+only when its true-model weight stays positive.  The output law, the
+stepwise-minima rate, the minimizer-stability certificate and the
+parity-rule check are loops over it.
+
 Conventions:
   * the minimum ranges over sensitive assignments that are possible under
     the mechanism's model in the current context; positions in the
@@ -28,6 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import hmm as _hmm
 from .distributions import (
     DEFAULT_ENUMERATION_BUDGET,
     HmmModel,
@@ -42,18 +50,16 @@ from .errors import (
     InputError,
     NumericalError,
 )
-from .info import mutual_information
-from .masking import STAR, MaskedSequence, Ordering, TranscriptEntry
-
-#: Probabilities may leave [0, 1] by at most this much before it is treated
-#: as a logic error rather than round-off.
-RATIO_TOL = 1e-9
-
-#: Release ratios this close to 1 are round-off residue of an exact 1 (two
-#: mathematically equal conditionals summed in different orders); snapping
-#: keeps certain releases certain, so impossible branches carry mass 0
-#: exactly rather than ~1e-16.
-RATIO_SNAP = 1e-13
+from .info import mutual_information, sample_stderr
+from .masking import (
+    RATIO_TOL,
+    STAR,
+    MaskedSequence,
+    Ordering,
+    TranscriptEntry,
+    _validate_sensitive,
+    release_ratios,
+)
 
 #: Cap on the number of distinct output sequences visited by exact
 #: composition walks.
@@ -65,13 +71,6 @@ def clamp_probability(value: float, what: str = "probability") -> float:
     if value < -RATIO_TOL or value > 1.0 + RATIO_TOL:
         raise NumericalError(f"{what} {value} outside [0, 1] beyond tolerance")
     return min(1.0, max(0.0, value))
-
-
-def _validate_sensitive(K, n: int) -> tuple[int, ...]:
-    K = tuple(sorted({int(k) for k in K}))
-    if any(k < 0 or k >= n for k in K):
-        raise InputError(f"sensitive positions {K} outside 0..{n - 1}")
-    return K
 
 
 class EnumeratedMechanism:
@@ -174,14 +173,7 @@ class EnumeratedMechanism:
             mins = np.zeros(arity)
         else:
             mins = cond[live].min(axis=0)
-        ratios = np.zeros_like(cond)
-        np.divide(np.broadcast_to(mins, cond.shape), cond, out=ratios,
-                  where=cond > 0)
-        if np.any(ratios > 1.0 + RATIO_TOL) or np.any(ratios < -RATIO_TOL):
-            raise NumericalError("release ratio outside [0, 1] beyond tolerance")
-        np.clip(ratios, 0.0, 1.0, out=ratios)
-        ratios[ratios > 1.0 - RATIO_SNAP] = 1.0
-        return mins, ratios
+        return mins, release_ratios(mins, cond)
 
     def step_factor(self, pos: int, y: int, ratios: np.ndarray) -> np.ndarray:
         """Per-sequence weight multiplier for outcome y at position pos."""
@@ -218,46 +210,52 @@ class EnumeratedMechanism:
 
     # -- exact composition ----------------------------------------------------
 
-    def output_distribution(self, ordering: Ordering,
-                            leaf_budget: int = DEFAULT_LEAF_BUDGET):
-        """Exact joint law of (sensitive values, masked output)."""
-        table: dict[tuple[int, ...], np.ndarray] = {}
-        perm = ordering.perm
-        leaves = 0
+    def walk(self, ordering: Ordering):
+        """Depth-first walk of the prefix tree of produced outputs.
 
-        def walk(depth: int, wp: np.ndarray, wq: np.ndarray, acc: list[int]):
-            nonlocal leaves
+        Yields ``(depth, pos, wp, wq, cond, totals, mins, ratios, path)``
+        per node, parents before children: the per-sequence weights under
+        the true and the mechanism's model, the tables at ``pos`` and the
+        outcomes so far in processing order.  Leaves (depth n) have ``pos``
+        and the tables set to None.  Outcomes are visited in symbol order,
+        erasure last; a branch is entered only when ``wp * f`` stays
+        positive somewhere, and a matched engine reuses it as ``wq``.
+        """
+        matched = self.mech_model is self.model
+        perm = ordering.perm
+        stack = [(0, self.p, self.p if matched else self.q, ())]
+        while stack:
+            depth, wp, wq, path = stack.pop()
             if depth == self.n:
-                y = [STAR] * self.n
-                for pos, v in zip(perm, acc):
-                    y[pos] = v
-                mass = np.bincount(self.u_codes, weights=wp,
-                                   minlength=self.num_u)
-                key = tuple(y)
-                if key in table:
-                    table[key] += mass
-                else:
-                    table[key] = mass
-                leaves += 1
-                if leaves > leaf_budget:
-                    raise CapacityError(
-                        f"output enumeration exceeded {leaf_budget} leaves")
-                return
+                yield depth, None, wp, wq, None, None, None, None, path
+                continue
             pos = perm[depth]
             cond, totals = self.predictive(wq, pos)
             mins, ratios = self.release_table(cond, totals, pos)
-            for y in (*range(self.arities[pos]), STAR):
+            yield depth, pos, wp, wq, cond, totals, mins, ratios, path
+            # pushed in reverse, so they pop in symbol order, erasure last
+            for y in (STAR, *reversed(range(self.arities[pos]))):
                 if y != STAR and mins[y] <= 0.0:
                     continue
                 f = self.step_factor(pos, y, ratios)
                 wp2 = wp * f
-                if wp2.max() <= 0.0:
-                    continue
-                acc.append(y)
-                walk(depth + 1, wp2, wq * f, acc)
-                acc.pop()
+                if wp2.max() > 0.0:
+                    stack.append((depth + 1, wp2, wp2 if matched else wq * f,
+                                  path + (y,)))
 
-        walk(0, self.p.copy(), self.q.copy(), [])
+    def output_distribution(self, ordering: Ordering,
+                            leaf_budget: int = DEFAULT_LEAF_BUDGET):
+        """Exact joint law of (sensitive values, masked output)."""
+        table: dict[tuple[int, ...], np.ndarray] = {}
+        for _, pos, wp, _, _, _, _, _, path in self.walk(ordering):
+            if pos is not None:
+                continue
+            if len(table) >= leaf_budget:
+                raise CapacityError(
+                    f"output enumeration exceeded {leaf_budget} leaves")
+            y = tuple(v for _, v in sorted(zip(ordering.perm, path)))
+            table[y] = np.bincount(self.u_codes, weights=wp,
+                                          minlength=self.num_u)
         return OutputDistribution.from_table(self.n, self.K, self.arities,
                                              self.u_values, table)
 
@@ -270,29 +268,15 @@ class EnumeratedMechanism:
         """
         if self.mech_model is not self.model:
             raise InputError("rate identity requires a matched mechanism")
-        perm = ordering.perm
         acc = 0.0
         nodes = 0
-
-        def walk(depth: int, wq: np.ndarray):
-            nonlocal acc, nodes
-            if depth == self.n:
-                return
+        for _, pos, _, wq, _, _, mins, _, _ in self.walk(ordering):
+            if pos is None:
+                continue
             nodes += 1
             if nodes > leaf_budget * self.n:
                 raise CapacityError("prefix enumeration exceeded budget")
-            pos = perm[depth]
-            cond, totals = self.predictive(wq, pos)
-            mins, ratios = self.release_table(cond, totals, pos)
             acc += wq.sum() * mins.sum()
-            for y in (*range(self.arities[pos]), STAR):
-                if y != STAR and mins[y] <= 0.0:
-                    continue
-                wq2 = wq * self.step_factor(pos, y, ratios)
-                if wq2.max() > 0.0:
-                    walk(depth + 1, wq2)
-
-        walk(0, self.q.copy())
         return acc / self.n
 
 
@@ -487,8 +471,6 @@ def achievable_rate_mc(model: SequenceModel, K, ordering: Ordering | None = None
         raise InputError("runs must be >= 1")
     ordering = ordering or Ordering.linear(model.n)
     if isinstance(model, HmmModel) and ordering.is_linear:
-        from . import hmm as _hmm  # deferred: hmm imports this module
-
         return _hmm.erasure_rate_mc(model, K, runs, rng)
     engine = EnumeratedMechanism(model, K, budget=budget)
     rates = np.empty(runs)
@@ -496,13 +478,7 @@ def achievable_rate_mc(model: SequenceModel, K, ordering: Ordering | None = None
         x = model.sample(rng)
         masked, _ = engine.mask(x, ordering, rng)
         rates[r] = 1.0 - masked.erasure_rate
-    return float(rates.mean()), _sample_stderr(rates)
-
-
-def _sample_stderr(values: np.ndarray) -> float:
-    if values.size < 2 or np.ptp(values) == 0.0:
-        return 0.0
-    return float(values.std(ddof=1) / np.sqrt(values.size))
+    return float(rates.mean()), sample_stderr(rates)
 
 
 def verify_privacy_exact(model: SequenceModel, K,

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from genomask import (
+    CapacityError,
     DegenerateSensitiveError,
     ExplicitJointModel,
     HmmModel,
@@ -80,6 +81,28 @@ def test_pure_noise_emissions_leak_nothing(rng):
     model = HmmModel(rng.integers(2, size=(4, 6)), epsilon=0.2, theta=0.5)
     est, err = window_leakage_sweep(model, [0], [1, 3], 3000, rng)
     assert np.all(np.abs(est) <= 4 * np.maximum(err, 1e-4))
+
+
+def test_sweep_batch_fits_belief_budget(rng, monkeypatch):
+    import genomask.hmm as hmm_mod
+
+    model = random_hmm(rng, 6, 3, eps=0.15, theta=0.05)
+    row = 8 * model.m * 3                  # rows at omegas 2 and 4, plus one
+    sizes = []
+    real = model.sample_batch
+
+    def recording(count, rng_):
+        sizes.append(count)
+        return real(count, rng_)
+
+    monkeypatch.setattr(model, "sample_batch", recording)
+    monkeypatch.setattr(hmm_mod, "BELIEF_BUDGET_BYTES", 7 * row + 5)
+    window_leakage_sweep(model, [0], [0, 2, 4, 2], 30, rng)
+    assert sizes == [7, 7, 7, 7, 2]
+    assert all(b * row <= hmm_mod.BELIEF_BUDGET_BYTES for b in sizes)
+    monkeypatch.setattr(hmm_mod, "BELIEF_BUDGET_BYTES", row - 1)
+    with pytest.raises(CapacityError):
+        window_leakage_sweep(model, [0], [0, 2, 4], 30, rng)
 
 
 def test_sweep_requires_leading_sensitive(rng):

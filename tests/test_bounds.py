@@ -130,6 +130,29 @@ def test_deterministic_chain_satisfies_condition():
     assert markov_sufficient_condition_check(mc, [0])
 
 
+def test_condition_check_stops_at_first_empty_candidate_set(monkeypatch):
+    # three independent bits after the parity block: the full prefix tree
+    # has 18 inner nodes, and the certificate fails long before their end
+    model = ExplicitJointModel(np.kron(parity_n3().probs, np.full(8, 1 / 8)),
+                               n=6, alphabet=2)
+    calls = []
+    real = EnumeratedMechanism.predictive
+
+    def counting(self, wq, pos):
+        calls.append(pos)
+        return real(self, wq, pos)
+
+    monkeypatch.setattr(EnumeratedMechanism, "predictive", counting)
+    linear = Ordering.linear(model.n)
+    assert markov_sufficient_condition_check(model, (0,), linear) is False
+    check_nodes = len(calls) - model.n       # minus one prior call per position
+    assert check_nodes == 11
+    calls.clear()
+    EnumeratedMechanism(model, (0,)).stepwise_minima_rate(linear)
+    assert len(calls) == 18
+    assert check_nodes < len(calls)
+
+
 def test_parity_model_violates_condition():
     assert not markov_sufficient_condition_check(parity_n3(), [0])
 

@@ -277,6 +277,19 @@ def test_advance_rejects_symbols_outside_alphabet(rng):
             ses.advance(y)
 
 
+def test_batch_rejects_malformed_sequences(rng):
+    model = random_hmm(rng, 5, 3)
+    xs = model.sample_batch(3, rng)
+    for bad in (-2, 2):
+        ys = xs.copy()
+        ys[1, 2] = bad                            # a released position
+        with pytest.raises(InputError):
+            mask_hmm_batch(model, ys, [0], rng)
+    for shape_bad in (xs[:, :4], xs[0]):
+        with pytest.raises(InputError):
+            mask_hmm_batch(model, shape_bad, [0], rng)
+
+
 def test_belief_rows_stay_normalized(rng):
     model = random_hmm(rng, 6, 3)
     ses = MaskingSession(model, [1], x_sensitive=[0])
