@@ -62,7 +62,8 @@ def markov_sufficient_condition_check(model: SequenceModel, K,
     For each (position, symbol) the candidates start as the prior argmin
     set and are intersected with the argmin set of every node of the
     prefix tree at that position, across all branches; the check fails
-    only when a candidate set becomes empty.  `tol` is the absolute tie
+    only when a candidate set becomes empty, and stops at the first walk
+    batch that empties one.  `tol` is the absolute tie
     tolerance: an assignment within `tol` of the minimum counts as one.
 
     By privacy p(v | u) = sum_y p(y) p(v | u, y), so a common minimizer
@@ -75,24 +76,24 @@ def markov_sufficient_condition_check(model: SequenceModel, K,
     engine = EnumeratedMechanism(model, K, budget=budget)
     ordering = ordering or Ordering.linear(model.n)
 
-    def argmin_sets(cond, live):
-        mins = np.where(live[:, None], cond, np.inf).min(axis=0)
-        return [{u for u in np.flatnonzero(live) if cond[u, v] <= mins[v] + tol}
-                for v in range(cond.shape[1])]
+    def argmin_masks(cond, live):
+        """(nodes, num_u, arity) masks of the live assignments within
+        ``tol`` of each node's minimum."""
+        mins = np.where(live[..., None], cond, np.inf).min(axis=1)
+        return live[..., None] & (cond <= mins[:, None, :] + tol)
 
     candidates = {}
     for pos in range(model.n):
         cond, totals = engine.predictive(engine.q, pos)
-        candidates[pos] = argmin_sets(cond, totals > 0)
+        candidates[pos] = argmin_masks(cond[None], totals[None] > 0)[0]
 
-    for _, pos, _, _, cond, totals, _, _, _ in engine.walk(ordering):
-        if pos is None:
+    for batch in engine.walk(ordering):
+        if batch.pos is None:
             continue
-        sets = candidates[pos]
-        for v, now in enumerate(argmin_sets(cond, totals > 0)):
-            sets[v] &= now
-            if not sets[v]:
-                return False
+        sets = candidates[batch.pos]
+        sets &= argmin_masks(batch.cond, batch.totals > 0).all(axis=0)
+        if not sets.any(axis=0).all():
+            return False
     return True
 
 

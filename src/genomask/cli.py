@@ -21,26 +21,28 @@ from .errors import GenomaskError, InputError
 from .masking import Ordering, transcript_to_json_lines
 
 
-def _parse_ints(text: str, what: str) -> list[int]:
-    """Comma-separated integers; InputError on anything else."""
+def _parse_numbers(text: str, what: str, kind=int) -> list:
+    """Non-empty comma-separated list of ``kind``; InputError on anything
+    else."""
     try:
-        return [int(v) for v in text.split(",") if v.strip()]
+        vals = [kind(v) for v in text.split(",") if v.strip()]
     except ValueError as exc:
         raise InputError(f"bad {what} {text!r}") from exc
+    if not vals:
+        raise InputError(f"empty {what}")
+    return vals
 
 
 def _parse_positions(text: str, n: int) -> tuple[int, ...]:
     """Comma-separated 1-based indices -> sorted 0-based tuple."""
-    vals = _parse_ints(text, "position list")
-    if not vals:
-        raise InputError("empty position list")
+    vals = _parse_numbers(text, "position list")
     if any(v < 1 or v > n for v in vals):
         raise InputError(f"positions in {text!r} outside 1..{n}")
     return tuple(sorted(v - 1 for v in vals))
 
 
 def _parse_order(text: str, n: int) -> Ordering:
-    vals = _parse_ints(text, "--order")
+    vals = _parse_numbers(text, "--order")
     if sorted(vals) != list(range(1, n + 1)):
         raise InputError("--order must be a comma-separated permutation of 1..n")
     return Ordering(tuple(v - 1 for v in vals))
@@ -153,7 +155,7 @@ def cmd_lp(args) -> int:
 def cmd_window(args) -> int:
     model = _load_model(args)
     K = _parse_positions(args.k, model.n)
-    omegas = [int(v) for v in args.omega.split(",")]
+    omegas = _parse_numbers(args.omega, "--omega")
     _check_runs(args.runs)
     rng = np.random.default_rng(args.seed)
     if args.runs > 0:
@@ -197,9 +199,9 @@ def cmd_experiment(args) -> int:
         experiment=args.name,
         n=args.n, m=args.m,
         k=_parse_positions(args.k, args.n),
-        epsilons=tuple(float(v) for v in args.epsilon.split(",")),
-        thetas=tuple(float(v) for v in args.theta.split(",")),
-        omegas=tuple(int(v) for v in args.omega.split(",")),
+        epsilons=tuple(_parse_numbers(args.epsilon, "--epsilon", float)),
+        thetas=tuple(_parse_numbers(args.theta, "--theta", float)),
+        omegas=tuple(_parse_numbers(args.omega, "--omega")),
         runs=args.runs, seed=args.seed, workers=args.workers,
         panel=load_panel(args.panel) if args.panel else None,
     )

@@ -343,8 +343,12 @@ class HmmModel(SequenceModel):
 
 def load_panel(path: str | Path) -> np.ndarray:
     """Read a panel file: one haplotype per line, one digit per symbol."""
+    try:
+        text = Path(path).read_text()
+    except OSError as exc:
+        raise InputError(f"cannot read panel {path}: {exc.strerror}") from exc
     rows = []
-    for lineno, line in enumerate(Path(path).read_text().splitlines(), start=1):
+    for lineno, line in enumerate(text.splitlines(), start=1):
         line = line.strip()
         if not line:
             continue
@@ -376,6 +380,9 @@ def load_model_config(source: str | Path | dict) -> SequenceModel:
         base = Path(source).parent
         try:
             cfg = json.loads(Path(source).read_text())
+        except OSError as exc:
+            raise InputError(f"cannot read model config {source}: "
+                             f"{exc.strerror}") from exc
         except json.JSONDecodeError as exc:
             raise InputError(f"bad JSON in {source}: {exc}") from exc
     else:
@@ -401,4 +408,6 @@ def load_model_config(source: str | Path | dict) -> SequenceModel:
                                       alphabet=int(cfg.get("alphabet", 2)))
     except KeyError as exc:
         raise InputError(f"model config missing field {exc}") from exc
+    except (TypeError, ValueError) as exc:
+        raise InputError(f"bad {kind} model config: {exc}") from exc
     raise InputError(f"unrecognized model config type {kind!r}")

@@ -59,9 +59,22 @@ class HittingSetInstance:
 
     @classmethod
     def from_json(cls, source: str | Path) -> "HittingSetInstance":
-        text = Path(source).read_text() if Path(str(source)).exists() else str(source)
-        data = json.loads(text)
-        return cls.from_lists(data["m"], data["sets"])
+        """Instance from a JSON file, or from JSON text when ``source`` is
+        not a readable file."""
+        try:
+            text = Path(source).read_text()
+        except OSError:  # absent, unreadable, or a name too long: a literal
+            text = str(source)
+        try:
+            data = json.loads(text)
+            return cls.from_lists(data["m"], data["sets"])
+        except json.JSONDecodeError as exc:
+            raise InputError("hitting-set instance is neither a readable "
+                             f"file nor JSON: {exc}") from exc
+        except KeyError as exc:
+            raise InputError(f"hitting-set instance missing field {exc}") from exc
+        except (TypeError, ValueError) as exc:
+            raise InputError(f"bad hitting-set instance: {exc}") from exc
 
     def to_json(self) -> str:
         return json.dumps({"m": self.m,
@@ -205,20 +218,26 @@ def verify_deterministic_rule(instance: HittingSetInstance, element_order,
     expected = deterministic_erasure_set(instance, order)
 
     erased_elements: set[int] = set()
-    for _, pos, _, _, cond, _, mins, ratios, _ in engine.walk(ordering):
-        if pos is None or pos >= instance.m:
+    for batch in engine.walk(ordering):
+        if batch.pos is None or batch.pos >= instance.m:
             continue
+        element = batch.pos + 1
         with np.errstate(invalid="ignore"):
-            defined = (~np.isnan(cond)) & (cond > 0)
-        vals = ratios[defined]
+            defined = (~np.isnan(batch.cond)) & (batch.cond > 0)
+        vals = batch.ratios[defined]
         if np.any((vals > tol) & (vals < 1.0 - tol)):
             return False  # a genuinely random decision: rule is wrong
-        if mins.max() <= tol:
-            if (pos + 1) not in expected:
+        erased = batch.mins.max(axis=1) <= tol
+        if erased.any():
+            if element not in expected:
                 return False
-            erased_elements.add(pos + 1)
-        elif np.any(vals < 1.0 - tol) or (pos + 1) in expected:
-            return False  # released: must not depend on the value or u
+            erased_elements.add(element)
+        if not erased.all():
+            if element in expected:
+                return False
+            # released: must not depend on the value or u
+            if np.any((defined & (batch.ratios < 1.0 - tol))[~erased]):
+                return False
     return erased_elements == expected
 
 

@@ -201,6 +201,8 @@ class BatchMaskingSession:
             raise InputError("x_sensitive must have shape (batch, |K|)")
         self.batch = x_sensitive.shape[0]
         radix = hmm.alphabet.size
+        if np.any((x_sensitive < 0) | (x_sensitive >= radix)):
+            raise InputError(f"sensitive values must lie in 0..{radix - 1}")
         codes = np.zeros(self.batch, dtype=np.int64)
         for j in range(len(self.K)):
             codes = codes * radix + x_sensitive[:, j]

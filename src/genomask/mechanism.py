@@ -15,11 +15,16 @@ belief about the data may differ from the true distribution
 (``mechanism_model``), which is what the model-mismatch analysis exercises.
 
 One walker, `EnumeratedMechanism.walk`, visits the prefix tree of produced
-outputs depth first, yielding ``(depth, pos, wp, wq, cond, totals, mins,
-ratios, path)`` per node (leaves have ``pos is None``) and entering a branch
-only when its true-model weight stays positive.  The output law, the
-stepwise-minima rate, the minimizer-stability certificate and the
-parity-rule check are loops over it.
+outputs a level at a time: every node at depth d processes the same
+position, so a `NodeBatch` stores many nodes flat, one entry per (node,
+support row), and the predictive, release and step tables of the whole
+batch are single array operations (the per-node `predictive`,
+`release_table` and `step_factor` are their one-node case).  A branch is
+entered only when its true-model weight stays positive.  Batches are cut at
+node boundaries and walked depth first, so the walk's live arrays stay
+within ``hmm.BELIEF_BUDGET_BYTES``.  The output law, the stepwise-minima
+rate, the minimizer-stability certificate and the parity-rule check are
+per-batch reductions over it.
 
 Conventions:
   * the minimum ranges over sensitive assignments that are possible under
@@ -64,6 +69,13 @@ from .masking import (
 #: Cap on the number of distinct output sequences visited by exact
 #: composition walks.
 DEFAULT_LEAF_BUDGET = 1 << 17
+
+#: Upper bounds on what one walk batch holds at its peak: bytes per entry
+#: (its index and weight arrays, their temporaries and its children; about
+#: 150 measured) and float64 tables per (node, hypothesis, symbol).
+#: `EnumeratedMechanism.walk` sizes its batches from them.
+_ENTRY_BYTES = 256
+_TABLES_PER_NODE = 8
 
 
 def clamp_probability(value: float, what: str = "probability") -> float:
@@ -132,6 +144,45 @@ class EnumeratedMechanism:
         self.p_prior = np.bincount(self.u_codes, weights=self.p,
                                    minlength=self.num_u)
 
+    # -- per-node tables -----------------------------------------------------
+    #
+    # Each table is computed for a batch of nodes of the prefix tree that
+    # sit at the same position, stored flat: entry e is support row
+    # ``row[e]`` of node ``node[e]``.  ``row`` may be a slice; the one-node
+    # primitives below pass node 0 and every row.
+
+    def _predictive(self, pos: int, nodes: int, node, row, wq):
+        """Per-node (cond, totals), shapes (nodes, num_u, arity) and
+        (nodes, num_u); see `predictive`."""
+        arity = self.arities[pos]
+        keys = ((node * self.num_u + self.u_codes[row]) * arity
+                + self.space[row, pos])
+        sums = np.bincount(keys, weights=wq,
+                           minlength=nodes * self.num_u * arity)
+        sums = sums.reshape(nodes, self.num_u, arity)
+        totals = sums.sum(axis=2)
+        cond = np.full_like(sums, np.nan)
+        np.divide(sums, totals[..., None], out=cond, where=totals[..., None] > 0)
+        return cond, totals
+
+    def _release(self, cond: np.ndarray, totals: np.ndarray, pos: int):
+        """Per-node (mins, ratios), shapes (nodes, arity) and
+        (nodes, num_u, arity); see `release_table`."""
+        live = totals > 0
+        if pos in self.K:
+            mins = np.zeros((cond.shape[0], cond.shape[2]))
+        else:
+            mins = np.where(live[..., None], cond, np.inf).min(axis=1)
+            mins[~live.any(axis=1)] = 0.0
+        return mins, release_ratios(mins[:, None, :], cond)
+
+    def _step_factors(self, pos: int, ratios: np.ndarray, node, row):
+        """Per-entry weight multipliers (release, erase): releasing the
+        entry's own symbol, and erasing it.  Releasing any other symbol
+        multiplies by 0."""
+        release = ratios[node, self.u_codes[row], self.space[row, pos]]
+        return release, 1.0 - release
+
     # -- primitive queries --------------------------------------------------
 
     def row_of(self, x) -> int:
@@ -150,14 +201,8 @@ class EnumeratedMechanism:
         of symbol v under sensitive assignment u (NaN when u is impossible in
         this context), ``totals[u]`` the unnormalized mass of u.
         """
-        arity = self.arities[pos]
-        keys = self.u_codes * arity + self.space[:, pos]
-        sums = np.bincount(keys, weights=wq, minlength=self.num_u * arity)
-        sums = sums.reshape(self.num_u, arity)
-        totals = sums.sum(axis=1)
-        cond = np.full_like(sums, np.nan)
-        np.divide(sums, totals[:, None], out=cond, where=totals[:, None] > 0)
-        return cond, totals
+        cond, totals = self._predictive(pos, 1, 0, slice(None), wq)
+        return cond[0], totals[0]
 
     def release_table(self, cond: np.ndarray, totals: np.ndarray, pos: int):
         """Release probabilities for position pos.
@@ -167,21 +212,15 @@ class EnumeratedMechanism:
         v), ``ratios[u, v]`` the probability of release for a holder of
         assignment u observing symbol v.
         """
-        arity = cond.shape[1]
-        live = totals > 0
-        if pos in self.K or not live.any():
-            mins = np.zeros(arity)
-        else:
-            mins = cond[live].min(axis=0)
-        return mins, release_ratios(mins, cond)
+        mins, ratios = self._release(cond[None], totals[None], pos)
+        return mins[0], ratios[0]
 
     def step_factor(self, pos: int, y: int, ratios: np.ndarray) -> np.ndarray:
         """Per-sequence weight multiplier for outcome y at position pos."""
-        vals = self.space[:, pos]
-        row_r = ratios[self.u_codes, vals]
+        release, erase = self._step_factors(pos, ratios[None], 0, slice(None))
         if y == STAR:
-            return 1.0 - row_r
-        return np.where(vals == y, ratios[self.u_codes, y], 0.0)
+            return erase
+        return np.where(self.space[:, pos] == y, release, 0.0)
 
     # -- single runs ---------------------------------------------------------
 
@@ -211,53 +250,120 @@ class EnumeratedMechanism:
     # -- exact composition ----------------------------------------------------
 
     def walk(self, ordering: Ordering):
-        """Depth-first walk of the prefix tree of produced outputs.
+        """Level-synchronous walk of the prefix tree of produced outputs.
 
-        Yields ``(depth, pos, wp, wq, cond, totals, mins, ratios, path)``
-        per node, parents before children: the per-sequence weights under
-        the true and the mechanism's model, the tables at ``pos`` and the
-        outcomes so far in processing order.  Leaves (depth n) have ``pos``
-        and the tables set to None.  Outcomes are visited in symbol order,
-        erasure last; a branch is entered only when ``wp * f`` stays
-        positive somewhere, and a matched engine reuses it as ``wq``.
+        Yields `NodeBatch`es, parents before children.  Every node at depth
+        d processes position ``ordering.perm[d]``, so a batch holds many
+        nodes and each of its tables is one array operation for all of
+        them.  An entry spawns at most two children, the erasure and the
+        release of its own symbol; a child node is entered only when its
+        true-model weight is positive somewhere, and a matched engine
+        shares ``wp`` as ``wq``.  Leaves (depth n) come with ``pos`` and the
+        tables set to None.
+
+        Batches are cut at node boundaries and walked depth first, so the
+        batch in hand with its temporaries, plus the pending batches of
+        the shallower depths, stay within ``hmm.BELIEF_BUDGET_BYTES``; a
+        node too large for its share of the budget is walked alone.
         """
         matched = self.mech_model is self.model
-        perm = ordering.perm
-        stack = [(0, self.p, self.p if matched else self.q, ())]
+        rows = self.space.shape[0]
+        share = _hmm.BELIEF_BUDGET_BYTES // (self.n + 1)
+        stack = [NodeBatch(0, np.zeros((1, 0), dtype=np.int64),
+                           np.zeros(rows, dtype=np.int64), np.arange(rows),
+                           self.p, self.p if matched else self.q)]
         while stack:
-            depth, wp, wq, path = stack.pop()
-            if depth == self.n:
-                yield depth, None, wp, wq, None, None, None, None, path
-                continue
-            pos = perm[depth]
-            cond, totals = self.predictive(wq, pos)
-            mins, ratios = self.release_table(cond, totals, pos)
-            yield depth, pos, wp, wq, cond, totals, mins, ratios, path
-            # pushed in reverse, so they pop in symbol order, erasure last
-            for y in (STAR, *reversed(range(self.arities[pos]))):
-                if y != STAR and mins[y] <= 0.0:
-                    continue
-                f = self.step_factor(pos, y, ratios)
-                wp2 = wp * f
-                if wp2.max() > 0.0:
-                    stack.append((depth + 1, wp2, wp2 if matched else wq * f,
-                                  path + (y,)))
+            batch = stack.pop()
+            if batch.depth < self.n:
+                batch.pos = pos = ordering.perm[batch.depth]
+                batch.cond, batch.totals = self._predictive(
+                    pos, batch.size, batch.node, batch.row, batch.wq)
+                batch.mins, batch.ratios = self._release(
+                    batch.cond, batch.totals, pos)
+            yield batch
+            if batch.pos is not None:
+                children = self._children(batch, matched)
+                stack.extend(reversed(self._split(children, share)))
+
+    def _children(self, batch: "NodeBatch", matched: bool) -> "NodeBatch":
+        """The entered children of every node of ``batch``, in node order,
+        symbols ascending and the erasure last within a node."""
+        arity = self.arities[batch.pos]
+        slots = arity + 1                      # symbols, then the erasure
+        release, erase = self._step_factors(batch.pos, batch.ratios,
+                                            batch.node, batch.row)
+        base = batch.node * slots
+        keys = np.concatenate([base + self.space[batch.row, batch.pos],
+                               base + arity])
+        wp = np.concatenate([batch.wp * release, batch.wp * erase])
+        wq = wp if matched else np.concatenate([batch.wq * release,
+                                                batch.wq * erase])
+        positive = wp > 0
+        entered = np.zeros(batch.size * slots, dtype=bool)
+        entered[keys[positive]] = True
+        # a mismatched engine carries q mass on rows where p = 0
+        keep = entered[keys] & (positive if matched else positive | (wq > 0))
+        order = np.flatnonzero(keep)
+        order = order[np.argsort(keys[order], kind="stable")]
+        keys, wp = keys[order], wp[order]
+        wq = wp if matched else wq[order]
+        row = np.concatenate([batch.row, batch.row])[order]
+        first = np.ones(keys.size, dtype=bool)
+        first[1:] = keys[1:] != keys[:-1]
+        parent, slot = np.divmod(keys[first], slots)
+        paths = np.column_stack([batch.paths[parent],
+                                 np.where(slot == arity, STAR, slot)])
+        return NodeBatch(batch.depth + 1, paths, np.cumsum(first) - 1, row,
+                         wp, wq)
+
+    def _split(self, batch: "NodeBatch", share: int) -> list["NodeBatch"]:
+        """``batch`` cut at node boundaries into pieces whose walk arrays
+        take at most ``share`` bytes each, or one node when it alone is
+        larger than half of that."""
+        counts = np.bincount(batch.node, minlength=batch.size)
+        cost = counts * _ENTRY_BYTES + 8 * (
+            _TABLES_PER_NODE * self.num_u * max(self.arities)
+            + batch.depth + 1)
+        start = np.cumsum(cost) - cost
+        piece = start // max(share // 2, 1)
+        cuts = np.flatnonzero(piece[1:] != piece[:-1]) + 1
+        if cuts.size == 0:
+            return [batch] if batch.size else []
+        bounds = np.concatenate([[0], cuts, [batch.size]])
+        offsets = np.concatenate([[0], np.cumsum(counts)])
+        pieces = []
+        for a, b in zip(bounds[:-1], bounds[1:]):
+            e = slice(offsets[a], offsets[b])
+            pieces.append(NodeBatch(batch.depth, batch.paths[a:b],
+                                    batch.node[e] - a, batch.row[e],
+                                    batch.wp[e], batch.wq[e]))
+        return pieces
 
     def output_distribution(self, ordering: Ordering,
                             leaf_budget: int = DEFAULT_LEAF_BUDGET):
         """Exact joint law of (sensitive values, masked output)."""
-        table: dict[tuple[int, ...], np.ndarray] = {}
-        for _, pos, wp, _, _, _, _, _, path in self.walk(ordering):
-            if pos is not None:
+        ys, cols, leaves = [], [], 0
+        for batch in self.walk(ordering):
+            if batch.pos is not None:
                 continue
-            if len(table) >= leaf_budget:
+            leaves += batch.size
+            if leaves > leaf_budget:
                 raise CapacityError(
                     f"output enumeration exceeded {leaf_budget} leaves")
-            y = tuple(v for _, v in sorted(zip(ordering.perm, path)))
-            table[y] = np.bincount(self.u_codes, weights=wp,
-                                          minlength=self.num_u)
-        return OutputDistribution.from_table(self.n, self.K, self.arities,
-                                             self.u_values, table)
+            y = np.empty((batch.size, self.n), dtype=np.int64)
+            y[:, ordering.perm] = batch.paths
+            ys.append(y)
+            cols.append(np.bincount(
+                batch.node * self.num_u + self.u_codes[batch.row],
+                weights=batch.wp, minlength=batch.size * self.num_u,
+            ).reshape(batch.size, self.num_u))
+        # outputs in tuple order, each a column of a C-ordered matrix
+        ys = np.concatenate(ys)
+        order = np.lexsort(ys.T[::-1])
+        return OutputDistribution(
+            self.n, self.K, list(self.u_values),
+            list(map(tuple, ys[order].tolist())),
+            np.ascontiguousarray(np.concatenate(cols)[order].T))
 
     def stepwise_minima_rate(self, ordering: Ordering,
                              leaf_budget: int = DEFAULT_LEAF_BUDGET) -> float:
@@ -270,14 +376,46 @@ class EnumeratedMechanism:
             raise InputError("rate identity requires a matched mechanism")
         acc = 0.0
         nodes = 0
-        for _, pos, _, wq, _, _, mins, _, _ in self.walk(ordering):
-            if pos is None:
+        for batch in self.walk(ordering):
+            if batch.pos is None:
                 continue
-            nodes += 1
+            nodes += batch.size
             if nodes > leaf_budget * self.n:
                 raise CapacityError("prefix enumeration exceeded budget")
-            acc += wq.sum() * mins.sum()
+            acc += float(batch.totals.sum(axis=1) @ batch.mins.sum(axis=1))
         return acc / self.n
+
+
+@dataclass
+class NodeBatch:
+    """Nodes of the prefix tree at one depth, stored flat.
+
+    Entry e is support row ``row[e]`` of node ``node[e]``, weighted ``wp[e]``
+    under the true model and ``wq[e]`` under the mechanism's.  Entries are
+    grouped by node and in row order within a node; one whose weights are
+    both 0 is dropped.  ``paths[j]`` lists node j's outcomes in processing
+    order.  The tables at ``pos`` have the node on their leading axis:
+    ``cond`` and ``ratios`` (nodes, num_u, arity), ``totals`` (nodes, num_u)
+    and ``mins`` (nodes, arity), as `EnumeratedMechanism.predictive` and
+    `EnumeratedMechanism.release_table` give them for one node.
+    """
+
+    depth: int
+    paths: np.ndarray  # (nodes, depth)
+    node: np.ndarray
+    row: np.ndarray
+    wp: np.ndarray
+    wq: np.ndarray
+    pos: int | None = None
+    cond: np.ndarray | None = None
+    totals: np.ndarray | None = None
+    mins: np.ndarray | None = None
+    ratios: np.ndarray | None = None
+
+    @property
+    def size(self) -> int:
+        """Number of nodes."""
+        return self.paths.shape[0]
 
 
 @dataclass

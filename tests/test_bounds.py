@@ -131,26 +131,26 @@ def test_deterministic_chain_satisfies_condition():
 
 
 def test_condition_check_stops_at_first_empty_candidate_set(monkeypatch):
-    # three independent bits after the parity block: the full prefix tree
-    # has 18 inner nodes, and the certificate fails long before their end
+    # three independent bits after the parity block: the certificate
+    # empties a candidate set at depth 2, long before the 6 levels end
     model = ExplicitJointModel(np.kron(parity_n3().probs, np.full(8, 1 / 8)),
                                n=6, alphabet=2)
     calls = []
-    real = EnumeratedMechanism.predictive
+    real = EnumeratedMechanism._predictive
 
-    def counting(self, wq, pos):
+    def counting(self, pos, *args):
         calls.append(pos)
-        return real(self, wq, pos)
+        return real(self, pos, *args)
 
-    monkeypatch.setattr(EnumeratedMechanism, "predictive", counting)
+    monkeypatch.setattr(EnumeratedMechanism, "_predictive", counting)
     linear = Ordering.linear(model.n)
     assert markov_sufficient_condition_check(model, (0,), linear) is False
-    check_nodes = len(calls) - model.n       # minus one prior call per position
-    assert check_nodes == 11
+    check_levels = len(calls) - model.n      # minus one prior call per position
+    assert check_levels == 3
     calls.clear()
     EnumeratedMechanism(model, (0,)).stepwise_minima_rate(linear)
-    assert len(calls) == 18
-    assert check_nodes < len(calls)
+    assert len(calls) == 6
+    assert check_levels < len(calls)
 
 
 def test_parity_model_violates_condition():

@@ -136,6 +136,10 @@ def test_hardness_command(tmp_path, capsys):
     assert main(["hardness", "--instance", str(inst)]) == 0
     rep = json.loads(capsys.readouterr().out)
     assert rep["e_star"] == rep["h_star"] == 1
+    # a literal longer than the OS path limit is read as JSON, not a path
+    literal = json.dumps({"m": 3, "sets": [[1, 2], [2, 3]], "note": "x" * 5000})
+    assert main(["hardness", "--instance", literal]) == 0
+    assert json.loads(capsys.readouterr().out) == rep
 
 
 def test_experiment_csv_deterministic(tmp_path):
@@ -182,6 +186,29 @@ def test_negative_runs_rejected(panel_file, capsys):
                            "--runs", "-3"]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: --runs") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("case", ["omega", "epsilon", "missing-panel",
+                                  "string-probs", "instance-no-sets",
+                                  "long-instance"])
+def test_malformed_input_exits_2_with_one_line(panel_file, tmp_path, capsys,
+                                               case):
+    probs = tmp_path / "explicit.json"
+    probs.write_text(json.dumps({"type": "explicit", "n": 2,
+                                 "probs": "0.25,0.25,0.25,0.25"}))
+    # longer than the OS path limit, and its sets miss element 3
+    long_literal = json.dumps({"m": 3, "sets": [[1, 2]], "note": "x" * 5000})
+    argv = {
+        "omega": ["window", "--panel", str(panel_file), "--omega", "1,x"],
+        "epsilon": ["experiment", "--name", "fig4", "--epsilon", "0.1,abc"],
+        "missing-panel": ["rate", "--panel", str(tmp_path / "missing.txt")],
+        "string-probs": ["rate", "--model", str(probs)],
+        "instance-no-sets": ["hardness", "--instance", '{"m": 3}'],
+        "long-instance": ["hardness", "--instance", long_literal],
+    }[case]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 @pytest.mark.parametrize("flags", [["--x", "01a10110"],

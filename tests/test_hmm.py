@@ -290,6 +290,17 @@ def test_batch_rejects_malformed_sequences(rng):
             mask_hmm_batch(model, shape_bad, [0], rng)
 
 
+@pytest.mark.parametrize("bad", [-1, -2, 2])
+def test_sessions_reject_sensitive_values_outside_alphabet(rng, bad):
+    # a negative value would wrap to another hypothesis and mask for the
+    # wrong true assignment
+    model = random_hmm(rng, 5, 3)
+    with pytest.raises(InputError):
+        MaskingSession(model, [0], x_sensitive=[bad])
+    with pytest.raises(InputError):
+        BatchMaskingSession(model, [0, 2], [[0, 1], [1, bad]])
+
+
 def test_belief_rows_stay_normalized(rng):
     model = random_hmm(rng, 6, 3)
     ses = MaskingSession(model, [1], x_sensitive=[0])

@@ -1,3 +1,6 @@
+import itertools
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -20,8 +23,17 @@ from genomask import (
     rate_from_stepwise_minima,
     verify_privacy_exact,
 )
-from genomask.hardness import HittingSetInstance, ParityModel
+from genomask import hmm
+from genomask.baselines import MismatchPair, robustness_experiment
+from genomask.bounds import markov_sufficient_condition_check
+from genomask.hardness import (
+    HittingSetInstance,
+    ParityModel,
+    random_instance,
+    verify_deterministic_rule,
+)
 from genomask.masking import MaskedSequence, TranscriptEntry, transcript_to_json_lines
+from genomask.mechanism import EnumeratedMechanism
 
 from conftest import parity_n3, random_explicit, random_hmm, random_markov
 
@@ -274,3 +286,137 @@ def test_transcript_serialization():
     lines = transcript_to_json_lines(entries).splitlines()
     assert '"outcome": "*"' in lines[0]
     assert '"release_prob": 1.0' in lines[1]
+
+
+# --- level-batched walker -------------------------------------------------------
+#
+# The per-node primitives (`predictive`, `release_table`, `step_factor`) are
+# the oracle: replaying them along one output path must give that output's
+# column of the law bit for bit, since the batched walk does the same
+# arithmetic on the same rows in the same order.
+
+
+def _replay(engine, ordering, y):
+    """(column, entered) for output y: the sensitive-assignment weights
+    after replaying `step_factor` along y's path, and whether the true
+    model's weight stayed positive at every step."""
+    wp, wq = engine.p.copy(), engine.q.copy()
+    for pos in ordering:
+        cond, totals = engine.predictive(wq, pos)
+        _, ratios = engine.release_table(cond, totals, pos)
+        f = engine.step_factor(pos, y[pos], ratios)
+        wp, wq = wp * f, wq * f
+        if not wp.max() > 0.0:
+            return None, False
+    return np.bincount(engine.u_codes, weights=wp, minlength=engine.num_u), True
+
+
+def _assert_law_is_replay(engine, ordering, dist):
+    leaves = dict(zip(dist.y_values, dist.matrix.T))
+    outcomes = [(*range(a), STAR) for a in engine.arities]
+    for y in itertools.product(*outcomes):
+        col, entered = _replay(engine, ordering, y)
+        assert entered == (y in leaves), y
+        if entered:
+            assert np.array_equal(leaves[y], col), y
+
+
+def _tiny_models(rng):
+    yield random_explicit(rng, 4, sparse=True)
+    yield random_explicit(rng, 3, alphabet=3)
+    yield random_markov(rng, 4, alphabet=3)
+    yield random_hmm(rng, 4, 3)
+
+
+def test_walk_leaves_equal_per_path_replay(rng):
+    for model in _tiny_models(rng):
+        for _ in range(2):
+            K = sorted(int(v) for v in rng.choice(model.n, size=1 + int(rng.integers(2)),
+                                                  replace=False))
+            ordering = Ordering(tuple(int(v) for v in rng.permutation(model.n)))
+            engine = EnumeratedMechanism(model, K)
+            _assert_law_is_replay(engine, ordering, engine.output_distribution(ordering))
+
+
+def test_mismatched_walk_equals_replay(rng):
+    # the mechanism's model puts mass where the true model has none
+    for n in (3, 4):
+        p_model = random_explicit(rng, n, sparse=True)
+        q_model = random_explicit(rng, n)
+        assert np.any((p_model.probs == 0) & (q_model.probs > 0))
+        K = [int(rng.integers(n))]
+        ordering = Ordering(tuple(int(v) for v in rng.permutation(n)))
+        engine = EnumeratedMechanism(p_model, K, q_model)
+        dist = engine.output_distribution(ordering)
+        _assert_law_is_replay(engine, ordering, dist)
+        result = robustness_experiment(MismatchPair(p_model, q_model), K, ordering)
+        assert result.leakage_bits == dist.mutual_information_bits()
+
+
+def _walk_results(rng):
+    """Output laws, stepwise rates, certificates and parity-rule checks
+    over a fixed seeded mix."""
+    out = []
+    for model in (random_explicit(rng, 6), random_explicit(rng, 5, sparse=True),
+                  random_markov(rng, 5), random_hmm(rng, 5, 3), parity_n3()):
+        ordering = Ordering(tuple(int(v) for v in rng.permutation(model.n)))
+        K = [ordering.perm[model.n // 2]]
+        engine = EnumeratedMechanism(model, K)
+        dist = engine.output_distribution(ordering)
+        out.append((dist.y_values, dist.matrix,
+                    engine.stepwise_minima_rate(ordering),
+                    markov_sufficient_condition_check(model, [0]),
+                    markov_sufficient_condition_check(model, K, ordering)))
+    p_model, q_model = random_explicit(rng, 5, sparse=True), random_explicit(rng, 5)
+    engine = EnumeratedMechanism(p_model, [2], q_model)
+    dist = engine.output_distribution(Ordering.linear(5))
+    out.append((dist.y_values, dist.matrix, None, None, None))
+    inst = random_instance(4, 3, rng)
+    out.append(tuple(verify_deterministic_rule(inst, order)
+                     for order in itertools.permutations(range(1, 5))))
+    return out
+
+
+@pytest.mark.parametrize("budget", [1, 1 << 16])
+def test_split_batches_give_the_same_results(monkeypatch, budget):
+    batches = []
+    real = EnumeratedMechanism._predictive
+
+    def counting(self, pos, nodes, *args):
+        batches.append(nodes)
+        return real(self, pos, nodes, *args)
+
+    monkeypatch.setattr(EnumeratedMechanism, "_predictive", counting)
+    whole = _walk_results(np.random.default_rng(17))
+    whole_batches, batches[:] = len(batches), []
+    monkeypatch.setattr(hmm, "BELIEF_BUDGET_BYTES", budget)
+    split = _walk_results(np.random.default_rng(17))
+    assert len(batches) > whole_batches
+    if budget == 1:
+        assert max(batches) == 1  # every node walked alone
+    else:
+        assert max(batches) > 1
+    for a, b in zip(whole[:-1], split[:-1]):
+        assert a[0] == b[0] and np.array_equal(a[1], b[1])
+        if a[2] is not None:
+            assert abs(a[2] - b[2]) <= 1e-14
+        assert a[3:] == b[3:]
+    assert whole[-1] == split[-1]
+
+
+def test_walk_stays_within_byte_budget(monkeypatch):
+    rng = np.random.default_rng(3)
+    model = random_explicit(rng, 10)
+    ordering = Ordering(tuple(int(v) for v in rng.permutation(10)))
+    engine = EnumeratedMechanism(model, [ordering.perm[5]])
+    budget = 1 << 20
+    monkeypatch.setattr(hmm, "BELIEF_BUDGET_BYTES", budget)
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        batches = sum(1 for _ in engine.walk(ordering))
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert batches > 2 * model.n  # the deep levels were split
+    assert peak <= budget
