@@ -9,7 +9,6 @@ from .baselines import (
     robustness_experiment,
     sequence_kl,
     window_leakage_exact,
-    window_leakage_mc,
     window_leakage_sweep,
     window_mask,
 )
@@ -48,25 +47,21 @@ from .hardness import (
 )
 from .hmm import (
     BatchMaskingSession,
-    MaskingSession,
     SensitiveBackwardTable,
     mask_hmm,
     mask_hmm_batch,
     sensitive_backward_table,
     sensitive_conditionals,
-    transition_given_sensitive,
 )
 from .info import entropy, kl_divergence, mutual_information
 from .masking import STAR, MaskedSequence, Ordering, TranscriptEntry
 from .mechanism import (
     EnumeratedMechanism,
-    ModelConditionals,
     OutputDistribution,
     PrivacyAudit,
     achievable_rate_exact,
     achievable_rate_mc,
     conditional_query,
-    erasure_probability,
     exact_output_distribution,
     mask_sequence,
     rate_from_stepwise_minima,

@@ -21,12 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import hmm as _hmm
-from .distributions import (
-    DEFAULT_ENUMERATION_BUDGET,
-    HmmModel,
-    SequenceModel,
-    sensitive_assignments,
-)
+from .distributions import HmmModel, SequenceModel, sensitive_assignments
 from .errors import DegenerateSensitiveError, InputError, NumericalError
 from .info import entropy, kl_divergence, mutual_information, sample_stderr
 from .masking import STAR, MaskedSequence, Ordering, _validate_sensitive
@@ -75,13 +70,12 @@ def window_mask(x, policy: WindowPolicy) -> MaskedSequence:
 
 
 def window_leakage_exact(model: SequenceModel, K, omega: int,
-                         mode: str = "prefix",
-                         budget: int = DEFAULT_ENUMERATION_BUDGET) -> float:
+                         mode: str = "prefix") -> float:
     """I(sensitive; released coordinates) / H(sensitive), by enumeration."""
     K = _validate_sensitive(K, model.n)
     policy = WindowPolicy(mode, omega, K)
     released = sorted(set(range(model.n)) - policy.erased_positions(model.n))
-    space, p = model.joint_table(budget)
+    space, p = model.joint_table()
     us = sensitive_assignments(model.arities, K)
     u_index = {u: i for i, u in enumerate(us)}
     rel_groups: dict[tuple, int] = {}
@@ -117,14 +111,6 @@ def _suffix_rows(hmm: HmmModel, xs: np.ndarray, rows) -> dict[int, np.ndarray]:
         if i in rows:
             out[i] = cur
     return out
-
-
-def window_leakage_mc(hmm: HmmModel, K, omega: int, samples: int,
-                      rng: np.random.Generator):
-    """Estimate normalized prefix-window leakage at one omega; see
-    `window_leakage_sweep` for the shared-pass version."""
-    est, err = window_leakage_sweep(hmm, K, [omega], samples, rng)
-    return est[0], err[0]
 
 
 def window_leakage_sweep(hmm: HmmModel, K, omegas, samples: int,
@@ -209,11 +195,9 @@ class RobustnessResult:
     kl_bound_bits: float
 
 
-def sequence_kl(p_model: SequenceModel, q_model: SequenceModel,
-                budget: int = DEFAULT_ENUMERATION_BUDGET) -> float:
+def sequence_kl(p_model: SequenceModel, q_model: SequenceModel) -> float:
     """D(p || q) over whole sequences, in bits (exact, enumerated)."""
-    return kl_divergence(p_model.joint_table(budget)[1],
-                         q_model.joint_table(budget)[1])
+    return kl_divergence(p_model.joint_table()[1], q_model.joint_table()[1])
 
 
 def sequence_kl_mc(p_model: SequenceModel, q_model: SequenceModel,
@@ -232,8 +216,7 @@ def sequence_kl_mc(p_model: SequenceModel, q_model: SequenceModel,
 
 
 def robustness_experiment(pair: MismatchPair, K,
-                          ordering: Ordering | None = None,
-                          budget: int = DEFAULT_ENUMERATION_BUDGET) -> RobustnessResult:
+                          ordering: Ordering | None = None) -> RobustnessResult:
     """Exact leakage of the q-built mechanism under p, and the divergence
     bound D(p || q).
 
@@ -241,11 +224,11 @@ def robustness_experiment(pair: MismatchPair, K,
     means the composition is wrong and raises.
     """
     K = _validate_sensitive(K, pair.p_model.n)
-    engine = EnumeratedMechanism(pair.p_model, K, pair.q_model, budget)
+    engine = EnumeratedMechanism(pair.p_model, K, pair.q_model)
     ordering = ordering or Ordering.linear(pair.p_model.n)
     dist = engine.output_distribution(ordering)
     leakage = dist.mutual_information_bits()
-    bound = sequence_kl(pair.p_model, pair.q_model, budget)
+    bound = sequence_kl(pair.p_model, pair.q_model)
     if leakage > bound + 1e-9:
         raise NumericalError(
             f"mismatch leakage {leakage} exceeds the divergence bound {bound}")

@@ -18,19 +18,22 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import hmm as _hmm
-from .distributions import (
-    DEFAULT_ENUMERATION_BUDGET,
-    HmmModel,
-    SequenceModel,
-    sensitive_assignments,
-)
+from .distributions import HmmModel, SequenceModel, sensitive_assignments
 from .masking import STAR, Ordering, _validate_sensitive
 from .mechanism import EnumeratedMechanism, OutputDistribution
 from .simplex import linear_program
 
+#: Absolute tie tolerance of `markov_sufficient_condition_check`: an
+#: assignment within this of a node's minimum counts as a minimizer.
+TIE_TOL = 1e-10
 
-def upper_bound_rate(model: SequenceModel, K,
-                     budget: int = DEFAULT_ENUMERATION_BUDGET) -> float:
+#: `lp_optimal_rate` returns status "capacity" past this many variables, or
+#: past this many entries of its dense constraint matrix.
+LP_VAR_BUDGET = 20_000
+LP_DENSE_BUDGET = 20_000_000
+
+
+def upper_bound_rate(model: SequenceModel, K) -> float:
     """Converse bound: (1/n) sum_i sum_v min_u p(x_i = v | sensitive = u).
 
     The minimum ranges over assignments with positive prior.  HMMs use the
@@ -43,7 +46,7 @@ def upper_bound_rate(model: SequenceModel, K,
         reachable = table.prior > 0
         mins = cond[:, reachable, :].min(axis=1)  # (n, arity)
         return float(mins.sum()) / model.n
-    engine = EnumeratedMechanism(model, K, budget=budget)
+    engine = EnumeratedMechanism(model, K)
     total = 0.0
     for pos in range(model.n):
         cond, totals = engine.predictive(engine.q, pos)
@@ -53,9 +56,7 @@ def upper_bound_rate(model: SequenceModel, K,
 
 
 def markov_sufficient_condition_check(model: SequenceModel, K,
-                                      ordering: Ordering | None = None,
-                                      tol: float = 1e-10,
-                                      budget: int = DEFAULT_ENUMERATION_BUDGET) -> bool:
+                                      ordering: Ordering | None = None) -> bool:
     """Is some prior minimizer a minimizer under every reachable produced
     prefix?
 
@@ -63,8 +64,7 @@ def markov_sufficient_condition_check(model: SequenceModel, K,
     set and are intersected with the argmin set of every node of the
     prefix tree at that position, across all branches; the check fails
     only when a candidate set becomes empty, and stops at the first walk
-    batch that empties one.  `tol` is the absolute tie
-    tolerance: an assignment within `tol` of the minimum counts as one.
+    batch that empties one.  Ties are taken to ``TIE_TOL``.
 
     By privacy p(v | u) = sum_y p(y) p(v | u, y), so a common minimizer
     makes the expected minimum equal the prior minimum and the sequential
@@ -73,14 +73,14 @@ def markov_sufficient_condition_check(model: SequenceModel, K,
     exactly when the mechanism may fall short of the bound.
     """
     K = _validate_sensitive(K, model.n)
-    engine = EnumeratedMechanism(model, K, budget=budget)
+    engine = EnumeratedMechanism(model, K)
     ordering = ordering or Ordering.linear(model.n)
 
     def argmin_masks(cond, live):
         """(nodes, num_u, arity) masks of the live assignments within
-        ``tol`` of each node's minimum."""
+        ``TIE_TOL`` of each node's minimum."""
         mins = np.where(live[..., None], cond, np.inf).min(axis=1)
-        return live[..., None] & (cond <= mins[:, None, :] + tol)
+        return live[..., None] & (cond <= mins[:, None, :] + TIE_TOL)
 
     candidates = {}
     for pos in range(model.n):
@@ -129,10 +129,7 @@ def _masks(n: int, forced: tuple[int, ...]):
         yield tuple(mask)
 
 
-def lp_optimal_rate(model: SequenceModel, K,
-                    budget: int = DEFAULT_ENUMERATION_BUDGET,
-                    var_budget: int = 20000,
-                    dense_budget: int = 20_000_000) -> LpSolution:
+def lp_optimal_rate(model: SequenceModel, K) -> LpSolution:
     """Maximize the released fraction over all faithful mechanisms whose
     output is independent of the sensitive values, by dense simplex.
 
@@ -143,7 +140,7 @@ def lp_optimal_rate(model: SequenceModel, K,
     """
     K = _validate_sensitive(K, model.n)
     n = model.n
-    space, p = model.joint_table(budget)
+    space, p = model.joint_table()
     us = sensitive_assignments(model.arities, K)
     ucols = space[:, list(K)] if K else np.zeros((space.shape[0], 0), dtype=int)
     u_of_row = [tuple(r) for r in ucols]
@@ -157,7 +154,7 @@ def lp_optimal_rate(model: SequenceModel, K,
     forced = K if full_support else ()
     mask_list = list(_masks(n, forced))
     nvars = rows.size * len(mask_list)
-    if nvars > var_budget:
+    if nvars > LP_VAR_BUDGET:
         return LpSolution(float("nan"), "capacity")
 
     variables = []            # (row index, mask)
@@ -177,7 +174,7 @@ def lp_optimal_rate(model: SequenceModel, K,
 
     n_priv = (len(positive_u) - 1) * len(y_index)
     n_rows = n_priv + rows.size
-    if n_rows * nvars > dense_budget:
+    if n_rows * nvars > LP_DENSE_BUDGET:
         return LpSolution(float("nan"), "capacity")
     a = np.zeros((n_rows, nvars))
     b = np.zeros(n_rows)
@@ -229,8 +226,7 @@ def lp_optimal_rate(model: SequenceModel, K,
 
 
 def lp_output_distribution(model: SequenceModel, K,
-                           solution: LpSolution,
-                           budget: int = DEFAULT_ENUMERATION_BUDGET) -> OutputDistribution:
+                           solution: LpSolution) -> OutputDistribution:
     """Joint law of (sensitive values, output) induced by an LP mechanism."""
     K = _validate_sensitive(K, model.n)
     us = sensitive_assignments(model.arities, K)

@@ -9,14 +9,14 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
 import json
 import sys
-from pathlib import Path
 
 import numpy as np
 
 from . import baselines, bounds, experiments, hardness, hmm, mechanism
-from .distributions import HmmModel, load_model_config, load_panel, save_panel
+from .distributions import HmmModel, load_model_config, load_panel
 from .errors import GenomaskError, InputError
 from .masking import Ordering, transcript_to_json_lines
 
@@ -61,6 +61,12 @@ def _check_runs(runs: int) -> None:
         raise InputError(f"--runs must be >= 0 (0 = exact), got {runs}")
 
 
+def _rng(seed: int) -> np.random.Generator:
+    if seed < 0:
+        raise InputError(f"--seed must be >= 0, got {seed}")
+    return np.random.default_rng(seed)
+
+
 def _load_model(args) -> HmmModel:
     if getattr(args, "model", None):
         model = load_model_config(args.model)
@@ -71,9 +77,19 @@ def _load_model(args) -> HmmModel:
     return HmmModel(panel, args.epsilon, args.theta)
 
 
+def _write(path: str, text: str) -> None:
+    """Write ``text`` to ``path`` as is; an unwritable path is an input
+    error."""
+    try:
+        with open(path, "w", newline="") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise InputError(f"cannot write {path}: {exc.strerror}") from exc
+
+
 def _emit(args, text: str) -> None:
     if getattr(args, "out", None):
-        Path(args.out).write_text(text + ("" if text.endswith("\n") else "\n"))
+        _write(args.out, text + ("" if text.endswith("\n") else "\n"))
     else:
         print(text)
 
@@ -84,20 +100,18 @@ def _emit(args, text: str) -> None:
 def cmd_gen_panel(args) -> int:
     if args.m < 1 or args.n < 1:
         raise InputError("panel dimensions must be positive")
-    rng = np.random.default_rng(args.seed)
-    panel = rng.integers(args.alphabet, size=(args.m, args.n))
-    if args.out:
-        save_panel(panel, args.out)
-    else:
-        sys.stdout.write("\n".join("".join(str(v) for v in row)
-                                   for row in panel) + "\n")
+    if not 2 <= args.alphabet <= 10:
+        raise InputError("--alphabet must be in 2..10 (one digit per symbol), "
+                         f"got {args.alphabet}")
+    panel = _rng(args.seed).integers(args.alphabet, size=(args.m, args.n))
+    _emit(args, "\n".join("".join(str(v) for v in row) for row in panel))
     return 0
 
 
 def cmd_mask(args) -> int:
     model = _load_model(args)
     K = _parse_positions(args.k, model.n)
-    rng = np.random.default_rng(args.seed)
+    rng = _rng(args.seed)
     if args.sample:
         x = model.sample(rng)
     elif args.x:
@@ -111,8 +125,7 @@ def cmd_mask(args) -> int:
         masked, transcript = mechanism.mask_sequence(model, x, K, ordering, rng)
     _emit(args, masked.text())
     if args.transcript:
-        Path(args.transcript).write_text(
-            transcript_to_json_lines(transcript) + "\n")
+        _write(args.transcript, transcript_to_json_lines(transcript) + "\n")
     return 0
 
 
@@ -121,8 +134,8 @@ def cmd_rate(args) -> int:
     K = _parse_positions(args.k, model.n)
     ordering = _parse_order(args.order, model.n) if args.order else None
     _check_runs(args.runs)
+    rng = _rng(args.seed)
     if args.runs > 0:
-        rng = np.random.default_rng(args.seed)
         est, err = mechanism.achievable_rate_mc(model, K, ordering,
                                                 runs=args.runs, rng=rng)
         payload = {"rate": est, "stderr": err, "runs": args.runs}
@@ -157,7 +170,7 @@ def cmd_window(args) -> int:
     K = _parse_positions(args.k, model.n)
     omegas = _parse_numbers(args.omega, "--omega")
     _check_runs(args.runs)
-    rng = np.random.default_rng(args.seed)
+    rng = _rng(args.seed)
     if args.runs > 0:
         est, err = baselines.window_leakage_sweep(model, K, omegas,
                                                   args.runs, rng)
@@ -195,31 +208,33 @@ def cmd_hardness(args) -> int:
 
 
 def cmd_experiment(args) -> int:
+    panel = load_panel(args.panel) if args.panel else None
+    # a panel fixes the grid's shape unless --m/--n say otherwise
+    m, n = panel.shape if panel is not None else (100, 100)
+    m = m if args.m is None else args.m
+    n = n if args.n is None else args.n
     config = experiments.ExperimentConfig(
         experiment=args.name,
-        n=args.n, m=args.m,
-        k=_parse_positions(args.k, args.n),
+        n=n, m=m,
+        k=_parse_positions(args.k, n),
         epsilons=tuple(_parse_numbers(args.epsilon, "--epsilon", float)),
         thetas=tuple(_parse_numbers(args.theta, "--theta", float)),
         omegas=tuple(_parse_numbers(args.omega, "--omega")),
-        runs=args.runs, seed=args.seed, workers=args.workers,
-        panel=load_panel(args.panel) if args.panel else None,
+        runs=args.runs, seed=args.seed, workers=args.workers, panel=panel,
     )
     rows = experiments.run_experiment(config)
     if args.json:
         text = "\n".join(json.dumps(r) for r in rows)
         _emit(args, text)
         return 0
-    out = args.out
-    if out:
-        with open(out, "w", newline="") as fh:
-            writer = csv.DictWriter(fh, fieldnames=experiments.CSV_COLUMNS)
-            writer.writeheader()
-            writer.writerows(rows)
+    buf = io.StringIO()
+    writer = csv.DictWriter(buf, fieldnames=experiments.CSV_COLUMNS)
+    writer.writeheader()
+    writer.writerows(rows)
+    if args.out:
+        _write(args.out, buf.getvalue())
     else:
-        writer = csv.DictWriter(sys.stdout, fieldnames=experiments.CSV_COLUMNS)
-        writer.writeheader()
-        writer.writerows(rows)
+        sys.stdout.write(buf.getvalue())
     return 0
 
 
@@ -308,8 +323,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("experiment", help="run a named sweep, emit CSV")
     p.add_argument("--name", required=True,
                    choices=sorted(experiments.RUNNERS))
-    p.add_argument("--n", type=int, default=100)
-    p.add_argument("--m", type=int, default=100)
+    p.add_argument("--n", type=int,
+                   help="sequence length (default: the panel's, else 100)")
+    p.add_argument("--m", type=int,
+                   help="panel rows (default: the panel's, else 100)")
     p.add_argument("--k", default="1")
     p.add_argument("--epsilon", default=",".join(map(str, experiments.DEFAULT_EPSILONS)))
     p.add_argument("--theta", default=",".join(map(str, experiments.DEFAULT_THETAS)))

@@ -21,8 +21,9 @@ import numpy as np
 
 from .errors import CapacityError, InputError
 
-#: Default cap on the number of sequences materialized by enumeration.
-DEFAULT_ENUMERATION_BUDGET = 1 << 17
+#: Cap on the number of sequences materialized by enumeration; read at call
+#: time by `SequenceModel.enumerate_space`, the one place that checks it.
+ENUMERATION_BUDGET = 1 << 17
 
 _SUM_TOL = 1e-12
 
@@ -90,18 +91,19 @@ class SequenceModel(abc.ABC):
     def space_size(self) -> int:
         return math.prod(self.arities)
 
-    def enumerate_space(self, budget: int = DEFAULT_ENUMERATION_BUDGET) -> np.ndarray:
+    def enumerate_space(self) -> np.ndarray:
         """All sequences as an (N, n) int array in row-major order."""
-        if self.space_size > budget:
+        if self.space_size > ENUMERATION_BUDGET:
             raise CapacityError(
-                f"sequence space of size {self.space_size} exceeds budget {budget}"
+                f"sequence space of size {self.space_size} exceeds budget "
+                f"{ENUMERATION_BUDGET}"
             )
         grids = np.meshgrid(*(np.arange(a) for a in self.arities), indexing="ij")
         return np.stack([g.reshape(-1) for g in grids], axis=1).astype(np.int64)
 
-    def joint_table(self, budget: int = DEFAULT_ENUMERATION_BUDGET) -> tuple[np.ndarray, np.ndarray]:
+    def joint_table(self) -> tuple[np.ndarray, np.ndarray]:
         """(space, probs) for the full sequence space."""
-        space = self.enumerate_space(budget)
+        space = self.enumerate_space()
         probs = np.array([self.joint_prob(row) for row in space], dtype=float)
         return space, probs
 

@@ -51,6 +51,9 @@ class ExperimentConfig:
             raise InputError("parameter grids must be non-empty")
         if not 0 <= self.seed < 2 ** 64:
             raise InputError("seed must fit in 64 bits")
+        if self.panel is not None and np.shape(self.panel) != (self.m, self.n):
+            raise InputError(f"panel of shape {np.shape(self.panel)} does not "
+                             f"match (m, n) = ({self.m}, {self.n})")
 
 
 def _row(config: ExperimentConfig, **fields) -> dict:

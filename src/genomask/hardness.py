@@ -26,9 +26,12 @@ from .errors import CapacityError, InputError
 from .masking import Ordering
 from .mechanism import EnumeratedMechanism
 
-MAX_EDGES_ENUMERATION = 16
 MAX_ELEMENTS_EXHAUSTIVE = 8
 MAX_ELEMENTS_SUBSET_SCAN = 20
+
+#: Release probabilities within this of 0 or 1 count as deterministic in
+#: `verify_deterministic_rule`.
+DECISION_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -136,10 +139,8 @@ class ParityModel(SequenceModel):
         x = validate_sequence(x, self.arities)
         return 0.0 if self._bits_of(x) is None else 2.0 ** -self.num_edges
 
-    def joint_table(self, budget: int = 1 << 22):
-        if self.space_size > budget:
-            raise CapacityError("parity model space exceeds budget")
-        space = self.enumerate_space(budget)
+    def joint_table(self):
+        space = self.enumerate_space()
         m = self.instance.m
         # reconstruct every edge bit from the element codes, vectorized
         bits = np.zeros((space.shape[0], self.num_edges), dtype=np.int64)
@@ -198,19 +199,16 @@ def deterministic_erasure_set(instance: HittingSetInstance,
     return frozenset(erased)
 
 
-def verify_deterministic_rule(instance: HittingSetInstance, element_order,
-                              tol: float = 1e-12) -> bool:
+def verify_deterministic_rule(instance: HittingSetInstance,
+                              element_order) -> bool:
     """Check, by full enumeration of edge bits, that the generic mechanism
     on the parity model is deterministic and erases exactly the rule's set.
 
     Every reachable release probability must be 0 or 1, the same for every
     consistent sequence, and the erased element set must match
-    `deterministic_erasure_set`.
+    `deterministic_erasure_set`.  The parity model's space, 2^(edges +
+    sets) sequences, is subject to ``distributions.ENUMERATION_BUDGET``.
     """
-    if len(instance.edges) > MAX_EDGES_ENUMERATION:
-        raise CapacityError(
-            f"instance has {len(instance.edges)} edges; enumeration capped at "
-            f"{MAX_EDGES_ENUMERATION}")
     model = ParityModel(instance)
     order = tuple(int(v) for v in element_order)
     ordering = Ordering(tuple(v - 1 for v in order) + model.K)
@@ -225,9 +223,9 @@ def verify_deterministic_rule(instance: HittingSetInstance, element_order,
         with np.errstate(invalid="ignore"):
             defined = (~np.isnan(batch.cond)) & (batch.cond > 0)
         vals = batch.ratios[defined]
-        if np.any((vals > tol) & (vals < 1.0 - tol)):
+        if np.any((vals > DECISION_TOL) & (vals < 1.0 - DECISION_TOL)):
             return False  # a genuinely random decision: rule is wrong
-        erased = batch.mins.max(axis=1) <= tol
+        erased = batch.mins.max(axis=1) <= DECISION_TOL
         if erased.any():
             if element not in expected:
                 return False
@@ -236,7 +234,7 @@ def verify_deterministic_rule(instance: HittingSetInstance, element_order,
             if element in expected:
                 return False
             # released: must not depend on the value or u
-            if np.any((defined & (batch.ratios < 1.0 - tol))[~erased]):
+            if np.any((defined & (batch.ratios < 1.0 - DECISION_TOL))[~erased]):
                 return False
     return erased_elements == expected
 

@@ -112,36 +112,6 @@ def sensitive_backward_table(hmm: HmmModel, K) -> SensitiveBackwardTable:
     return SensitiveBackwardTable(K, values, ucomp, prior, plain_from)
 
 
-def transition_given_sensitive(hmm: HmmModel, table: SensitiveBackwardTable,
-                               i: int, u) -> np.ndarray:
-    """Hidden-state kernel into position i conditioned on sensitive = u.
-
-    Row s_prev is the plain kernel reweighted by the backward likelihoods at
-    position i and renormalized.  Requires 1 <= i <= n-1.
-    """
-    if not 1 <= i < hmm.n:
-        raise InputError(f"kernel position {i} out of range 1..{hmm.n - 1}")
-    code = assignment_index(u, hmm.arities, table.K)
-    g = table.values[i, code]
-    raw = hmm.transition_matrix * g[None, :]
-    z = raw.sum(axis=1)
-    if np.any(z <= 0.0):
-        raise ImpossibleContextError(
-            f"sensitive assignment {tuple(u)} unreachable from some state")
-    return raw / z[:, None]
-
-
-def initial_given_sensitive(hmm: HmmModel, table: SensitiveBackwardTable,
-                            u) -> np.ndarray:
-    """p(S_0 | sensitive = u)."""
-    code = assignment_index(u, hmm.arities, table.K)
-    raw = hmm.initial_state * table.values[0, code]
-    z = raw.sum()
-    if z <= 0.0:
-        raise ImpossibleContextError(f"sensitive assignment {tuple(u)} impossible")
-    return raw / z
-
-
 def sensitive_conditionals(hmm: HmmModel, K,
                            table: SensitiveBackwardTable | None = None) -> np.ndarray:
     """Prior conditionals p(x_i = v | sensitive = u), shape (n, num_u, arity).
@@ -326,32 +296,6 @@ class BatchMaskingSession:
         y = np.where(rng.random(self.batch) < r, x_col, STAR)
         self.advance(y)
         return y, r
-
-
-class MaskingSession:
-    """Streaming single-sequence interface: feed a symbol, receive the
-    masked outcome."""
-
-    def __init__(self, hmm: HmmModel, K, x_sensitive, table=None):
-        x_sensitive = np.asarray(x_sensitive, dtype=np.int64).reshape(1, -1)
-        self._batch = BatchMaskingSession(hmm, K, x_sensitive, table)
-
-    @property
-    def position(self) -> int:
-        return self._batch.pos
-
-    def predictive(self, u) -> np.ndarray:
-        return self._batch.predictive(u)[0]
-
-    def release_probability(self, x_i: int) -> float:
-        return float(self._batch.release_probability([x_i])[0])
-
-    def advance(self, y_i: int) -> None:
-        self._batch.advance([y_i])
-
-    def step(self, x_i: int, rng: np.random.Generator) -> int:
-        y, _ = self._batch.step([x_i], rng)
-        return int(y[0])
 
 
 def mask_hmm(hmm: HmmModel, x, K, rng: np.random.Generator, table=None):

@@ -18,13 +18,17 @@ One walker, `EnumeratedMechanism.walk`, visits the prefix tree of produced
 outputs a level at a time: every node at depth d processes the same
 position, so a `NodeBatch` stores many nodes flat, one entry per (node,
 support row), and the predictive, release and step tables of the whole
-batch are single array operations (the per-node `predictive`,
-`release_table` and `step_factor` are their one-node case).  A branch is
-entered only when its true-model weight stays positive.  Batches are cut at
-node boundaries and walked depth first, so the walk's live arrays stay
-within ``hmm.BELIEF_BUDGET_BYTES``.  The output law, the stepwise-minima
-rate, the minimizer-stability certificate and the parity-rule check are
-per-batch reductions over it.
+batch are single array operations.  The per-node `predictive`,
+`release_table` and `step_factor` are their one-node case; they remain as
+the one-node tables for `EnumeratedMechanism.mask`, the conditional query
+(`EnumeratedMechanism.conditional`), `bounds.upper_bound_rate` and the
+tests, which replay them along single paths.  The release probabilities
+themselves come from one rule, `masking.release_ratios`, here and in the
+HMM session alike.  A branch is entered only when its true-model weight
+stays positive.  Batches are cut at node boundaries and walked depth first,
+so the walk's live arrays stay within ``hmm.BELIEF_BUDGET_BYTES``.  The
+output law, the stepwise-minima rate, the minimizer-stability certificate
+and the parity-rule check are per-batch reductions over it.
 
 Conventions:
   * the minimum ranges over sensitive assignments that are possible under
@@ -42,22 +46,15 @@ import numpy as np
 
 from . import hmm as _hmm
 from .distributions import (
-    DEFAULT_ENUMERATION_BUDGET,
     HmmModel,
     SequenceModel,
     assignment_index,
     sensitive_assignments,
     validate_sequence,
 )
-from .errors import (
-    CapacityError,
-    ImpossibleContextError,
-    InputError,
-    NumericalError,
-)
+from .errors import CapacityError, ImpossibleContextError, InputError
 from .info import mutual_information, sample_stderr
 from .masking import (
-    RATIO_TOL,
     STAR,
     MaskedSequence,
     Ordering,
@@ -67,8 +64,9 @@ from .masking import (
 )
 
 #: Cap on the number of distinct output sequences visited by exact
-#: composition walks.
-DEFAULT_LEAF_BUDGET = 1 << 17
+#: composition walks (and, times n, on the prefix nodes of the stepwise
+#: rate); read at call time.
+LEAF_BUDGET = 1 << 17
 
 #: Upper bounds on what one walk batch holds at its peak: bytes per entry
 #: (its index and weight arrays, their temporaries and its children; about
@@ -76,13 +74,6 @@ DEFAULT_LEAF_BUDGET = 1 << 17
 #: `EnumeratedMechanism.walk` sizes its batches from them.
 _ENTRY_BYTES = 256
 _TABLES_PER_NODE = 8
-
-
-def clamp_probability(value: float, what: str = "probability") -> float:
-    """Clamp round-off noise into [0, 1]; larger violations are hard errors."""
-    if value < -RATIO_TOL or value > 1.0 + RATIO_TOL:
-        raise NumericalError(f"{what} {value} outside [0, 1] beyond tolerance")
-    return min(1.0, max(0.0, value))
 
 
 class EnumeratedMechanism:
@@ -96,12 +87,14 @@ class EnumeratedMechanism:
         Sensitive positions (0-based).
     mechanism_model : SequenceModel, optional
         Distribution the mechanism believes in; defaults to ``model``.
-    budget : int
-        Cap on the enumerated sequence-space size.
+
+    The enumerated space is capped by ``distributions.ENUMERATION_BUDGET``,
+    the outputs of one walk by ``LEAF_BUDGET`` and a walk batch's arrays by
+    ``hmm.BELIEF_BUDGET_BYTES``; each is read when used, so a test can
+    shrink it with ``monkeypatch``.
     """
 
-    def __init__(self, model: SequenceModel, K, mechanism_model=None,
-                 budget: int = DEFAULT_ENUMERATION_BUDGET):
+    def __init__(self, model: SequenceModel, K, mechanism_model=None):
         self.model = model
         self.mech_model = mechanism_model if mechanism_model is not None else model
         if self.mech_model.arities != model.arities:
@@ -110,11 +103,11 @@ class EnumeratedMechanism:
         self.arities = model.arities
         self.K = _validate_sensitive(K, self.n)
 
-        space, p = model.joint_table(budget)
+        space, p = model.joint_table()
         if self.mech_model is model:
             q = p
         else:
-            _, q = self.mech_model.joint_table(budget)
+            _, q = self.mech_model.joint_table()
         keep = (p > 0) | (q > 0)
         self.space = space[keep]
         self.p = p[keep]
@@ -247,6 +240,38 @@ class EnumeratedMechanism:
             transcript.append(TranscriptEntry(pos, r, y[pos]))
         return MaskedSequence(tuple(y)), tuple(transcript)
 
+    def conditional(self, i: int, u, y_prefix=()) -> np.ndarray:
+        """p(X_i | sensitive = u, produced prefix) under the mechanism's
+        model; ``y_prefix`` is an ordered sequence of (position, outcome)
+        pairs, replayed through `step_factor`.
+
+        Raises `ImpossibleContextError` when the context has probability
+        zero.
+        """
+        if not 0 <= i < self.n:
+            raise InputError(f"position {i} out of range")
+        u = tuple(int(v) for v in u)
+        if len(u) != len(self.K):
+            raise InputError("assignment length does not match sensitive set")
+        seen = set()
+        wq = self.q.copy()
+        for pos, val in y_prefix:
+            pos = int(pos)
+            if pos == i or pos in seen or not 0 <= pos < self.n:
+                raise InputError(f"invalid prefix position {pos}")
+            if val != STAR and not 0 <= val < self.arities[pos]:
+                raise InputError(f"invalid prefix outcome {val} at {pos}")
+            seen.add(pos)
+            cond, totals = self.predictive(wq, pos)
+            _, ratios = self.release_table(cond, totals, pos)
+            wq *= self.step_factor(pos, val, ratios)
+        cond, totals = self.predictive(wq, i)
+        code = assignment_index(u, self.arities, self.K)
+        if totals[code] <= 0.0:
+            raise ImpossibleContextError(
+                f"context (sensitive={u}, prefix) has probability zero")
+        return cond[code].copy()
+
     # -- exact composition ----------------------------------------------------
 
     def walk(self, ordering: Ordering):
@@ -339,17 +364,16 @@ class EnumeratedMechanism:
                                     batch.wp[e], batch.wq[e]))
         return pieces
 
-    def output_distribution(self, ordering: Ordering,
-                            leaf_budget: int = DEFAULT_LEAF_BUDGET):
+    def output_distribution(self, ordering: Ordering):
         """Exact joint law of (sensitive values, masked output)."""
         ys, cols, leaves = [], [], 0
         for batch in self.walk(ordering):
             if batch.pos is not None:
                 continue
             leaves += batch.size
-            if leaves > leaf_budget:
+            if leaves > LEAF_BUDGET:
                 raise CapacityError(
-                    f"output enumeration exceeded {leaf_budget} leaves")
+                    f"output enumeration exceeded {LEAF_BUDGET} leaves")
             y = np.empty((batch.size, self.n), dtype=np.int64)
             y[:, ordering.perm] = batch.paths
             ys.append(y)
@@ -365,8 +389,7 @@ class EnumeratedMechanism:
             list(map(tuple, ys[order].tolist())),
             np.ascontiguousarray(np.concatenate(cols)[order].T))
 
-    def stepwise_minima_rate(self, ordering: Ordering,
-                             leaf_budget: int = DEFAULT_LEAF_BUDGET) -> float:
+    def stepwise_minima_rate(self, ordering: Ordering) -> float:
         """Sequential rate as the prefix-expected sum of conditional minima,
         evaluated term by term over the prefix tree.
 
@@ -380,8 +403,9 @@ class EnumeratedMechanism:
             if batch.pos is None:
                 continue
             nodes += batch.size
-            if nodes > leaf_budget * self.n:
-                raise CapacityError("prefix enumeration exceeded budget")
+            if nodes > LEAF_BUDGET * self.n:
+                raise CapacityError(f"prefix enumeration exceeded "
+                                    f"{LEAF_BUDGET * self.n} nodes")
             acc += float(batch.totals.sum(axis=1) @ batch.mins.sum(axis=1))
         return acc / self.n
 
@@ -445,13 +469,6 @@ class OutputDistribution:
     def output_marginal(self) -> np.ndarray:
         return self.matrix.sum(axis=0)
 
-    def prob(self, u: tuple[int, ...], y: tuple[int, ...]) -> float:
-        try:
-            j = self.y_values.index(tuple(y))
-        except ValueError:
-            return 0.0
-        return float(self.matrix[self.u_values.index(tuple(u)), j])
-
     def expected_erasure_fraction(self) -> float:
         stars = np.array([sum(1 for v in y if v == STAR) for y in self.y_values],
                          dtype=float)
@@ -478,48 +495,6 @@ class PrivacyAudit:
     mutual_information_bits: float
 
 
-class ModelConditionals:
-    """Conditional-query provider backed by exact enumeration."""
-
-    def __init__(self, model: SequenceModel, K, mechanism_model=None,
-                 budget: int = DEFAULT_ENUMERATION_BUDGET):
-        self.engine = EnumeratedMechanism(model, K, mechanism_model, budget)
-        self.K = self.engine.K
-
-    def assignments(self) -> list[tuple[int, ...]]:
-        """Sensitive assignments that are possible a priori."""
-        return [u for u, w in zip(self.engine.u_values, self.engine.q_prior)
-                if w > 0]
-
-    def query(self, i: int, u, y_prefix) -> np.ndarray:
-        """Conditional distribution of X_i given sensitive = u and the
-        produced prefix (an ordered sequence of (position, outcome) pairs)."""
-        eng = self.engine
-        if not 0 <= i < eng.n:
-            raise InputError(f"position {i} out of range")
-        u = tuple(int(v) for v in u)
-        if len(u) != len(self.K):
-            raise InputError("assignment length does not match sensitive set")
-        seen = set()
-        wq = eng.q.copy()
-        for pos, val in y_prefix:
-            pos = int(pos)
-            if pos == i or pos in seen or not 0 <= pos < eng.n:
-                raise InputError(f"invalid prefix position {pos}")
-            if val != STAR and not 0 <= val < eng.arities[pos]:
-                raise InputError(f"invalid prefix outcome {val} at {pos}")
-            seen.add(pos)
-            cond, totals = eng.predictive(wq, pos)
-            _, ratios = eng.release_table(cond, totals, pos)
-            wq *= eng.step_factor(pos, val, ratios)
-        cond, totals = eng.predictive(wq, i)
-        code = assignment_index(u, eng.arities, self.K)
-        if totals[code] <= 0.0:
-            raise ImpossibleContextError(
-                f"context (sensitive={u}, prefix) has probability zero")
-        return cond[code].copy()
-
-
 # ---------------------------------------------------------------------------
 # Module-level operations
 
@@ -527,43 +502,16 @@ class ModelConditionals:
 def conditional_query(model: SequenceModel, i: int, u, K, y_prefix=(),
                       mechanism_model=None) -> np.ndarray:
     """Exact p(X_i | sensitive = u, produced prefix) by enumeration."""
-    return ModelConditionals(model, K, mechanism_model).query(i, u, y_prefix)
-
-
-def erasure_probability(cond, i: int, x_i: int, u_obs, K, y_prefix=()) -> float:
-    """Probability that position i is erased given the true symbol and the
-    true sensitive values, per the release-ratio rule.
-
-    ``cond`` is a conditional-query provider (e.g. `ModelConditionals`).
-    """
-    K = tuple(sorted(int(k) for k in K))
-    if i in K:
-        return 1.0
-    try:
-        denom = float(cond.query(i, u_obs, y_prefix)[x_i])
-    except ImpossibleContextError:
-        return 1.0
-    if denom <= 0.0:
-        return 1.0
-    best = None
-    for u in cond.assignments():
-        try:
-            val = float(cond.query(i, u, y_prefix)[x_i])
-        except ImpossibleContextError:
-            continue  # hypothesis impossible in this context
-        best = val if best is None else min(best, val)
-    if best is None:
-        return 1.0
-    return 1.0 - clamp_probability(best / denom, "release probability")
+    return EnumeratedMechanism(model, K, mechanism_model).conditional(
+        i, u, y_prefix)
 
 
 def mask_sequence(model: SequenceModel, x, K, ordering: Ordering | None = None,
-                  rng: np.random.Generator | None = None, mechanism_model=None,
-                  budget: int = DEFAULT_ENUMERATION_BUDGET):
+                  rng: np.random.Generator | None = None, mechanism_model=None):
     """Mask one sequence with the sequential mechanism (reference path)."""
     if rng is None:
         raise InputError("mask_sequence requires a random generator")
-    engine = EnumeratedMechanism(model, K, mechanism_model, budget)
+    engine = EnumeratedMechanism(model, K, mechanism_model)
     ordering = ordering or Ordering.linear(model.n)
     if len(ordering) != model.n:
         raise InputError("ordering length does not match model")
@@ -572,36 +520,31 @@ def mask_sequence(model: SequenceModel, x, K, ordering: Ordering | None = None,
 
 def exact_output_distribution(model: SequenceModel, K,
                               ordering: Ordering | None = None,
-                              mechanism_model=None,
-                              budget: int = DEFAULT_ENUMERATION_BUDGET,
-                              leaf_budget: int = DEFAULT_LEAF_BUDGET):
+                              mechanism_model=None):
     """Exact joint law of (sensitive values, masked output)."""
-    engine = EnumeratedMechanism(model, K, mechanism_model, budget)
+    engine = EnumeratedMechanism(model, K, mechanism_model)
     ordering = ordering or Ordering.linear(model.n)
-    return engine.output_distribution(ordering, leaf_budget)
+    return engine.output_distribution(ordering)
 
 
 def achievable_rate_exact(model: SequenceModel, K,
-                          ordering: Ordering | None = None,
-                          budget: int = DEFAULT_ENUMERATION_BUDGET) -> float:
+                          ordering: Ordering | None = None) -> float:
     """Exact rate (released fraction) of the mechanism: 1 - E[erasures]/n."""
-    dist = exact_output_distribution(model, K, ordering, budget=budget)
+    dist = exact_output_distribution(model, K, ordering)
     return 1.0 - dist.expected_erasure_fraction()
 
 
 def rate_from_stepwise_minima(model: SequenceModel, K,
-                              ordering: Ordering | None = None,
-                              budget: int = DEFAULT_ENUMERATION_BUDGET) -> float:
+                              ordering: Ordering | None = None) -> float:
     """The sequential-rate expression: the prefix-expected sum of minimum
     conditionals, averaged over positions.  Equals `achievable_rate_exact`."""
-    engine = EnumeratedMechanism(model, K, budget=budget)
+    engine = EnumeratedMechanism(model, K)
     ordering = ordering or Ordering.linear(model.n)
     return engine.stepwise_minima_rate(ordering)
 
 
 def achievable_rate_mc(model: SequenceModel, K, ordering: Ordering | None = None,
-                       runs: int = 1000, rng: np.random.Generator | None = None,
-                       budget: int = DEFAULT_ENUMERATION_BUDGET):
+                       runs: int = 1000, rng: np.random.Generator | None = None):
     """Monte-Carlo rate estimate: (mean of 1 - e(Y)/n, standard error)."""
     if rng is None:
         raise InputError("achievable_rate_mc requires a random generator")
@@ -610,7 +553,7 @@ def achievable_rate_mc(model: SequenceModel, K, ordering: Ordering | None = None
     ordering = ordering or Ordering.linear(model.n)
     if isinstance(model, HmmModel) and ordering.is_linear:
         return _hmm.erasure_rate_mc(model, K, runs, rng)
-    engine = EnumeratedMechanism(model, K, budget=budget)
+    engine = EnumeratedMechanism(model, K)
     rates = np.empty(runs)
     for r in range(runs):
         x = model.sample(rng)
@@ -621,11 +564,9 @@ def achievable_rate_mc(model: SequenceModel, K, ordering: Ordering | None = None
 
 def verify_privacy_exact(model: SequenceModel, K,
                          ordering: Ordering | None = None,
-                         mechanism_model=None,
-                         budget: int = DEFAULT_ENUMERATION_BUDGET) -> PrivacyAudit:
+                         mechanism_model=None) -> PrivacyAudit:
     """Exact privacy audit: worst-case conditional deviation and mutual
     information between sensitive values and the masked output."""
-    dist = exact_output_distribution(model, K, ordering, mechanism_model,
-                                     budget=budget)
+    dist = exact_output_distribution(model, K, ordering, mechanism_model)
     return PrivacyAudit(dist.max_conditional_deviation(),
                         dist.mutual_information_bits())

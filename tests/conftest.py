@@ -40,3 +40,22 @@ def parity_n3():
         for b in (0, 1):
             probs[a * 4 + b * 2 + (a ^ b)] = 0.25
     return ExplicitJointModel(probs, n=3, alphabet=2)
+
+
+def replayed_ratios(engine, i, y_prefix=()):
+    """Release ratios ``ratios[u, v]`` at position i, from `release_table`
+    after replaying the produced prefix (ordered (position, outcome) pairs)
+    through `step_factor`: the one release rule the mechanism uses."""
+    wq = engine.q.copy()
+    for pos, y in y_prefix:
+        cond, totals = engine.predictive(wq, pos)
+        _, ratios = engine.release_table(cond, totals, pos)
+        wq *= engine.step_factor(pos, y, ratios)
+    cond, totals = engine.predictive(wq, i)
+    return engine.release_table(cond, totals, i)[1]
+
+
+def possible_assignments(engine):
+    """Sensitive assignments with positive prior under the mechanism's
+    model."""
+    return [u for u, w in zip(engine.u_values, engine.q_prior) if w > 0]

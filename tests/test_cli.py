@@ -3,10 +3,13 @@ import json
 import numpy as np
 import pytest
 
-from genomask import MaskedSequence, ModelConditionals, STAR, load_panel
+from genomask import MaskedSequence, STAR, distributions, load_panel
 from genomask.cli import main
 from genomask.distributions import HmmModel
 from genomask.experiments import CSV_COLUMNS
+from genomask.mechanism import EnumeratedMechanism
+
+from conftest import replayed_ratios
 
 
 @pytest.fixture
@@ -66,13 +69,11 @@ def test_transcript_matches_reference_recomputation(panel_file, capsys):
     from genomask import mask_hmm
 
     masked, transcript = mask_hmm(model, x, (1,), rng)
-    cond = ModelConditionals(model, (1,))
+    engine = EnumeratedMechanism(model, (1,))
     prefix = []
     for entry in transcript:
-        from genomask import erasure_probability
-
-        expected = 1.0 - erasure_probability(cond, entry.index, x[entry.index],
-                                             (x[1],), (1,), prefix)
+        ratios = replayed_ratios(engine, entry.index, prefix)
+        expected = ratios[x[1], x[entry.index]]       # u = (x[1],) is code x[1]
         assert entry.release_prob == pytest.approx(expected, abs=1e-9)
         prefix.append((entry.index, entry.outcome))
 
@@ -164,7 +165,7 @@ def test_experiment_fig5_tiny(tmp_path):
     assert float(row["lp_rate"]) <= float(row["bound"]) + 1e-7
 
 
-def test_exit_codes(tmp_path, capsys):
+def test_exit_codes(tmp_path, capsys, monkeypatch):
     # input error: malformed sensitive positions
     cfg = tmp_path / "m.json"
     cfg.write_text(json.dumps({"type": "markov", "n": 3,
@@ -178,6 +179,9 @@ def test_exit_codes(tmp_path, capsys):
           "--out", str(panel)])
     capsys.readouterr()
     assert main(["lp", "--panel", str(panel), "--k", "1"]) == 3
+    # capacity error: the 8-sequence space over a shrunken enumeration budget
+    monkeypatch.setattr(distributions, "ENUMERATION_BUDGET", 7)
+    assert main(["rate", "--model", str(cfg), "--k", "1", "--runs", "0"]) == 3
 
 
 def test_negative_runs_rejected(panel_file, capsys):
@@ -188,9 +192,11 @@ def test_negative_runs_rejected(panel_file, capsys):
         assert err.startswith("error: --runs") and err.count("\n") == 1
 
 
-@pytest.mark.parametrize("case", ["omega", "epsilon", "missing-panel",
-                                  "string-probs", "instance-no-sets",
-                                  "long-instance"])
+@pytest.mark.parametrize("case", [
+    "omega", "epsilon", "missing-panel", "string-probs", "instance-no-sets",
+    "long-instance", "seed-gen-panel", "seed-mask", "seed-rate", "seed-window",
+    "unwritable-gen-panel", "unwritable-rate", "unwritable-experiment",
+    "unwritable-transcript", "alphabet-1", "alphabet-11", "panel-shape"])
 def test_malformed_input_exits_2_with_one_line(panel_file, tmp_path, capsys,
                                                case):
     probs = tmp_path / "explicit.json"
@@ -198,6 +204,8 @@ def test_malformed_input_exits_2_with_one_line(panel_file, tmp_path, capsys,
                                  "probs": "0.25,0.25,0.25,0.25"}))
     # longer than the OS path limit, and its sets miss element 3
     long_literal = json.dumps({"m": 3, "sets": [[1, 2]], "note": "x" * 5000})
+    unwritable = str(tmp_path / "no-such-dir" / "out.txt")
+    panel = ["--panel", str(panel_file)]
     argv = {
         "omega": ["window", "--panel", str(panel_file), "--omega", "1,x"],
         "epsilon": ["experiment", "--name", "fig4", "--epsilon", "0.1,abc"],
@@ -205,10 +213,37 @@ def test_malformed_input_exits_2_with_one_line(panel_file, tmp_path, capsys,
         "string-probs": ["rate", "--model", str(probs)],
         "instance-no-sets": ["hardness", "--instance", '{"m": 3}'],
         "long-instance": ["hardness", "--instance", long_literal],
+        "seed-gen-panel": ["gen-panel", "--m", "2", "--n", "3", "--seed", "-1"],
+        "seed-mask": ["mask", *panel, "--sample", "--seed", "-5"],
+        "seed-rate": ["rate", *panel, "--runs", "5", "--seed", "-1"],
+        "seed-window": ["window", *panel, "--omega", "1", "--runs", "5",
+                        "--seed", "-1"],
+        "unwritable-gen-panel": ["gen-panel", "--m", "2", "--n", "3",
+                                 "--out", unwritable],
+        "unwritable-rate": ["rate", *panel, "--out", unwritable],
+        "unwritable-experiment": ["experiment", "--name", "hardness",
+                                  "--runs", "1", "--out", unwritable],
+        "unwritable-transcript": ["mask", *panel, "--sample",
+                                  "--transcript", unwritable],
+        "alphabet-1": ["gen-panel", "--m", "2", "--n", "3", "--alphabet", "1"],
+        # a panel file holds one digit per symbol
+        "alphabet-11": ["gen-panel", "--m", "2", "--n", "3",
+                        "--alphabet", "11"],
+        # the 6 x 8 panel is what would run, under rows labelled n = 5
+        "panel-shape": ["experiment", "--name", "fig4", *panel, "--n", "5",
+                        "--m", "6", "--runs", "2"],
     }[case]
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_experiment_takes_its_shape_from_the_panel(panel_file, capsys):
+    assert main(["experiment", "--name", "fig4", "--panel", str(panel_file),
+                 "--epsilon", "0.1", "--theta", "0.05", "--runs", "4",
+                 "--json"]) == 0
+    rows = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+    assert rows and all((r["m"], r["n"]) == (6, 8) for r in rows)
 
 
 @pytest.mark.parametrize("flags", [["--x", "01a10110"],

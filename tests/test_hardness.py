@@ -162,7 +162,9 @@ def test_capacity_guards():
         best_ordering_exhaustive(big)
     wide = HittingSetInstance.from_lists(
         6, [[1, 2, 3, 4, 5, 6]] * 3)
-    with pytest.raises(CapacityError):
+    # 18 edges and 3 sets: a 2^21-sequence space over the enumeration budget
+    with pytest.raises(CapacityError,
+                       match="size 2097152 exceeds budget 131072"):
         verify_deterministic_rule(wide, tuple(range(1, 7)))
 
 

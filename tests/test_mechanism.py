@@ -7,23 +7,24 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from genomask import (
+    CapacityError,
     ExplicitJointModel,
     ImpossibleContextError,
     InputError,
     MarkovChainModel,
-    ModelConditionals,
     Ordering,
     STAR,
     achievable_rate_exact,
     achievable_rate_mc,
     conditional_query,
-    erasure_probability,
     exact_output_distribution,
+    lp_optimal_rate,
     mask_sequence,
     rate_from_stepwise_minima,
     verify_privacy_exact,
+    window_leakage_exact,
 )
-from genomask import hmm
+from genomask import bounds, distributions, hmm, mechanism
 from genomask.baselines import MismatchPair, robustness_experiment
 from genomask.bounds import markov_sufficient_condition_check
 from genomask.hardness import (
@@ -35,7 +36,14 @@ from genomask.hardness import (
 from genomask.masking import MaskedSequence, TranscriptEntry, transcript_to_json_lines
 from genomask.mechanism import EnumeratedMechanism
 
-from conftest import parity_n3, random_explicit, random_hmm, random_markov
+from conftest import (
+    parity_n3,
+    possible_assignments,
+    random_explicit,
+    random_hmm,
+    random_markov,
+    replayed_ratios,
+)
 
 
 def independent_model(n=3, p1=0.3):
@@ -68,9 +76,9 @@ def test_markov_conditional_with_erased_sensitive():
 
 def test_conditional_sums_to_one_on_reachable_prefixes(rng):
     model = random_markov(rng, 4)
-    cond = ModelConditionals(model, [1])
-    for u in cond.assignments():
-        d = cond.query(3, u, [(1, STAR), (0, 0)])
+    engine = EnumeratedMechanism(model, [1])
+    for u in possible_assignments(engine):
+        d = engine.conditional(3, u, [(1, STAR), (0, 0)])
         assert d.sum() == pytest.approx(1.0, abs=1e-9)
 
 
@@ -88,25 +96,22 @@ def test_prefix_validation():
         conditional_query(m, 1, (0,), K=[0], y_prefix=[(0, 5)])
 
 
-# --- erasure_probability ------------------------------------------------------
+# --- erasure probability -------------------------------------------------------
 
 
 def test_sensitive_positions_always_erased():
-    m = independent_model()
-    cond = ModelConditionals(m, [0])
-    assert erasure_probability(cond, 0, 1, (1,), [0], []) == 1.0
+    engine = EnumeratedMechanism(independent_model(), [0])
+    assert 1.0 - replayed_ratios(engine, 0)[1, 1] == 1.0
 
 
 def test_independent_position_never_erased():
-    m = independent_model()
-    cond = ModelConditionals(m, [0])
-    assert erasure_probability(cond, 2, 0, (1,), [0], [(0, STAR)]) == 0.0
+    engine = EnumeratedMechanism(independent_model(), [0])
+    assert 1.0 - replayed_ratios(engine, 2, [(0, STAR)])[1, 0] == 0.0
 
 
 def test_markov_erasure_probability_value():
-    mc = MarkovChainModel.binary_symmetric(0.9, 3)
-    cond = ModelConditionals(mc, [0])
-    got = erasure_probability(cond, 1, 0, (0,), [0], [(0, STAR)])
+    engine = EnumeratedMechanism(MarkovChainModel.binary_symmetric(0.9, 3), [0])
+    got = 1.0 - replayed_ratios(engine, 1, [(0, STAR)])[0, 0]
     assert got == pytest.approx(1 - 0.1 / 0.9, abs=1e-12)
 
 
@@ -236,7 +241,7 @@ def test_local_optimality_release_mass(rng):
     model = random_markov(rng, 4)
     K = [0]
     dist = exact_output_distribution(model, K)
-    cond = ModelConditionals(model, K)
+    engine = EnumeratedMechanism(model, K)
 
     def prefix_mass(prefix, extra=None):
         total = 0.0
@@ -251,9 +256,9 @@ def test_local_optimality_release_mass(rng):
         if base <= 0 or depth == model.n:
             return
         mins = None
-        for u in cond.assignments():
+        for u in possible_assignments(engine):
             try:
-                d = cond.query(depth, u, prefix)
+                d = engine.conditional(depth, u, prefix)
             except ImpossibleContextError:
                 continue
             mins = d if mins is None else np.minimum(mins, d)
@@ -420,3 +425,40 @@ def test_walk_stays_within_byte_budget(monkeypatch):
         tracemalloc.stop()
     assert batches > 2 * model.n  # the deep levels were split
     assert peak <= budget
+
+
+# --- budgets ------------------------------------------------------------------
+#
+# Each budget is a module constant read at call time, so shrinking it here
+# must reach every caller.
+
+
+@pytest.mark.parametrize("module,name,value,call", [
+    pytest.param(distributions, "ENUMERATION_BUDGET", 15,
+                 lambda m: exact_output_distribution(m, [0]), id="space-law"),
+    pytest.param(distributions, "ENUMERATION_BUDGET", 15,
+                 lambda m: window_leakage_exact(m, [0], 1), id="space-window"),
+    pytest.param(distributions, "ENUMERATION_BUDGET", 15,
+                 lambda m: lp_optimal_rate(m, [0]), id="space-lp"),
+    pytest.param(mechanism, "LEAF_BUDGET", 2,
+                 lambda m: EnumeratedMechanism(m, [0]).output_distribution(
+                     Ordering.linear(4)), id="leaves-law"),
+    pytest.param(mechanism, "LEAF_BUDGET", 1,
+                 lambda m: EnumeratedMechanism(m, [0]).stepwise_minima_rate(
+                     Ordering.linear(4)), id="nodes-stepwise"),
+])
+def test_shrunken_budget_raises_capacity_error(rng, monkeypatch, module, name,
+                                               value, call):
+    model = random_markov(rng, 4)                 # 16 sequences
+    call(model)                                   # fits the default budgets
+    monkeypatch.setattr(module, name, value)
+    with pytest.raises(CapacityError):
+        call(model)
+
+
+@pytest.mark.parametrize("name", ["LP_VAR_BUDGET", "LP_DENSE_BUDGET"])
+def test_shrunken_lp_budget_reports_capacity(rng, monkeypatch, name):
+    model = random_markov(rng, 3)
+    assert lp_optimal_rate(model, [0]).status == "optimal"
+    monkeypatch.setattr(bounds, name, 1)
+    assert lp_optimal_rate(model, [0]).status == "capacity"
