@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import hmm as _hmm
-from .distributions import HmmModel, SequenceModel, sensitive_assignments
+from .distributions import HmmModel, SequenceModel, first_seen_ranks, row_codes
 from .errors import DegenerateSensitiveError, InputError, NumericalError
 from .info import entropy, kl_divergence, mutual_information, sample_stderr
 from .masking import STAR, MaskedSequence, Ordering, _validate_sensitive
@@ -76,20 +76,16 @@ def window_leakage_exact(model: SequenceModel, K, omega: int,
     policy = WindowPolicy(mode, omega, K)
     released = sorted(set(range(model.n)) - policy.erased_positions(model.n))
     space, p = model.joint_table()
-    us = sensitive_assignments(model.arities, K)
-    u_index = {u: i for i, u in enumerate(us)}
-    rel_groups: dict[tuple, int] = {}
-    cells: dict[tuple[int, int], float] = {}
-    for row, prob in zip(space, p):
-        if prob == 0:
-            continue
-        ui = u_index[tuple(int(row[k]) for k in K)]
-        rel = tuple(int(row[i]) for i in released)
-        ri = rel_groups.setdefault(rel, len(rel_groups))
-        cells[(ui, ri)] = cells.get((ui, ri), 0.0) + prob
-    joint = np.zeros((len(us), len(rel_groups)))
-    for (ui, ri), prob in cells.items():
-        joint[ui, ri] = prob
+    nonzero = p != 0
+    space, p = space[nonzero], p[nonzero]
+    dims = [model.arities[k] for k in K]
+    ui = row_codes(space[:, list(K)], dims)
+    # one column per released pattern, in order of first appearance
+    ri = first_seen_ranks(row_codes(space[:, released],
+                                    [model.arities[i] for i in released]))
+    cols = int(ri.max()) + 1
+    joint = np.bincount(ui * cols + ri, weights=p,
+                        minlength=math.prod(dims) * cols).reshape(-1, cols)
     h_k = entropy(joint.sum(axis=1))
     if h_k <= 0.0:
         raise DegenerateSensitiveError("sensitive symbols carry no entropy")
@@ -124,6 +120,9 @@ def window_leakage_sweep(hmm: HmmModel, K, omegas, samples: int,
     omegas, plus the working row, stay within ``hmm.BELIEF_BUDGET_BYTES``.
     Returns (estimates, standard errors) as arrays aligned with omegas.
     """
+    if not isinstance(hmm, HmmModel):
+        raise InputError("the sampled window estimator needs an HMM; "
+                         "--runs 0 gives the exact leakage of any model")
     K = _validate_sensitive(K, hmm.n)
     if K != (0,):
         raise InputError("the prefix-window estimator requires K = {0}")
@@ -203,15 +202,13 @@ def sequence_kl(p_model: SequenceModel, q_model: SequenceModel) -> float:
 def sequence_kl_mc(p_model: SequenceModel, q_model: SequenceModel,
                    samples: int, rng: np.random.Generator):
     """Monte-Carlo estimate of D(p || q) in bits for models too long to
-    enumerate; requires models exposing log_joint_prob."""
-    vals = np.empty(samples)
-    for i in range(samples):
-        x = p_model.sample(rng)
-        lp = p_model.log_joint_prob(x)
-        lq = q_model.log_joint_prob(x)
-        if lq == -math.inf:
-            return float("inf"), 0.0
-        vals[i] = (lp - lq) / math.log(2)
+    enumerate, from one batch of draws; requires models exposing
+    ``log_joint_probs``."""
+    xs = p_model.sample_batch(samples, rng)
+    lq = q_model.log_joint_probs(xs)
+    if np.any(lq == -math.inf):
+        return float("inf"), 0.0
+    vals = (p_model.log_joint_probs(xs) - lq) / math.log(2)
     return float(vals.mean()), sample_stderr(vals)
 
 

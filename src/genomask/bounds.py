@@ -13,12 +13,19 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import hmm as _hmm
-from .distributions import HmmModel, SequenceModel, sensitive_assignments
+from .distributions import (
+    HmmModel,
+    SequenceModel,
+    first_seen_ranks,
+    row_codes,
+    sensitive_assignments,
+)
 from .masking import STAR, Ordering, _validate_sensitive
 from .mechanism import EnumeratedMechanism, OutputDistribution
 from .simplex import linear_program
@@ -116,17 +123,16 @@ class LpSolution:
                            "mechanism": triples})
 
 
-def _masks(n: int, forced: tuple[int, ...]):
-    """All erased-position subsets containing `forced`, as boolean tuples."""
+def _masks(n: int, forced: tuple[int, ...]) -> np.ndarray:
+    """All erased-position subsets containing `forced`, smallest first, as
+    the rows of a boolean array."""
     free = [i for i in range(n) if i not in forced]
-    for erased_free in itertools.chain.from_iterable(
-            itertools.combinations(free, r) for r in range(len(free) + 1)):
-        mask = [False] * n
-        for i in forced:
-            mask[i] = True
-        for i in erased_free:
-            mask[i] = True
-        yield tuple(mask)
+    masks = np.zeros((2 ** len(free), n), dtype=bool)
+    masks[:, list(forced)] = True
+    for mask, erased in zip(masks, itertools.chain.from_iterable(
+            itertools.combinations(free, r) for r in range(len(free) + 1))):
+        mask[list(erased)] = True
+    return masks
 
 
 def lp_optimal_rate(model: SequenceModel, K) -> LpSolution:
@@ -141,56 +147,48 @@ def lp_optimal_rate(model: SequenceModel, K) -> LpSolution:
     K = _validate_sensitive(K, model.n)
     n = model.n
     space, p = model.joint_table()
-    us = sensitive_assignments(model.arities, K)
-    ucols = space[:, list(K)] if K else np.zeros((space.shape[0], 0), dtype=int)
-    u_of_row = [tuple(r) for r in ucols]
-    p_u = {}
-    for row_u, prob in zip(u_of_row, p):
-        p_u[row_u] = p_u.get(row_u, 0.0) + prob
-    positive_u = [u for u in us if p_u.get(u, 0.0) > 0]
-    full_support = len(positive_u) == len(us)
+    dims = [model.arities[k] for k in K]
+    u_of_row = row_codes(space[:, list(K)], dims)
+    p_u = np.bincount(u_of_row, weights=p, minlength=math.prod(dims))
+    positive_u = np.flatnonzero(p_u > 0)
+    full_support = positive_u.size == p_u.size
 
     rows = np.flatnonzero(p > 0)
     forced = K if full_support else ()
-    mask_list = list(_masks(n, forced))
-    nvars = rows.size * len(mask_list)
+    masks = _masks(n, forced)
+    nvars = rows.size * len(masks)
     if nvars > LP_VAR_BUDGET:
         return LpSolution(float("nan"), "capacity")
 
-    variables = []            # (row index, mask)
-    y_index: dict[tuple, int] = {}
-    cost = np.empty(nvars)
-    var_y = np.empty(nvars, dtype=np.int64)
-    k = 0
-    for ri in rows:
-        x = tuple(int(v) for v in space[ri])
-        for mask in mask_list:
-            y = tuple(STAR if e else xv for xv, e in zip(x, mask))
-            j = y_index.setdefault(y, len(y_index))
-            variables.append((int(ri), mask))
-            var_y[k] = j
-            cost[k] = p[ri] * sum(mask) / n
-            k += 1
+    # variable j = (sequence rows[var_x[j]], mask var_mask[j]), sequences
+    # outermost, outputs by first appearance: Bland's rule reads this order
+    var_x = np.repeat(np.arange(rows.size), len(masks))
+    var_mask = np.tile(np.arange(len(masks)), rows.size)
+    var_row = rows[var_x]
+    ys = np.where(masks[var_mask], STAR, space[var_row])
+    # symbol v codes as v + 1 and the erasure as 0
+    var_y = first_seen_ranks(row_codes(ys - STAR, [a + 1 for a in model.arities]))
+    cost = p[var_row] * masks.sum(axis=1)[var_mask] / n
 
-    n_priv = (len(positive_u) - 1) * len(y_index)
+    n_pos = positive_u.size
+    n_priv = (n_pos - 1) * (int(var_y.max()) + 1)
     n_rows = n_priv + rows.size
     if n_rows * nvars > LP_DENSE_BUDGET:
         return LpSolution(float("nan"), "capacity")
     a = np.zeros((n_rows, nvars))
     b = np.zeros(n_rows)
-    u_rank = {u: t for t, u in enumerate(positive_u)}
-    for j, (ri, mask) in enumerate(variables):
-        u = u_of_row[ri]
-        t = u_rank.get(u)
-        weight = p[ri] / p_u[u]
-        base = var_y[j] * (len(positive_u) - 1)
-        if t is not None and t < len(positive_u) - 1:
-            a[base + t, j] += weight
-        if t is not None and t > 0:
-            a[base + t - 1, j] -= weight
-    row_of_x = {int(ri): n_priv + i for i, ri in enumerate(rows)}
-    for j, (ri, mask) in enumerate(variables):
-        a[row_of_x[ri], j] = 1.0
+    # consecutive positive-prior assignments t, t+1 must give each output
+    # the same conditional mass: +p(x | u_t) on row t, -p(x | u_{t+1})
+    u_rank = np.full(p_u.size, -1)
+    u_rank[positive_u] = np.arange(n_pos)
+    t = u_rank[u_of_row[var_row]]
+    weight = p[var_row] / p_u[u_of_row[var_row]]
+    cell = var_y * (n_pos - 1) + t
+    j = np.arange(nvars)
+    up, down = t < n_pos - 1, t > 0
+    a[cell[up], j[up]] = weight[up]
+    a[cell[down] - 1, j[down]] = -weight[down]
+    a[n_priv + var_x, j] = 1.0
     b[n_priv:] = 1.0
 
     result = linear_program(cost, a, b)
@@ -198,29 +196,20 @@ def lp_optimal_rate(model: SequenceModel, K) -> LpSolution:
         status = "infeasible" if result.status == "infeasible" else "numerical"
         return LpSolution(float("nan"), status)
 
-    mechanism: dict = {}
-    sums: dict[int, float] = {}
-    for j, (ri, mask) in enumerate(variables):
-        w = float(result.x[j])
-        sums[ri] = sums.get(ri, 0.0) + w
-        if w > 1e-12:
-            x = tuple(int(v) for v in space[ri])
-            y = tuple(STAR if e else xv for xv, e in zip(x, mask))
-            mechanism[(x, y)] = mechanism.get((x, y), 0.0) + w
-    if any(abs(s - 1.0) > 1e-8 for s in sums.values()):
+    w = result.x
+    chosen = np.flatnonzero(w > 1e-12)
+    mechanism = {(tuple(x), tuple(y)): float(wj) for x, y, wj in zip(
+        space[var_row[chosen]].tolist(), ys[chosen].tolist(), w[chosen])}
+    sums = np.bincount(var_x, weights=w, minlength=rows.size)
+    if np.any(np.abs(sums - 1.0) > 1e-8):
         return LpSolution(float("nan"), "numerical", mechanism)
     # sequences outside the model's support get a fixed all-erased row
     all_star = tuple([STAR] * n)
-    for ri in np.flatnonzero(p == 0):
-        x = tuple(int(v) for v in space[ri])
-        mechanism[(x, all_star)] = 1.0
+    for x in space[p == 0].tolist():
+        mechanism[(tuple(x), all_star)] = 1.0
 
     rate = 1.0 - result.objective
-    implied = 1.0 - sum(
-        p[ri] * sum(m) / n * result.x[j]
-        for j, (ri, m) in enumerate(variables)
-    )
-    if abs(rate - implied) > 1e-8:
+    if abs(rate - (1.0 - float(cost @ w))) > 1e-8:
         return LpSolution(rate, "numerical", mechanism)
     return LpSolution(rate, "optimal", mechanism)
 
@@ -230,12 +219,17 @@ def lp_output_distribution(model: SequenceModel, K,
     """Joint law of (sensitive values, output) induced by an LP mechanism."""
     K = _validate_sensitive(K, model.n)
     us = sensitive_assignments(model.arities, K)
-    u_index = {u: i for i, u in enumerate(us)}
-    table: dict[tuple, np.ndarray] = {}
-    for (x, y), w in solution.mechanism.items():
-        px = model.joint_prob(x)
-        if px <= 0 or w <= 0:
-            continue
-        vec = table.setdefault(tuple(y), np.zeros(len(us)))
-        vec[u_index[tuple(x[k] for k in K)]] += px * w
-    return OutputDistribution.from_table(model.n, K, model.arities, us, table)
+    _, p = model.joint_table()
+    pairs = list(solution.mechanism)
+    xs = np.array([x for x, _ in pairs], dtype=np.int64).reshape(-1, model.n)
+    ys = np.array([y for _, y in pairs], dtype=np.int64).reshape(-1, model.n)
+    w = np.array(list(solution.mechanism.values()), dtype=float)
+    px = p[row_codes(xs, model.arities)]
+    keep = (px > 0) & (w > 0)
+    y_values, col = np.unique(ys[keep], axis=0, return_inverse=True)
+    u = row_codes(xs[keep][:, list(K)], [model.arities[k] for k in K])
+    num_y = y_values.shape[0]
+    matrix = np.bincount(u * num_y + col.reshape(-1), weights=px[keep] * w[keep],
+                         minlength=len(us) * num_y).reshape(len(us), num_y)
+    return OutputDistribution(model.n, K, us, list(map(tuple, y_values.tolist())),
+                              matrix)

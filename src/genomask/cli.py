@@ -16,8 +16,8 @@ import sys
 import numpy as np
 
 from . import baselines, bounds, experiments, hardness, hmm, mechanism
-from .distributions import HmmModel, load_model_config, load_panel
-from .errors import GenomaskError, InputError
+from .distributions import HmmModel, SequenceModel, load_model_config, load_panel
+from .errors import CapacityError, GenomaskError, InputError, NumericalError
 from .masking import Ordering, transcript_to_json_lines
 
 
@@ -67,10 +67,9 @@ def _rng(seed: int) -> np.random.Generator:
     return np.random.default_rng(seed)
 
 
-def _load_model(args) -> HmmModel:
+def _load_model(args) -> SequenceModel:
     if getattr(args, "model", None):
-        model = load_model_config(args.model)
-        return model
+        return load_model_config(args.model)
     if not getattr(args, "panel", None):
         raise InputError("need --panel (with --epsilon/--theta) or --model")
     panel = load_panel(args.panel)
@@ -158,11 +157,13 @@ def cmd_lp(args) -> int:
     model = _load_model(args)
     K = _parse_positions(args.k, model.n)
     sol = bounds.lp_optimal_rate(model, K)
+    if sol.status == "capacity":
+        raise CapacityError("the LP exceeds its variable or matrix budget")
+    if sol.status != "optimal":
+        raise NumericalError(f"the LP solve ended {sol.status}")
     _emit(args, sol.to_json() if args.json
           else f"{sol.optimal_rate:.6f} ({sol.status})")
-    if sol.status == "optimal":
-        return 0
-    return 3 if sol.status == "capacity" else 4
+    return 0
 
 
 def cmd_window(args) -> int:

@@ -1,10 +1,13 @@
 """Sequence models: explicit joint tables, first-order Markov chains, and
 the haplotype-copying hidden Markov model.
 
-Every model exposes exact joint probabilities and sampling over length-n
-sequences of small discrete symbols.  Probabilities are kept in the linear
-domain; the HMM forward pass renormalizes per step and accumulates a log
-scale factor so that joint probabilities of long sequences stay exact.
+A model implements two batched methods, `joint_probs` (exact probabilities
+of an (N, n) array of sequences) and `sample_batch`; `SequenceModel` derives
+`joint_prob`, `sample` and `joint_table` from them.  Probabilities are kept
+in the linear domain; the HMM forward pass renormalizes per step and
+accumulates a log scale factor so that joint probabilities of long
+sequences stay exact.  `row_codes` is the one row-major coding of
+sequences and sensitive assignments (first position most significant).
 """
 
 from __future__ import annotations
@@ -60,32 +63,69 @@ def sensitive_assignments(arities: Sequence[int], K: Sequence[int]) -> list[tupl
     return list(itertools.product(*(range(arities[k]) for k in K)))
 
 
+def row_codes(rows, dims: Sequence[int]) -> np.ndarray:
+    """Row-major codes of the rows of an (N, len(dims)) integer array, the
+    first column most significant.  With no columns every row has code 0.
+    A row of the wrong length or a value outside 0..dims[j]-1 raises
+    `InputError`."""
+    rows = np.asarray(rows, dtype=np.int64)
+    dims = tuple(int(d) for d in dims)
+    if rows.ndim != 2 or rows.shape[1] != len(dims):
+        raise InputError(f"rows must have shape (N, {len(dims)})")
+    if not dims:
+        return np.zeros(rows.shape[0], dtype=np.int64)
+    try:
+        return np.ravel_multi_index(tuple(rows.T), dims)
+    except ValueError as exc:
+        raise InputError(f"value outside the ranges {dims}") from exc
+
+
+def first_seen_ranks(codes: np.ndarray) -> np.ndarray:
+    """Each code's rank among the distinct codes, numbered in order of
+    first appearance."""
+    _, first, inverse = np.unique(codes, return_index=True, return_inverse=True)
+    return np.argsort(np.argsort(first))[inverse.reshape(-1)]
+
+
 def assignment_index(u: Sequence[int], arities: Sequence[int], K: Sequence[int]) -> int:
     """Row-major index of assignment u within `sensitive_assignments`."""
-    K = sorted(K)
-    idx = 0
-    for v, k in zip(u, K):
-        idx = idx * arities[k] + int(v)
-    return idx
+    return int(row_codes(np.reshape(u, (1, -1)),
+                         [arities[k] for k in sorted(K)])[0])
+
+
+def _inverse_or_zero(x: np.ndarray, keep=None) -> np.ndarray:
+    """1 / x where ``keep`` (default: x > 0), 0 elsewhere."""
+    return np.divide(1.0, x, out=np.zeros_like(x),
+                     where=x > 0 if keep is None else keep)
 
 
 class SequenceModel(abc.ABC):
-    """A distribution over length-n sequences with per-position arities."""
+    """A distribution over length-n sequences with per-position arities.
+
+    A model implements `joint_probs` and `sample_batch`; `joint_prob`,
+    `sample` and `joint_table` are their one-row and whole-space cases.
+    """
 
     n: int
     arities: tuple[int, ...]
 
     @abc.abstractmethod
-    def joint_prob(self, x: Sequence[int]) -> float:
-        """Exact probability of the full sequence x."""
+    def joint_probs(self, xs: np.ndarray) -> np.ndarray:
+        """Exact probabilities of the rows of an (N, n) array of valid
+        sequences."""
 
     @abc.abstractmethod
-    def sample(self, rng: np.random.Generator) -> tuple[int, ...]:
-        """Draw one sequence."""
-
     def sample_batch(self, count: int, rng: np.random.Generator) -> np.ndarray:
         """(count, n) array of independent draws."""
-        return np.array([self.sample(rng) for _ in range(count)], dtype=np.int64)
+
+    def joint_prob(self, x: Sequence[int]) -> float:
+        """Exact probability of the full sequence x."""
+        x = validate_sequence(x, self.arities)
+        return float(self.joint_probs(np.array([x], dtype=np.int64))[0])
+
+    def sample(self, rng: np.random.Generator) -> tuple[int, ...]:
+        """Draw one sequence."""
+        return tuple(int(v) for v in self.sample_batch(1, rng)[0])
 
     @property
     def space_size(self) -> int:
@@ -98,14 +138,13 @@ class SequenceModel(abc.ABC):
                 f"sequence space of size {self.space_size} exceeds budget "
                 f"{ENUMERATION_BUDGET}"
             )
-        grids = np.meshgrid(*(np.arange(a) for a in self.arities), indexing="ij")
-        return np.stack([g.reshape(-1) for g in grids], axis=1).astype(np.int64)
+        return np.stack(np.unravel_index(np.arange(self.space_size),
+                                         self.arities), axis=1)
 
     def joint_table(self) -> tuple[np.ndarray, np.ndarray]:
         """(space, probs) for the full sequence space."""
         space = self.enumerate_space()
-        probs = np.array([self.joint_prob(row) for row in space], dtype=float)
-        return space, probs
+        return space, self.joint_probs(space)
 
 
 class ExplicitJointModel(SequenceModel):
@@ -137,9 +176,6 @@ class ExplicitJointModel(SequenceModel):
             raise InputError(f"table sums to {probs.sum()!r}, not 1")
         self.probs = probs
         self.probs.setflags(write=False)
-        self._strides = np.array(
-            [math.prod(self.arities[i + 1:]) for i in range(self.n)], dtype=np.int64
-        )
 
     @classmethod
     def uniform(cls, n: int, alphabet: int = 2) -> "ExplicitJointModel":
@@ -147,22 +183,15 @@ class ExplicitJointModel(SequenceModel):
         return cls(np.full(size, 1.0 / size), n=n, alphabet=alphabet)
 
     def index_of(self, x: Sequence[int]) -> int:
-        x = validate_sequence(x, self.arities)
-        return int(np.dot(x, self._strides))
+        return int(row_codes([validate_sequence(x, self.arities)],
+                             self.arities)[0])
 
-    def joint_prob(self, x: Sequence[int]) -> float:
-        return float(self.probs[self.index_of(x)])
-
-    def sample(self, rng: np.random.Generator) -> tuple[int, ...]:
-        return tuple(int(v) for v in self.sample_batch(1, rng)[0])
+    def joint_probs(self, xs: np.ndarray) -> np.ndarray:
+        return self.probs[row_codes(xs, self.arities)]
 
     def sample_batch(self, count: int, rng: np.random.Generator) -> np.ndarray:
         idx = rng.choice(self.probs.size, size=count, p=self.probs)
-        out = np.empty((count, self.n), dtype=np.int64)
-        for i, stride in enumerate(self._strides):
-            out[:, i] = idx // stride
-            idx = idx % stride
-        return out
+        return np.stack(np.unravel_index(idx, self.arities), axis=1)
 
 
 class MarkovChainModel(SequenceModel):
@@ -197,19 +226,26 @@ class MarkovChainModel(SequenceModel):
         t = np.array([[stay, 1 - stay], [1 - stay, stay]])
         return cls(initial, t, n)
 
-    def joint_prob(self, x: Sequence[int]) -> float:
-        x = validate_sequence(x, self.arities)
-        p = self.initial[x[0]]
-        for a, b in zip(x, x[1:]):
-            p *= self.transition[a, b]
-        return float(p)
+    def joint_probs(self, xs: np.ndarray) -> np.ndarray:
+        xs = np.asarray(xs, dtype=np.int64)
+        p = self.initial[xs[:, 0]]
+        for i in range(1, self.n):
+            p = p * self.transition[xs[:, i - 1], xs[:, i]]
+        return p
 
-    def sample(self, rng: np.random.Generator) -> tuple[int, ...]:
-        size = self.alphabet.size
-        out = [int(rng.choice(size, p=self.initial))]
-        for _ in range(self.n - 1):
-            out.append(int(rng.choice(size, p=self.transition[out[-1]])))
-        return tuple(out)
+    def sample_batch(self, count: int, rng: np.random.Generator) -> np.ndarray:
+        """Inverse-CDF draws: row r uses the r-th n doubles of the stream,
+        one per position, as `rng.choice` with ``p`` would."""
+        u = rng.random((count, self.n))
+        first = self.initial.cumsum()
+        first /= first[-1]
+        cdf = self.transition.cumsum(axis=1)
+        cdf /= cdf[:, -1:]
+        out = np.empty((count, self.n), dtype=np.int64)
+        out[:, 0] = (first <= u[:, :1]).sum(axis=1)
+        for i in range(1, self.n):
+            out[:, i] = (cdf[out[:, i - 1]] <= u[:, i, None]).sum(axis=1)
+        return out
 
 
 class HmmModel(SequenceModel):
@@ -280,30 +316,24 @@ class HmmModel(SequenceModel):
         """(n, arity, m) stack of all emission likelihood matrices."""
         return np.stack([self.emission_likelihoods(i) for i in range(self.n)])
 
-    def log_joint_prob(self, x: Sequence[int]) -> float:
-        """log p(x) via a scaled forward pass; -inf for impossible x."""
-        x = validate_sequence(x, self.arities)
-        f = self.initial_state * self.emission_likelihoods(0)[x[0]]
+    def log_joint_probs(self, xs: np.ndarray) -> np.ndarray:
+        """log p(x) per row by one scaled forward pass over all rows;
+        -inf for impossible rows."""
+        xs = np.asarray(xs, dtype=np.int64)
+        emis = self.emission_stack()
         t = self.transition_matrix
-        logscale = 0.0
-        for i in range(1, self.n):
-            total = f.sum()
-            if total <= 0.0:
-                return -math.inf
-            logscale += math.log(total)
-            f = (f / total) @ t
-            f = f * self.emission_likelihoods(i)[x[i]]
-        total = f.sum()
-        if total <= 0.0:
-            return -math.inf
-        return logscale + math.log(total)
+        f = self.initial_state * emis[0][xs[:, 0]]         # (N, m)
+        log_p = np.zeros(xs.shape[0])
+        for i in range(self.n):
+            if i:
+                f = (f * _inverse_or_zero(total)[:, None]) @ t * emis[i][xs[:, i]]
+            total = f.sum(axis=1)
+            log_p += np.log(total, out=np.full_like(total, -np.inf),
+                            where=total > 0)
+        return log_p
 
-    def joint_prob(self, x: Sequence[int]) -> float:
-        lp = self.log_joint_prob(x)
-        return 0.0 if lp == -math.inf else math.exp(lp)
-
-    def sample(self, rng: np.random.Generator) -> tuple[int, ...]:
-        return tuple(int(v) for v in self.sample_batch(1, rng)[0])
+    def joint_probs(self, xs: np.ndarray) -> np.ndarray:
+        return np.exp(self.log_joint_probs(xs))
 
     def sample_batch(self, count: int, rng: np.random.Generator) -> np.ndarray:
         """(count, n) array of independent draws."""

@@ -21,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .distributions import SequenceModel, validate_sequence
+from .distributions import SequenceModel
 from .errors import CapacityError, InputError
 from .masking import Ordering
 from .mechanism import EnumeratedMechanism
@@ -119,43 +119,22 @@ class ParityModel(SequenceModel):
         )
         self.K = tuple(range(m, m + k))
 
-    def _bits_of(self, x) -> np.ndarray | None:
-        """Edge bits implied by the element positions; None on parity clash."""
-        bits = np.zeros(self.num_edges, dtype=np.int64)
-        for v in range(1, self.instance.m + 1):
-            code = int(x[v - 1])
-            for j in reversed(self.element_edges[v - 1]):
-                bits[self.edge_index[(v, j)]] = code & 1
-                code >>= 1
-        for j, s in enumerate(self.instance.sets):
-            parity = 0
-            for v in s:
-                parity ^= int(bits[self.edge_index[(v, j)]])
-            if parity != int(x[self.instance.m + j]):
-                return None
-        return bits
-
-    def joint_prob(self, x) -> float:
-        x = validate_sequence(x, self.arities)
-        return 0.0 if self._bits_of(x) is None else 2.0 ** -self.num_edges
-
-    def joint_table(self):
-        space = self.enumerate_space()
+    def joint_probs(self, xs: np.ndarray) -> np.ndarray:
+        xs = np.asarray(xs, dtype=np.int64)
         m = self.instance.m
-        # reconstruct every edge bit from the element codes, vectorized
-        bits = np.zeros((space.shape[0], self.num_edges), dtype=np.int64)
+        # reconstruct every edge bit from the element codes
+        bits = np.zeros((xs.shape[0], self.num_edges), dtype=np.int64)
         for v in range(1, m + 1):
-            code = space[:, v - 1]
+            code = xs[:, v - 1]
             for back, j in enumerate(reversed(self.element_edges[v - 1])):
                 bits[:, self.edge_index[(v, j)]] = (code >> back) & 1
-        ok = np.ones(space.shape[0], dtype=bool)
+        ok = np.ones(xs.shape[0], dtype=bool)
         for j, s in enumerate(self.instance.sets):
-            parity = np.zeros(space.shape[0], dtype=np.int64)
+            parity = np.zeros(xs.shape[0], dtype=np.int64)
             for v in s:
                 parity ^= bits[:, self.edge_index[(v, j)]]
-            ok &= parity == space[:, m + j]
-        probs = np.where(ok, 2.0 ** -self.num_edges, 0.0)
-        return space, probs
+            ok &= parity == xs[:, m + j]
+        return np.where(ok, 2.0 ** -self.num_edges, 0.0)
 
     def assemble(self, bits) -> tuple[int, ...]:
         """Sequence implied by an assignment of edge bits."""
@@ -173,8 +152,10 @@ class ParityModel(SequenceModel):
             x.append(parity)
         return tuple(x)
 
-    def sample(self, rng: np.random.Generator) -> tuple[int, ...]:
-        return self.assemble(rng.integers(2, size=self.num_edges))
+    def sample_batch(self, count: int, rng: np.random.Generator) -> np.ndarray:
+        bits = rng.integers(2, size=(count, self.num_edges))
+        return np.array([self.assemble(b) for b in bits],
+                        dtype=np.int64).reshape(count, self.n)
 
 
 def deterministic_erasure_set(instance: HittingSetInstance,

@@ -26,7 +26,9 @@ import numpy as np
 
 from .distributions import (
     HmmModel,
+    _inverse_or_zero,
     assignment_index,
+    row_codes,
     sensitive_assignments,
     validate_sequence,
 )
@@ -80,11 +82,6 @@ class SensitiveBackwardTable:
         return self.values.shape[1]
 
 
-def _u_components(hmm: HmmModel, K: tuple[int, ...]) -> np.ndarray:
-    us = sensitive_assignments(hmm.arities, K)
-    return np.array(us, dtype=np.int64).reshape(len(us), len(K))
-
-
 def sensitive_backward_table(hmm: HmmModel, K) -> SensitiveBackwardTable:
     """Backward recursion over hidden states, one column per hypothesis."""
     K = _validate_sensitive(K, hmm.n)
@@ -92,7 +89,8 @@ def sensitive_backward_table(hmm: HmmModel, K) -> SensitiveBackwardTable:
         raise CapacityError(
             f"|K| = {len(K)} exceeds the supported maximum {MAX_SENSITIVE}")
     n, m = hmm.n, hmm.m
-    ucomp = _u_components(hmm, K)
+    us = sensitive_assignments(hmm.arities, K)
+    ucomp = np.array(us, dtype=np.int64).reshape(len(us), len(K))
     num_u = ucomp.shape[0]
     t = hmm.transition_matrix
     values = np.ones((n, num_u, m))
@@ -145,12 +143,6 @@ def sensitive_conditionals(hmm: HmmModel, K,
     return out
 
 
-def _inverse_or_zero(x: np.ndarray, keep=None) -> np.ndarray:
-    """1 / x where ``keep`` (default: x > 0), 0 elsewhere."""
-    return np.divide(1.0, x, out=np.zeros_like(x),
-                     where=x > 0 if keep is None else keep)
-
-
 class BatchMaskingSession:
     """Lockstep masking of a batch of sequences sharing (hmm, K).
 
@@ -166,17 +158,9 @@ class BatchMaskingSession:
         self.table = table if table is not None else sensitive_backward_table(hmm, self.K)
         if self.table.K != self.K:
             raise InputError("backward table was built for a different K")
-        x_sensitive = np.asarray(x_sensitive, dtype=np.int64)
-        if x_sensitive.ndim != 2 or x_sensitive.shape[1] != len(self.K):
-            raise InputError("x_sensitive must have shape (batch, |K|)")
-        self.batch = x_sensitive.shape[0]
-        radix = hmm.alphabet.size
-        if np.any((x_sensitive < 0) | (x_sensitive >= radix)):
-            raise InputError(f"sensitive values must lie in 0..{radix - 1}")
-        codes = np.zeros(self.batch, dtype=np.int64)
-        for j in range(len(self.K)):
-            codes = codes * radix + x_sensitive[:, j]
-        self.u_true = codes
+        self.u_true = row_codes(x_sensitive,
+                                [hmm.arities[k] for k in self.K])
+        self.batch = self.u_true.shape[0]
         self.trans = hmm.transition_matrix
         self.emissions = hmm.emission_stack()  # (n, arity, m)
         self.pos = 0

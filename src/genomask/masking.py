@@ -53,7 +53,10 @@ def release_ratios(mins: np.ndarray, cond: np.ndarray) -> np.ndarray:
 
 
 def symbol_char(v: int) -> str:
-    """Single-character rendering of a symbol; only sound for arity <= 10."""
+    """Single-character rendering of a symbol: the text form has one digit
+    per symbol, so a symbol above 9 raises `InputError`."""
+    if v > 9:
+        raise InputError(f"symbol {v} has no one-digit text form")
     return STAR_CHAR if v == STAR else str(v)
 
 

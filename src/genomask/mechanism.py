@@ -49,6 +49,7 @@ from .distributions import (
     HmmModel,
     SequenceModel,
     assignment_index,
+    row_codes,
     sensitive_assignments,
     validate_sequence,
 )
@@ -114,24 +115,11 @@ class EnumeratedMechanism:
         self.q = q[keep]
         self._row_lookup = np.full(space.shape[0], -1, dtype=np.int64)
         self._row_lookup[np.flatnonzero(keep)] = np.arange(self.space.shape[0])
-        strides = []
-        acc = 1
-        for a in reversed(self.arities):
-            strides.append(acc)
-            acc *= a
-        self._strides = np.array(strides[::-1], dtype=np.int64)
 
         self.u_values = sensitive_assignments(self.arities, self.K)
         self.num_u = len(self.u_values)
-        if self.K:
-            cols = self.space[:, list(self.K)]
-            radix = np.array([self.arities[k] for k in self.K], dtype=np.int64)
-            codes = np.zeros(self.space.shape[0], dtype=np.int64)
-            for t in range(len(self.K)):
-                codes = codes * radix[t] + cols[:, t]
-            self.u_codes = codes
-        else:
-            self.u_codes = np.zeros(self.space.shape[0], dtype=np.int64)
+        self.u_codes = row_codes(self.space[:, list(self.K)],
+                                 [self.arities[k] for k in self.K])
         self.q_prior = np.bincount(self.u_codes, weights=self.q,
                                    minlength=self.num_u)
         self.p_prior = np.bincount(self.u_codes, weights=self.p,
@@ -182,10 +170,7 @@ class EnumeratedMechanism:
         """Row index of sequence x, or -1 if it was filtered out as
         impossible under both models."""
         x = validate_sequence(x, self.arities)
-        return int(self._row_lookup[int(np.dot(x, self._strides))])
-
-    def assignment_code(self, x) -> int:
-        return assignment_index([x[k] for k in self.K], self.arities, self.K)
+        return int(self._row_lookup[row_codes([x], self.arities)[0]])
 
     def predictive(self, wq: np.ndarray, pos: int):
         """Per-hypothesis conditional of X_pos given the current weights.
@@ -227,7 +212,7 @@ class EnumeratedMechanism:
                 "model; impossible contexts will be erased",
                 stacklevel=3,
             )
-        u_code = self.assignment_code(x)
+        u_code = assignment_index([x[k] for k in self.K], self.arities, self.K)
         wq = self.q.copy()
         y = [STAR] * self.n
         transcript = []
@@ -452,13 +437,6 @@ class OutputDistribution:
     y_values: list[tuple[int, ...]]
     matrix: np.ndarray  # (num_u, num_y)
 
-    @classmethod
-    def from_table(cls, n, K, arities, u_values, table):
-        y_values = sorted(table.keys())
-        matrix = np.stack([table[y] for y in y_values], axis=1) if y_values \
-            else np.zeros((len(u_values), 0))
-        return cls(n, tuple(K), list(u_values), y_values, matrix)
-
     @property
     def total(self) -> float:
         return float(self.matrix.sum())
@@ -481,12 +459,9 @@ class OutputDistribution:
         """max over (u, y) of |p(y | u) - p(y)|, over possible u."""
         pu = self.sensitive_marginal()
         py = self.output_marginal() / self.total
-        dev = 0.0
-        for i in range(len(self.u_values)):
-            if pu[i] <= 0:
-                continue
-            dev = max(dev, float(np.max(np.abs(self.matrix[i] / pu[i] - py))))
-        return dev
+        live = pu > 0
+        return float(np.max(np.abs(self.matrix[live] / pu[live, None] - py),
+                            initial=0.0))
 
 
 @dataclass(frozen=True)

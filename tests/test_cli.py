@@ -179,6 +179,8 @@ def test_exit_codes(tmp_path, capsys, monkeypatch):
           "--out", str(panel)])
     capsys.readouterr()
     assert main(["lp", "--panel", str(panel), "--k", "1"]) == 3
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: ") and err.count("\n") == 1
     # capacity error: the 8-sequence space over a shrunken enumeration budget
     monkeypatch.setattr(distributions, "ENUMERATION_BUDGET", 7)
     assert main(["rate", "--model", str(cfg), "--k", "1", "--runs", "0"]) == 3
@@ -196,12 +198,17 @@ def test_negative_runs_rejected(panel_file, capsys):
     "omega", "epsilon", "missing-panel", "string-probs", "instance-no-sets",
     "long-instance", "seed-gen-panel", "seed-mask", "seed-rate", "seed-window",
     "unwritable-gen-panel", "unwritable-rate", "unwritable-experiment",
-    "unwritable-transcript", "alphabet-1", "alphabet-11", "panel-shape"])
+    "unwritable-transcript", "alphabet-1", "alphabet-11", "panel-shape",
+    "window-runs-markov"])
 def test_malformed_input_exits_2_with_one_line(panel_file, tmp_path, capsys,
                                                case):
     probs = tmp_path / "explicit.json"
     probs.write_text(json.dumps({"type": "explicit", "n": 2,
                                  "probs": "0.25,0.25,0.25,0.25"}))
+    markov = tmp_path / "markov.json"
+    markov.write_text(json.dumps({"type": "markov", "n": 3,
+                                  "initial": [0.5, 0.5],
+                                  "transition": [[0.9, 0.1], [0.1, 0.9]]}))
     # longer than the OS path limit, and its sets miss element 3
     long_literal = json.dumps({"m": 3, "sets": [[1, 2]], "note": "x" * 5000})
     unwritable = str(tmp_path / "no-such-dir" / "out.txt")
@@ -232,6 +239,9 @@ def test_malformed_input_exits_2_with_one_line(panel_file, tmp_path, capsys,
         # the 6 x 8 panel is what would run, under rows labelled n = 5
         "panel-shape": ["experiment", "--name", "fig4", *panel, "--n", "5",
                         "--m", "6", "--runs", "2"],
+        # the sampled estimator runs on HMMs only
+        "window-runs-markov": ["window", "--model", str(markov), "--k", "1",
+                               "--omega", "1,2", "--runs", "10"],
     }[case]
     assert main(argv) == 2
     err = capsys.readouterr().err

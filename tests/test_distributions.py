@@ -8,14 +8,18 @@ from scipy import stats
 from genomask import (
     Alphabet,
     ExplicitJointModel,
+    HittingSetInstance,
     HmmModel,
     InputError,
     MarkovChainModel,
+    ParityModel,
+    conditional_query,
     load_model_config,
     load_panel,
     save_panel,
 )
 from genomask.distributions import assignment_index, sensitive_assignments
+from genomask.hmm import BatchMaskingSession
 
 from conftest import random_explicit, random_hmm, random_markov
 
@@ -37,6 +41,7 @@ def test_explicit_table_is_row_major_position0_most_significant():
     m = ExplicitJointModel(probs, n=3, alphabet=2)
     assert m.joint_prob((1, 0, 1)) == pytest.approx(5 / 28.0)
     assert m.index_of((1, 1, 0)) == 6
+    assert np.array_equal(m.joint_table()[1], probs)
 
 
 def test_explicit_validation():
@@ -48,11 +53,19 @@ def test_explicit_validation():
         ExplicitJointModel([0.25] * 4, n=3, alphabet=2)
 
 
-def test_markov_chain_hand_product():
+def test_markov_chain_hand_product(rng):
     m = MarkovChainModel.binary_symmetric(0.9, 3)
     assert m.joint_prob((0, 0, 0)) == pytest.approx(0.5 * 0.9 * 0.9)
     _, probs = m.joint_table()
     assert probs.sum() == pytest.approx(1.0, abs=1e-12)
+    # the batched law multiplies left to right, as the scalar product does
+    chain = random_markov(rng, 5, alphabet=3)
+    space, probs = chain.joint_table()
+    for x, p in zip(space, probs):
+        ref = chain.initial[x[0]]
+        for a, b in zip(x, x[1:]):
+            ref *= chain.transition[a, b]
+        assert p == ref
 
 
 def test_markov_validation():
@@ -94,14 +107,28 @@ def _hmm_joint_by_path_enumeration(model, x):
     return total
 
 
-@pytest.mark.parametrize("n,m,alphabet", [(3, 2, 2), (5, 4, 2), (4, 3, 3)])
-def test_hmm_forward_matches_path_enumeration(rng, n, m, alphabet):
-    model = random_hmm(rng, n, m, alphabet)
+@pytest.mark.parametrize("n,m,alphabet,eps,theta", [
+    pytest.param(3, 2, 2, None, None, id="3-2-2"),
+    pytest.param(5, 4, 2, None, None, id="5-4-2"),
+    pytest.param(4, 3, 3, None, None, id="4-3-3"),
+    pytest.param(4, 3, 2, 0.3, 0.0, id="4-3-2-theta0"),
+    pytest.param(4, 3, 3, 0.0, 0.1, id="4-3-3-eps0"),
+    pytest.param(5, 3, 2, 0.0, 0.0, id="5-3-2-eps0-theta0"),
+])
+def test_hmm_forward_matches_path_enumeration(rng, n, m, alphabet, eps, theta):
+    model = random_hmm(rng, n, m, alphabet, eps, theta)
     space, probs = model.joint_table()
     assert probs.sum() == pytest.approx(1.0, abs=1e-9)
-    for row, p in list(zip(space, probs))[:: max(1, len(probs) // 16)]:
-        assert p == pytest.approx(_hmm_joint_by_path_enumeration(model, row),
-                                  abs=1e-10)
+    exact = np.array([_hmm_joint_by_path_enumeration(model, row)
+                      for row in space])
+    # impossible rows are exactly 0 (a forward pass dividing 0 by 0 gives
+    # NaN), every other row matches to 1e-12 relative
+    assert np.array_equal(probs == 0.0, exact == 0.0)
+    if eps == theta == 0.0:  # at most m of the 2^n rows are possible
+        assert (exact == 0.0).sum() >= 2 ** n - m
+    possible = exact > 0
+    np.testing.assert_allclose(probs[possible], exact[possible], rtol=1e-12,
+                               atol=0)
 
 
 @pytest.mark.parametrize("factory", [random_explicit, random_markov])
@@ -187,6 +214,38 @@ def test_truncated_hmm(rng):
     short = model.truncated(3)
     assert short.n == 3 and short.m == model.m
     assert np.array_equal(short.panel, model.panel[:, :3])
+
+
+def test_sampler_streams_are_pinned():
+    """Seeded draws as recorded before the samplers were batched: the
+    Markov chain's inverse-CDF sampler reads one double per position, row
+    by row, as per-position `rng.choice` calls did."""
+    chain = MarkovChainModel([0.2, 0.5, 0.3], [[0.6, 0.3, 0.1],
+                                               [0.2, 0.2, 0.6],
+                                               [0.5, 0.25, 0.25]], 6)
+    parity = ParityModel(HittingSetInstance.from_lists(3, [[1, 2], [2, 3]]))
+    recorded = {
+        chain: [[1, 1, 0, 0, 1, 2], [1, 2, 1, 2, 2, 0], [2, 0, 1, 0, 1, 2],
+                [1, 2, 0, 0, 1, 2], [1, 1, 2, 2, 1, 2]],
+        parity: [[1, 3, 0, 0, 1], [0, 0, 0, 0, 0], [0, 3, 1, 1, 0],
+                 [1, 3, 1, 0, 0], [1, 3, 1, 0, 0]],
+    }
+    for model, rows in recorded.items():
+        xs = model.sample_batch(5, np.random.default_rng(0))
+        assert xs.dtype == np.int64 and xs.tolist() == rows
+        assert model.sample(np.random.default_rng(0)) == tuple(rows[0])
+
+
+@pytest.mark.parametrize("u", [(-1,), (2,)])
+def test_out_of_range_assignments_raise_input_error(u):
+    # -1 used to wrap to the assignment (1,), 2 raised a bare IndexError
+    chain = MarkovChainModel.binary_symmetric(0.8, 3)
+    with pytest.raises(InputError):
+        conditional_query(chain, 1, u, [0])
+    session = BatchMaskingSession(
+        HmmModel(np.array([[0, 1, 1], [1, 0, 1]]), 0.1, 0.05), [0], [[0]])
+    with pytest.raises(InputError):
+        session.predictive(u)
 
 
 def test_assignment_indexing():

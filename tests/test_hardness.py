@@ -62,6 +62,17 @@ def test_parity_bit_is_uniform_and_pairwise_independent():
         assert joint == pytest.approx(0.25)
 
 
+def test_parity_table_support_is_the_assembled_bit_vectors():
+    model = ParityModel(HittingSetInstance.from_lists(3, [[1, 2], [2, 3],
+                                                         [1, 3]]))
+    space, probs = model.joint_table()
+    assembled = {model.assemble(bits) for bits in
+                 itertools.product((0, 1), repeat=model.num_edges)}
+    assert len(assembled) == 2 ** model.num_edges
+    assert {tuple(x) for x in space[probs > 0].tolist()} == assembled
+    assert np.all(probs[probs > 0] == 2.0 ** -model.num_edges)
+
+
 def test_parity_model_sampling_consistency(rng):
     inst = chain_instance()
     model = ParityModel(inst)

@@ -217,13 +217,11 @@ def test_release_everything_leaks():
     space, probs = mc.joint_table()
     from genomask.mechanism import OutputDistribution
 
-    table = {tuple(int(v) for v in row): None for row in space}
-    tbl = {}
-    for row, p in zip(space, probs):
-        y = tuple(int(v) for v in row)
-        vec = tbl.setdefault(y, np.zeros(2))
-        vec[row[0]] += p
-    dist = OutputDistribution.from_table(3, (0,), mc.arities, [(0,), (1,)], tbl)
+    # output y = x: column x holds p(x) in the row of its sensitive value
+    matrix = np.zeros((2, probs.size))
+    matrix[space[:, 0], np.arange(probs.size)] = probs
+    dist = OutputDistribution(3, (0,), [(0,), (1,)],
+                              list(map(tuple, space.tolist())), matrix)
     assert dist.mutual_information_bits() > 0.1
     assert dist.max_conditional_deviation() > 0.1
 
@@ -284,6 +282,13 @@ def test_masked_sequence_roundtrip():
     assert ms.erasure_count == 1
     assert ms.is_faithful_to((1, 1, 0))
     assert not ms.is_faithful_to((1, 1, 1))
+
+
+def test_symbols_above_nine_have_no_text_form():
+    # "10*1" would parse back as (1, 0, STAR, 1)
+    with pytest.raises(InputError):
+        MaskedSequence((10, STAR, 1)).text()
+    assert MaskedSequence((9, STAR, 1)).text() == "9*1"
 
 
 def test_transcript_serialization():
