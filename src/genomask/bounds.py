@@ -26,7 +26,7 @@ from .distributions import (
     row_codes,
     sensitive_assignments,
 )
-from .masking import STAR, Ordering, _validate_sensitive
+from .masking import STAR, Ordering, _validate_sensitive, symbol_char
 from .mechanism import EnumeratedMechanism, OutputDistribution
 from .simplex import linear_program
 
@@ -113,12 +113,9 @@ class LpSolution:
     mechanism: dict = field(default_factory=dict)  # (x, y) -> probability
 
     def to_json(self) -> str:
-        triples = [
-            ["".join(map(str, x)),
-             "".join("*" if v == STAR else str(v) for v in y),
-             p]
-            for (x, y), p in sorted(self.mechanism.items())
-        ]
+        triples = [["".join(map(symbol_char, x)),
+                    "".join(map(symbol_char, y)), p]
+                   for (x, y), p in sorted(self.mechanism.items())]
         return json.dumps({"rate": self.optimal_rate, "status": self.status,
                            "mechanism": triples})
 
@@ -137,7 +134,8 @@ def _masks(n: int, forced: tuple[int, ...]) -> np.ndarray:
 
 def lp_optimal_rate(model: SequenceModel, K) -> LpSolution:
     """Maximize the released fraction over all faithful mechanisms whose
-    output is independent of the sensitive values, by dense simplex.
+    output is independent of the sensitive values, by Bland-rule simplex
+    (`simplex.linear_program`).
 
     Faithfulness is structural: one variable per (sequence, erased subset).
     When every sensitive assignment has positive prior, any output that

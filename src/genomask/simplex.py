@@ -1,12 +1,13 @@
-"""Dense two-phase revised simplex for small equality-form problems.
+"""Two-phase revised simplex for small equality-form problems.
 
 Solves  minimize c @ x  subject to  A x = b, x >= 0.
 
-Scope: tiny, ill-conditioned-but-dense instances where determinism matters
-more than speed.  Bland's rule everywhere (smallest eligible index), an
-explicitly maintained basis inverse with product-form updates, and periodic
-refactorization.  Dependent constraint rows are removed by a Gaussian
-pre-pass.
+Bland's rule everywhere (smallest eligible index), an explicit basis inverse
+with rank-1 updates, periodic refactorization, and a Gaussian pre-pass that
+removes dependent rows.  The pre-pass and the updates touch only the nonzero
+rows of the pivot column and the nonzero columns of the pivot row (an exact
+zero subtracts nothing, so the pivots are the dense ones), and pricing reads
+the reduced A as one contiguous matrix.
 """
 
 from __future__ import annotations
@@ -28,13 +29,25 @@ class SimplexResult:
     iterations: int
 
 
+def _eliminate(mat, rhs, r, factors):
+    """Subtract ``factors[i]`` times row r of ``mat`` and ``rhs`` from every
+    other row i, over the nonzero factors and the nonzero columns of row r."""
+    rows = np.flatnonzero(factors)
+    rows = rows[rows != r]
+    f = factors[rows]
+    cols = np.flatnonzero(mat[r])
+    mat[np.ix_(rows, cols)] -= np.outer(f, mat[r, cols])
+    rhs[rows] -= f * rhs[r]
+
+
 def _reduce_rows(a: np.ndarray, b: np.ndarray):
     """Gaussian elimination to an equivalent full-row-rank system.
 
-    Returns (A', b') or None when the system is inconsistent.
+    Returns (A', b') or None when the system is inconsistent; A' is
+    C-contiguous.
     """
     m, n = a.shape
-    work = np.hstack([a.astype(float), b.reshape(-1, 1).astype(float)])
+    work, rhs = a.astype(float), b.astype(float)
     row = 0
     for col in range(n):
         if row >= m:
@@ -44,23 +57,21 @@ def _reduce_rows(a: np.ndarray, b: np.ndarray):
             continue
         if piv != row:
             work[[row, piv]] = work[[piv, row]]
+            rhs[[row, piv]] = rhs[[piv, row]]
+        rhs[row] /= work[row, col]
         work[row] /= work[row, col]
-        rest = np.delete(np.arange(m), row)
-        work[rest] -= np.outer(work[rest, col], work[row])
+        _eliminate(work, rhs, row, work[:, col])
         row += 1
-    if np.any(np.abs(work[row:, -1]) > FEAS_TOL):
+    if np.any(np.abs(rhs[row:]) > FEAS_TOL):
         return None
-    return work[:row, :n], work[:row, -1]
+    return work[:row], rhs[:row]
 
 
 def _pivot(basis, b_inv, x_b, w, r, entering):
-    theta = x_b[r] / w[r]
-    x_b -= theta * w
-    x_b[r] = theta
-    np.maximum(x_b, 0.0, out=x_b)
     b_inv[r] /= w[r]
-    rest = np.delete(np.arange(len(basis)), r)
-    b_inv[rest] -= np.outer(w[rest], b_inv[r])
+    x_b[r] /= w[r]
+    _eliminate(b_inv, x_b, r, w)
+    np.maximum(x_b, 0.0, out=x_b)
     basis[r] = entering
 
 
@@ -72,31 +83,37 @@ def _bland_ratio_row(basis, x_b, w):
     ratios = x_b[eligible] / w[eligible]
     best = ratios.min()
     near = eligible[ratios <= best + PIVOT_TOL]
-    return int(near[np.argmin(np.asarray(basis)[near])])
+    return int(near[np.argmin(basis[near])])
 
 
-def _run_phase(a_full, c_full, basis, b_inv, x_b, b, allowed, maxiter):
-    """Bland-rule simplex iterations; mutates basis/b_inv/x_b in place."""
+def _first_nonbasic(candidates, basis):
+    """Bland: the smallest candidate not in the basis (cleared in place)."""
+    candidates[basis[basis < candidates.size]] = False
+    j = int(np.argmax(candidates))
+    return j if candidates[j] else None
+
+
+def _run_phase(a, c_full, basis, b_inv, x_b, b, maxiter):
+    """Bland-rule simplex iterations over the columns of A (artificials never
+    enter); mutates basis/b_inv/x_b in place."""
+    n = a.shape[1]
     iters = 0
     while True:
         if iters >= maxiter:
             return "iteration_limit", iters
         if iters and iters % REFACTOR_EVERY == 0:
-            b_inv[:] = np.linalg.inv(a_full[:, basis])
+            # the basis columns of [A I]
+            real = basis < n
+            mat = np.eye(len(basis))[:, np.where(real, 0, basis - n)]
+            mat[:, real] = a[:, basis[real]]
+            b_inv[:] = np.linalg.inv(mat)
             x_b[:] = b_inv @ b
             np.maximum(x_b, 0.0, out=x_b)
         y = c_full[basis] @ b_inv
-        reduced = c_full[:allowed] - y @ a_full[:, :allowed]
-        candidates = np.flatnonzero(reduced < -PIVOT_TOL)
-        entering = -1
-        basis_set = set(basis)
-        for j in candidates:  # Bland: smallest eligible index
-            if j not in basis_set:
-                entering = int(j)
-                break
-        if entering < 0:
+        entering = _first_nonbasic(c_full[:n] - y @ a < -PIVOT_TOL, basis)
+        if entering is None:
             return "optimal", iters
-        w = b_inv @ a_full[:, entering]
+        w = b_inv @ a[:, entering]
         r = _bland_ratio_row(basis, x_b, w)
         if r is None:
             return "unbounded", iters
@@ -117,48 +134,43 @@ def linear_program(c, a, b, maxiter: int | None = None) -> SimplexResult:
     a, b = reduced
     m, n = a.shape
     if m == 0:
-        x = np.zeros(n)
-        return SimplexResult("optimal", x, 0.0, 0)
+        # no constraints: any cost below zero can be driven to -inf
+        if np.any(c < -PIVOT_TOL):
+            return SimplexResult("unbounded", None, float("nan"), 0)
+        return SimplexResult("optimal", np.zeros(n), 0.0, 0)
     flip = b < 0
     a[flip] *= -1.0
     b = np.abs(b)
     if maxiter is None:
         maxiter = max(20000, 60 * (m + n))
 
-    a_full = np.hstack([a, np.eye(m)])
-    basis = list(range(n, n + m))
+    basis = np.arange(n, n + m)
     b_inv = np.eye(m)
     x_b = b.copy()
 
     # Phase 1: minimize the artificial mass; artificials never re-enter
     c1 = np.concatenate([np.zeros(n), np.ones(m)])
-    status, it1 = _run_phase(a_full, c1, basis, b_inv, x_b, b, n, maxiter)
+    status, it1 = _run_phase(a, c1, basis, b_inv, x_b, b, maxiter)
     if status != "optimal":
         return SimplexResult(status, None, float("nan"), it1)
-    art_mass = sum(x_b[i] for i, j in enumerate(basis) if j >= n)
-    if art_mass > FEAS_TOL:
+    if x_b[basis >= n].sum() > FEAS_TOL:
         return SimplexResult("infeasible", None, float("nan"), it1)
     # drive leftover zero-valued artificials out of the basis
     for r in range(m):
         if basis[r] < n:
             continue
-        row = b_inv[r] @ a_full[:, :n]
-        basis_set = set(basis)
-        options = np.flatnonzero(np.abs(row) > PIVOT_TOL)
-        entering = next((int(j) for j in options if j not in basis_set), None)
+        entering = _first_nonbasic(np.abs(b_inv[r] @ a) > PIVOT_TOL, basis)
         if entering is None:
             # numerically dependent row that survived the pre-pass
             continue
-        w = b_inv @ a_full[:, entering]
-        _pivot(basis, b_inv, x_b, w, r, entering)
+        _pivot(basis, b_inv, x_b, b_inv @ a[:, entering], r, entering)
 
     # Phase 2 on the original objective, artificial columns barred
-    c2 = np.concatenate([c, np.full(m, 0.0)])
-    status, it2 = _run_phase(a_full, c2, basis, b_inv, x_b, b, n, maxiter)
+    c2 = np.concatenate([c, np.zeros(m)])
+    status, it2 = _run_phase(a, c2, basis, b_inv, x_b, b, maxiter)
     if status != "optimal":
         return SimplexResult(status, None, float("nan"), it1 + it2)
     x = np.zeros(n)
-    for value, j in zip(x_b, basis):
-        if j < n:
-            x[j] = value
+    real = basis < n
+    x[basis[real]] = x_b[real]
     return SimplexResult("optimal", x, float(c @ x), it1 + it2)

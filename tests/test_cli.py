@@ -199,7 +199,7 @@ def test_negative_runs_rejected(panel_file, capsys):
     "long-instance", "seed-gen-panel", "seed-mask", "seed-rate", "seed-window",
     "unwritable-gen-panel", "unwritable-rate", "unwritable-experiment",
     "unwritable-transcript", "alphabet-1", "alphabet-11", "panel-shape",
-    "window-runs-markov"])
+    "window-runs-markov", "lp-json-alphabet-11"])
 def test_malformed_input_exits_2_with_one_line(panel_file, tmp_path, capsys,
                                                case):
     probs = tmp_path / "explicit.json"
@@ -209,6 +209,12 @@ def test_malformed_input_exits_2_with_one_line(panel_file, tmp_path, capsys,
     markov.write_text(json.dumps({"type": "markov", "n": 3,
                                   "initial": [0.5, 0.5],
                                   "transition": [[0.9, 0.1], [0.1, 0.9]]}))
+    panel2 = tmp_path / "panel2.txt"
+    panel2.write_text("01\n10\n")
+    hmm11 = tmp_path / "hmm11.json"
+    hmm11.write_text(json.dumps({"type": "hmm", "panel_path": str(panel2),
+                                 "epsilon": 0.1, "theta": 0.05,
+                                 "alphabet": 11}))
     # longer than the OS path limit, and its sets miss element 3
     long_literal = json.dumps({"m": 3, "sets": [[1, 2]], "note": "x" * 5000})
     unwritable = str(tmp_path / "no-such-dir" / "out.txt")
@@ -242,6 +248,9 @@ def test_malformed_input_exits_2_with_one_line(panel_file, tmp_path, capsys,
         # the sampled estimator runs on HMMs only
         "window-runs-markov": ["window", "--model", str(markov), "--k", "1",
                                "--omega", "1,2", "--runs", "10"],
+        # (0, 10) would print as "010", the same text as (0, 1, 0)
+        "lp-json-alphabet-11": ["lp", "--model", str(hmm11), "--k", "1",
+                                "--json"],
     }[case]
     assert main(argv) == 2
     err = capsys.readouterr().err
