@@ -6,7 +6,7 @@ mutual information between the sensitive symbols and the released
 coordinates, normalized by the sensitive entropy.  Exact values come from
 enumeration; at realistic lengths the leakage is estimated from sampled
 sequences whose sensitive posteriors are computed exactly by constrained
-forward passes over the hidden states.
+forward passes over the hidden states of the model's hidden chain.
 
 The robustness experiment builds the mechanism from a wrong distribution q
 and measures the exact leakage it incurs when inputs really follow p; the
@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import hmm as _hmm
-from .distributions import HmmModel, SequenceModel, first_seen_ranks, row_codes
+from .distributions import HiddenChain, SequenceModel, first_seen_ranks, row_codes
 from .errors import DegenerateSensitiveError, InputError, NumericalError
 from .info import entropy, kl_divergence, mutual_information, sample_stderr
 from .masking import STAR, MaskedSequence, Ordering, _validate_sensitive
@@ -92,15 +92,15 @@ def window_leakage_exact(model: SequenceModel, K, omega: int,
     return mutual_information(joint) / h_k
 
 
-def _suffix_rows(hmm: HmmModel, xs: np.ndarray, rows) -> dict[int, np.ndarray]:
+def _suffix_rows(chain: HiddenChain, xs: np.ndarray, rows) -> dict[int, np.ndarray]:
     """{i: beta_i} for i in the ascending ``rows`` (each in 1..n), where
     beta_i[b, s] = p(x_i..x_{n-1} | S_i = s), renormalized per step with a
     per-sample scale (scales cancel in posteriors)."""
-    t = hmm.transition_matrix
-    cur = np.ones((xs.shape[0], hmm.m))
-    out = {hmm.n: cur} if hmm.n in rows else {}
-    for i in range(hmm.n - 1, (rows[0] if rows else hmm.n) - 1, -1):
-        emis = hmm.emission_likelihoods(i)          # (arity, m)
+    n, t = xs.shape[1], chain.trans
+    cur = np.ones((xs.shape[0], chain.m))
+    out = {n: cur} if n in rows else {}
+    for i in range(n - 1, (rows[0] if rows else n) - 1, -1):
+        emis = chain.emissions[i]                   # (arity, m)
         cur = (cur @ t.T) * emis[xs[:, i]]          # (batch, m)
         scale = cur.max(axis=1, keepdims=True)
         np.divide(cur, scale, out=cur, where=scale > 0)
@@ -109,9 +109,10 @@ def _suffix_rows(hmm: HmmModel, xs: np.ndarray, rows) -> dict[int, np.ndarray]:
     return out
 
 
-def window_leakage_sweep(hmm: HmmModel, K, omegas, samples: int,
+def window_leakage_sweep(model: SequenceModel, K, omegas, samples: int,
                          rng: np.random.Generator):
-    """Normalized leakage of the prefix-window baseline for several omegas.
+    """Normalized leakage of the prefix-window baseline for several omegas,
+    on a model with a hidden chain (an HMM or a Markov chain).
 
     Only the paper's setting K = {first position} is supported: the
     posterior of x_0 given the released suffix is exact (hidden-state
@@ -120,34 +121,33 @@ def window_leakage_sweep(hmm: HmmModel, K, omegas, samples: int,
     omegas, plus the working row, stay within ``hmm.BELIEF_BUDGET_BYTES``.
     Returns (estimates, standard errors) as arrays aligned with omegas.
     """
-    if not isinstance(hmm, HmmModel):
-        raise InputError("the sampled window estimator needs an HMM; "
-                         "--runs 0 gives the exact leakage of any model")
-    K = _validate_sensitive(K, hmm.n)
+    chain = _hmm.require_chain(model, "the sampled window estimator "
+                               "(--runs 0 is exact for any model)")
+    K = _validate_sensitive(K, model.n)
     if K != (0,):
         raise InputError("the prefix-window estimator requires K = {0}")
     omegas = [int(w) for w in omegas]
-    if any(w < 0 or w > hmm.n for w in omegas):
-        raise InputError("omega out of range")
+    if not omegas or any(w < 0 or w > model.n for w in omegas):
+        raise InputError(f"omegas must be a non-empty list in 0..{model.n}")
+    if samples < 1:
+        raise InputError("samples must be >= 1")
     kept = sorted({w for w in omegas if w > 0})
-    batch_size = _hmm.mc_batch_size(8 * hmm.m * (len(kept) + 1))
-    table = _hmm.sensitive_backward_table(hmm, K)
+    batch_size = _hmm.mc_batch_size(8 * chain.m * (len(kept) + 1))
+    table = _hmm.sensitive_backward_table(model, K)
     prior = table.prior
     h_k = entropy(prior)
     if h_k <= 0.0:
         raise DegenerateSensitiveError("sensitive symbol carries no entropy")
 
-    arity = hmm.alphabet.size
-    m = hmm.m
-    t = hmm.transition_matrix
+    (_, arity, m), t = chain.emissions.shape, chain.trans
     # alpha[w, v, s] = p(x_0 = v, S_w = s): sample-independent, one chain
     # of no-observation propagations
     max_w = max(omegas)
     alpha = np.empty((max_w + 1, arity, m))
-    emis0 = hmm.emission_likelihoods(0)
+    emis0 = chain.emissions[0]
     alpha[0] = np.nan  # omega = 0 releases x_0 itself; handled separately
     if max_w >= 1:
-        alpha[1] = (hmm.initial_state[None, :] * emis0) @ t
+        alpha[1] = (chain.initial[None, :] * emis0) @ t
         for w in range(2, max_w + 1):
             alpha[w] = alpha[w - 1] @ t
 
@@ -155,8 +155,8 @@ def window_leakage_sweep(hmm: HmmModel, K, omegas, samples: int,
     done = 0
     while done < samples:
         b = min(batch_size, samples - done)
-        xs = hmm.sample_batch(b, rng)
-        beta = _suffix_rows(hmm, xs, kept)
+        xs = model.sample_batch(b, rng)
+        beta = _suffix_rows(chain, xs, kept)
         truth = xs[:, 0]
         for w in omegas:
             if w == 0:
@@ -202,13 +202,18 @@ def sequence_kl(p_model: SequenceModel, q_model: SequenceModel) -> float:
 def sequence_kl_mc(p_model: SequenceModel, q_model: SequenceModel,
                    samples: int, rng: np.random.Generator):
     """Monte-Carlo estimate of D(p || q) in bits for models too long to
-    enumerate, from one batch of draws; requires models exposing
-    ``log_joint_probs``."""
+    enumerate, from one batch of draws; both models need a hidden chain
+    (HMMs or Markov chains), whose forward pass gives log p(x)."""
+    MismatchPair(p_model, q_model)      # InputError unless the arities match
+    p_chain = _hmm.require_chain(p_model, "sequence_kl_mc")
+    q_chain = _hmm.require_chain(q_model, "sequence_kl_mc")
+    if samples < 1:
+        raise InputError("samples must be >= 1")
     xs = p_model.sample_batch(samples, rng)
-    lq = q_model.log_joint_probs(xs)
+    lq = q_chain.log_probs(xs)
     if np.any(lq == -math.inf):
         return float("inf"), 0.0
-    vals = (p_model.log_joint_probs(xs) - lq) / math.log(2)
+    vals = (p_chain.log_probs(xs) - lq) / math.log(2)
     return float(vals.mean()), sample_stderr(vals)
 
 

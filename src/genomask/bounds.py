@@ -20,7 +20,6 @@ import numpy as np
 
 from . import hmm as _hmm
 from .distributions import (
-    HmmModel,
     SequenceModel,
     first_seen_ranks,
     row_codes,
@@ -43,11 +42,11 @@ LP_DENSE_BUDGET = 20_000_000
 def upper_bound_rate(model: SequenceModel, K) -> float:
     """Converse bound: (1/n) sum_i sum_v min_u p(x_i = v | sensitive = u).
 
-    The minimum ranges over assignments with positive prior.  HMMs use the
-    forward/backward marginalization; other models enumerate.
+    The minimum ranges over assignments with positive prior.  Models with a
+    hidden chain (HMMs, Markov chains) use forward/backward; others enumerate.
     """
     K = _validate_sensitive(K, model.n)
-    if isinstance(model, HmmModel):
+    if model.hidden_chain() is not None:
         table = _hmm.sensitive_backward_table(model, K)
         cond = _hmm.sensitive_conditionals(model, K, table)
         reachable = table.prior > 0

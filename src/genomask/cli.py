@@ -118,7 +118,7 @@ def cmd_mask(args) -> int:
     else:
         raise InputError("provide --x SEQUENCE or --sample")
     ordering = _parse_order(args.order, model.n) if args.order else None
-    if isinstance(model, HmmModel) and (ordering is None or ordering.is_linear):
+    if model.hidden_chain() is not None and (ordering is None or ordering.is_linear):
         masked, transcript = hmm.mask_hmm(model, x, K, rng)
     else:
         masked, transcript = mechanism.mask_sequence(model, x, K, ordering, rng)
@@ -221,7 +221,7 @@ def cmd_experiment(args) -> int:
         epsilons=tuple(_parse_numbers(args.epsilon, "--epsilon", float)),
         thetas=tuple(_parse_numbers(args.theta, "--theta", float)),
         omegas=tuple(_parse_numbers(args.omega, "--omega")),
-        runs=args.runs, seed=args.seed, workers=args.workers, panel=panel,
+        runs=args.runs, seed=args.seed, panel=panel,
     )
     rows = experiments.run_experiment(config)
     if args.json:
@@ -334,7 +334,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--omega", default=",".join(map(str, experiments.DEFAULT_OMEGAS)))
     p.add_argument("--runs", type=int, default=2000)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--workers", type=int, default=1)
     p.add_argument("--panel", help="reuse an existing panel file")
     p.add_argument("--json", action="store_true")
     p.add_argument("--out")

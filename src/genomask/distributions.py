@@ -3,10 +3,11 @@ the haplotype-copying hidden Markov model.
 
 A model implements two batched methods, `joint_probs` (exact probabilities
 of an (N, n) array of sequences) and `sample_batch`; `SequenceModel` derives
-`joint_prob`, `sample` and `joint_table` from them.  Probabilities are kept
-in the linear domain; the HMM forward pass renormalizes per step and
-accumulates a log scale factor so that joint probabilities of long
-sequences stay exact.  `row_codes` is the one row-major coding of
+`joint_prob`, `sample` and `joint_table` from them.  The copying HMM and
+the Markov chain (hidden state = symbol) return a `hidden_chain`, whose
+forward pass renormalizes per step and accumulates a log scale factor so
+that joint probabilities of long sequences stay exact; probabilities are
+kept in the linear domain.  `row_codes` is the one row-major coding of
 sequences and sensitive assignments (first position most significant).
 """
 
@@ -99,6 +100,40 @@ def _inverse_or_zero(x: np.ndarray, keep=None) -> np.ndarray:
                      where=x > 0 if keep is None else keep)
 
 
+@dataclass(frozen=True)
+class HiddenChain:
+    """A hidden Markov chain with per-position emissions (write-locked):
+    ``initial[s]`` = p(S_0 = s), ``trans[s, t]`` = p(S_i+1 = t | S_i = s)
+    and ``emissions[i, v, s]`` = p(x_i = v | S_i = s)."""
+
+    initial: np.ndarray      # (m,)
+    trans: np.ndarray        # (m, m)
+    emissions: np.ndarray    # (n, arity, m)
+
+    def __post_init__(self):
+        for array in (self.initial, self.trans, self.emissions):
+            array.setflags(write=False)
+
+    @property
+    def m(self) -> int:
+        return self.initial.size
+
+    def log_probs(self, xs: np.ndarray) -> np.ndarray:
+        """log p(x) per row by one scaled forward pass over all rows
+        (Rabiner 1989); -inf for impossible rows."""
+        xs = np.asarray(xs, dtype=np.int64)
+        emis, t = self.emissions, self.trans
+        f = self.initial * emis[0][xs[:, 0]]               # (N, m)
+        log_p = np.zeros(xs.shape[0])
+        for i in range(emis.shape[0]):
+            if i:
+                f = (f * _inverse_or_zero(total)[:, None]) @ t * emis[i][xs[:, i]]
+            total = f.sum(axis=1)
+            log_p += np.log(total, out=np.full_like(total, -np.inf),
+                            where=total > 0)
+        return log_p
+
+
 class SequenceModel(abc.ABC):
     """A distribution over length-n sequences with per-position arities.
 
@@ -117,6 +152,10 @@ class SequenceModel(abc.ABC):
     @abc.abstractmethod
     def sample_batch(self, count: int, rng: np.random.Generator) -> np.ndarray:
         """(count, n) array of independent draws."""
+
+    def hidden_chain(self) -> HiddenChain | None:
+        """The model as a hidden chain (for the fast paths), or None."""
+        return None
 
     def joint_prob(self, x: Sequence[int]) -> float:
         """Exact probability of the full sequence x."""
@@ -170,8 +209,8 @@ class ExplicitJointModel(SequenceModel):
             raise InputError(
                 f"table has {probs.size} entries, expected {self.space_size}"
             )
-        if np.any(probs < 0):
-            raise InputError("negative probability in table")
+        if not np.all(np.isfinite(probs) & (probs >= 0)):
+            raise InputError("table entries must be finite and non-negative")
         if abs(probs.sum() - 1.0) > _SUM_TOL:
             raise InputError(f"table sums to {probs.sum()!r}, not 1")
         self.probs = probs
@@ -205,8 +244,9 @@ class MarkovChainModel(SequenceModel):
             raise InputError("alphabet size must be at least 2")
         if self.transition.shape != (size, size):
             raise InputError("transition matrix shape mismatch")
-        if np.any(self.initial < 0) or np.any(self.transition < 0):
-            raise InputError("negative probability in chain parameters")
+        if not all(np.all(np.isfinite(a) & (a >= 0))
+                   for a in (self.initial, self.transition)):
+            raise InputError("chain parameters must be finite and non-negative")
         if abs(self.initial.sum() - 1.0) > _SUM_TOL:
             raise InputError("initial distribution does not sum to 1")
         rowsum = self.transition.sum(axis=1)
@@ -225,6 +265,12 @@ class MarkovChainModel(SequenceModel):
                          initial=(0.5, 0.5)) -> "MarkovChainModel":
         t = np.array([[stay, 1 - stay], [1 - stay, stay]])
         return cls(initial, t, n)
+
+    def hidden_chain(self) -> HiddenChain:
+        """The chain itself: the hidden state is the symbol, emitted as is."""
+        size = self.alphabet.size
+        return HiddenChain(self.initial, self.transition,
+                           np.broadcast_to(np.eye(size), (self.n, size, size)))
 
     def joint_probs(self, xs: np.ndarray) -> np.ndarray:
         xs = np.asarray(xs, dtype=np.int64)
@@ -289,51 +335,22 @@ class HmmModel(SequenceModel):
         self.alphabet = Alphabet(size)
         self.m, self.n = panel.shape
         self.arities = (size,) * self.n
+        self._chain: HiddenChain | None = None
 
-    @property
-    def transition_matrix(self) -> np.ndarray:
-        """(m, m) hidden-state kernel: stay 1-eps, switch eps/(m-1)."""
-        m = self.m
-        if m == 1:
-            return np.ones((1, 1))
-        t = np.full((m, m), self.epsilon / (m - 1))
-        np.fill_diagonal(t, 1.0 - self.epsilon)
-        return t
-
-    @property
-    def initial_state(self) -> np.ndarray:
-        return np.full(self.m, 1.0 / self.m)
-
-    def emission_likelihoods(self, i: int) -> np.ndarray:
-        """(arity, m) matrix of p(x_i = v | S_i = s)."""
-        size = self.alphabet.size
-        col = self.panel[:, i]
-        out = np.full((size, self.m), self.theta / (size - 1))
-        out[col, np.arange(self.m)] = 1.0 - self.theta
-        return out
-
-    def emission_stack(self) -> np.ndarray:
-        """(n, arity, m) stack of all emission likelihood matrices."""
-        return np.stack([self.emission_likelihoods(i) for i in range(self.n)])
-
-    def log_joint_probs(self, xs: np.ndarray) -> np.ndarray:
-        """log p(x) per row by one scaled forward pass over all rows;
-        -inf for impossible rows."""
-        xs = np.asarray(xs, dtype=np.int64)
-        emis = self.emission_stack()
-        t = self.transition_matrix
-        f = self.initial_state * emis[0][xs[:, 0]]         # (N, m)
-        log_p = np.zeros(xs.shape[0])
-        for i in range(self.n):
-            if i:
-                f = (f * _inverse_or_zero(total)[:, None]) @ t * emis[i][xs[:, i]]
-            total = f.sum(axis=1)
-            log_p += np.log(total, out=np.full_like(total, -np.inf),
-                            where=total > 0)
-        return log_p
+    def hidden_chain(self) -> HiddenChain:
+        """The copying chain of the class docstring, built on first use."""
+        if self._chain is None:
+            m, n, size = self.m, self.n, self.alphabet.size
+            trans = np.full((m, m), self.epsilon / max(m - 1, 1))
+            np.fill_diagonal(trans, 1.0 - self.epsilon if m > 1 else 1.0)
+            emissions = np.full((n, size, m), self.theta / (size - 1))
+            emissions[np.arange(n)[:, None], self.panel.T,
+                      np.arange(m)] = 1.0 - self.theta
+            self._chain = HiddenChain(np.full(m, 1.0 / m), trans, emissions)
+        return self._chain
 
     def joint_probs(self, xs: np.ndarray) -> np.ndarray:
-        return np.exp(self.log_joint_probs(xs))
+        return np.exp(self.hidden_chain().log_probs(xs))
 
     def sample_batch(self, count: int, rng: np.random.Generator) -> np.ndarray:
         """(count, n) array of independent draws."""

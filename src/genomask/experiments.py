@@ -2,13 +2,11 @@
 
 Each runner returns one dict per grid point with a fixed column set; the
 CLI writes them as CSV (or JSON lines).  A single root seed deterministically
-derives one child stream per grid point, so reruns and parallel execution
-give identical rows.
+derives one child stream per grid point, so reruns give identical rows.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -42,7 +40,6 @@ class ExperimentConfig:
     runs: int = 2000
     seed: int = 0
     panel: np.ndarray | None = field(default=None, repr=False)
-    workers: int = 1
 
     def __post_init__(self):
         if self.runs < 1:
@@ -70,15 +67,6 @@ def _panel(config: ExperimentConfig, root: np.random.SeedSequence) -> np.ndarray
         return np.asarray(config.panel)
     rng = np.random.default_rng(root.spawn(1)[0])
     return rng.integers(2, size=(config.m, config.n))
-
-
-def _fig4_point(args):
-    panel, eps, theta, k, runs, child = args
-    model = HmmModel(panel, eps, theta)
-    rng = np.random.default_rng(child)
-    rate, err = mechanism.achievable_rate_mc(model, k, runs=runs, rng=rng)
-    bound = bounds.upper_bound_rate(model, k)
-    return rate, err, bound
 
 
 def run_fig3(config: ExperimentConfig) -> list[dict]:
@@ -109,15 +97,12 @@ def run_fig4(config: ExperimentConfig) -> list[dict]:
     panel = _panel(config, root)
     grid = [(theta, eps) for theta in config.thetas for eps in config.epsilons]
     children = root.spawn(len(grid) + 1)[1:]
-    jobs = [(panel, eps, theta, config.k, config.runs, child)
-            for (theta, eps), child in zip(grid, children)]
-    if config.workers > 1:
-        with ProcessPoolExecutor(max_workers=config.workers) as pool:
-            results = list(pool.map(_fig4_point, jobs))
-    else:
-        results = [_fig4_point(j) for j in jobs]
     rows = []
-    for (theta, eps), (rate, err, bound) in zip(grid, results):
+    for (theta, eps), child in zip(grid, children):
+        model = HmmModel(panel, eps, theta)
+        rate, err = mechanism.achievable_rate_mc(
+            model, config.k, runs=config.runs, rng=np.random.default_rng(child))
+        bound = bounds.upper_bound_rate(model, config.k)
         rows.append(_row(config, epsilon=eps, theta=theta, rate=rate,
                          stderr=err, erasure_rate=1.0 - rate, bound=bound,
                          status="ok"))

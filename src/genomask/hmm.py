@@ -1,8 +1,9 @@
-"""Efficient masking for the haplotype-copying HMM.
+"""Efficient masking for any model with a hidden chain.
 
 The reference mechanism needs p(x_i | sensitive = u, produced prefix) at
-every step, which enumeration only delivers for toy sizes.  The HMM
-structure gives it in O(n m^2) arithmetic per hypothesis:
+every step, which enumeration only delivers for toy sizes.  A model whose
+`hidden_chain()` is not None (the copying HMM with m panel rows, a Markov
+chain with m symbols) gives it in O(n m^2) arithmetic per hypothesis:
 
 * a backward pass over hidden states precomputes, for every position and
   sensitive assignment u, the likelihood of the not-yet-passed sensitive
@@ -25,7 +26,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .distributions import (
-    HmmModel,
+    HiddenChain,
+    SequenceModel,
     _inverse_or_zero,
     assignment_index,
     row_codes,
@@ -82,17 +84,26 @@ class SensitiveBackwardTable:
         return self.values.shape[1]
 
 
-def sensitive_backward_table(hmm: HmmModel, K) -> SensitiveBackwardTable:
+def require_chain(model: SequenceModel, what: str) -> HiddenChain:
+    """``model.hidden_chain()``; `InputError` naming ``what`` if it is None."""
+    if (chain := model.hidden_chain()) is None:
+        raise InputError(f"{what} needs an HMM or a Markov chain, "
+                         f"not {type(model).__name__}")
+    return chain
+
+
+def sensitive_backward_table(model: SequenceModel, K) -> SensitiveBackwardTable:
     """Backward recursion over hidden states, one column per hypothesis."""
-    K = _validate_sensitive(K, hmm.n)
+    chain = require_chain(model, "the backward table")
+    K = _validate_sensitive(K, model.n)
     if len(K) > MAX_SENSITIVE:
         raise CapacityError(
             f"|K| = {len(K)} exceeds the supported maximum {MAX_SENSITIVE}")
-    n, m = hmm.n, hmm.m
-    us = sensitive_assignments(hmm.arities, K)
+    n, m = model.n, chain.m
+    us = sensitive_assignments(model.arities, K)
     ucomp = np.array(us, dtype=np.int64).reshape(len(us), len(K))
     num_u = ucomp.shape[0]
-    t = hmm.transition_matrix
+    t = chain.trans
     values = np.ones((n, num_u, m))
     slot = {k: j for j, k in enumerate(K)}
     nxt = np.ones((num_u, m))
@@ -101,34 +112,33 @@ def sensitive_backward_table(hmm: HmmModel, K) -> SensitiveBackwardTable:
         if i == n - 1:
             cur = np.ones((num_u, m))
         if i in slot:
-            emis = hmm.emission_likelihoods(i)           # (arity, m)
+            emis = chain.emissions[i]                    # (arity, m)
             cur = cur * emis[ucomp[:, slot[i]]]
         values[i] = cur
         nxt = cur
-    prior = values[0] @ hmm.initial_state
+    prior = values[0] @ chain.initial
     plain_from = (max(K) + 1) if K else 0
     return SensitiveBackwardTable(K, values, ucomp, prior, plain_from)
 
 
-def sensitive_conditionals(hmm: HmmModel, K,
+def sensitive_conditionals(model: SequenceModel, K,
                            table: SensitiveBackwardTable | None = None) -> np.ndarray:
     """Prior conditionals p(x_i = v | sensitive = u), shape (n, num_u, arity).
 
     Positions in K get the indicator of u's component.  Assignments with
     zero prior get NaN rows.
     """
+    chain = require_chain(model, "the sensitive conditionals")
     if table is None:
-        table = sensitive_backward_table(hmm, K)
+        table = sensitive_backward_table(model, K)
     K = table.K
-    n, m = hmm.n, hmm.m
-    num_u = table.num_u
-    arity = hmm.alphabet.size
+    (n, arity, m), num_u = chain.emissions.shape, table.num_u
     slot = {k: j for j, k in enumerate(K)}
     out = np.full((n, num_u, arity), np.nan)
-    fwd = np.broadcast_to(hmm.initial_state, (num_u, m)).copy()
-    t = hmm.transition_matrix
+    fwd = np.broadcast_to(chain.initial, (num_u, m)).copy()
+    t = chain.trans
     for i in range(n):
-        emis = hmm.emission_likelihoods(i)  # (arity, m)
+        emis = chain.emissions[i]  # (arity, m)
         if i in slot:
             rows = np.zeros((num_u, arity))
             rows[np.arange(num_u), table.u_components[:, slot[i]]] = 1.0
@@ -138,13 +148,13 @@ def sensitive_conditionals(hmm: HmmModel, K,
             joint = np.einsum("um,vm,um->uv", fwd, emis, table.values[i])
             z = joint.sum(axis=1)
             np.divide(joint, z[:, None], out=out[i], where=z[:, None] > 0)
-            out[i][z <= 0] = np.nan
         fwd = fwd @ t
+    out[:, table.prior <= 0] = np.nan
     return out
 
 
 class BatchMaskingSession:
-    """Lockstep masking of a batch of sequences sharing (hmm, K).
+    """Lockstep masking of a batch of sequences sharing (model, K).
 
     Per position, the session computes the per-hypothesis predictive
     distribution of the next symbol, turns it into release probabilities,
@@ -152,17 +162,16 @@ class BatchMaskingSession:
     through the corresponding output likelihood.
     """
 
-    def __init__(self, hmm: HmmModel, K, x_sensitive, table=None):
-        self.hmm = hmm
-        self.K = _validate_sensitive(K, hmm.n)
-        self.table = table if table is not None else sensitive_backward_table(hmm, self.K)
+    def __init__(self, model: SequenceModel, K, x_sensitive, table=None):
+        self.chain = require_chain(model, "the masking session")
+        self.model = model
+        self.K = _validate_sensitive(K, model.n)
+        self.table = table if table is not None else sensitive_backward_table(model, self.K)
         if self.table.K != self.K:
             raise InputError("backward table was built for a different K")
         self.u_true = row_codes(x_sensitive,
-                                [hmm.arities[k] for k in self.K])
+                                [model.arities[k] for k in self.K])
         self.batch = self.u_true.shape[0]
-        self.trans = hmm.transition_matrix
-        self.emissions = hmm.emission_stack()  # (n, arity, m)
         self.pos = 0
         self.belief = None                     # (batch, num_u, m)
         self.live = np.broadcast_to(self.table.prior > 0,
@@ -176,20 +185,20 @@ class BatchMaskingSession:
 
     def _predicted_states(self) -> np.ndarray:
         """p(S_pos = s | u, prefix) as (batch, num_u, m)."""
-        num_u, m = self.table.num_u, self.hmm.m
+        num_u, m = self.table.num_u, self.chain.m
         if self.pos == 0:
-            base = self.hmm.initial_state[None, :] * self.table.values[0]
+            base = self.chain.initial[None, :] * self.table.values[0]
             pred = base * _inverse_or_zero(base.sum(axis=1))[:, None]
             return np.broadcast_to(pred, (self.batch, num_u, m)).copy()
         if self.pos >= self.table.plain_from:
             # no sensitive positions remain: the plain chain kernel applies
-            flat = self.belief.reshape(self.batch * num_u, m) @ self.trans
+            flat = self.belief.reshape(self.batch * num_u, m) @ self.chain.trans
             return flat.reshape(self.batch, num_u, m)
         g = self.table.values[self.pos]                     # (num_u, m)
-        zinv = _inverse_or_zero(g @ self.trans.T)           # 1 / z[u, s]
+        zinv = _inverse_or_zero(g @ self.chain.trans.T)     # 1 / z[u, s]
         # out[b,u,k] = sum_s belief[b,u,s] / z[u,s] * T[s,k] * g[u,k]
         pred = ((self.belief * zinv).reshape(self.batch * num_u, m)
-                @ self.trans).reshape(self.batch, num_u, m)
+                @ self.chain.trans).reshape(self.batch, num_u, m)
         pred *= g
         return pred
 
@@ -197,7 +206,7 @@ class BatchMaskingSession:
         """(pred_states, pred_symbols, mins, ratios) for the current position."""
         if self._cache is not None:
             return self._cache
-        if self.pos >= self.hmm.n:
+        if self.pos >= self.model.n:
             raise InputError("session already consumed the whole sequence")
         pred = self._predicted_states()
         mass = pred.sum(axis=2)
@@ -205,14 +214,14 @@ class BatchMaskingSession:
         # defensive renormalization; mass is 1 for live hypotheses unless a
         # degenerate (theta or epsilon = 0) model starved some states
         pred *= _inverse_or_zero(mass, live)[:, :, None]
-        arity = self.hmm.alphabet.size
+        arity = self.chain.emissions.shape[1]
         if self.pos in self._slot:
             comp = self.table.u_components[:, self._slot[self.pos]]
             px = np.where(live[:, :, None] & (comp[:, None] == np.arange(arity)),
                           1.0, 0.0)
             mins = np.zeros((self.batch, arity))  # sensitive: always erase
         else:
-            px = np.matmul(pred, self.emissions[self.pos].T)
+            px = np.matmul(pred, self.chain.emissions[self.pos].T)
             masked = np.where(live[:, :, None], px, np.inf)
             mins = masked.min(axis=1)
             mins[~np.isfinite(mins)] = 0.0
@@ -223,7 +232,7 @@ class BatchMaskingSession:
     def predictive(self, u) -> np.ndarray:
         """p(x_pos | sensitive = u, prefix) for the current position,
         shape (batch, arity)."""
-        code = assignment_index(u, self.hmm.arities, self.K)
+        code = assignment_index(u, self.model.arities, self.K)
         _, px, _, _ = self._position_tables()
         if not np.all(self.live[:, code]):
             raise ImpossibleContextError(
@@ -249,7 +258,7 @@ class BatchMaskingSession:
         released = y_col != STAR
         if self.pos in self._slot and released.any():
             raise InputError("sensitive positions must be erased")
-        emis = self.emissions[self.pos]                     # (arity, m)
+        emis = self.chain.emissions[self.pos]               # (arity, m)
         (arity, m), num_u = emis.shape, self.table.num_u
         hit = y_col[:, None] == np.arange(arity)            # (batch, arity)
         if np.any(released & ~hit.any(axis=1)):
@@ -282,33 +291,33 @@ class BatchMaskingSession:
         return y, r
 
 
-def mask_hmm(hmm: HmmModel, x, K, rng: np.random.Generator, table=None):
+def mask_hmm(model: SequenceModel, x, K, rng: np.random.Generator, table=None):
     """Mask one sequence; returns (MaskedSequence, transcript)."""
-    x = validate_sequence(x, hmm.arities)
-    K = _validate_sensitive(K, hmm.n)
+    x = validate_sequence(x, model.arities)
+    K = _validate_sensitive(K, model.n)
     session = BatchMaskingSession(
-        hmm, K, np.array([[x[k] for k in K]], dtype=np.int64), table)
+        model, K, np.array([[x[k] for k in K]], dtype=np.int64), table)
     y = []
     transcript = []
-    for i in range(hmm.n):
+    for i in range(model.n):
         out, r = session.step(np.array([x[i]]), rng)
         y.append(int(out[0]))
         transcript.append(TranscriptEntry(i, float(r[0]), int(out[0])))
     return MaskedSequence(tuple(y)), tuple(transcript)
 
 
-def mask_hmm_batch(hmm: HmmModel, xs, K, rng: np.random.Generator,
+def mask_hmm_batch(model: SequenceModel, xs, K, rng: np.random.Generator,
                    table=None) -> np.ndarray:
     """Mask a batch of sequences in lockstep; returns (batch, n) outcomes."""
     xs = np.asarray(xs, dtype=np.int64)
-    if xs.ndim != 2 or xs.shape[1] != hmm.n:
-        raise InputError(f"xs must have shape (batch, {hmm.n})")
-    if xs.size and (xs.min() < 0 or xs.max() >= hmm.alphabet.size):
-        raise InputError(f"symbols must lie in 0..{hmm.alphabet.size - 1}")
-    K = _validate_sensitive(K, hmm.n)
-    session = BatchMaskingSession(hmm, K, xs[:, list(K)], table)
+    if xs.ndim != 2 or xs.shape[1] != model.n:
+        raise InputError(f"xs must have shape (batch, {model.n})")
+    if xs.size and (xs.min() < 0 or xs.max() >= max(model.arities)):
+        raise InputError(f"symbols must lie in 0..{max(model.arities) - 1}")
+    K = _validate_sensitive(K, model.n)
+    session = BatchMaskingSession(model, K, xs[:, list(K)], table)
     out = np.empty_like(xs)
-    for i in range(hmm.n):
+    for i in range(model.n):
         out[:, i], _ = session.step(xs[:, i], rng)
     return out
 
@@ -323,24 +332,25 @@ def mc_batch_size(row_bytes: int) -> int:
     return batch_size
 
 
-def erasure_rate_mc(hmm: HmmModel, K, runs: int, rng: np.random.Generator):
-    """Monte-Carlo rate of the mechanism on an HMM: (mean of 1 - e/n, stderr).
+def erasure_rate_mc(model: SequenceModel, K, runs: int, rng: np.random.Generator):
+    """Monte-Carlo rate of the mechanism: (mean of 1 - e/n, stderr).
 
     Runs go in batches sized so that one belief array stays within
     ``BELIEF_BUDGET_BYTES``.
     """
     if runs < 1:
         raise InputError("runs must be >= 1")
-    K = _validate_sensitive(K, hmm.n)
-    num_u = math.prod(hmm.arities[k] for k in K)
-    batch_size = mc_batch_size(8 * num_u * hmm.m)
-    table = sensitive_backward_table(hmm, K)
+    chain = require_chain(model, "erasure_rate_mc")
+    K = _validate_sensitive(K, model.n)
+    num_u = math.prod(model.arities[k] for k in K)
+    batch_size = mc_batch_size(8 * num_u * chain.m)
+    table = sensitive_backward_table(model, K)
     rates = np.empty(runs)
     done = 0
     while done < runs:
         b = min(batch_size, runs - done)
-        xs = hmm.sample_batch(b, rng)
-        ys = mask_hmm_batch(hmm, xs, K, rng, table)
-        rates[done:done + b] = 1.0 - (ys == STAR).sum(axis=1) / hmm.n
+        xs = model.sample_batch(b, rng)
+        ys = mask_hmm_batch(model, xs, K, rng, table)
+        rates[done:done + b] = 1.0 - (ys == STAR).sum(axis=1) / model.n
         done += b
     return float(rates.mean()), sample_stderr(rates)

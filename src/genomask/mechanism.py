@@ -46,7 +46,6 @@ import numpy as np
 
 from . import hmm as _hmm
 from .distributions import (
-    HmmModel,
     SequenceModel,
     assignment_index,
     row_codes,
@@ -526,7 +525,7 @@ def achievable_rate_mc(model: SequenceModel, K, ordering: Ordering | None = None
     if runs < 1:
         raise InputError("runs must be >= 1")
     ordering = ordering or Ordering.linear(model.n)
-    if isinstance(model, HmmModel) and ordering.is_linear:
+    if model.hidden_chain() is not None and ordering.is_linear:
         return _hmm.erasure_rate_mc(model, K, runs, rng)
     engine = EnumeratedMechanism(model, K)
     rates = np.empty(runs)

@@ -26,6 +26,13 @@ def random_markov(rng, n, alphabet=2):
     return MarkovChainModel(init, rows, n)
 
 
+def zero_transition_chain(n):
+    """A 3-symbol Markov chain that never steps 0 -> 2 or 2 -> 0."""
+    return MarkovChainModel([0.3, 0.3, 0.4], [[0.5, 0.5, 0.0],
+                                              [0.2, 0.3, 0.5],
+                                              [0.0, 0.6, 0.4]], n)
+
+
 def random_hmm(rng, n, m, alphabet=2, eps=None, theta=None):
     panel = rng.integers(alphabet, size=(m, n))
     eps = float(rng.uniform(0.02, 0.5)) if eps is None else eps

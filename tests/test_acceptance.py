@@ -24,6 +24,7 @@ from genomask import (
     Ordering,
     STAR,
     achievable_rate_exact,
+    achievable_rate_mc,
     exact_output_distribution,
     lp_optimal_rate,
     lp_output_distribution,
@@ -141,6 +142,19 @@ def test_criterion_4_markov_tightness():
         assert markov_sufficient_condition_check(chain, [0])
     assert worst <= 1e-9, worst
     _report(4, f"Markov tightness: 20 chains, max |rate - bound| = {worst:.2e}")
+
+
+def test_criterion_4_markov_tightness_at_paper_scale():
+    # n = 100 is far past enumeration: the bound and the Monte-Carlo rate
+    # both run on the chain's forward/backward filter
+    rng = np.random.default_rng(SEED + 40)
+    for alphabet in (2, 3):
+        chain = random_markov(rng, 100, alphabet)
+        bound = upper_bound_rate(chain, [0])
+        rate, err = achievable_rate_mc(chain, [0], runs=3000, rng=rng)
+        assert 0.0 < err and abs(rate - bound) <= 6 * err, (rate, bound, err)
+    _report(4, f"Markov tightness at n = 100: |rate - bound| = "
+               f"{abs(rate - bound):.2e} ({abs(rate - bound) / err:.2f} stderr)")
 
 
 # Times `mask_hmm_batch` on each (n, m) point of one grid, best of `reps`

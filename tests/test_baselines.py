@@ -104,6 +104,50 @@ def test_sweep_batch_fits_belief_budget(rng, monkeypatch):
         window_leakage_sweep(model, [0], [0, 2, 4], 30, rng)
 
 
+def test_markov_sweep_and_kl_mc_match_exact(rng):
+    p = random_markov(rng, 7)
+    q = MarkovChainModel(p.initial, [[0.6, 0.4], [0.3, 0.7]], 7)
+    omegas = [0, 1, 3, 6]
+    est, err = window_leakage_sweep(p, [0], omegas, 4000,
+                                    np.random.default_rng(11))
+    for w, e, s in zip(omegas, est, err):
+        assert abs(e - window_leakage_exact(p, [0], w)) <= 4 * max(s, 1e-4)
+    est, err = sequence_kl_mc(p, q, 4000, np.random.default_rng(12))
+    assert abs(est - sequence_kl(p, q)) <= 4 * max(err, 1e-4)
+
+
+def test_sweep_rejects_empty_omegas(rng):
+    with pytest.raises(InputError):
+        window_leakage_sweep(random_hmm(rng, 6, 3), [0], [], 10, rng)
+
+
+def test_sweep_rejects_zero_samples(rng):
+    with pytest.raises(InputError):
+        window_leakage_sweep(random_hmm(rng, 6, 3), [0], [1, 2], 0, rng)
+
+
+def test_sweep_and_kl_mc_need_a_hidden_chain(rng):
+    table = ExplicitJointModel.uniform(4)
+    chain = MarkovChainModel.binary_symmetric(0.8, 4)
+    with pytest.raises(InputError):
+        window_leakage_sweep(table, [0], [1], 10, rng)
+    for p, q in ((table, chain), (chain, table)):
+        with pytest.raises(InputError):
+            sequence_kl_mc(p, q, 10, rng)
+
+
+def test_kl_mc_rejects_models_of_different_shapes(rng):
+    # a shorter q used to score only a prefix (a negative "divergence"), a
+    # narrower q to index past its emissions
+    p = MarkovChainModel.binary_symmetric(0.8, 5)
+    wide = MarkovChainModel([0.2, 0.3, 0.5], np.full((3, 3), 1 / 3), 5)
+    for q in (MarkovChainModel.binary_symmetric(0.7, 4), wide):
+        with pytest.raises(InputError):
+            sequence_kl_mc(p, q, 100, rng)
+        with pytest.raises(InputError):
+            sequence_kl_mc(q, p, 100, rng)
+
+
 def test_sweep_requires_leading_sensitive(rng):
     model = random_hmm(rng, 6, 3)
     with pytest.raises(InputError):

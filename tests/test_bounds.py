@@ -22,7 +22,13 @@ from genomask import (
 )
 from genomask.mechanism import EnumeratedMechanism
 
-from conftest import parity_n3, random_explicit, random_hmm, random_markov
+from conftest import (
+    parity_n3,
+    random_explicit,
+    random_hmm,
+    random_markov,
+    zero_transition_chain,
+)
 
 
 # --- information measures -----------------------------------------------------
@@ -108,6 +114,20 @@ def test_bound_hmm_path_equals_enumeration(rng):
         cond, totals = eng.predictive(eng.q, pos)
         total += cond[totals > 0].min(axis=0).sum()
     assert fast == pytest.approx(total / model.n, abs=1e-12)
+
+
+def test_bound_markov_chain_path_equals_explicit_twin(rng):
+    # the chain takes the forward/backward path; its explicit twin, the same
+    # law as a table, has no hidden chain and enumerates
+    cases = [(random_markov(rng, 8), [0]), (random_markov(rng, 6), [1, 4]),
+             (random_markov(rng, 5, alphabet=3), [2]),
+             (zero_transition_chain(5), [0, 1]),
+             (MarkovChainModel.binary_symmetric(1.0, 4), [3])]
+    for chain, K in cases:
+        twin = ExplicitJointModel(chain.joint_table()[1], chain.arities)
+        assert chain.hidden_chain() is not None and twin.hidden_chain() is None
+        assert upper_bound_rate(chain, K) == pytest.approx(
+            upper_bound_rate(twin, K), abs=1e-12)
 
 
 def test_strict_gap_on_parity_model():

@@ -199,16 +199,25 @@ def test_negative_runs_rejected(panel_file, capsys):
     "long-instance", "seed-gen-panel", "seed-mask", "seed-rate", "seed-window",
     "unwritable-gen-panel", "unwritable-rate", "unwritable-experiment",
     "unwritable-transcript", "alphabet-1", "alphabet-11", "panel-shape",
-    "window-runs-markov", "lp-json-alphabet-11"])
+    "window-runs-explicit", "lp-json-alphabet-11", "nan-explicit",
+    "nan-markov"])
 def test_malformed_input_exits_2_with_one_line(panel_file, tmp_path, capsys,
                                                case):
     probs = tmp_path / "explicit.json"
     probs.write_text(json.dumps({"type": "explicit", "n": 2,
                                  "probs": "0.25,0.25,0.25,0.25"}))
-    markov = tmp_path / "markov.json"
-    markov.write_text(json.dumps({"type": "markov", "n": 3,
-                                  "initial": [0.5, 0.5],
-                                  "transition": [[0.9, 0.1], [0.1, 0.9]]}))
+    explicit = tmp_path / "explicit-ok.json"
+    explicit.write_text(json.dumps({"type": "explicit", "n": 3,
+                                    "probs": [0.125] * 8}))
+    # json writes float("nan") as NaN, which json.loads reads back
+    nan_explicit = tmp_path / "nan-explicit.json"
+    nan_explicit.write_text(json.dumps({"type": "explicit", "n": 2,
+                                        "probs": [float("nan"), 0.25, 0.25,
+                                                  0.5]}))
+    nan_markov = tmp_path / "nan-markov.json"
+    nan_markov.write_text(json.dumps({"type": "markov", "n": 3,
+                                      "initial": [float("nan")] * 2,
+                                      "transition": [[0.9, 0.1], [0.1, 0.9]]}))
     panel2 = tmp_path / "panel2.txt"
     panel2.write_text("01\n10\n")
     hmm11 = tmp_path / "hmm11.json"
@@ -245,12 +254,14 @@ def test_malformed_input_exits_2_with_one_line(panel_file, tmp_path, capsys,
         # the 6 x 8 panel is what would run, under rows labelled n = 5
         "panel-shape": ["experiment", "--name", "fig4", *panel, "--n", "5",
                         "--m", "6", "--runs", "2"],
-        # the sampled estimator runs on HMMs only
-        "window-runs-markov": ["window", "--model", str(markov), "--k", "1",
-                               "--omega", "1,2", "--runs", "10"],
+        # the sampled estimator needs a hidden chain, which a table has not
+        "window-runs-explicit": ["window", "--model", str(explicit), "--k",
+                                 "1", "--omega", "1,2", "--runs", "10"],
         # (0, 10) would print as "010", the same text as (0, 1, 0)
         "lp-json-alphabet-11": ["lp", "--model", str(hmm11), "--k", "1",
                                 "--json"],
+        "nan-explicit": ["rate", "--model", str(nan_explicit)],
+        "nan-markov": ["bound", "--model", str(nan_markov)],
     }[case]
     assert main(argv) == 2
     err = capsys.readouterr().err

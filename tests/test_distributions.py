@@ -51,6 +51,10 @@ def test_explicit_validation():
         ExplicitJointModel([-0.1, 1.1], n=1, alphabet=2)
     with pytest.raises(InputError):
         ExplicitJointModel([0.25] * 4, n=3, alphabet=2)
+    # NaN compares False with everything, so a sum check alone lets it in
+    for bad in ([np.nan, 0.25, 0.25, 0.5], [np.inf, 0.25, 0.25, 0.5]):
+        with pytest.raises(InputError):
+            ExplicitJointModel(bad, n=2, alphabet=2)
 
 
 def test_markov_chain_hand_product(rng):
@@ -73,6 +77,10 @@ def test_markov_validation():
         MarkovChainModel([0.7, 0.2], [[0.5, 0.5], [0.5, 0.5]], 3)
     with pytest.raises(InputError):
         MarkovChainModel([0.5, 0.5], [[0.9, 0.2], [0.5, 0.5]], 3)
+    with pytest.raises(InputError):
+        MarkovChainModel([np.nan, np.nan], [[0.5, 0.5], [0.5, 0.5]], 3)
+    with pytest.raises(InputError):
+        MarkovChainModel([0.5, 0.5], [[np.nan, 0.5], [0.5, 0.5]], 3)
 
 
 def test_hmm_deterministic_copy():
@@ -93,12 +101,51 @@ def test_hmm_parameter_validation():
         HmmModel(np.array([[0, 2]]), epsilon=0.1, theta=0.1, alphabet=2)
 
 
+@pytest.mark.parametrize("m", [1, 4])
+def test_hmm_hidden_chain_is_cached_closed_form_and_locked(rng, m):
+    eps, theta, size = 0.2, 0.06, 3
+    model = HmmModel(rng.integers(size, size=(m, 5)), eps, theta, size)
+    chain = model.hidden_chain()
+    assert model.hidden_chain() is chain
+    # stay 1 - eps and switch eps / (m - 1); one row always stays
+    if m == 1:
+        trans = np.ones((1, 1))
+    else:
+        trans = np.full((m, m), eps / (m - 1))
+        np.fill_diagonal(trans, 1.0 - eps)
+    assert np.array_equal(chain.trans, trans)
+    assert np.array_equal(chain.initial, np.full(m, 1.0 / m))
+    assert chain.emissions.shape == (5, size, m)
+    for i in range(5):
+        for s in range(m):
+            for v in range(size):
+                copied = v == model.panel[s, i]
+                want = 1.0 - theta if copied else theta / (size - 1)
+                assert chain.emissions[i, v, s] == want
+    for array in (chain.initial, chain.trans, chain.emissions):
+        assert not array.flags.writeable
+        with pytest.raises(ValueError):
+            array[(0,) * array.ndim] = 0.5
+
+
+def test_markov_hidden_chain_emits_the_state(rng):
+    chain_model = random_markov(rng, 4, alphabet=3)
+    chain = chain_model.hidden_chain()
+    assert chain.initial is chain_model.initial
+    assert chain.trans is chain_model.transition
+    assert np.array_equal(chain.emissions, np.broadcast_to(np.eye(3), (4, 3, 3)))
+    space, probs = chain_model.joint_table()
+    np.testing.assert_allclose(np.exp(chain.log_probs(space)), probs,
+                               rtol=1e-13, atol=0)
+    assert ExplicitJointModel.uniform(2).hidden_chain() is None
+
+
 def _hmm_joint_by_path_enumeration(model, x):
     total = 0.0
-    t = model.transition_matrix
-    emis = [model.emission_likelihoods(i) for i in range(model.n)]
-    for path in itertools.product(range(model.m), repeat=model.n):
-        p = 1.0 / model.m
+    chain = model.hidden_chain()
+    t, emis = chain.trans, chain.emissions
+    for path in itertools.product(range(chain.m), repeat=model.n):
+        p = chain.initial[path[0]]
         for i in range(1, model.n):
             p *= t[path[i - 1], path[i]]
         for i, s in enumerate(path):

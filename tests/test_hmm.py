@@ -20,19 +20,34 @@ from genomask.distributions import assignment_index, sensitive_assignments
 from genomask.hmm import BatchMaskingSession, erasure_rate_mc
 from genomask.mechanism import EnumeratedMechanism
 
-from conftest import possible_assignments, random_hmm
+from conftest import (
+    possible_assignments,
+    random_hmm,
+    random_markov,
+    zero_transition_chain,
+)
+
+
+def case_model(rng, n, m, eps, theta):
+    """The model of a session case: a random HMM with m panel rows, or the
+    Markov chain that ``m`` names (its hidden state is the symbol)."""
+    if m == "markov":
+        return random_markov(rng, n)
+    if m == "markov-zero":
+        return zero_transition_chain(n)
+    return random_hmm(rng, n, m, eps=eps, theta=theta)
 
 
 def path_probability_table(model, K):
     """Brute force p(x_K = u | S_0 = s) by enumerating hidden paths and
     sensitive emissions."""
     K = tuple(sorted(K))
-    t = model.transition_matrix
-    emis = [model.emission_likelihoods(i) for i in range(model.n)]
+    chain = model.hidden_chain()
+    t, emis = chain.trans, chain.emissions
     us = sensitive_assignments(model.arities, K)
-    out = np.zeros((len(us), model.m))
-    for s0 in range(model.m):
-        for path in itertools.product(range(model.m), repeat=model.n - 1):
+    out = np.zeros((len(us), chain.m))
+    for s0 in range(chain.m):
+        for path in itertools.product(range(chain.m), repeat=model.n - 1):
             full = (s0,) + path
             pp = 1.0
             for i in range(1, model.n):
@@ -68,13 +83,16 @@ def test_backward_table_matches_path_enumeration(rng):
 
 
 def test_sensitive_conditionals_match_enumeration(rng):
-    model = random_hmm(rng, 5, 3)
-    K = [1, 3]
-    cond = sensitive_conditionals(model, K)
-    eng = EnumeratedMechanism(model, K)
-    for pos in range(model.n):
-        brute, totals = eng.predictive(eng.q, pos)
-        assert cond[pos] == pytest.approx(brute, abs=1e-12, nan_ok=True)
+    # the Markov chains read the same hidden-chain filter, the second one
+    # with zero transitions and so with assignments of prior zero
+    for model, K in [(random_hmm(rng, 5, 3), [1, 3]),
+                     (random_markov(rng, 6, alphabet=3), [1, 3]),
+                     (zero_transition_chain(5), [0, 1])]:
+        cond = sensitive_conditionals(model, K)
+        eng = EnumeratedMechanism(model, K)
+        for pos in range(model.n):
+            brute, totals = eng.predictive(eng.q, pos)
+            assert cond[pos] == pytest.approx(brute, abs=1e-12, nan_ok=True)
 
 
 def test_predictive_uniform_when_emissions_are_noise(rng):
@@ -133,14 +151,21 @@ DEGENERATE = [pytest.param(4, 2, (0,), 0.0, None, id="4-2-eps0"),
               pytest.param(4, 3, (3,), None, 0.0, id="4-3-theta0"),
               pytest.param(5, 3, (1, 3), 0.0, 0.0, id="5-3-eps0-theta0")]
 
+# Markov chains through the same session: K = {0, 1} on the zero-transition
+# chain gives hypotheses of prior zero
+MARKOV = [pytest.param(6, "markov", (0,), None, None, id="markov-6-K0"),
+          pytest.param(6, "markov", (2, 4), None, None, id="markov-6-K24"),
+          pytest.param(5, "markov-zero", (0, 1), None, None,
+                       id="markov-zero-5-K01")]
+
 
 @pytest.mark.parametrize("n,m,K,eps,theta", [
     pytest.param(4, 2, (0,), None, None, id="4-2-K0"),
     pytest.param(5, 3, (1, 3), None, None, id="5-3-K1"),
-    pytest.param(4, 3, (3,), None, None, id="4-3-K2")] + DEGENERATE)
+    pytest.param(4, 3, (3,), None, None, id="4-3-K2")] + DEGENERATE + MARKOV)
 def test_session_predictive_matches_brute_force_everywhere(rng, n, m, K,
                                                            eps, theta):
-    model = random_hmm(rng, n, m, eps=eps, theta=theta)
+    model = case_model(rng, n, m, eps, theta)
     # the predictive does not depend on the true assignment: take the first
     # one of positive prior
     prior = sensitive_backward_table(model, K).prior
@@ -189,9 +214,9 @@ def hmm_session_joint(model, K):
 
 @pytest.mark.parametrize("n,m,K,eps,theta", [
     pytest.param(4, 2, (0,), None, None, id="4-2-K0"),
-    pytest.param(5, 3, (1, 3), None, None, id="5-3-K1")] + DEGENERATE)
+    pytest.param(5, 3, (1, 3), None, None, id="5-3-K1")] + DEGENERATE + MARKOV)
 def test_session_output_law_matches_enumeration(rng, n, m, K, eps, theta):
-    model = random_hmm(rng, n, m, eps=eps, theta=theta)
+    model = case_model(rng, n, m, eps, theta)
     dist = exact_output_distribution(model, K)
     got = hmm_session_joint(model, K)
     num_u = len(dist.u_values)
