@@ -118,7 +118,8 @@ def window_leakage_sweep(model: SequenceModel, K, omegas, samples: int,
     posterior of x_0 given the released suffix is exact (hidden-state
     forward/backward), and one backward pass per sample serves every omega.
     Samples go in batches sized so that the suffix rows kept for the
-    omegas, plus the working row, stay within ``hmm.BELIEF_BUDGET_BYTES``.
+    omegas, plus the working row, stay within
+    ``distributions.BELIEF_BUDGET_BYTES``.
     Returns (estimates, standard errors) as arrays aligned with omegas.
     """
     chain = _hmm.require_chain(model, "the sampled window estimator "

@@ -29,6 +29,13 @@ from .errors import CapacityError, InputError
 #: time by `SequenceModel.enumerate_space`, the one place that checks it.
 ENUMERATION_BUDGET = 1 << 17
 
+#: Bytes the float64 working arrays of one batch may take: the row blocks of
+#: `HiddenChain.log_probs`, the beliefs of `hmm.erasure_rate_mc` (see
+#: `hmm.mc_batch_size`), the kept suffix rows of
+#: `baselines.window_leakage_sweep` and the batches of
+#: `mechanism.EnumeratedMechanism.walk`.  Read at call time.
+BELIEF_BUDGET_BYTES = 64 * 2**20
+
 _SUM_TOL = 1e-12
 
 
@@ -119,18 +126,22 @@ class HiddenChain:
         return self.initial.size
 
     def log_probs(self, xs: np.ndarray) -> np.ndarray:
-        """log p(x) per row by one scaled forward pass over all rows
-        (Rabiner 1989); -inf for impossible rows."""
+        """log p(x) per row by a scaled forward pass (Rabiner 1989); -inf for
+        impossible rows.  Rows go in blocks whose four live (rows, m) float64
+        arrays fit in ``BELIEF_BUDGET_BYTES``."""
         xs = np.asarray(xs, dtype=np.int64)
         emis, t = self.emissions, self.trans
-        f = self.initial * emis[0][xs[:, 0]]               # (N, m)
+        block = max(1, BELIEF_BUDGET_BYTES // (4 * 8 * self.m))
         log_p = np.zeros(xs.shape[0])
-        for i in range(emis.shape[0]):
-            if i:
-                f = (f * _inverse_or_zero(total)[:, None]) @ t * emis[i][xs[:, i]]
-            total = f.sum(axis=1)
-            log_p += np.log(total, out=np.full_like(total, -np.inf),
-                            where=total > 0)
+        for start in range(0, xs.shape[0], block):
+            rows, out = xs[start:start + block], log_p[start:start + block]
+            f = self.initial * emis[0][rows[:, 0]]             # (rows, m)
+            for i in range(emis.shape[0]):
+                if i:
+                    f = (f * _inverse_or_zero(total)[:, None]) @ t * emis[i][rows[:, i]]
+                total = f.sum(axis=1)
+                out += np.log(total, out=np.full_like(total, -np.inf),
+                              where=total > 0)
         return log_p
 
 

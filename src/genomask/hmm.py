@@ -25,6 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import distributions
 from .distributions import (
     HiddenChain,
     SequenceModel,
@@ -52,10 +53,6 @@ from .masking import (
 #: Sensitive sets larger than this make the 2^|K| hypothesis loop pointless.
 MAX_SENSITIVE = 12
 
-#: Bytes the per-batch float64 arrays of a Monte-Carlo loop may take (the
-#: (batch, num_u, m) beliefs of ``erasure_rate_mc``, the kept suffix rows of
-#: ``baselines.window_leakage_sweep``); see `mc_batch_size`.
-BELIEF_BUDGET_BYTES = 64 * 2**20
 MAX_MC_BATCH = 512
 
 #: Belief-filter normalizers must match the predicted output probability
@@ -324,11 +321,13 @@ def mask_hmm_batch(model: SequenceModel, xs, K, rng: np.random.Generator,
 
 def mc_batch_size(row_bytes: int) -> int:
     """Largest batch up to ``MAX_MC_BATCH`` whose rows of ``row_bytes``
-    each fit in ``BELIEF_BUDGET_BYTES``; `CapacityError` if one does not."""
-    batch_size = min(MAX_MC_BATCH, BELIEF_BUDGET_BYTES // row_bytes)
+    each fit in ``distributions.BELIEF_BUDGET_BYTES``; `CapacityError` if
+    one does not."""
+    budget = distributions.BELIEF_BUDGET_BYTES
+    batch_size = min(MAX_MC_BATCH, budget // row_bytes)
     if batch_size < 1:
         raise CapacityError(f"one {row_bytes}-byte batch row exceeds "
-                            f"the {BELIEF_BUDGET_BYTES}-byte budget")
+                            f"the {budget}-byte budget")
     return batch_size
 
 
@@ -336,7 +335,7 @@ def erasure_rate_mc(model: SequenceModel, K, runs: int, rng: np.random.Generator
     """Monte-Carlo rate of the mechanism: (mean of 1 - e/n, stderr).
 
     Runs go in batches sized so that one belief array stays within
-    ``BELIEF_BUDGET_BYTES``.
+    ``distributions.BELIEF_BUDGET_BYTES``.
     """
     if runs < 1:
         raise InputError("runs must be >= 1")

@@ -26,9 +26,9 @@ tests, which replay them along single paths.  The release probabilities
 themselves come from one rule, `masking.release_ratios`, here and in the
 HMM session alike.  A branch is entered only when its true-model weight
 stays positive.  Batches are cut at node boundaries and walked depth first,
-so the walk's live arrays stay within ``hmm.BELIEF_BUDGET_BYTES``.  The
-output law, the stepwise-minima rate, the minimizer-stability certificate
-and the parity-rule check are per-batch reductions over it.
+so the walk's live arrays stay within ``distributions.BELIEF_BUDGET_BYTES``.
+The output law, the stepwise-minima rate, the minimizer-stability
+certificate and the parity-rule check are per-batch reductions over it.
 
 Conventions:
   * the minimum ranges over sensitive assignments that are possible under
@@ -44,6 +44,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import distributions
 from . import hmm as _hmm
 from .distributions import (
     SequenceModel,
@@ -90,8 +91,8 @@ class EnumeratedMechanism:
 
     The enumerated space is capped by ``distributions.ENUMERATION_BUDGET``,
     the outputs of one walk by ``LEAF_BUDGET`` and a walk batch's arrays by
-    ``hmm.BELIEF_BUDGET_BYTES``; each is read when used, so a test can
-    shrink it with ``monkeypatch``.
+    ``distributions.BELIEF_BUDGET_BYTES``; each is read when used, so a test
+    can shrink it with ``monkeypatch``.
     """
 
     def __init__(self, model: SequenceModel, K, mechanism_model=None):
@@ -272,12 +273,13 @@ class EnumeratedMechanism:
 
         Batches are cut at node boundaries and walked depth first, so the
         batch in hand with its temporaries, plus the pending batches of
-        the shallower depths, stay within ``hmm.BELIEF_BUDGET_BYTES``; a
+        the shallower depths, stay within
+        ``distributions.BELIEF_BUDGET_BYTES``; a
         node too large for its share of the budget is walked alone.
         """
         matched = self.mech_model is self.model
         rows = self.space.shape[0]
-        share = _hmm.BELIEF_BUDGET_BYTES // (self.n + 1)
+        share = distributions.BELIEF_BUDGET_BYTES // (self.n + 1)
         stack = [NodeBatch(0, np.zeros((1, 0), dtype=np.int64),
                            np.zeros(rows, dtype=np.int64), np.arange(rows),
                            self.p, self.p if matched else self.q)]

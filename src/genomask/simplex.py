@@ -6,8 +6,13 @@ Bland's rule everywhere (smallest eligible index), an explicit basis inverse
 with rank-1 updates, periodic refactorization, and a Gaussian pre-pass that
 removes dependent rows.  The pre-pass and the updates touch only the nonzero
 rows of the pivot column and the nonzero columns of the pivot row (an exact
-zero subtracts nothing, so the pivots are the dense ones), and pricing reads
-the reduced A as one contiguous matrix.
+zero subtracts nothing, so the pivots are the dense ones).  The pre-pass
+also keeps its row transform M, with A' = M A.  Pricing computes y @ A' as
+(y @ M) @ A over the nonzeros of M and of the original A, indexed once per
+solve; on a fig5 LP (2 nonzeros per column of A, A' 5-7% nonzero) that reads
+a small fraction of A'.  It changes only the rounding of the reduced costs;
+the entering column b_inv @ A'[:, j], the ratio test and refactorization
+read A' as before.
 """
 
 from __future__ import annotations
@@ -37,17 +42,19 @@ def _eliminate(mat, rhs, r, factors):
     f = factors[rows]
     cols = np.flatnonzero(mat[r])
     mat[np.ix_(rows, cols)] -= np.outer(f, mat[r, cols])
-    rhs[rows] -= f * rhs[r]
+    if rhs is not None:
+        rhs[rows] -= f * rhs[r]
 
 
 def _reduce_rows(a: np.ndarray, b: np.ndarray):
     """Gaussian elimination to an equivalent full-row-rank system.
 
-    Returns (A', b') or None when the system is inconsistent; A' is
-    C-contiguous.
+    Returns (A', b', M) or None when the system is inconsistent; A' is
+    C-contiguous, and M is the row transform with A' = M A in exact
+    arithmetic (it gets the same swaps, scalings and eliminations).
     """
     m, n = a.shape
-    work, rhs = a.astype(float), b.astype(float)
+    work, rhs, transform = a.astype(float), b.astype(float), np.eye(m)
     row = 0
     for col in range(n):
         if row >= m:
@@ -56,15 +63,31 @@ def _reduce_rows(a: np.ndarray, b: np.ndarray):
         if abs(work[piv, col]) <= PIVOT_TOL:
             continue
         if piv != row:
-            work[[row, piv]] = work[[piv, row]]
-            rhs[[row, piv]] = rhs[[piv, row]]
-        rhs[row] /= work[row, col]
-        work[row] /= work[row, col]
+            for arr in (work, rhs, transform):
+                arr[[row, piv]] = arr[[piv, row]]
+        scale = work[row, col]
+        for arr in (work, rhs, transform):
+            arr[row] /= scale
+        _eliminate(transform, None, row, work[:, col])
         _eliminate(work, rhs, row, work[:, col])
         row += 1
     if np.any(np.abs(rhs[row:]) > FEAS_TOL):
         return None
-    return work[:row], rhs[:row]
+    return work[:row], rhs[:row], transform[:row]
+
+
+def _nonzeros(mat):
+    """(rows, cols, values, number of columns) of a matrix's nonzeros."""
+    rows, cols = np.nonzero(mat)
+    return rows, cols, mat[rows, cols], mat.shape[1]
+
+
+def _row_times(y, factors):
+    """y @ A' for A' = M A, as (y @ M) @ A: ``factors`` holds `_nonzeros`
+    of M and of A, and each product sums per column in row order."""
+    for rows, cols, vals, n in factors:
+        y = np.bincount(cols, y[rows] * vals, minlength=n)
+    return y
 
 
 def _pivot(basis, b_inv, x_b, w, r, entering):
@@ -93,9 +116,9 @@ def _first_nonbasic(candidates, basis):
     return j if candidates[j] else None
 
 
-def _run_phase(a, c_full, basis, b_inv, x_b, b, maxiter):
-    """Bland-rule simplex iterations over the columns of A (artificials never
-    enter); mutates basis/b_inv/x_b in place."""
+def _run_phase(a, factors, c_full, basis, b_inv, x_b, b, maxiter):
+    """Bland-rule simplex iterations over the columns of A' = M A
+    (artificials never enter); mutates basis/b_inv/x_b in place."""
     n = a.shape[1]
     iters = 0
     while True:
@@ -109,8 +132,8 @@ def _run_phase(a, c_full, basis, b_inv, x_b, b, maxiter):
             b_inv[:] = np.linalg.inv(mat)
             x_b[:] = b_inv @ b
             np.maximum(x_b, 0.0, out=x_b)
-        y = c_full[basis] @ b_inv
-        entering = _first_nonbasic(c_full[:n] - y @ a < -PIVOT_TOL, basis)
+        d = c_full[:n] - _row_times(c_full[basis] @ b_inv, factors)
+        entering = _first_nonbasic(d < -PIVOT_TOL, basis)
         if entering is None:
             return "optimal", iters
         w = b_inv @ a[:, entering]
@@ -128,10 +151,13 @@ def linear_program(c, a, b, maxiter: int | None = None) -> SimplexResult:
     c = np.asarray(c, dtype=float).reshape(-1)
     if a.shape != (b.size, c.size):
         raise ValueError("inconsistent LP dimensions")
+    if not all(np.isfinite(v).all() for v in (a, b, c)):
+        raise ValueError("non-finite LP data")
     reduced = _reduce_rows(a, b)
     if reduced is None:
         return SimplexResult("infeasible", None, float("nan"), 0)
-    a, b = reduced
+    a_nz = _nonzeros(a)
+    a, b, transform = reduced
     m, n = a.shape
     if m == 0:
         # no constraints: any cost below zero can be driven to -inf
@@ -140,6 +166,9 @@ def linear_program(c, a, b, maxiter: int | None = None) -> SimplexResult:
         return SimplexResult("optimal", np.zeros(n), 0.0, 0)
     flip = b < 0
     a[flip] *= -1.0
+    transform[flip] *= -1.0
+    factors = (_nonzeros(transform), a_nz)
+    del reduced, transform      # keep M only as its nonzeros (5-15% on fig5)
     b = np.abs(b)
     if maxiter is None:
         maxiter = max(20000, 60 * (m + n))
@@ -150,7 +179,7 @@ def linear_program(c, a, b, maxiter: int | None = None) -> SimplexResult:
 
     # Phase 1: minimize the artificial mass; artificials never re-enter
     c1 = np.concatenate([np.zeros(n), np.ones(m)])
-    status, it1 = _run_phase(a, c1, basis, b_inv, x_b, b, maxiter)
+    status, it1 = _run_phase(a, factors, c1, basis, b_inv, x_b, b, maxiter)
     if status != "optimal":
         return SimplexResult(status, None, float("nan"), it1)
     if x_b[basis >= n].sum() > FEAS_TOL:
@@ -159,7 +188,8 @@ def linear_program(c, a, b, maxiter: int | None = None) -> SimplexResult:
     for r in range(m):
         if basis[r] < n:
             continue
-        entering = _first_nonbasic(np.abs(b_inv[r] @ a) > PIVOT_TOL, basis)
+        row_r = _row_times(b_inv[r], factors)
+        entering = _first_nonbasic(np.abs(row_r) > PIVOT_TOL, basis)
         if entering is None:
             # numerically dependent row that survived the pre-pass
             continue
@@ -167,7 +197,7 @@ def linear_program(c, a, b, maxiter: int | None = None) -> SimplexResult:
 
     # Phase 2 on the original objective, artificial columns barred
     c2 = np.concatenate([c, np.zeros(m)])
-    status, it2 = _run_phase(a, c2, basis, b_inv, x_b, b, maxiter)
+    status, it2 = _run_phase(a, factors, c2, basis, b_inv, x_b, b, maxiter)
     if status != "optimal":
         return SimplexResult(status, None, float("nan"), it1 + it2)
     x = np.zeros(n)

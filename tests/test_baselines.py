@@ -83,7 +83,7 @@ def test_pure_noise_emissions_leak_nothing(rng):
 
 
 def test_sweep_batch_fits_belief_budget(rng, monkeypatch):
-    import genomask.hmm as hmm_mod
+    import genomask.distributions as dist_mod
 
     model = random_hmm(rng, 6, 3, eps=0.15, theta=0.05)
     row = 8 * model.m * 3                  # rows at omegas 2 and 4, plus one
@@ -95,11 +95,11 @@ def test_sweep_batch_fits_belief_budget(rng, monkeypatch):
         return real(count, rng_)
 
     monkeypatch.setattr(model, "sample_batch", recording)
-    monkeypatch.setattr(hmm_mod, "BELIEF_BUDGET_BYTES", 7 * row + 5)
+    monkeypatch.setattr(dist_mod, "BELIEF_BUDGET_BYTES", 7 * row + 5)
     window_leakage_sweep(model, [0], [0, 2, 4, 2], 30, rng)
     assert sizes == [7, 7, 7, 7, 2]
-    assert all(b * row <= hmm_mod.BELIEF_BUDGET_BYTES for b in sizes)
-    monkeypatch.setattr(hmm_mod, "BELIEF_BUDGET_BYTES", row - 1)
+    assert all(b * row <= dist_mod.BELIEF_BUDGET_BYTES for b in sizes)
+    monkeypatch.setattr(dist_mod, "BELIEF_BUDGET_BYTES", row - 1)
     with pytest.raises(CapacityError):
         window_leakage_sweep(model, [0], [0, 2, 4], 30, rng)
 

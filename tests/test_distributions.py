@@ -1,5 +1,6 @@
 import itertools
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from genomask import (
     load_panel,
     save_panel,
 )
+from genomask import distributions
 from genomask.distributions import assignment_index, sensitive_assignments
 from genomask.hmm import BatchMaskingSession
 
@@ -176,6 +178,28 @@ def test_hmm_forward_matches_path_enumeration(rng, n, m, alphabet, eps, theta):
     possible = exact > 0
     np.testing.assert_allclose(probs[possible], exact[possible], rtol=1e-12,
                                atol=0)
+
+
+def test_hmm_forward_pass_runs_in_budget_sized_blocks(monkeypatch, rng):
+    model = random_hmm(rng, 8, 200, eps=0.1, theta=0.05)
+    _, whole = model.joint_table()       # one block, and builds the chain
+    m, rows = model.hidden_chain().m, 2 ** 8
+    # the pass holds four (block, m) float64 arrays at once
+    budget = 4 * 8 * m * 100
+    block = budget // (4 * 8 * m)
+    assert -(-rows // block) >= 3
+    monkeypatch.setattr(distributions, "BELIEF_BUDGET_BYTES", budget)
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        _, split = model.joint_table()
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    np.testing.assert_allclose(split, whole, rtol=1e-15, atol=0)
+    assert peak <= budget + 8 * m * block, peak
+    # the whole pass at once would not have fit
+    assert 4 * 8 * m * rows > budget + 8 * m * block
 
 
 @pytest.mark.parametrize("factory", [random_explicit, random_markov])

@@ -355,7 +355,7 @@ def test_batch_rate_agrees_with_exact(rng):
 
 
 def test_mc_batch_fits_belief_budget(rng, monkeypatch):
-    import genomask.hmm as hmm_mod
+    import genomask.distributions as dist_mod
 
     model = random_hmm(rng, 5, 3, eps=0.15, theta=0.05)
     K = (0, 2)                                   # 4 hypotheses
@@ -368,10 +368,10 @@ def test_mc_batch_fits_belief_budget(rng, monkeypatch):
         return real(count, rng_)
 
     monkeypatch.setattr(model, "sample_batch", recording)
-    monkeypatch.setattr(hmm_mod, "BELIEF_BUDGET_BYTES", 7 * row + 5)
+    monkeypatch.setattr(dist_mod, "BELIEF_BUDGET_BYTES", 7 * row + 5)
     erasure_rate_mc(model, K, runs=30, rng=rng)
     assert sizes == [7, 7, 7, 7, 2]
-    assert all(b * row <= hmm_mod.BELIEF_BUDGET_BYTES for b in sizes)
-    monkeypatch.setattr(hmm_mod, "BELIEF_BUDGET_BYTES", row - 1)
+    assert all(b * row <= dist_mod.BELIEF_BUDGET_BYTES for b in sizes)
+    monkeypatch.setattr(dist_mod, "BELIEF_BUDGET_BYTES", row - 1)
     with pytest.raises(CapacityError):
         erasure_rate_mc(model, K, runs=30, rng=rng)

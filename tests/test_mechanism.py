@@ -24,7 +24,7 @@ from genomask import (
     verify_privacy_exact,
     window_leakage_exact,
 )
-from genomask import bounds, distributions, hmm, mechanism
+from genomask import bounds, distributions, mechanism
 from genomask.baselines import MismatchPair, robustness_experiment
 from genomask.bounds import markov_sufficient_condition_check
 from genomask.hardness import (
@@ -399,7 +399,7 @@ def test_split_batches_give_the_same_results(monkeypatch, budget):
     monkeypatch.setattr(EnumeratedMechanism, "_predictive", counting)
     whole = _walk_results(np.random.default_rng(17))
     whole_batches, batches[:] = len(batches), []
-    monkeypatch.setattr(hmm, "BELIEF_BUDGET_BYTES", budget)
+    monkeypatch.setattr(distributions, "BELIEF_BUDGET_BYTES", budget)
     split = _walk_results(np.random.default_rng(17))
     assert len(batches) > whole_batches
     if budget == 1:
@@ -420,7 +420,7 @@ def test_walk_stays_within_byte_budget(monkeypatch):
     ordering = Ordering(tuple(int(v) for v in rng.permutation(10)))
     engine = EnumeratedMechanism(model, [ordering.perm[5]])
     budget = 1 << 20
-    monkeypatch.setattr(hmm, "BELIEF_BUDGET_BYTES", budget)
+    monkeypatch.setattr(distributions, "BELIEF_BUDGET_BYTES", budget)
     tracemalloc.start()
     try:
         start = tracemalloc.get_traced_memory()[0]

@@ -3,7 +3,7 @@ import hashlib
 import numpy as np
 import pytest
 
-from genomask import HmmModel, bounds, lp_optimal_rate
+from genomask import HmmModel, bounds, lp_optimal_rate, simplex
 from genomask.simplex import _reduce_rows, linear_program
 
 
@@ -66,6 +66,16 @@ def test_redundant_rows_are_dropped():
     assert res.x == pytest.approx([1.0, 0.0])
 
 
+@pytest.mark.parametrize("c, a, b", [
+    ([1.0, 1.0], [[1.0, np.inf]], [1.0]),
+    ([np.nan, 1.0], [[1.0, 1.0]], [1.0]),
+    ([1.0, 1.0], [[1.0, 1.0]], [np.nan]),
+], ids=["inf-in-a", "nan-cost", "nan-in-b"])
+def test_non_finite_data_is_rejected(c, a, b):
+    with pytest.raises(ValueError, match="non-finite"):
+        linear_program(c, a, b)
+
+
 def test_degenerate_problem_terminates():
     rng = np.random.default_rng(5)
     n, m = 30, 12
@@ -112,7 +122,7 @@ def test_reduce_rows_is_pinned():
     a = np.vstack([base, base[1] + 2.0 * base[5], base[3] - base[7], -base[0]])
     a = a[rng.permutation(a.shape[0])]
     b = a @ rng.uniform(size=40)
-    ra, rb = _reduce_rows(a, b)
+    ra, rb, _ = _reduce_rows(a, b)
     assert ra.shape == (12, 40)
     # values recorded from the dense elimination; + 0.0 maps -0.0 to 0.0,
     # because skipping an exact-zero update may keep a zero's sign
@@ -120,3 +130,90 @@ def test_reduce_rows_is_pinned():
         "1be3af851127962799ae5e40476b79329fbf5a0377c4a7de91e3ea3b271f3f5c")
     assert _sha256(rb) == (
         "be83e9eacd1e93c5baf738b70a386b19f3f28b3ae02cf0d469cc9696c35b0d5a")
+
+
+def _pivot_path(monkeypatch, c, a, b, dense=False):
+    """(entering, leaving row) per pivot and the result; ``dense`` prices
+    with c - y @ A' on the reduced (and sign-flipped) A of `_reduce_rows`."""
+    path, real = [], simplex._pivot
+
+    def recording(basis, b_inv, x_b, w, r, entering):
+        path.append((entering, r))
+        real(basis, b_inv, x_b, w, r, entering)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(simplex, "_pivot", recording)
+        if dense:
+            ra, rb, _ = _reduce_rows(np.asarray(a, float), np.asarray(b, float))
+            ra[rb < 0] *= -1.0
+            patch.setattr(simplex, "_row_times", lambda y, *_: y @ ra)
+        return path, linear_program(c, a, b)
+
+
+def _assert_same_pivots_as_dense_pricing(monkeypatch, c, a, b):
+    path, res = _pivot_path(monkeypatch, c, a, b)
+    dense_path, dense = _pivot_path(monkeypatch, c, a, b, dense=True)
+    assert path == dense_path
+    assert (res.status, res.iterations) == (dense.status, dense.iterations)
+    assert res.x.tobytes() == dense.x.tobytes()
+    return path
+
+
+def _fig5_style_lps(monkeypatch):
+    lps = []
+
+    def spy(c, a, b):
+        lps.append((c, a, b))
+        return linear_program(c, a, b)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(bounds, "linear_program", spy)
+        for seed in (1, 2, 3):
+            panel = np.random.default_rng(seed).integers(2, size=(16, 16))
+            for eps, theta in ((0.01, 0.05), (0.5, 0.01)):
+                lp_optimal_rate(HmmModel(panel, eps, theta).truncated(4), [0])
+    return lps
+
+
+def test_sparse_pricing_follows_dense_pricing_on_fig5_style_lps(monkeypatch):
+    lps = _fig5_style_lps(monkeypatch)
+    assert len(lps) == 6
+    for c, a, b in lps:
+        assert len(_assert_same_pivots_as_dense_pricing(monkeypatch, c, a, b)) > 10
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2, 3])
+def test_sparse_pricing_follows_dense_pricing_with_dependent_and_flipped_rows(
+        monkeypatch, seed):
+    # 15 sparse mixed-sign rows, 4 planted combinations, shuffled; a
+    # nonnegative planted solution keeps it feasible, costs >= 0 bounded
+    rng = np.random.default_rng(seed)
+    base = np.zeros((15, 60))
+    for j in range(60):
+        base[rng.choice(15, size=3, replace=False), j] = rng.normal(size=3)
+    a = np.vstack([base, base[2] - base[9], 3.0 * base[4], base[0] + base[1],
+                   -base[14]])
+    a = a[rng.permutation(a.shape[0])]
+    b = a @ rng.uniform(size=60)
+    ra, rb, _ = _reduce_rows(a, b)
+    assert ra.shape[0] == 15 and np.any(rb < 0)
+    path = _assert_same_pivots_as_dense_pricing(monkeypatch, rng.uniform(size=60),
+                                                a, b)
+    assert len(path) >= 15
+
+
+def test_sparse_pricing_follows_dense_pricing_with_a_zero_column(monkeypatch):
+    rng = np.random.default_rng(7)
+    a = np.where(rng.random((6, 20)) < 0.3, rng.normal(size=(6, 20)), 0.0)
+    a[:, -1] = 0.0                 # bincount must still give it a cost
+    b = a @ rng.uniform(size=20)
+    _assert_same_pivots_as_dense_pricing(monkeypatch, rng.uniform(size=20), a, b)
+
+
+def test_sparse_pricing_follows_dense_pricing_on_a_dense_matrix(monkeypatch):
+    rng = np.random.default_rng(8)
+    a = rng.normal(size=(8, 24))
+    b = a @ rng.uniform(size=24)
+    path = _assert_same_pivots_as_dense_pricing(monkeypatch,
+                                                rng.uniform(size=24), a, b)
+    assert len(path) >= 8
