@@ -25,7 +25,7 @@ from .distributions import HiddenChain, SequenceModel, first_seen_ranks, row_cod
 from .errors import DegenerateSensitiveError, InputError, NumericalError
 from .info import entropy, kl_divergence, mutual_information, sample_stderr
 from .masking import STAR, MaskedSequence, Ordering, _validate_sensitive
-from .mechanism import EnumeratedMechanism
+from .mechanism import exact_output_distribution
 
 
 @dataclass(frozen=True)
@@ -227,10 +227,8 @@ def robustness_experiment(pair: MismatchPair, K,
     means the composition is wrong and raises.
     """
     K = _validate_sensitive(K, pair.p_model.n)
-    engine = EnumeratedMechanism(pair.p_model, K, pair.q_model)
-    ordering = ordering or Ordering.linear(pair.p_model.n)
-    dist = engine.output_distribution(ordering)
-    leakage = dist.mutual_information_bits()
+    leakage = exact_output_distribution(pair.p_model, K, ordering,
+                                        pair.q_model).mutual_information_bits()
     bound = sequence_kl(pair.p_model, pair.q_model)
     if leakage > bound + 1e-9:
         raise NumericalError(

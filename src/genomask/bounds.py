@@ -25,7 +25,13 @@ from .distributions import (
     row_codes,
     sensitive_assignments,
 )
-from .masking import STAR, Ordering, _validate_sensitive, symbol_char
+from .masking import (
+    STAR,
+    Ordering,
+    _validate_ordering,
+    _validate_sensitive,
+    symbol_char,
+)
 from .mechanism import EnumeratedMechanism, OutputDistribution
 from .simplex import linear_program
 
@@ -42,23 +48,20 @@ LP_DENSE_BUDGET = 20_000_000
 def upper_bound_rate(model: SequenceModel, K) -> float:
     """Converse bound: (1/n) sum_i sum_v min_u p(x_i = v | sensitive = u).
 
-    The minimum ranges over assignments with positive prior.  Models with a
-    hidden chain (HMMs, Markov chains) use forward/backward; others enumerate.
+    The minimum skips the NaN rows (impossible assignments) of the table:
+    `hmm.sensitive_conditionals` with a hidden chain, else the enumerated one.
     """
     K = _validate_sensitive(K, model.n)
     if model.hidden_chain() is not None:
-        table = _hmm.sensitive_backward_table(model, K)
-        cond = _hmm.sensitive_conditionals(model, K, table)
-        reachable = table.prior > 0
-        mins = cond[:, reachable, :].min(axis=1)  # (n, arity)
-        return float(mins.sum()) / model.n
-    engine = EnumeratedMechanism(model, K)
-    total = 0.0
-    for pos in range(model.n):
-        cond, totals = engine.predictive(engine.q, pos)
-        live = totals > 0
-        total += float(cond[live].min(axis=0).sum())
-    return total / model.n
+        cond = _hmm.sensitive_conditionals(model, K)
+    else:
+        cond = EnumeratedMechanism(model, K).sensitive_conditionals()
+    return float(np.nanmin(cond, axis=1).sum()) / model.n
+
+
+def _argmin_masks(cond: np.ndarray) -> np.ndarray:
+    """Entries within ``TIE_TOL`` of their minimum over axis 1; NaN never."""
+    return cond <= np.nanmin(cond, axis=1, keepdims=True) + TIE_TOL
 
 
 def markov_sufficient_condition_check(model: SequenceModel, K,
@@ -79,25 +82,14 @@ def markov_sufficient_condition_check(model: SequenceModel, K,
     exactly when the mechanism may fall short of the bound.
     """
     K = _validate_sensitive(K, model.n)
+    ordering = _validate_ordering(ordering, model.n)
     engine = EnumeratedMechanism(model, K)
-    ordering = ordering or Ordering.linear(model.n)
-
-    def argmin_masks(cond, live):
-        """(nodes, num_u, arity) masks of the live assignments within
-        ``TIE_TOL`` of each node's minimum."""
-        mins = np.where(live[..., None], cond, np.inf).min(axis=1)
-        return live[..., None] & (cond <= mins[:, None, :] + TIE_TOL)
-
-    candidates = {}
-    for pos in range(model.n):
-        cond, totals = engine.predictive(engine.q, pos)
-        candidates[pos] = argmin_masks(cond[None], totals[None] > 0)[0]
-
+    candidates = _argmin_masks(engine.sensitive_conditionals())
     for batch in engine.walk(ordering):
         if batch.pos is None:
             continue
-        sets = candidates[batch.pos]
-        sets &= argmin_masks(batch.cond, batch.totals > 0).all(axis=0)
+        sets = candidates[batch.pos, :, :batch.cond.shape[2]]
+        sets &= _argmin_masks(batch.cond).all(axis=0)
         if not sets.any(axis=0).all():
             return False
     return True

@@ -201,8 +201,7 @@ def verify_deterministic_rule(instance: HittingSetInstance,
         if batch.pos is None or batch.pos >= instance.m:
             continue
         element = batch.pos + 1
-        with np.errstate(invalid="ignore"):
-            defined = (~np.isnan(batch.cond)) & (batch.cond > 0)
+        defined = batch.cond > 0
         vals = batch.ratios[defined]
         if np.any((vals > DECISION_TOL) & (vals < 1.0 - DECISION_TOL)):
             return False  # a genuinely random decision: rule is wrong

@@ -118,16 +118,15 @@ def sensitive_backward_table(model: SequenceModel, K) -> SensitiveBackwardTable:
     return SensitiveBackwardTable(K, values, ucomp, prior, plain_from)
 
 
-def sensitive_conditionals(model: SequenceModel, K,
-                           table: SensitiveBackwardTable | None = None) -> np.ndarray:
+def sensitive_conditionals(model: SequenceModel, K) -> np.ndarray:
     """Prior conditionals p(x_i = v | sensitive = u), shape (n, num_u, arity).
 
     Positions in K get the indicator of u's component.  Assignments with
-    zero prior get NaN rows.
+    zero prior get NaN rows.  `EnumeratedMechanism.sensitive_conditionals`
+    is the enumeration oracle with this contract.
     """
     chain = require_chain(model, "the sensitive conditionals")
-    if table is None:
-        table = sensitive_backward_table(model, K)
+    table = sensitive_backward_table(model, K)
     K = table.K
     (n, arity, m), num_u = chain.emissions.shape, table.num_u
     slot = {k: j for j, k in enumerate(K)}

@@ -35,6 +35,14 @@ def _validate_sensitive(K, n: int) -> tuple[int, ...]:
     return K
 
 
+def _validate_ordering(ordering, n: int) -> Ordering:
+    """``ordering``, linear when None; `InputError` unless it has n places."""
+    ordering = Ordering.linear(n) if ordering is None else ordering
+    if len(ordering) != n:
+        raise InputError(f"ordering has {len(ordering)} positions, not {n}")
+    return ordering
+
+
 def release_ratios(mins: np.ndarray, cond: np.ndarray) -> np.ndarray:
     """Release probabilities ``mins / cond`` (0 where ``cond`` is not
     positive), with ``mins`` broadcast against ``cond``.

@@ -21,10 +21,10 @@ support row), and the predictive, release and step tables of the whole
 batch are single array operations.  The per-node `predictive`,
 `release_table` and `step_factor` are their one-node case; they remain as
 the one-node tables for `EnumeratedMechanism.mask`, the conditional query
-(`EnumeratedMechanism.conditional`), `bounds.upper_bound_rate` and the
-tests, which replay them along single paths.  The release probabilities
-themselves come from one rule, `masking.release_ratios`, here and in the
-HMM session alike.  A branch is entered only when its true-model weight
+(`EnumeratedMechanism.conditional`), the prior table of the converse bound
+(`EnumeratedMechanism.sensitive_conditionals`) and the tests.  The release
+probabilities come from one rule, `masking.release_ratios`, here and in
+the HMM session alike.  A branch is entered only when its true-model weight
 stays positive.  Batches are cut at node boundaries and walked depth first,
 so the walk's live arrays stay within ``distributions.BELIEF_BUDGET_BYTES``.
 The output law, the stepwise-minima rate, the minimizer-stability
@@ -60,6 +60,7 @@ from .masking import (
     MaskedSequence,
     Ordering,
     TranscriptEntry,
+    _validate_ordering,
     _validate_sensitive,
     release_ratios,
 )
@@ -122,8 +123,6 @@ class EnumeratedMechanism:
                                  [self.arities[k] for k in self.K])
         self.q_prior = np.bincount(self.u_codes, weights=self.q,
                                    minlength=self.num_u)
-        self.p_prior = np.bincount(self.u_codes, weights=self.p,
-                                   minlength=self.num_u)
 
     # -- per-node tables -----------------------------------------------------
     #
@@ -181,6 +180,14 @@ class EnumeratedMechanism:
         """
         cond, totals = self._predictive(pos, 1, 0, slice(None), wq)
         return cond[0], totals[0]
+
+    def sensitive_conditionals(self) -> np.ndarray:
+        """`hmm.sensitive_conditionals` by enumeration, under the mechanism's
+        model: (n, num_u, max arity), 0 past a position's arity."""
+        out = np.zeros((self.n, self.num_u, max(self.arities)))
+        for pos, arity in enumerate(self.arities):
+            out[pos, :, :arity] = self.predictive(self.q, pos)[0]
+        return out
 
     def release_table(self, cond: np.ndarray, totals: np.ndarray, pos: int):
         """Release probabilities for position pos.
@@ -488,10 +495,7 @@ def mask_sequence(model: SequenceModel, x, K, ordering: Ordering | None = None,
     if rng is None:
         raise InputError("mask_sequence requires a random generator")
     engine = EnumeratedMechanism(model, K, mechanism_model)
-    ordering = ordering or Ordering.linear(model.n)
-    if len(ordering) != model.n:
-        raise InputError("ordering length does not match model")
-    return engine.mask(x, ordering, rng)
+    return engine.mask(x, _validate_ordering(ordering, model.n), rng)
 
 
 def exact_output_distribution(model: SequenceModel, K,
@@ -499,8 +503,7 @@ def exact_output_distribution(model: SequenceModel, K,
                               mechanism_model=None):
     """Exact joint law of (sensitive values, masked output)."""
     engine = EnumeratedMechanism(model, K, mechanism_model)
-    ordering = ordering or Ordering.linear(model.n)
-    return engine.output_distribution(ordering)
+    return engine.output_distribution(_validate_ordering(ordering, model.n))
 
 
 def achievable_rate_exact(model: SequenceModel, K,
@@ -515,8 +518,7 @@ def rate_from_stepwise_minima(model: SequenceModel, K,
     """The sequential-rate expression: the prefix-expected sum of minimum
     conditionals, averaged over positions.  Equals `achievable_rate_exact`."""
     engine = EnumeratedMechanism(model, K)
-    ordering = ordering or Ordering.linear(model.n)
-    return engine.stepwise_minima_rate(ordering)
+    return engine.stepwise_minima_rate(_validate_ordering(ordering, model.n))
 
 
 def achievable_rate_mc(model: SequenceModel, K, ordering: Ordering | None = None,
@@ -526,7 +528,7 @@ def achievable_rate_mc(model: SequenceModel, K, ordering: Ordering | None = None
         raise InputError("achievable_rate_mc requires a random generator")
     if runs < 1:
         raise InputError("runs must be >= 1")
-    ordering = ordering or Ordering.linear(model.n)
+    ordering = _validate_ordering(ordering, model.n)
     if model.hidden_chain() is not None and ordering.is_linear:
         return _hmm.erasure_rate_mc(model, K, runs, rng)
     engine = EnumeratedMechanism(model, K)

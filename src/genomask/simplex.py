@@ -127,7 +127,8 @@ def _run_phase(a, factors, c_full, basis, b_inv, x_b, b, maxiter):
         if iters and iters % REFACTOR_EVERY == 0:
             # the basis columns of [A I]
             real = basis < n
-            mat = np.eye(len(basis))[:, np.where(real, 0, basis - n)]
+            mat = np.zeros((len(basis), len(basis)))
+            mat[basis[~real] - n, np.flatnonzero(~real)] = 1.0
             mat[:, real] = a[:, basis[real]]
             b_inv[:] = np.linalg.inv(mat)
             x_b[:] = b_inv @ b

@@ -20,6 +20,8 @@ from genomask import (
     rate_from_stepwise_minima,
     upper_bound_rate,
 )
+from genomask.bounds import TIE_TOL
+from genomask.hardness import HittingSetInstance, ParityModel
 from genomask.mechanism import EnumeratedMechanism
 
 from conftest import (
@@ -128,6 +130,50 @@ def test_bound_markov_chain_path_equals_explicit_twin(rng):
         assert chain.hidden_chain() is not None and twin.hidden_chain() is None
         assert upper_bound_rate(chain, K) == pytest.approx(
             upper_bound_rate(twin, K), abs=1e-12)
+
+
+def _prior_minimizers(cond, totals):
+    """(num_u, arity) masks of the possible assignments within ``TIE_TOL``
+    of the minimum, from one node's `predictive`."""
+    live = totals > 0
+    mins = np.where(live[:, None], cond, np.inf).min(axis=0)
+    return live[:, None] & (cond <= mins + TIE_TOL)
+
+
+def test_bound_and_condition_on_mixed_arities():
+    # the enumerated table pads positions of smaller arity with zeros; the
+    # bound and the certificate must read only each position's own symbols
+    rng = np.random.default_rng(7)
+    independent = ExplicitJointModel(np.kron(np.kron(
+        [0.3, 0.7], [0.2, 0.5, 0.3]), [0.6, 0.4]), arities=(2, 3, 2))
+    dependent = ExplicitJointModel(rng.dirichlet(np.ones(12)), (2, 3, 2))
+    probs = rng.dirichlet(np.ones(12)).reshape(2, 3, 2)
+    probs[:, 2, :] = 0.0            # the middle symbol 2 has prior zero
+    zero_prior = ExplicitJointModel(probs / probs.sum(), (2, 3, 2))
+    parity = ParityModel(HittingSetInstance.from_lists(2, [[1], [1, 2]]))
+    cases = [(independent, [1], None), (dependent, [1], Ordering((2, 0, 1))),
+             (dependent, [0, 2], None), (zero_prior, [1], None),
+             (zero_prior, [0], Ordering((1, 2, 0))),
+             (parity, parity.K, Ordering((1, 0, 2, 3)))]
+    verdicts = []
+    for model, K, ordering in cases:
+        eng = EnumeratedMechanism(model, K)
+        total, candidates = 0.0, {}
+        for pos in range(model.n):
+            cond, totals = eng.predictive(eng.q, pos)
+            total += cond[totals > 0].min(axis=0).sum()
+            candidates[pos] = _prior_minimizers(cond, totals)
+        assert upper_bound_rate(model, K) == pytest.approx(
+            total / model.n, abs=1e-15)
+        for batch in eng.walk(ordering or Ordering.linear(model.n)):
+            if batch.pos is None:
+                continue
+            for cond, totals in zip(batch.cond, batch.totals):
+                candidates[batch.pos] &= _prior_minimizers(cond, totals)
+        expected = all(c.any(axis=0).all() for c in candidates.values())
+        assert markov_sufficient_condition_check(model, K, ordering) is expected
+        verdicts.append(expected)
+    assert True in verdicts and False in verdicts
 
 
 def test_strict_gap_on_parity_model():

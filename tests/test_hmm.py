@@ -3,9 +3,12 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from genomask import (
     CapacityError,
+    ExplicitJointModel,
     HmmModel,
     ImpossibleContextError,
     InputError,
@@ -15,6 +18,7 @@ from genomask import (
     mask_hmm_batch,
     sensitive_backward_table,
     sensitive_conditionals,
+    upper_bound_rate,
 )
 from genomask.distributions import assignment_index, sensitive_assignments
 from genomask.hmm import BatchMaskingSession, erasure_rate_mc
@@ -93,6 +97,32 @@ def test_sensitive_conditionals_match_enumeration(rng):
         for pos in range(model.n):
             brute, totals = eng.predictive(eng.q, pos)
             assert cond[pos] == pytest.approx(brute, abs=1e-12, nan_ok=True)
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 10 ** 6),
+       kind=st.sampled_from(["markov", "markov-zero", "hmm"]))
+def test_sensitive_conditionals_equal_enumeration_oracle(seed, kind):
+    # the forward/backward table against the enumerated one, NaN rows (zero
+    # prior) included, and the bound of each against its explicit twin
+    rng = np.random.default_rng(seed)
+    n, arity = int(rng.integers(2, 7)), int(rng.integers(2, 4))
+    if kind == "markov":
+        model = random_markov(rng, n, alphabet=arity)
+    elif kind == "markov-zero":
+        model = zero_transition_chain(n)
+    else:
+        eps = 0.0 if rng.random() < 0.25 else None
+        model = random_hmm(rng, n, int(rng.integers(1, 4)), alphabet=arity,
+                           eps=eps)
+    K = sorted(rng.choice(n, size=int(rng.integers(1, 3)), replace=False))
+    fast = sensitive_conditionals(model, K)
+    oracle = EnumeratedMechanism(model, K).sensitive_conditionals()
+    np.testing.assert_array_equal(np.isnan(fast), np.isnan(oracle))
+    assert fast == pytest.approx(oracle, abs=1e-12, nan_ok=True)
+    twin = ExplicitJointModel(model.joint_table()[1], model.arities)
+    assert upper_bound_rate(model, K) == pytest.approx(
+        upper_bound_rate(twin, K), abs=1e-12)
 
 
 def test_predictive_uniform_when_emissions_are_noise(rng):

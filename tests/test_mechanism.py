@@ -273,6 +273,25 @@ def test_ordering_validation():
     with pytest.raises(InputError):
         Ordering((0, 0, 1))
     assert Ordering.linear(3).is_linear
+    # every exact entry point rejects an ordering shorter or longer than n
+    mc = MarkovChainModel.binary_symmetric(0.8, 4)
+    rng = np.random.default_rng(1)
+    entry_points = [
+        lambda o: exact_output_distribution(mc, [0], o),
+        lambda o: achievable_rate_exact(mc, [0], o),
+        lambda o: rate_from_stepwise_minima(mc, [0], o),
+        lambda o: markov_sufficient_condition_check(mc, [0], o),
+        lambda o: verify_privacy_exact(mc, [0], o),
+        lambda o: mask_sequence(mc, (0, 1, 1, 0), [0], o, rng=rng),
+        lambda o: achievable_rate_mc(mc, [0], o, runs=5, rng=rng),
+        lambda o: robustness_experiment(MismatchPair(mc, mc), [0], o),
+    ]
+    for call, size in itertools.product(entry_points, (3, 5)):
+        with pytest.raises(InputError):
+            call(Ordering.linear(size))
+    uniform = ExplicitJointModel.uniform(3)
+    with pytest.raises(InputError):
+        achievable_rate_mc(uniform, [0], Ordering.linear(2), runs=5, rng=rng)
 
 
 def test_masked_sequence_roundtrip():
