@@ -21,11 +21,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import hmm as _hmm
-from .distributions import HiddenChain, SequenceModel, first_seen_ranks, row_codes
+from .distributions import HiddenChain, SequenceModel
 from .errors import DegenerateSensitiveError, InputError, NumericalError
-from .info import entropy, kl_divergence, mutual_information, sample_stderr
+from .info import entropy, kl_divergence, sample_stderr
 from .masking import STAR, MaskedSequence, Ordering, _validate_sensitive
-from .mechanism import exact_output_distribution
+from .mechanism import OutputDistribution, exact_output_distribution
 
 
 @dataclass(frozen=True)
@@ -74,22 +74,15 @@ def window_leakage_exact(model: SequenceModel, K, omega: int,
     """I(sensitive; released coordinates) / H(sensitive), by enumeration."""
     K = _validate_sensitive(K, model.n)
     policy = WindowPolicy(mode, omega, K)
-    released = sorted(set(range(model.n)) - policy.erased_positions(model.n))
-    space, p = model.joint_table()
-    nonzero = p != 0
-    space, p = space[nonzero], p[nonzero]
-    dims = [model.arities[k] for k in K]
-    ui = row_codes(space[:, list(K)], dims)
-    # one column per released pattern, in order of first appearance
-    ri = first_seen_ranks(row_codes(space[:, released],
-                                    [model.arities[i] for i in released]))
-    cols = int(ri.max()) + 1
-    joint = np.bincount(ui * cols + ri, weights=p,
-                        minlength=math.prod(dims) * cols).reshape(-1, cols)
-    h_k = entropy(joint.sum(axis=1))
-    if h_k <= 0.0:
+    xs = model.enumerate_space()
+    ys = xs.copy()
+    ys[:, sorted(policy.erased_positions(model.n))] = STAR
+    dist = OutputDistribution.from_mechanism(model, K, xs, ys,
+                                             np.ones(xs.shape[0]))
+    prior = dist.sensitive_marginal()
+    if np.count_nonzero(prior) < 2:
         raise DegenerateSensitiveError("sensitive symbols carry no entropy")
-    return mutual_information(joint) / h_k
+    return dist.mutual_information_bits() / entropy(prior)
 
 
 def _suffix_rows(chain: HiddenChain, xs: np.ndarray, rows) -> dict[int, np.ndarray]:
@@ -136,9 +129,9 @@ def window_leakage_sweep(model: SequenceModel, K, omegas, samples: int,
     batch_size = _hmm.mc_batch_size(8 * chain.m * (len(kept) + 1))
     table = _hmm.sensitive_backward_table(model, K)
     prior = table.prior
-    h_k = entropy(prior)
-    if h_k <= 0.0:
+    if np.count_nonzero(prior) < 2:
         raise DegenerateSensitiveError("sensitive symbol carries no entropy")
+    h_k = entropy(prior)
 
     (_, arity, m), t = chain.emissions.shape, chain.trans
     # alpha[w, v, s] = p(x_0 = v, S_w = s): sample-independent, one chain

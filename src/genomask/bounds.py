@@ -19,12 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import hmm as _hmm
-from .distributions import (
-    SequenceModel,
-    first_seen_ranks,
-    row_codes,
-    sensitive_assignments,
-)
+from .distributions import SequenceModel, first_seen_ranks, row_codes
 from .masking import (
     STAR,
     Ordering,
@@ -206,19 +201,8 @@ def lp_optimal_rate(model: SequenceModel, K) -> LpSolution:
 def lp_output_distribution(model: SequenceModel, K,
                            solution: LpSolution) -> OutputDistribution:
     """Joint law of (sensitive values, output) induced by an LP mechanism."""
-    K = _validate_sensitive(K, model.n)
-    us = sensitive_assignments(model.arities, K)
-    _, p = model.joint_table()
     pairs = list(solution.mechanism)
     xs = np.array([x for x, _ in pairs], dtype=np.int64).reshape(-1, model.n)
     ys = np.array([y for _, y in pairs], dtype=np.int64).reshape(-1, model.n)
     w = np.array(list(solution.mechanism.values()), dtype=float)
-    px = p[row_codes(xs, model.arities)]
-    keep = (px > 0) & (w > 0)
-    y_values, col = np.unique(ys[keep], axis=0, return_inverse=True)
-    u = row_codes(xs[keep][:, list(K)], [model.arities[k] for k in K])
-    num_y = y_values.shape[0]
-    matrix = np.bincount(u * num_y + col.reshape(-1), weights=px[keep] * w[keep],
-                         minlength=len(us) * num_y).reshape(len(us), num_y)
-    return OutputDistribution(model.n, K, us, list(map(tuple, y_values.tolist())),
-                              matrix)
+    return OutputDistribution.from_mechanism(model, K, xs, ys, w)

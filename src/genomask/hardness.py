@@ -108,7 +108,6 @@ class ParityModel(SequenceModel):
         self.n = m + k
         self.edges = instance.edges
         self.num_edges = len(self.edges)
-        self.edge_index = {e: t for t, e in enumerate(self.edges)}
         self.element_edges = [
             [j for j, s in enumerate(instance.sets) if v in s]
             for v in range(1, m + 1)
@@ -118,44 +117,36 @@ class ParityModel(SequenceModel):
             + [2] * k
         )
         self.K = tuple(range(m, m + k))
+        # edge t = (v, j) is bit _shift[t] of position _elem[t] = v - 1 (an
+        # element's edges are consecutive, its first one most significant)
+        # and a term of the parity at position m + j; bits @ _code sums both
+        element, sets = np.array(self.edges, dtype=np.int64).T
+        self._elem = element - 1
+        self._shift = (np.cumsum(np.bincount(self._elem))[self._elem]
+                       - np.arange(self.num_edges) - 1)
+        self._code = np.zeros((self.num_edges, self.n), dtype=np.int64)
+        self._code[np.arange(self.num_edges), self._elem] = 1 << self._shift
+        self._code[np.arange(self.num_edges), m + sets] = 1
+
+    def _encode(self, bits: np.ndarray) -> np.ndarray:
+        """(N, n) sequences implied by (N, num_edges) edge bits."""
+        xs = np.asarray(bits, dtype=np.int64) @ self._code
+        xs[:, self.instance.m:] &= 1
+        return xs
 
     def joint_probs(self, xs: np.ndarray) -> np.ndarray:
         xs = np.asarray(xs, dtype=np.int64)
-        m = self.instance.m
-        # reconstruct every edge bit from the element codes
-        bits = np.zeros((xs.shape[0], self.num_edges), dtype=np.int64)
-        for v in range(1, m + 1):
-            code = xs[:, v - 1]
-            for back, j in enumerate(reversed(self.element_edges[v - 1])):
-                bits[:, self.edge_index[(v, j)]] = (code >> back) & 1
-        ok = np.ones(xs.shape[0], dtype=bool)
-        for j, s in enumerate(self.instance.sets):
-            parity = np.zeros(xs.shape[0], dtype=np.int64)
-            for v in s:
-                parity ^= bits[:, self.edge_index[(v, j)]]
-            ok &= parity == xs[:, m + j]
+        # the edge bits read off the element codes must give the parities
+        bits = (xs[:, self._elem] >> self._shift) & 1
+        ok = np.all(self._encode(bits) == xs, axis=1)
         return np.where(ok, 2.0 ** -self.num_edges, 0.0)
 
     def assemble(self, bits) -> tuple[int, ...]:
         """Sequence implied by an assignment of edge bits."""
-        bits = np.asarray(bits, dtype=np.int64)
-        x = []
-        for v in range(1, self.instance.m + 1):
-            code = 0
-            for j in self.element_edges[v - 1]:
-                code = (code << 1) | int(bits[self.edge_index[(v, j)]])
-            x.append(code)
-        for j, s in enumerate(self.instance.sets):
-            parity = 0
-            for v in s:
-                parity ^= int(bits[self.edge_index[(v, j)]])
-            x.append(parity)
-        return tuple(x)
+        return tuple(self._encode(np.reshape(bits, (1, -1)))[0].tolist())
 
     def sample_batch(self, count: int, rng: np.random.Generator) -> np.ndarray:
-        bits = rng.integers(2, size=(count, self.num_edges))
-        return np.array([self.assemble(b) for b in bits],
-                        dtype=np.int64).reshape(count, self.n)
+        return self._encode(rng.integers(2, size=(count, self.num_edges)))
 
 
 def deterministic_erasure_set(instance: HittingSetInstance,

@@ -47,7 +47,7 @@ from .masking import (
     MaskedSequence,
     TranscriptEntry,
     _validate_sensitive,
-    release_ratios,
+    release_rule,
 )
 
 #: Sensitive sets larger than this make the 2^|K| hypothesis loop pointless.
@@ -215,13 +215,9 @@ class BatchMaskingSession:
             comp = self.table.u_components[:, self._slot[self.pos]]
             px = np.where(live[:, :, None] & (comp[:, None] == np.arange(arity)),
                           1.0, 0.0)
-            mins = np.zeros((self.batch, arity))  # sensitive: always erase
         else:
             px = np.matmul(pred, self.chain.emissions[self.pos].T)
-            masked = np.where(live[:, :, None], px, np.inf)
-            mins = masked.min(axis=1)
-            mins[~np.isfinite(mins)] = 0.0
-        ratios = release_ratios(mins[:, None, :], px)
+        mins, ratios = release_rule(px, live, self.pos in self._slot)
         self._cache = (pred, px, mins, ratios)
         return self._cache
 
@@ -287,12 +283,12 @@ class BatchMaskingSession:
         return y, r
 
 
-def mask_hmm(model: SequenceModel, x, K, rng: np.random.Generator, table=None):
+def mask_hmm(model: SequenceModel, x, K, rng: np.random.Generator):
     """Mask one sequence; returns (MaskedSequence, transcript)."""
     x = validate_sequence(x, model.arities)
     K = _validate_sensitive(K, model.n)
     session = BatchMaskingSession(
-        model, K, np.array([[x[k] for k in K]], dtype=np.int64), table)
+        model, K, np.array([[x[k] for k in K]], dtype=np.int64))
     y = []
     transcript = []
     for i in range(model.n):

@@ -1,5 +1,5 @@
 """Shared vocabulary for masked sequences, orderings and transcripts, and
-the release-ratio rule that both the enumeration and the HMM paths apply."""
+`release_rule`, which both the enumeration and the HMM paths apply."""
 
 from __future__ import annotations
 
@@ -43,21 +43,29 @@ def _validate_ordering(ordering, n: int) -> Ordering:
     return ordering
 
 
-def release_ratios(mins: np.ndarray, cond: np.ndarray) -> np.ndarray:
-    """Release probabilities ``mins / cond`` (0 where ``cond`` is not
-    positive), with ``mins`` broadcast against ``cond``.
+def release_rule(cond: np.ndarray, live: np.ndarray, sensitive: bool):
+    """(mins, ratios) from conditionals ``cond[..., u, v]`` and the
+    hypotheses ``live[..., u]`` possible in the context, over any leading
+    axes: ``mins[..., v]`` is the least live conditional (0 at a sensitive
+    position or with none live) and ``ratios = mins / cond`` (0 where
+    ``cond`` is not positive) the release probability of v under u.
 
     Ratios beyond ``RATIO_TOL`` outside [0, 1] raise `NumericalError`; the
     rest are clipped into [0, 1] and snapped to 1 within ``RATIO_SNAP``.
     """
+    if sensitive:
+        mins = np.zeros(cond.shape[:-2] + cond.shape[-1:])
+    else:
+        mins = np.where(live[..., None], cond, np.inf).min(axis=-2)
+        mins[np.isinf(mins)] = 0.0
     ratios = np.zeros_like(cond)
-    np.divide(np.broadcast_to(mins, cond.shape), cond, out=ratios,
-              where=cond > 0)
+    np.divide(np.broadcast_to(mins[..., None, :], cond.shape), cond,
+              out=ratios, where=cond > 0)
     if np.any(ratios > 1.0 + RATIO_TOL) or np.any(ratios < -RATIO_TOL):
         raise NumericalError("release ratio outside [0, 1] beyond tolerance")
     np.clip(ratios, 0.0, 1.0, out=ratios)
     ratios[ratios > 1.0 - RATIO_SNAP] = 1.0
-    return ratios
+    return mins, ratios
 
 
 def symbol_char(v: int) -> str:

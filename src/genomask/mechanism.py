@@ -23,8 +23,8 @@ batch are single array operations.  The per-node `predictive`,
 the one-node tables for `EnumeratedMechanism.mask`, the conditional query
 (`EnumeratedMechanism.conditional`), the prior table of the converse bound
 (`EnumeratedMechanism.sensitive_conditionals`) and the tests.  The release
-probabilities come from one rule, `masking.release_ratios`, here and in
-the HMM session alike.  A branch is entered only when its true-model weight
+probabilities come from one rule, `masking.release_rule`, here and in the
+HMM session alike.  A branch is entered only when its true-model weight
 stays positive.  Batches are cut at node boundaries and walked depth first,
 so the walk's live arrays stay within ``distributions.BELIEF_BUDGET_BYTES``.
 The output law, the stepwise-minima rate, the minimizer-stability
@@ -62,7 +62,7 @@ from .masking import (
     TranscriptEntry,
     _validate_ordering,
     _validate_sensitive,
-    release_ratios,
+    release_rule,
 )
 
 #: Cap on the number of distinct output sequences visited by exact
@@ -114,8 +114,6 @@ class EnumeratedMechanism:
         self.space = space[keep]
         self.p = p[keep]
         self.q = q[keep]
-        self._row_lookup = np.full(space.shape[0], -1, dtype=np.int64)
-        self._row_lookup[np.flatnonzero(keep)] = np.arange(self.space.shape[0])
 
         self.u_values = sensitive_assignments(self.arities, self.K)
         self.num_u = len(self.u_values)
@@ -145,17 +143,6 @@ class EnumeratedMechanism:
         np.divide(sums, totals[..., None], out=cond, where=totals[..., None] > 0)
         return cond, totals
 
-    def _release(self, cond: np.ndarray, totals: np.ndarray, pos: int):
-        """Per-node (mins, ratios), shapes (nodes, arity) and
-        (nodes, num_u, arity); see `release_table`."""
-        live = totals > 0
-        if pos in self.K:
-            mins = np.zeros((cond.shape[0], cond.shape[2]))
-        else:
-            mins = np.where(live[..., None], cond, np.inf).min(axis=1)
-            mins[~live.any(axis=1)] = 0.0
-        return mins, release_ratios(mins[:, None, :], cond)
-
     def _step_factors(self, pos: int, ratios: np.ndarray, node, row):
         """Per-entry weight multipliers (release, erase): releasing the
         entry's own symbol, and erasing it.  Releasing any other symbol
@@ -164,12 +151,6 @@ class EnumeratedMechanism:
         return release, 1.0 - release
 
     # -- primitive queries --------------------------------------------------
-
-    def row_of(self, x) -> int:
-        """Row index of sequence x, or -1 if it was filtered out as
-        impossible under both models."""
-        x = validate_sequence(x, self.arities)
-        return int(self._row_lookup[row_codes([x], self.arities)[0]])
 
     def predictive(self, wq: np.ndarray, pos: int):
         """Per-hypothesis conditional of X_pos given the current weights.
@@ -197,8 +178,7 @@ class EnumeratedMechanism:
         v), ``ratios[u, v]`` the probability of release for a holder of
         assignment u observing symbol v.
         """
-        mins, ratios = self._release(cond[None], totals[None], pos)
-        return mins[0], ratios[0]
+        return release_rule(cond, totals > 0, pos in self.K)
 
     def step_factor(self, pos: int, y: int, ratios: np.ndarray) -> np.ndarray:
         """Per-sequence weight multiplier for outcome y at position pos."""
@@ -212,8 +192,7 @@ class EnumeratedMechanism:
     def mask(self, x, ordering: Ordering, rng: np.random.Generator):
         """Mask one sequence; returns (MaskedSequence, transcript)."""
         x = validate_sequence(x, self.arities)
-        row = self.row_of(x)
-        if row < 0 or self.q[row] == 0.0:
+        if self.mech_model.joint_prob(x) == 0.0:
             warnings.warn(
                 "input sequence has probability zero under the mechanism's "
                 "model; impossible contexts will be erased",
@@ -296,8 +275,8 @@ class EnumeratedMechanism:
                 batch.pos = pos = ordering.perm[batch.depth]
                 batch.cond, batch.totals = self._predictive(
                     pos, batch.size, batch.node, batch.row, batch.wq)
-                batch.mins, batch.ratios = self._release(
-                    batch.cond, batch.totals, pos)
+                batch.mins, batch.ratios = release_rule(
+                    batch.cond, batch.totals > 0, pos in self.K)
             yield batch
             if batch.pos is not None:
                 children = self._children(batch, matched)
@@ -378,8 +357,7 @@ class EnumeratedMechanism:
         ys = np.concatenate(ys)
         order = np.lexsort(ys.T[::-1])
         return OutputDistribution(
-            self.n, self.K, list(self.u_values),
-            list(map(tuple, ys[order].tolist())),
+            self.n, self.K, list(self.u_values), ys[order],
             np.ascontiguousarray(np.concatenate(cols)[order].T))
 
     def stepwise_minima_rate(self, ordering: Ordering) -> float:
@@ -437,13 +415,41 @@ class NodeBatch:
 
 @dataclass
 class OutputDistribution:
-    """Exact joint table p(sensitive assignment, masked output)."""
+    """Exact joint table p(sensitive assignment, masked output); column j
+    of ``matrix`` is output ``ys[j]``, and ``ys`` is sorted by rows."""
 
     n: int
     K: tuple[int, ...]
     u_values: list[tuple[int, ...]]
-    y_values: list[tuple[int, ...]]
+    ys: np.ndarray      # (num_y, n) int64
     matrix: np.ndarray  # (num_u, num_y)
+
+    @classmethod
+    def from_mechanism(cls, model: SequenceModel, K, xs: np.ndarray,
+                       ys: np.ndarray, w: np.ndarray) -> "OutputDistribution":
+        """Law of a mechanism that releases sequence ``xs[j]`` as ``ys[j]``
+        with probability ``w[j]``, the inputs drawn from ``model``."""
+        K = _validate_sensitive(K, model.n)
+        us = sensitive_assignments(model.arities, K)
+        _, p = model.joint_table()
+        px = p[row_codes(xs, model.arities)]
+        keep = (px > 0) & (w > 0)
+        # row codes sort as the tuples do (the erasure codes as 0), and a 1-D
+        # unique of them is far faster than np.unique(axis=0) over the rows
+        codes = row_codes(ys[keep] - STAR, [a + 1 for a in model.arities])
+        _, first, col = np.unique(codes, return_index=True, return_inverse=True)
+        ys = ys[keep][first]
+        u = row_codes(xs[keep][:, list(K)], [model.arities[k] for k in K])
+        num_y = ys.shape[0]
+        matrix = np.bincount(u * num_y + col.reshape(-1),
+                             weights=px[keep] * w[keep],
+                             minlength=len(us) * num_y).reshape(len(us), num_y)
+        return cls(model.n, K, us, ys, matrix)
+
+    @property
+    def y_values(self) -> list[tuple[int, ...]]:
+        """The outputs as tuples."""
+        return list(map(tuple, self.ys.tolist()))
 
     @property
     def total(self) -> float:
@@ -456,9 +462,8 @@ class OutputDistribution:
         return self.matrix.sum(axis=0)
 
     def expected_erasure_fraction(self) -> float:
-        stars = np.array([sum(1 for v in y if v == STAR) for y in self.y_values],
-                         dtype=float)
-        return float(self.output_marginal() @ stars) / self.n
+        return float(self.output_marginal() @ (self.ys == STAR).sum(axis=1)
+                     / self.n)
 
     def mutual_information_bits(self) -> float:
         return mutual_information(self.matrix / self.total)
@@ -482,19 +487,18 @@ class PrivacyAudit:
 # Module-level operations
 
 
-def conditional_query(model: SequenceModel, i: int, u, K, y_prefix=(),
-                      mechanism_model=None) -> np.ndarray:
+def conditional_query(model: SequenceModel, i: int, u, K,
+                      y_prefix=()) -> np.ndarray:
     """Exact p(X_i | sensitive = u, produced prefix) by enumeration."""
-    return EnumeratedMechanism(model, K, mechanism_model).conditional(
-        i, u, y_prefix)
+    return EnumeratedMechanism(model, K).conditional(i, u, y_prefix)
 
 
 def mask_sequence(model: SequenceModel, x, K, ordering: Ordering | None = None,
-                  rng: np.random.Generator | None = None, mechanism_model=None):
+                  rng: np.random.Generator | None = None):
     """Mask one sequence with the sequential mechanism (reference path)."""
     if rng is None:
         raise InputError("mask_sequence requires a random generator")
-    engine = EnumeratedMechanism(model, K, mechanism_model)
+    engine = EnumeratedMechanism(model, K)
     return engine.mask(x, _validate_ordering(ordering, model.n), rng)
 
 
@@ -541,10 +545,9 @@ def achievable_rate_mc(model: SequenceModel, K, ordering: Ordering | None = None
 
 
 def verify_privacy_exact(model: SequenceModel, K,
-                         ordering: Ordering | None = None,
-                         mechanism_model=None) -> PrivacyAudit:
+                         ordering: Ordering | None = None) -> PrivacyAudit:
     """Exact privacy audit: worst-case conditional deviation and mutual
     information between sensitive values and the masked output."""
-    dist = exact_output_distribution(model, K, ordering, mechanism_model)
+    dist = exact_output_distribution(model, K, ordering)
     return PrivacyAudit(dist.max_conditional_deviation(),
                         dist.mutual_information_bits())

@@ -145,7 +145,7 @@ def _run_phase(a, factors, c_full, basis, b_inv, x_b, b, maxiter):
         iters += 1
 
 
-def linear_program(c, a, b, maxiter: int | None = None) -> SimplexResult:
+def linear_program(c, a, b) -> SimplexResult:
     """Minimize c @ x subject to A x = b, x >= 0."""
     a = np.atleast_2d(np.asarray(a, dtype=float))
     b = np.asarray(b, dtype=float).reshape(-1)
@@ -171,8 +171,7 @@ def linear_program(c, a, b, maxiter: int | None = None) -> SimplexResult:
     factors = (_nonzeros(transform), a_nz)
     del reduced, transform      # keep M only as its nonzeros (5-15% on fig5)
     b = np.abs(b)
-    if maxiter is None:
-        maxiter = max(20000, 60 * (m + n))
+    maxiter = max(20000, 60 * (m + n))
 
     basis = np.arange(n, n + m)
     b_inv = np.eye(m)

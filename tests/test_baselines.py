@@ -67,6 +67,21 @@ def test_degenerate_sensitive_raises():
         window_leakage_exact(m, [1], 1)
 
 
+def test_constant_sensitive_symbol_raises_at_every_window():
+    # x_0 = 1 on every panel row and theta = 0: the sensitive symbol is
+    # constant, though the entropy of its summed marginal can round to ~1e-16
+    model = HmmModel([[1, 0, 1, 1], [1, 1, 0, 1], [1, 1, 1, 1]], 0.3, 0.0)
+    for omega in range(5):
+        with pytest.raises(DegenerateSensitiveError):
+            window_leakage_exact(model, [0], omega)
+    # the estimator's prior over five panel rows sums to 1 within round-off
+    panel = np.ones((5, 6), dtype=np.int64)
+    panel[:, 1:] = np.random.default_rng(5).integers(2, size=(5, 5))
+    with pytest.raises(DegenerateSensitiveError):
+        window_leakage_sweep(HmmModel(panel, 0.3, 0.0), [0], [0, 2], 50,
+                             np.random.default_rng(1))
+
+
 def test_estimator_matches_exact(rng):
     model = random_hmm(rng, 8, 4, eps=0.15, theta=0.05)
     for w in (1, 3, 6):

@@ -12,13 +12,16 @@ from genomask import (
     ImpossibleContextError,
     InputError,
     MarkovChainModel,
+    NumericalError,
     Ordering,
     STAR,
+    WindowPolicy,
     achievable_rate_exact,
     achievable_rate_mc,
     conditional_query,
     exact_output_distribution,
     lp_optimal_rate,
+    lp_output_distribution,
     mask_sequence,
     rate_from_stepwise_minima,
     verify_privacy_exact,
@@ -27,14 +30,23 @@ from genomask import (
 from genomask import bounds, distributions, mechanism
 from genomask.baselines import MismatchPair, robustness_experiment
 from genomask.bounds import markov_sufficient_condition_check
+from genomask.distributions import first_seen_ranks, row_codes
 from genomask.hardness import (
     HittingSetInstance,
     ParityModel,
     random_instance,
     verify_deterministic_rule,
 )
-from genomask.masking import MaskedSequence, TranscriptEntry, transcript_to_json_lines
-from genomask.mechanism import EnumeratedMechanism
+from genomask.info import entropy, mutual_information
+from genomask.masking import (
+    RATIO_SNAP,
+    RATIO_TOL,
+    MaskedSequence,
+    TranscriptEntry,
+    release_rule,
+    transcript_to_json_lines,
+)
+from genomask.mechanism import EnumeratedMechanism, OutputDistribution
 
 from conftest import (
     parity_n3,
@@ -486,3 +498,128 @@ def test_shrunken_lp_budget_reports_capacity(rng, monkeypatch, name):
     assert lp_optimal_rate(model, [0]).status == "optimal"
     monkeypatch.setattr(bounds, name, 1)
     assert lp_optimal_rate(model, [0]).status == "capacity"
+
+
+# --- release_rule -------------------------------------------------------------
+
+
+def test_release_rule_minimum_over_live_rows_only():
+    # dead hypotheses carry NaN rows (enumeration) or zero rows (HMM filter)
+    cond = np.array([[0.2, 0.8], [0.6, 0.4], [np.nan, np.nan], [0.0, 0.0]])
+    mins, ratios = release_rule(cond, np.array([True, True, False, False]),
+                                False)
+    assert mins.tolist() == [0.2, 0.4]
+    np.testing.assert_allclose(ratios, [[1.0, 0.5], [1 / 3, 1.0],
+                                        [0.0, 0.0], [0.0, 0.0]], rtol=1e-15)
+
+
+def test_release_rule_erases_when_sensitive_or_nothing_live():
+    cond = np.array([[0.2, 0.8], [0.6, 0.4]])
+    for live, sensitive in [([True, True], True), ([False, False], False)]:
+        mins, ratios = release_rule(cond, np.array(live), sensitive)
+        assert mins.tolist() == [0.0, 0.0]
+        assert ratios.tolist() == [[0.0, 0.0], [0.0, 0.0]]
+
+
+@pytest.mark.parametrize("excess", [3.0, -3.0])
+def test_release_rule_raises_beyond_ratio_tol(excess):
+    live = np.array([True, False])
+    if excess > 0:   # a dead row below the minimum: ratio 1 + 3 RATIO_TOL
+        cond = np.array([[0.5, 0.5], [0.5 / (1 + excess * RATIO_TOL), 0.5]])
+    else:            # a negative minimum: ratio -3 RATIO_TOL
+        cond = np.array([[excess * RATIO_TOL, 1.0], [1.0, 0.0]])
+    with pytest.raises(NumericalError):
+        release_rule(cond, live, False)
+
+
+def test_release_rule_clips_within_ratio_tol():
+    live = np.array([True, False])
+    cond = np.array([[0.5, 0.5], [0.5 / (1 + RATIO_TOL / 2), 0.5]])
+    assert release_rule(cond, live, False)[1][1, 0] == 1.0
+    cond = np.array([[-RATIO_TOL / 2, 1.0], [1.0, 0.0]])
+    assert release_rule(cond, live, False)[1][1, 0] == 0.0
+
+
+def test_release_rule_snaps_to_one_within_ratio_snap():
+    live = np.array([True, True])
+    for gap, snapped in [(RATIO_SNAP / 2, True), (10 * RATIO_SNAP, False)]:
+        cond = np.array([[0.5, 0.5], [0.5 / (1 - gap), 1 - 0.5 / (1 - gap)]])
+        ratio = release_rule(cond, live, False)[1][1, 0]
+        assert (ratio == 1.0) == snapped
+        assert 1.0 - 2 * gap <= ratio <= 1.0
+
+
+@pytest.mark.parametrize("sensitive", [False, True])
+def test_release_rule_batched_equals_one_node(rng, sensitive):
+    cond = rng.dirichlet(np.ones(3), size=(2, 5, 4))     # (2, 5) nodes, 4 u
+    live = rng.random((2, 5, 4)) < 0.6
+    cond[~live] = np.nan
+    mins, ratios = release_rule(cond, live, sensitive)
+    assert mins.shape == (2, 5, 3) and ratios.shape == cond.shape
+    for idx in np.ndindex(2, 5):
+        one_mins, one_ratios = release_rule(cond[idx], live[idx], sensitive)
+        assert np.array_equal(mins[idx], one_mins)
+        assert np.array_equal(ratios[idx], one_ratios)
+
+
+# --- OutputDistribution.from_mechanism ----------------------------------------
+
+
+def first_seen_window_leakage(model, K, omega, mode):
+    """The window leakage as a bincount over released patterns in order of
+    first appearance: the reference `window_leakage_exact` must match."""
+    erased = WindowPolicy(mode, omega, tuple(K)).erased_positions(model.n)
+    released = sorted(set(range(model.n)) - erased)
+    space, p = model.joint_table()
+    space, p = space[p != 0], p[p != 0]
+    ui = row_codes(space[:, K], [model.arities[k] for k in K])
+    ri = first_seen_ranks(row_codes(space[:, released],
+                                    [model.arities[i] for i in released]))
+    cols = int(ri.max()) + 1
+    joint = np.bincount(ui * cols + ri, weights=p).reshape(-1, cols)
+    return mutual_information(joint) / entropy(joint.sum(axis=1))
+
+
+def window_law(model, K, omega, mode):
+    xs = model.enumerate_space()
+    ys = xs.copy()
+    ys[:, sorted(WindowPolicy(mode, omega, tuple(K))
+                 .erased_positions(model.n))] = STAR
+    return OutputDistribution.from_mechanism(model, K, xs, ys,
+                                             np.ones(xs.shape[0]))
+
+
+def assert_sorted_int_outputs(dist, n):
+    assert dist.ys.dtype == np.int64
+    assert dist.ys.shape == (dist.matrix.shape[1], n)
+    rows = list(map(tuple, dist.ys.tolist()))
+    assert all(a < b for a, b in zip(rows, rows[1:]))
+    assert dist.y_values == rows
+
+
+@settings(max_examples=12, deadline=None)
+@given(seed=st.integers(0, 10 ** 6), n=st.integers(2, 5),
+       kind=st.sampled_from(["explicit", "markov", "hmm"]))
+def test_from_mechanism_laws(seed, n, kind):
+    rng = np.random.default_rng(seed)
+    model = {"explicit": lambda: random_explicit(rng, n),
+             "markov": lambda: random_markov(rng, n),
+             "hmm": lambda: random_hmm(rng, n, 3)}[kind]()
+    for omega in range(n + 1):
+        assert abs(window_leakage_exact(model, [0], omega)
+                   - first_seen_window_leakage(model, [0], omega,
+                                               "prefix")) <= 1e-12
+        assert_sorted_int_outputs(window_law(model, [0], omega, "prefix"), n)
+    assert_sorted_int_outputs(exact_output_distribution(model, [0]), n)
+    solution = lp_optimal_rate(model, [0])
+    assert solution.status == "optimal"
+    assert_sorted_int_outputs(lp_output_distribution(model, [0], solution), n)
+
+
+def test_from_mechanism_radius_window(rng):
+    model = random_explicit(rng, 5, alphabet=3)
+    for omega in range(3):
+        assert abs(window_leakage_exact(model, [2], omega, "radius")
+                   - first_seen_window_leakage(model, [2], omega,
+                                               "radius")) <= 1e-12
+        assert_sorted_int_outputs(window_law(model, [2], omega, "radius"), 5)
