@@ -11,6 +11,7 @@ conditional stays a minimizer under every reachable produced prefix.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import math
@@ -56,7 +57,8 @@ def upper_bound_rate(model: SequenceModel, K) -> float:
 
 def _argmin_masks(cond: np.ndarray) -> np.ndarray:
     """Entries within ``TIE_TOL`` of their minimum over axis 1; NaN never."""
-    return cond <= np.nanmin(cond, axis=1, keepdims=True) + TIE_TOL
+    low = functools.reduce(np.fmin, np.moveaxis(cond, 1, 0))
+    return cond <= low[:, None] + TIE_TOL
 
 
 def markov_sufficient_condition_check(model: SequenceModel, K,

@@ -14,6 +14,7 @@ Elements are 1-based (as in instance files); sequence positions are
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 from dataclasses import dataclass
@@ -196,7 +197,7 @@ def verify_deterministic_rule(instance: HittingSetInstance,
         vals = batch.ratios[defined]
         if np.any((vals > DECISION_TOL) & (vals < 1.0 - DECISION_TOL)):
             return False  # a genuinely random decision: rule is wrong
-        erased = batch.mins.max(axis=1) <= DECISION_TOL
+        erased = functools.reduce(np.maximum, batch.mins.T) <= DECISION_TOL
         if erased.any():
             if element not in expected:
                 return False

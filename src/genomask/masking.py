@@ -3,6 +3,7 @@
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass
 from typing import Iterable, Sequence
@@ -51,19 +52,22 @@ def release_rule(cond: np.ndarray, live: np.ndarray, sensitive: bool):
     ``cond`` is not positive) the release probability of v under u.
 
     Ratios beyond ``RATIO_TOL`` outside [0, 1] raise `NumericalError`; the
-    rest are clipped into [0, 1] and snapped to 1 within ``RATIO_SNAP``.
+    rest are clipped from below at 0 and snapped to 1 within
+    ``RATIO_SNAP``, which also maps those within ``RATIO_TOL`` above 1 to 1.
     """
     if sensitive:
         mins = np.zeros(cond.shape[:-2] + cond.shape[-1:])
     else:
-        mins = np.where(live[..., None], cond, np.inf).min(axis=-2)
+        # slice by slice: numpy reduces a short middle axis slowly
+        mins = functools.reduce(np.minimum, np.moveaxis(
+            np.where(live[..., None], cond, np.inf), -2, 0))
         mins[np.isinf(mins)] = 0.0
     ratios = np.zeros_like(cond)
-    np.divide(np.broadcast_to(mins[..., None, :], cond.shape), cond,
-              out=ratios, where=cond > 0)
-    if np.any(ratios > 1.0 + RATIO_TOL) or np.any(ratios < -RATIO_TOL):
+    np.divide(mins[..., None, :], cond, out=ratios, where=cond > 0)
+    if (ratios.max(initial=0.0) > 1.0 + RATIO_TOL
+            or ratios.min(initial=0.0) < -RATIO_TOL):
         raise NumericalError("release ratio outside [0, 1] beyond tolerance")
-    np.clip(ratios, 0.0, 1.0, out=ratios)
+    np.maximum(ratios, 0.0, out=ratios)
     ratios[ratios > 1.0 - RATIO_SNAP] = 1.0
     return mins, ratios
 

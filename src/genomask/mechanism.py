@@ -17,10 +17,11 @@ belief about the data may differ from the true distribution
 One walker, `EnumeratedMechanism.walk`, visits the prefix tree of produced
 outputs a level at a time: every node at depth d processes the same
 position, so a `NodeBatch` stores many nodes flat, one entry per (node,
-support row), and the predictive, release and step tables of the whole
-batch are single array operations.  The per-node `predictive`,
-`release_table` and `step_factor` are their one-node case; they remain as
-the one-node tables for `EnumeratedMechanism.mask`, the conditional query
+support row), and the predictive and release tables of the whole batch are
+single array operations.  Each entry's flat cell (node, hypothesis, own
+symbol) sums it into the first and reads its step factor off the second.
+The per-node `predictive`, `release_table` and `step_factor` are their
+one-node case, for `EnumeratedMechanism.mask`, the conditional query
 (`EnumeratedMechanism.conditional`), the prior table of the converse bound
 (`EnumeratedMechanism.sensitive_conditionals`) and the tests.  The release
 probabilities come from one rule, `masking.release_rule`, here and in the
@@ -71,8 +72,9 @@ from .masking import (
 LEAF_BUDGET = 1 << 17
 
 #: Upper bounds on what one walk batch holds at its peak: bytes per entry
-#: (its index and weight arrays, their temporaries and its children; about
-#: 150 measured) and float64 tables per (node, hypothesis, symbol).
+#: (its index, cell and weight arrays, their temporaries and its children;
+#: 140 measured, 152 with a mismatched engine) and float64 tables per
+#: (node, hypothesis, symbol).
 #: `EnumeratedMechanism.walk` sizes its batches from them.
 _ENTRY_BYTES = 256
 _TABLES_PER_NODE = 8
@@ -129,26 +131,24 @@ class EnumeratedMechanism:
     # ``row[e]`` of node ``node[e]``.  ``row`` may be a slice; the one-node
     # primitives below pass node 0 and every row.
 
-    def _predictive(self, pos: int, nodes: int, node, row, wq):
-        """Per-node (cond, totals), shapes (nodes, num_u, arity) and
-        (nodes, num_u); see `predictive`."""
+    def _cells(self, pos: int, node, row):
+        """Per-entry flat index (node, hypothesis, own symbol) into the
+        (nodes, num_u, arity) tables at pos."""
         arity = self.arities[pos]
-        keys = ((node * self.num_u + self.u_codes[row]) * arity
-                + self.space[row, pos])
-        sums = np.bincount(keys, weights=wq,
+        return ((node * self.num_u + self.u_codes[row]) * arity
+                + self.space[:, pos][row])
+
+    def _predictive(self, pos: int, nodes: int, cell, wq):
+        """Per-node (cond, totals), shapes (nodes, num_u, arity) and
+        (nodes, num_u), from the entries' `_cells`; see `predictive`."""
+        arity = self.arities[pos]
+        sums = np.bincount(cell, weights=wq,
                            minlength=nodes * self.num_u * arity)
         sums = sums.reshape(nodes, self.num_u, arity)
         totals = sums.sum(axis=2)
         cond = np.full_like(sums, np.nan)
         np.divide(sums, totals[..., None], out=cond, where=totals[..., None] > 0)
         return cond, totals
-
-    def _step_factors(self, pos: int, ratios: np.ndarray, node, row):
-        """Per-entry weight multipliers (release, erase): releasing the
-        entry's own symbol, and erasing it.  Releasing any other symbol
-        multiplies by 0."""
-        release = ratios[node, self.u_codes[row], self.space[row, pos]]
-        return release, 1.0 - release
 
     # -- primitive queries --------------------------------------------------
 
@@ -159,7 +159,8 @@ class EnumeratedMechanism:
         of symbol v under sensitive assignment u (NaN when u is impossible in
         this context), ``totals[u]`` the unnormalized mass of u.
         """
-        cond, totals = self._predictive(pos, 1, 0, slice(None), wq)
+        cond, totals = self._predictive(
+            pos, 1, self._cells(pos, 0, slice(None)), wq)
         return cond[0], totals[0]
 
     def sensitive_conditionals(self) -> np.ndarray:
@@ -182,9 +183,9 @@ class EnumeratedMechanism:
 
     def step_factor(self, pos: int, y: int, ratios: np.ndarray) -> np.ndarray:
         """Per-sequence weight multiplier for outcome y at position pos."""
-        release, erase = self._step_factors(pos, ratios[None], 0, slice(None))
+        release = ratios.reshape(-1)[self._cells(pos, 0, slice(None))]
         if y == STAR:
-            return erase
+            return 1.0 - release
         return np.where(self.space[:, pos] == y, release, 0.0)
 
     # -- single runs ---------------------------------------------------------
@@ -273,8 +274,9 @@ class EnumeratedMechanism:
             batch = stack.pop()
             if batch.depth < self.n:
                 batch.pos = pos = ordering.perm[batch.depth]
+                batch.cell = self._cells(pos, batch.node, batch.row)
                 batch.cond, batch.totals = self._predictive(
-                    pos, batch.size, batch.node, batch.row, batch.wq)
+                    pos, batch.size, batch.cell, batch.wq)
                 batch.mins, batch.ratios = release_rule(
                     batch.cond, batch.totals > 0, pos in self.K)
             yield batch
@@ -287,19 +289,20 @@ class EnumeratedMechanism:
         symbols ascending and the erasure last within a node."""
         arity = self.arities[batch.pos]
         slots = arity + 1                      # symbols, then the erasure
-        release, erase = self._step_factors(batch.pos, batch.ratios,
-                                            batch.node, batch.row)
+        release = batch.ratios.reshape(-1)[batch.cell]
+        erase = 1.0 - release
         base = batch.node * slots
-        keys = np.concatenate([base + self.space[batch.row, batch.pos],
+        keys = np.concatenate([base + self.space[:, batch.pos][batch.row],
                                base + arity])
         wp = np.concatenate([batch.wp * release, batch.wp * erase])
         wq = wp if matched else np.concatenate([batch.wq * release,
                                                 batch.wq * erase])
-        positive = wp > 0
-        entered = np.zeros(batch.size * slots, dtype=bool)
-        entered[keys[positive]] = True
-        # a mismatched engine carries q mass on rows where p = 0
-        keep = entered[keys] & (positive if matched else positive | (wq > 0))
+        keep = wp > 0
+        if not matched:
+            # q mass on rows where p = 0 goes only into children p enters
+            entered = np.zeros(batch.size * slots, dtype=bool)
+            entered[keys[keep]] = True
+            keep = entered[keys] & (keep | (wq > 0))
         order = np.flatnonzero(keep)
         order = order[np.argsort(keys[order], kind="stable")]
         keys, wp = keys[order], wp[order]
@@ -317,15 +320,15 @@ class EnumeratedMechanism:
         """``batch`` cut at node boundaries into pieces whose walk arrays
         take at most ``share`` bytes each, or one node when it alone is
         larger than half of that."""
+        node_bytes = 8 * (_TABLES_PER_NODE * self.num_u * max(self.arities)
+                          + batch.depth + 1)
+        half = max(share // 2, 1)
+        if batch.node.size * _ENTRY_BYTES + batch.size * node_bytes <= half:
+            return [batch] if batch.size else []   # as the cut below would
         counts = np.bincount(batch.node, minlength=batch.size)
-        cost = counts * _ENTRY_BYTES + 8 * (
-            _TABLES_PER_NODE * self.num_u * max(self.arities)
-            + batch.depth + 1)
-        start = np.cumsum(cost) - cost
-        piece = start // max(share // 2, 1)
+        cost = counts * _ENTRY_BYTES + node_bytes
+        piece = (np.cumsum(cost) - cost) // half
         cuts = np.flatnonzero(piece[1:] != piece[:-1]) + 1
-        if cuts.size == 0:
-            return [batch] if batch.size else []
         bounds = np.concatenate([[0], cuts, [batch.size]])
         offsets = np.concatenate([[0], np.cumsum(counts)])
         pieces = []
@@ -353,9 +356,9 @@ class EnumeratedMechanism:
                 batch.node * self.num_u + self.u_codes[batch.row],
                 weights=batch.wp, minlength=batch.size * self.num_u,
             ).reshape(batch.size, self.num_u))
-        # outputs in tuple order, each a column of a C-ordered matrix
+        # outputs in tuple order (as their row codes), columns of a C matrix
         ys = np.concatenate(ys)
-        order = np.lexsort(ys.T[::-1])
+        order = np.argsort(row_codes(ys - STAR, [a + 1 for a in self.arities]))
         return OutputDistribution(
             self.n, self.K, list(self.u_values), ys[order],
             np.ascontiguousarray(np.concatenate(cols)[order].T))
@@ -392,7 +395,9 @@ class NodeBatch:
     order.  The tables at ``pos`` have the node on their leading axis:
     ``cond`` and ``ratios`` (nodes, num_u, arity), ``totals`` (nodes, num_u)
     and ``mins`` (nodes, arity), as `EnumeratedMechanism.predictive` and
-    `EnumeratedMechanism.release_table` give them for one node.
+    `EnumeratedMechanism.release_table` give them for one node.  ``cell[e]``
+    is entry e's flat index into the (nodes, num_u, arity) tables: its
+    node, its row's hypothesis and its row's symbol at ``pos``.
     """
 
     depth: int
@@ -402,6 +407,7 @@ class NodeBatch:
     wp: np.ndarray
     wq: np.ndarray
     pos: int | None = None
+    cell: np.ndarray | None = None
     cond: np.ndarray | None = None
     totals: np.ndarray | None = None
     mins: np.ndarray | None = None

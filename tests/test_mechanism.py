@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import tracemalloc
 
@@ -55,7 +56,9 @@ from conftest import (
     random_hmm,
     random_markov,
     replayed_ratios,
+    zero_transition_chain,
 )
+from strategies import small_models
 
 
 def independent_model(n=3, p1=0.3):
@@ -394,6 +397,78 @@ def test_mismatched_walk_equals_replay(rng):
         assert result.leakage_bits == dist.mutual_information_bits()
 
 
+@settings(max_examples=10, deadline=None, derandomize=True)
+@given(case=small_models(), mismatch_seed=st.integers(0, 2 ** 32 - 1))
+def test_walk_law_is_replay_for_matched_and_mismatched_engines(case,
+                                                               mismatch_seed):
+    # a matched engine enters children without the mismatched engine's
+    # mask; both must give the replayed law, zeros and all
+    model, K, ordering = case
+    engine = EnumeratedMechanism(model, K)
+    _assert_law_is_replay(engine, ordering, engine.output_distribution(ordering))
+    q_model = random_explicit(np.random.default_rng(mismatch_seed), model.n,
+                              model.arities[0], sparse=True)
+    engine = EnumeratedMechanism(model, K, q_model)
+    _assert_law_is_replay(engine, ordering, engine.output_distribution(ordering))
+
+
+def _pinned_walks():
+    """(engine, ordering) pairs: explicit models with zero entries, a Markov
+    chain with zero transitions, an HMM with theta 0, |K| of 1 and 2 under
+    random orderings, a mismatched engine and two parity models."""
+    rng = np.random.default_rng(1313)
+    models = [random_explicit(rng, 5, sparse=True),
+              random_explicit(rng, 4, alphabet=3, sparse=True),
+              zero_transition_chain(5), random_hmm(rng, 6, 3, theta=0.0)]
+    for model in models:
+        for size in (1, 2):
+            K = sorted(int(v) for v in rng.choice(model.n, size, replace=False))
+            ordering = Ordering(tuple(int(v) for v in rng.permutation(model.n)))
+            yield EnumeratedMechanism(model, K), ordering
+    p_model, q_model = random_explicit(rng, 5, sparse=True), random_explicit(rng, 5)
+    yield (EnumeratedMechanism(p_model, [1, 3], q_model),
+           Ordering(tuple(int(v) for v in rng.permutation(5))))
+    for _ in range(2):
+        model = ParityModel(random_instance(4, 3, rng))
+        order = tuple(int(v) for v in rng.permutation(4))
+        yield EnumeratedMechanism(model, model.K), Ordering(order + model.K)
+
+
+def test_walker_outputs_are_pinned():
+    # sha256 of the walkers' outputs, recorded before the walk's per-level
+    # tables were rewritten: the rewrite must move no bit
+    digests = {name: hashlib.sha256() for name in
+               ("ys", "matrix", "rate", "certificate", "parity_rule")}
+    for engine, ordering in _pinned_walks():
+        dist = engine.output_distribution(ordering)
+        digests["ys"].update(dist.ys.tobytes())
+        digests["matrix"].update(dist.matrix.tobytes())
+        if engine.mech_model is engine.model:
+            digests["rate"].update(
+                repr(engine.stepwise_minima_rate(ordering)).encode())
+            digests["certificate"].update(repr((
+                markov_sufficient_condition_check(engine.model, [0]),
+                markov_sufficient_condition_check(engine.model, engine.K,
+                                                  ordering))).encode())
+        if isinstance(engine.model, ParityModel):
+            instance = engine.model.instance
+            digests["parity_rule"].update(repr(
+                [verify_deterministic_rule(instance, order) for order in
+                 itertools.permutations(range(1, instance.m + 1))]).encode())
+    assert {name: d.hexdigest() for name, d in digests.items()} == {
+        "ys":
+            "bd6a9c9eaf4ed2a516fc8f01ca272be2c24c551f5f305c0a540f9416b8598204",
+        "matrix":
+            "687d127bde5295ff4dd94fda3b74253868edaa5956322468a389debb77bcf430",
+        "rate":
+            "fc96098a0f2537a79132f4603d72cf6fbfb17ef3b0cad7688b0f410fe95e47e5",
+        "certificate":
+            "b3cbdc9826b7fe572438e3d395d9e7c482ce433bf54b56ac5b6a45b6129828be",
+        "parity_rule":
+            "2fdbb931f46d462b911599dbb287189faf31dc5b5169788c318b7d3b828b7b5f",
+    }
+
+
 def _walk_results(rng):
     """Output laws, stepwise rates, certificates and parity-rule checks
     over a fixed seeded mix."""
@@ -461,6 +536,48 @@ def test_walk_stays_within_byte_budget(monkeypatch):
         tracemalloc.stop()
     assert batches > 2 * model.n  # the deep levels were split
     assert peak <= budget
+
+
+def _per_node_cut(engine, batch, share):
+    """(paths, node, row, wp, wq) of each piece of ``batch`` cut node by
+    node on its running cost, as `EnumeratedMechanism._split` documents."""
+    counts = np.bincount(batch.node, minlength=batch.size)
+    cost = counts * mechanism._ENTRY_BYTES + 8 * (
+        mechanism._TABLES_PER_NODE * engine.num_u * max(engine.arities)
+        + batch.depth + 1)
+    piece = (np.cumsum(cost) - cost) // max(share // 2, 1)
+    edges = np.concatenate([[0], np.flatnonzero(piece[1:] != piece[:-1]) + 1,
+                            [batch.size]])
+    offsets = np.concatenate([[0], np.cumsum(counts)])
+    return [(batch.paths[a:b], batch.node[offsets[a]:offsets[b]] - a,
+             *(v[offsets[a]:offsets[b]] for v in (batch.row, batch.wp, batch.wq)))
+            for a, b in zip(edges[:-1], edges[1:])]
+
+
+def test_split_shortcut_at_its_boundary(monkeypatch):
+    rng = np.random.default_rng(5)
+    model = random_explicit(rng, 6)
+    ordering = Ordering(tuple(int(v) for v in rng.permutation(6)))
+    engine = EnumeratedMechanism(model, [ordering.perm[3]])
+    batch = next(b for b in engine.walk(ordering) if b.depth == 2)
+    node_bytes = 8 * (mechanism._TABLES_PER_NODE * engine.num_u
+                      * max(engine.arities) + batch.depth + 1)
+    cost = batch.node.size * mechanism._ENTRY_BYTES + batch.size * node_bytes
+    assert batch.size > 2
+    # the batch's cost at half the share, one byte over it, and twice it
+    for half in (cost, cost - 1, cost // 2):
+        monkeypatch.setattr(distributions, "BELIEF_BUDGET_BYTES",
+                            2 * half * (engine.n + 1))
+        share = distributions.BELIEF_BUDGET_BYTES // (engine.n + 1)
+        assert share // 2 == half
+        pieces = engine._split(batch, share)
+        want = _per_node_cut(engine, batch, share)
+        assert len(pieces) == len(want) == (1 if half >= cost - 1 else 2)
+        # the O(1) check returns the batch itself exactly up to the boundary
+        assert (pieces[0] is batch) == (half == cost)
+        for piece, fields in zip(pieces, want):
+            got = (piece.paths, piece.node, piece.row, piece.wp, piece.wq)
+            assert all(np.array_equal(a, b) for a, b in zip(got, fields))
 
 
 # --- budgets ------------------------------------------------------------------
@@ -560,6 +677,57 @@ def test_release_rule_batched_equals_one_node(rng, sensitive):
         one_mins, one_ratios = release_rule(cond[idx], live[idx], sensitive)
         assert np.array_equal(mins[idx], one_mins)
         assert np.array_equal(ratios[idx], one_ratios)
+
+
+def axis_min_release_rule(cond, live, sensitive):
+    """`release_rule` as a minimum over the hypothesis axis, a two-sided
+    clip and the snap: the reference the slice minima must match bit for
+    bit."""
+    if sensitive:
+        mins = np.zeros(cond.shape[:-2] + cond.shape[-1:])
+    else:
+        mins = np.where(live[..., None], cond, np.inf).min(axis=-2)
+        mins[np.isinf(mins)] = 0.0
+    ratios = np.zeros_like(cond)
+    np.divide(np.broadcast_to(mins[..., None, :], cond.shape), cond,
+              out=ratios, where=cond > 0)
+    if np.any(ratios > 1.0 + RATIO_TOL) or np.any(ratios < -RATIO_TOL):
+        raise NumericalError("release ratio outside [0, 1] beyond tolerance")
+    np.clip(ratios, 0.0, 1.0, out=ratios)
+    ratios[ratios > 1.0 - RATIO_SNAP] = 1.0
+    return mins, ratios
+
+
+@pytest.mark.parametrize("num_u", [1, 2, 3, 8])
+@pytest.mark.parametrize("arity", [2, 3, 4])
+def test_release_rule_matches_axis_minimum_bitwise(num_u, arity):
+    rng = np.random.default_rng(100 * num_u + arity)
+    cond = rng.dirichlet(np.ones(arity), size=(6, 5, num_u))
+    live = rng.random((6, 5, num_u)) < 0.7
+    live[0] = True
+    live[1] = False                                   # nothing live
+    live[3, :, -1] = False
+    if num_u > 1:
+        live[4, :, 0] = False
+        live[4, :, 1] = True
+        live[5] = True
+    cond[~live] = np.nan             # dead rows as enumeration gives them
+    cond[3, :, -1] = 0.0             # and as the HMM filter gives them
+    if num_u > 1:
+        # a dead row just below the live minimum (ratios within RATIO_TOL
+        # above 1) and a live entry within RATIO_TOL below 0
+        low = np.where(live[4, ..., None], cond[4], np.inf).min(axis=-2)
+        cond[4, :, 0] = low / (1 + RATIO_TOL / 2)
+        cond[5] = 1.0 / arity
+        cond[5, :, 1, 0] = -RATIO_TOL / 8
+    for shape in [(6, 5), (0, 5), ()]:
+        c = cond[:shape[0]] if shape else cond[0, 0]
+        l = live[:shape[0]] if shape else live[0, 0]
+        for sensitive in (False, True):
+            got = release_rule(c, l, sensitive)
+            want = axis_min_release_rule(c, l, sensitive)
+            for a, b in zip(got, want):
+                assert a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
 # --- OutputDistribution.from_mechanism ----------------------------------------
