@@ -1,4 +1,5 @@
 import copy
+import hashlib
 import itertools
 
 import numpy as np
@@ -258,6 +259,43 @@ def test_session_output_law_matches_enumeration(rng, n, m, K, eps, theta):
         seen.add(y)
     stray = sum(float(v.sum()) for y, v in got.items() if y not in seen)
     assert worst <= 1e-9 and stray <= 1e-12
+
+
+def _pinned_sessions():
+    """(name, model, K) of the outcome pins: the plain kernel after
+    position 0, the conditioned kernel over three spread positions, the two
+    degenerate HMMs and a Markov chain."""
+    rng = np.random.default_rng(1414)
+    return [("plain", random_hmm(rng, 40, 12), (0,)),
+            ("conditioned", random_hmm(rng, 40, 12), (6, 20, 33)),
+            ("eps0", random_hmm(rng, 30, 8, eps=0.0), (0, 15)),
+            ("theta0", random_hmm(rng, 30, 8, theta=0.0), (10,)),
+            ("markov", random_markov(rng, 40, alphabet=3), (5,))]
+
+
+def test_session_outcomes_are_pinned():
+    # sha256 of seeded `mask_hmm_batch` outcomes and `erasure_rate_mc`
+    # (rate, stderr), recorded before the session's per-position step was
+    # rewritten: release probabilities may move by rounding, outcomes may not
+    got = {}
+    for name, model, K in _pinned_sessions():
+        rng = np.random.default_rng(7)
+        digest = hashlib.sha256(
+            mask_hmm_batch(model, model.sample_batch(64, rng), K, rng).tobytes())
+        digest.update(repr(erasure_rate_mc(model, K, 300, rng)).encode())
+        got[name] = digest.hexdigest()
+    assert got == {
+        "plain":
+            "56e2b8cf7437d3193714a5c5ce47e53489e52e06ef2c8382e49cad72696a9f5e",
+        "conditioned":
+            "f146fa2b78410e8edd9abbffc6e9da87b2ed9b7488555cb31ffd7dabbc15b144",
+        "eps0":
+            "27080ba55610c73f9d5d2318e51d455400b9a051f733b5a97de69c7857f9ef6d",
+        "theta0":
+            "9b1105ef38edbf838a8cc298ab62aa92c757342bf3fce7fda12c08892817d186",
+        "markov":
+            "0336411f740227e24070d56107251ecc49f889dd141c9fc7526b53eb5ca16b76",
+    }
 
 
 def test_sensitive_positions_step_to_star(rng):
