@@ -101,18 +101,15 @@ def sensitive_backward_table(model: SequenceModel, K) -> SensitiveBackwardTable:
     ucomp = np.array(us, dtype=np.int64).reshape(len(us), len(K))
     num_u = ucomp.shape[0]
     t = chain.trans
-    values = np.ones((n, num_u, m))
+    values = np.ones((n, num_u, m))             # 1 past the last position
     slot = {k: j for j, k in enumerate(K)}
-    nxt = np.ones((num_u, m))
     for i in range(n - 1, -1, -1):
-        cur = nxt @ t.T  # cur[u, s] = sum_s' T[s, s'] * nxt[u, s']
-        if i == n - 1:
-            cur = np.ones((num_u, m))
+        if i < n - 1:
+            # values[i, u, s] = sum_s' T[s, s'] * values[i + 1, u, s']
+            values[i] = values[i + 1] @ t.T
         if i in slot:
             emis = chain.emissions[i]                    # (arity, m)
-            cur = cur * emis[ucomp[:, slot[i]]]
-        values[i] = cur
-        nxt = cur
+            values[i] *= emis[ucomp[:, slot[i]]]
     prior = values[0] @ chain.initial
     plain_from = (max(K) + 1) if K else 0
     return SensitiveBackwardTable(K, values, ucomp, prior, plain_from)
@@ -149,6 +146,13 @@ def sensitive_conditionals(model: SequenceModel, K) -> np.ndarray:
     return out
 
 
+def _row_sums(a: np.ndarray) -> np.ndarray:
+    """Sums over the last axis as one BLAS matrix-vector product: numpy's own
+    reduction runs a short inner loop per row."""
+    return (a.reshape(-1, a.shape[-1]) @ np.ones(a.shape[-1])).reshape(
+        a.shape[:-1])
+
+
 class BatchMaskingSession:
     """Lockstep masking of a batch of sequences sharing (model, K).
 
@@ -156,6 +160,13 @@ class BatchMaskingSession:
     distribution of the next symbol, turns it into release probabilities,
     and — once the outcome is fixed — filters the hidden-state beliefs
     through the corresponding output likelihood.
+
+    ``belief`` (defined once the first position is advanced) and the arrays
+    `_position_tables` returns are session-owned buffers that the next
+    `advance` overwrites; while sensitive positions remain ahead, computing
+    a position's tables also rescales ``belief`` in place.  Copy what must
+    outlive a step.  A deep copy of a session owns its own buffers and
+    advances independently.
     """
 
     def __init__(self, model: SequenceModel, K, x_sensitive, table=None):
@@ -169,57 +180,90 @@ class BatchMaskingSession:
                                 [model.arities[k] for k in self.K])
         self.batch = self.u_true.shape[0]
         self.pos = 0
-        self.belief = None                     # (batch, num_u, m)
+        shape = (self.batch, self.table.num_u, self.chain.m)
+        self.belief = np.empty(shape)
+        self._pred = np.empty(shape)
         self.live = np.broadcast_to(self.table.prior > 0,
                                     (self.batch, self.table.num_u)).copy()
         if not np.all(self.live[np.arange(self.batch), self.u_true]):
             raise InputError("a supplied sensitive assignment has prior zero")
         self._slot = {k: j for j, k in enumerate(self.K)}
         self._cache: tuple | None = None
+        self._inv_mass: np.ndarray | None = None
 
     # -- per-position quantities -------------------------------------------
 
     def _predicted_states(self) -> np.ndarray:
-        """p(S_pos = s | u, prefix) as (batch, num_u, m)."""
-        num_u, m = self.table.num_u, self.chain.m
+        """p(S_pos = s | u, prefix) as (batch, num_u, m), in the session's
+        buffer and up to the defensive renormalization of
+        `_position_tables`."""
+        pred = self._pred
         if self.pos == 0:
             base = self.chain.initial[None, :] * self.table.values[0]
-            pred = base * _inverse_or_zero(base.sum(axis=1))[:, None]
-            return np.broadcast_to(pred, (self.batch, num_u, m)).copy()
+            pred[...] = base * _inverse_or_zero(base.sum(axis=1))[:, None]
+            return pred
+        flat = (self.batch * self.table.num_u, self.chain.m)
         if self.pos >= self.table.plain_from:
             # no sensitive positions remain: the plain chain kernel applies
-            flat = self.belief.reshape(self.batch * num_u, m) @ self.chain.trans
-            return flat.reshape(self.batch, num_u, m)
+            np.matmul(self.belief.reshape(flat), self.chain.trans,
+                      out=pred.reshape(flat))
+            return pred
         g = self.table.values[self.pos]                     # (num_u, m)
-        zinv = _inverse_or_zero(g @ self.chain.trans.T)     # 1 / z[u, s]
-        # out[b,u,k] = sum_s belief[b,u,s] / z[u,s] * T[s,k] * g[u,k]
-        pred = ((self.belief * zinv).reshape(self.batch * num_u, m)
-                @ self.chain.trans).reshape(self.batch, num_u, m)
+        # pred[b,u,k] = sum_s belief[b,u,s] / z[u,s] * T[s,k] * g[u,k]; the
+        # belief is not read again before `advance` overwrites it
+        self.belief *= _inverse_or_zero(g @ self.chain.trans.T)  # 1 / z[u, s]
+        np.matmul(self.belief.reshape(flat), self.chain.trans,
+                  out=pred.reshape(flat))
         pred *= g
         return pred
 
     def _position_tables(self):
-        """(pred_states, pred_symbols, mins, ratios) for the current position."""
+        """(pred_states, pred_symbols, mins, ratios) for the current position.
+
+        pred_states is not renormalized.  Emission columns sum to 1, so the
+        row sums of the unscaled pred_symbols are the predicted-state mass,
+        which is 1 for live hypotheses unless a degenerate (theta or epsilon
+        = 0) model starved some states.  Its inverse, the defensive
+        renormalization, scales pred_symbols here and the outcome
+        coefficients in `advance`: (batch, num_u, arity) tables, not the
+        (batch, num_u, m) pred_states.
+        """
         if self._cache is not None:
             return self._cache
         if self.pos >= self.model.n:
             raise InputError("session already consumed the whole sequence")
         pred = self._predicted_states()
-        mass = pred.sum(axis=2)
+        # one 2-D product: a 3-D matmul with the strided emis.T costs twice
+        emis_t = np.ascontiguousarray(self.chain.emissions[self.pos].T)
+        (m, arity), num_u = emis_t.shape, self.table.num_u
+        px = (pred.reshape(self.batch * num_u, m) @ emis_t).reshape(
+            self.batch, num_u, arity)
+        mass = _row_sums(px)
         live = self.live & (mass > 1e-12)
-        # defensive renormalization; mass is 1 for live hypotheses unless a
-        # degenerate (theta or epsilon = 0) model starved some states
-        pred *= _inverse_or_zero(mass, live)[:, :, None]
-        arity = self.chain.emissions.shape[1]
+        self._inv_mass = _inverse_or_zero(mass, live)
         if self.pos in self._slot:
             comp = self.table.u_components[:, self._slot[self.pos]]
             px = np.where(live[:, :, None] & (comp[:, None] == np.arange(arity)),
                           1.0, 0.0)
         else:
-            px = np.matmul(pred, self.chain.emissions[self.pos].T)
+            px *= self._inv_mass[:, :, None]
         mins, ratios = release_rule(px, live, self.pos in self._slot)
         self._cache = (pred, px, mins, ratios)
         return self._cache
+
+    def _column(self, col, outcomes: bool) -> np.ndarray:
+        """``col`` as int64 of shape (batch,); `InputError` for another shape
+        or a symbol outside 0..arity-1 (STAR also allowed for outcomes)."""
+        col = np.asarray(col, dtype=np.int64)
+        arity = self.chain.emissions.shape[1]
+        if col.shape != (self.batch,):
+            raise InputError(f"a column must have shape ({self.batch},), "
+                             f"not {col.shape}")
+        if col.size and (col.min() < (STAR if outcomes else 0)
+                         or col.max() >= arity):
+            raise InputError(f"symbols must lie in 0..{arity - 1}"
+                             + (" or be erased" if outcomes else ""))
+        return col
 
     def predictive(self, u) -> np.ndarray:
         """p(x_pos | sensitive = u, prefix) for the current position,
@@ -233,8 +277,8 @@ class BatchMaskingSession:
 
     def release_probability(self, x_col) -> np.ndarray:
         """Probability of releasing the true symbol at the current position."""
-        x_col = np.asarray(x_col, dtype=np.int64)
         _, _, _, ratios = self._position_tables()
+        x_col = self._column(x_col, outcomes=False)
         return ratios[np.arange(self.batch), self.u_true, x_col]
 
     def advance(self, y_col) -> None:
@@ -245,23 +289,25 @@ class BatchMaskingSession:
         erasure, coef is 1 - ratio(u, v), which is right only because
         sum_v p(v | s) = 1.  Ratios lie in [0, 1], so the factor is >= 0.
         """
-        y_col = np.asarray(y_col, dtype=np.int64)
         pred, px, mins, ratios = self._position_tables()
+        y_col = self._column(y_col, outcomes=True)
         released = y_col != STAR
         if self.pos in self._slot and released.any():
             raise InputError("sensitive positions must be erased")
         emis = self.chain.emissions[self.pos]               # (arity, m)
         (arity, m), num_u = emis.shape, self.table.num_u
         hit = y_col[:, None] == np.arange(arity)            # (batch, arity)
-        if np.any(released & ~hit.any(axis=1)):
-            raise InputError("released symbol outside the alphabet")
         coef = np.where(released[:, None, None], ratios * hit[:, None, :],
                         1.0 - ratios)
-        factor = coef.reshape(self.batch * num_u, arity) @ emis
-        new_belief = pred * factor.reshape(self.batch, num_u, m)
-        norms = new_belief.sum(axis=2)
-        expected = np.where(released, (mins * hit).sum(axis=1),
-                            1.0 - mins.sum(axis=1))
+        coef *= self._inv_mass[:, :, None]
+        belief = self.belief
+        np.matmul(coef.reshape(self.batch * num_u, arity), emis,
+                  out=belief.reshape(self.batch * num_u, m))
+        belief *= pred
+        norms = _row_sums(belief)
+        # STAR gathers the last column, which `where` discards
+        expected = np.where(released, mins[np.arange(self.batch), y_col],
+                            1.0 - _row_sums(mins))
         bad = self.live & (np.abs(norms - expected[:, None]) > NORM_TOL)
         if bad.any():
             raise NumericalError(
@@ -269,8 +315,7 @@ class BatchMaskingSession:
                 "probability beyond tolerance")
         # hypotheses whose context became impossible drop out of the minimum
         self.live = self.live & (norms > 0)
-        new_belief *= _inverse_or_zero(norms, self.live)[:, :, None]
-        self.belief = new_belief
+        belief *= _inverse_or_zero(norms, self.live)[:, :, None]
         self.pos += 1
         self._cache = None
 

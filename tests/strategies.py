@@ -14,13 +14,14 @@ from conftest import random_explicit, random_hmm
 
 
 @st.composite
-def small_models(draw, max_n=5):
-    """(model, K, ordering): an explicit, Markov or HMM model with n <=
-    ``max_n`` that has zero structure (zero table entries, a zero
-    transition, or epsilon or theta 0) when the draw asks for it, a
-    sensitive set of one or two positions and a processing ordering."""
+def small_models(draw, max_n=5, kinds=("explicit", "markov", "hmm")):
+    """(model, K, ordering): a model of one of ``kinds`` (explicit, Markov
+    or HMM) with n <= ``max_n`` that has zero structure (zero table
+    entries, a zero transition, or epsilon or theta 0) when the draw asks
+    for it, a sensitive set of one or two positions and a processing
+    ordering."""
     n = draw(st.integers(2, max_n))
-    kind = draw(st.sampled_from(["explicit", "markov", "hmm"]))
+    kind = draw(st.sampled_from(kinds))
     alphabet = draw(st.sampled_from([2, 3])) if n <= 4 else 2
     zero = draw(st.booleans())
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))

@@ -46,7 +46,7 @@ from genomask.hardness import (
 from genomask.hmm import erasure_rate_mc, mask_hmm_batch
 
 from conftest import parity_n3, random_explicit, random_hmm, random_markov
-from test_hmm import _walk_all_prefixes, hmm_session_joint
+from test_hmm import _walk_all_prefixes, session_law_tv
 
 SEED = 20260809
 
@@ -216,18 +216,7 @@ def test_criterion_5_hmm_equivalence_and_complexity():
                          rng.choice(n, size=ksize, replace=False)))
         x_sens = [int(rng.integers(2)) for _ in K]
         worst_pred = max(worst_pred, _walk_all_prefixes(model, K, x_sens))
-        dist = exact_output_distribution(model, K)
-        session_joint = hmm_session_joint(model, K)
-        num_u = len(dist.u_values)
-        tv = 0.0
-        seen = set()
-        for j, y in enumerate(dist.y_values):
-            vec = session_joint.get(y, np.zeros(num_u))
-            tv += float(np.abs(dist.matrix[:, j] - vec).sum())
-            seen.add(y)
-        tv += sum(float(v.sum()) for yy, v in session_joint.items()
-                  if yy not in seen)
-        worst_tv = max(worst_tv, tv / 2.0)
+        worst_tv = max(worst_tv, session_law_tv(model, K))
     assert worst_pred <= 1e-10, worst_pred
     assert worst_tv <= 1e-9, worst_tv
 

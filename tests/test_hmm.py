@@ -31,6 +31,7 @@ from conftest import (
     random_markov,
     zero_transition_chain,
 )
+from strategies import small_models
 
 
 def case_model(rng, n, m, eps, theta):
@@ -144,6 +145,13 @@ def test_first_predictive_is_direct_marginalization(rng):
                                                      abs=1e-10)
 
 
+def _possible_assignment(model, K):
+    """The first sensitive assignment of positive prior: the predictive and
+    the output law do not depend on the true one."""
+    prior = sensitive_backward_table(model, K).prior
+    return sensitive_assignments(model.arities, K)[int(np.argmax(prior > 0))]
+
+
 def _walk_all_prefixes(model, K, x_sensitive):
     """Compare the session's predictive with brute force on every reachable
     prefix; returns the worst absolute deviation."""
@@ -197,15 +205,19 @@ MARKOV = [pytest.param(6, "markov", (0,), None, None, id="markov-6-K0"),
 def test_session_predictive_matches_brute_force_everywhere(rng, n, m, K,
                                                            eps, theta):
     model = case_model(rng, n, m, eps, theta)
-    # the predictive does not depend on the true assignment: take the first
-    # one of positive prior
-    prior = sensitive_backward_table(model, K).prior
-    x_sens = sensitive_assignments(model.arities, K)[int(np.argmax(prior > 0))]
-    assert _walk_all_prefixes(model, K, x_sens) <= 1e-10
+    assert _walk_all_prefixes(model, K, _possible_assignment(model, K)) <= 1e-10
     if eps == theta == 0.0:
         # an assignment of prior zero: its hypothesis is dead at every prefix
         # and the filter must hold it at zero throughout
-        assert not np.all(prior > 0)
+        assert not np.all(sensitive_backward_table(model, K).prior > 0)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(case=small_models(kinds=("markov", "hmm")))
+def test_session_predictive_equals_oracle_on_drawn_models(case):
+    # the session runs the linear ordering, so the drawn one is unused
+    model, K, _ = case
+    assert _walk_all_prefixes(model, K, _possible_assignment(model, K)) <= 1e-10
 
 
 #: A branch whose largest hypothesis mass p(u, prefix) is at or below this
@@ -238,9 +250,22 @@ def hmm_session_joint(model, K):
             nxt.advance([y])
             walk(depth + 1, nxt, acc + [y], probs * pr)
 
-    x_sens = [0] * len(tuple(K))
+    x_sens = _possible_assignment(model, K)
     walk(0, BatchMaskingSession(model, K, [x_sens]), [], np.ones(num_u))
     return out
+
+
+def session_law_tv(model, K):
+    """Total variation between `hmm_session_joint` and the enumerated
+    joint (sensitive, output) law."""
+    dist = exact_output_distribution(model, K)
+    session_joint = hmm_session_joint(model, K)
+    zeros = np.zeros(len(dist.u_values))
+    tv = sum(float(np.abs(dist.matrix[:, j] - session_joint.get(y, zeros)).sum())
+             for j, y in enumerate(dist.y_values))
+    seen = set(dist.y_values)
+    tv += sum(float(v.sum()) for y, v in session_joint.items() if y not in seen)
+    return tv / 2.0
 
 
 @pytest.mark.parametrize("n,m,K,eps,theta", [
@@ -259,6 +284,13 @@ def test_session_output_law_matches_enumeration(rng, n, m, K, eps, theta):
         seen.add(y)
     stray = sum(float(v.sum()) for y, v in got.items() if y not in seen)
     assert worst <= 1e-9 and stray <= 1e-12
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(case=small_models(kinds=("markov", "hmm")))
+def test_session_output_law_equals_oracle_on_drawn_models(case):
+    model, K, _ = case
+    assert session_law_tv(model, K) <= 1e-9
 
 
 def _pinned_sessions():
@@ -341,6 +373,31 @@ def test_advance_rejects_symbols_outside_alphabet(rng):
         ses.advance([STAR])
         with pytest.raises(InputError):
             ses.advance([y])
+
+
+@pytest.mark.parametrize("call,col", [
+    pytest.param("release_probability", [0, STAR], id="release-minus-one"),
+    pytest.param("release_probability", [2, 0], id="release-arity"),
+    pytest.param("release_probability", [1], id="release-short"),
+    pytest.param("step", [STAR, 0], id="step-minus-one"),
+    pytest.param("step", [0, 2], id="step-arity"),
+    pytest.param("step", [0, 1, 1], id="step-long"),
+    pytest.param("advance", [0, -2], id="advance-minus-two"),
+    pytest.param("advance", [2, STAR], id="advance-arity"),
+    pytest.param("advance", [STAR], id="advance-short"),
+    pytest.param("advance", [[STAR, STAR]], id="advance-2d")])
+def test_session_rejects_malformed_columns(rng, call, col):
+    # a column must have shape (batch,) and symbols in 0..arity-1 (outcomes
+    # may also be STAR); -1 once read as the last symbol and stepped to an
+    # erasure, the rest raised IndexError
+    model = random_hmm(rng, 5, 3)
+    ses = BatchMaskingSession(model, [0], [[0], [1]])
+    ses.advance([STAR, STAR])
+    args = (col, rng) if call == "step" else (col,)
+    with pytest.raises(InputError):
+        getattr(ses, call)(*args)
+    # nothing moved: the session steps on as before
+    assert ses.pos == 1 and ses.step([0, 1], rng)[0].shape == (2,)
 
 
 def test_batch_rejects_malformed_sequences(rng):
