@@ -190,6 +190,7 @@ class RobustnessResult:
 
 def sequence_kl(p_model: SequenceModel, q_model: SequenceModel) -> float:
     """D(p || q) over whole sequences, in bits (exact, enumerated)."""
+    MismatchPair(p_model, q_model)      # InputError unless the arities match
     return kl_divergence(p_model.joint_table()[1], q_model.joint_table()[1])
 
 
@@ -219,7 +220,6 @@ def robustness_experiment(pair: MismatchPair, K,
     The leakage can never exceed the bound; a violation beyond round-off
     means the composition is wrong and raises.
     """
-    K = _validate_sensitive(K, pair.p_model.n)
     leakage = exact_output_distribution(pair.p_model, K, ordering,
                                         pair.q_model).mutual_information_bits()
     bound = sequence_kl(pair.p_model, pair.q_model)

@@ -15,7 +15,7 @@ import functools
 import itertools
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -26,6 +26,7 @@ from .masking import (
     Ordering,
     _validate_ordering,
     _validate_sensitive,
+    output_codes,
     symbol_char,
 )
 from .mechanism import EnumeratedMechanism, OutputDistribution
@@ -47,7 +48,6 @@ def upper_bound_rate(model: SequenceModel, K) -> float:
     The minimum skips the NaN rows (impossible assignments) of the table:
     `hmm.sensitive_conditionals` with a hidden chain, else the enumerated one.
     """
-    K = _validate_sensitive(K, model.n)
     if model.hidden_chain() is not None:
         cond = _hmm.sensitive_conditionals(model, K)
     else:
@@ -78,7 +78,6 @@ def markov_sufficient_condition_check(model: SequenceModel, K,
     with K = {first position}; explicit models can violate it, which is
     exactly when the mechanism may fall short of the bound.
     """
-    K = _validate_sensitive(K, model.n)
     ordering = _validate_ordering(ordering, model.n)
     engine = EnumeratedMechanism(model, K)
     candidates = _argmin_masks(engine.sensitive_conditionals())
@@ -94,16 +93,23 @@ def markov_sufficient_condition_check(model: SequenceModel, K,
 
 @dataclass
 class LpSolution:
-    """Optimal faithful private mechanism found by linear programming."""
+    """Optimal faithful private mechanism found by linear programming: it
+    releases ``xs[j]`` as ``ys[j]`` with probability ``w[j]`` ((rows, n)
+    int64, (rows,) float; None unless optimal): the variables above 1e-12
+    in variable order, then all-erased rows for sequences of prior zero."""
 
     optimal_rate: float
     status: str  # optimal | infeasible | capacity | numerical
-    mechanism: dict = field(default_factory=dict)  # (x, y) -> probability
+    xs: np.ndarray | None = None
+    ys: np.ndarray | None = None
+    w: np.ndarray | None = None
 
     def to_json(self) -> str:
-        triples = [["".join(map(symbol_char, x)),
-                    "".join(map(symbol_char, y)), p]
-                   for (x, y), p in sorted(self.mechanism.items())]
+        # "*" sorts before the digits, so the triples sort as the tuples
+        rows = () if self.w is None else zip(
+            self.xs.tolist(), self.ys.tolist(), self.w.tolist())
+        triples = sorted(["".join(map(symbol_char, x)),
+                          "".join(map(symbol_char, y)), p] for x, y, p in rows)
         return json.dumps({"rate": self.optimal_rate, "status": self.status,
                            "mechanism": triples})
 
@@ -131,17 +137,15 @@ def lp_optimal_rate(model: SequenceModel, K) -> LpSolution:
     dropped up front.
     """
     K = _validate_sensitive(K, model.n)
-    n = model.n
     space, p = model.joint_table()
     dims = [model.arities[k] for k in K]
     u_of_row = row_codes(space[:, list(K)], dims)
     p_u = np.bincount(u_of_row, weights=p, minlength=math.prod(dims))
-    positive_u = np.flatnonzero(p_u > 0)
-    full_support = positive_u.size == p_u.size
+    u_rank = np.cumsum(p_u > 0) - 1     # rank among positive-prior u
+    n_pos = int(u_rank[-1]) + 1
 
     rows = np.flatnonzero(p > 0)
-    forced = K if full_support else ()
-    masks = _masks(n, forced)
+    masks = _masks(model.n, K if n_pos == p_u.size else ())
     nvars = rows.size * len(masks)
     if nvars > LP_VAR_BUDGET:
         return LpSolution(float("nan"), "capacity")
@@ -152,11 +156,9 @@ def lp_optimal_rate(model: SequenceModel, K) -> LpSolution:
     var_mask = np.tile(np.arange(len(masks)), rows.size)
     var_row = rows[var_x]
     ys = np.where(masks[var_mask], STAR, space[var_row])
-    # symbol v codes as v + 1 and the erasure as 0
-    var_y = first_seen_ranks(row_codes(ys - STAR, [a + 1 for a in model.arities]))
-    cost = p[var_row] * masks.sum(axis=1)[var_mask] / n
+    var_y = first_seen_ranks(output_codes(ys, model.arities))
+    cost = p[var_row] * masks.sum(axis=1)[var_mask] / model.n
 
-    n_pos = positive_u.size
     n_priv = (n_pos - 1) * (int(var_y.max()) + 1)
     n_rows = n_priv + rows.size
     if n_rows * nvars > LP_DENSE_BUDGET:
@@ -165,8 +167,6 @@ def lp_optimal_rate(model: SequenceModel, K) -> LpSolution:
     b = np.zeros(n_rows)
     # consecutive positive-prior assignments t, t+1 must give each output
     # the same conditional mass: +p(x | u_t) on row t, -p(x | u_{t+1})
-    u_rank = np.full(p_u.size, -1)
-    u_rank[positive_u] = np.arange(n_pos)
     t = u_rank[u_of_row[var_row]]
     weight = p[var_row] / p_u[u_of_row[var_row]]
     cell = var_y * (n_pos - 1) + t
@@ -183,28 +183,24 @@ def lp_optimal_rate(model: SequenceModel, K) -> LpSolution:
         return LpSolution(float("nan"), status)
 
     w = result.x
-    chosen = np.flatnonzero(w > 1e-12)
-    mechanism = {(tuple(x), tuple(y)): float(wj) for x, y, wj in zip(
-        space[var_row[chosen]].tolist(), ys[chosen].tolist(), w[chosen])}
     sums = np.bincount(var_x, weights=w, minlength=rows.size)
     if np.any(np.abs(sums - 1.0) > 1e-8):
-        return LpSolution(float("nan"), "numerical", mechanism)
-    # sequences outside the model's support get a fixed all-erased row
-    all_star = tuple([STAR] * n)
-    for x in space[p == 0].tolist():
-        mechanism[(tuple(x), all_star)] = 1.0
-
+        return LpSolution(float("nan"), "numerical")
     rate = 1.0 - result.objective
     if abs(rate - (1.0 - float(cost @ w))) > 1e-8:
-        return LpSolution(rate, "numerical", mechanism)
-    return LpSolution(rate, "optimal", mechanism)
+        return LpSolution(rate, "numerical")
+    chosen = np.flatnonzero(w > 1e-12)
+    off = space[p == 0]     # off the support: a fixed all-erased row
+    return LpSolution(rate, "optimal",
+                      np.concatenate([space[var_row[chosen]], off]),
+                      np.concatenate([ys[chosen], np.full_like(off, STAR)]),
+                      np.concatenate([w[chosen], np.ones(off.shape[0])]))
 
 
 def lp_output_distribution(model: SequenceModel, K,
                            solution: LpSolution) -> OutputDistribution:
-    """Joint law of (sensitive values, output) induced by an LP mechanism."""
-    pairs = list(solution.mechanism)
-    xs = np.array([x for x, _ in pairs], dtype=np.int64).reshape(-1, model.n)
-    ys = np.array([y for _, y in pairs], dtype=np.int64).reshape(-1, model.n)
-    w = np.array(list(solution.mechanism.values()), dtype=float)
-    return OutputDistribution.from_mechanism(model, K, xs, ys, w)
+    """Joint law of (sensitive values, output) of an optimal LP mechanism."""
+    if solution.w is None:
+        raise ValueError(f"a {solution.status} LP solution has no mechanism")
+    return OutputDistribution.from_mechanism(model, K, solution.xs,
+                                             solution.ys, solution.w)

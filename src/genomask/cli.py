@@ -15,7 +15,7 @@ import sys
 
 import numpy as np
 
-from . import baselines, bounds, experiments, hardness, hmm, mechanism
+from . import baselines, bounds, distributions, experiments, hardness, hmm, mechanism
 from .distributions import HmmModel, SequenceModel, load_model_config, load_panel
 from .errors import CapacityError, GenomaskError, InputError, NumericalError
 from .masking import Ordering, transcript_to_json_lines
@@ -102,6 +102,8 @@ def cmd_gen_panel(args) -> int:
     if not 2 <= args.alphabet <= 10:
         raise InputError("--alphabet must be in 2..10 (one digit per symbol), "
                          f"got {args.alphabet}")
+    if args.m * args.n * 8 > distributions.BELIEF_BUDGET_BYTES:
+        raise CapacityError(f"a {args.m} x {args.n} panel exceeds the memory budget")
     panel = _rng(args.seed).integers(args.alphabet, size=(args.m, args.n))
     _emit(args, "\n".join("".join(str(v) for v in row) for row in panel))
     return 0

@@ -334,13 +334,11 @@ def mask_hmm(model: SequenceModel, x, K, rng: np.random.Generator):
     K = _validate_sensitive(K, model.n)
     session = BatchMaskingSession(
         model, K, np.array([[x[k] for k in K]], dtype=np.int64))
-    y = []
     transcript = []
     for i in range(model.n):
         out, r = session.step(np.array([x[i]]), rng)
-        y.append(int(out[0]))
         transcript.append(TranscriptEntry(i, float(r[0]), int(out[0])))
-    return MaskedSequence(tuple(y)), tuple(transcript)
+    return MaskedSequence(tuple(e.outcome for e in transcript)), tuple(transcript)
 
 
 def mask_hmm_batch(model: SequenceModel, xs, K, rng: np.random.Generator,

@@ -1,5 +1,5 @@
-"""Shared vocabulary for masked sequences, orderings and transcripts, and
-`release_rule`, which both the enumeration and the HMM paths apply."""
+"""Shared vocabulary for masked sequences and their codes, orderings and
+transcripts, and `release_rule`, which the enumeration and HMM paths apply."""
 
 from __future__ import annotations
 
@@ -10,6 +10,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+from .distributions import row_codes
 from .errors import InputError, NumericalError
 
 #: Sentinel for the erasure symbol. Symbols are non-negative integers,
@@ -78,6 +79,11 @@ def symbol_char(v: int) -> str:
     if v > 9:
         raise InputError(f"symbol {v} has no one-digit text form")
     return STAR_CHAR if v == STAR else str(v)
+
+
+def output_codes(ys: np.ndarray, arities: Sequence[int]) -> np.ndarray:
+    """`row_codes` of outputs, v as v + 1 and STAR as 0: in tuple order."""
+    return row_codes(ys - STAR, [a + 1 for a in arities])
 
 
 @dataclass(frozen=True)

@@ -63,6 +63,7 @@ from .masking import (
     TranscriptEntry,
     _validate_ordering,
     _validate_sensitive,
+    output_codes,
     release_rule,
 )
 
@@ -108,10 +109,7 @@ class EnumeratedMechanism:
         self.K = _validate_sensitive(K, self.n)
 
         space, p = model.joint_table()
-        if self.mech_model is model:
-            q = p
-        else:
-            _, q = self.mech_model.joint_table()
+        q = p if self.mech_model is model else self.mech_model.joint_probs(space)
         keep = (p > 0) | (q > 0)
         self.space = space[keep]
         self.p = p[keep]
@@ -356,9 +354,9 @@ class EnumeratedMechanism:
                 batch.node * self.num_u + self.u_codes[batch.row],
                 weights=batch.wp, minlength=batch.size * self.num_u,
             ).reshape(batch.size, self.num_u))
-        # outputs in tuple order (as their row codes), columns of a C matrix
+        # outputs in tuple order, columns of a C matrix
         ys = np.concatenate(ys)
-        order = np.argsort(row_codes(ys - STAR, [a + 1 for a in self.arities]))
+        order = np.argsort(output_codes(ys, self.arities))
         return OutputDistribution(
             self.n, self.K, list(self.u_values), ys[order],
             np.ascontiguousarray(np.concatenate(cols)[order].T))
@@ -434,15 +432,15 @@ class OutputDistribution:
     def from_mechanism(cls, model: SequenceModel, K, xs: np.ndarray,
                        ys: np.ndarray, w: np.ndarray) -> "OutputDistribution":
         """Law of a mechanism that releases sequence ``xs[j]`` as ``ys[j]``
-        with probability ``w[j]``, the inputs drawn from ``model``."""
+        with probability ``w[j]``, the inputs drawn from ``model``: p(x) is
+        ``model.joint_probs(xs)``, each row checked as one of its sequences."""
         K = _validate_sensitive(K, model.n)
         us = sensitive_assignments(model.arities, K)
-        _, p = model.joint_table()
-        px = p[row_codes(xs, model.arities)]
+        row_codes(xs, model.arities)        # InputError unless valid rows
+        px = model.joint_probs(xs)
         keep = (px > 0) & (w > 0)
-        # row codes sort as the tuples do (the erasure codes as 0), and a 1-D
-        # unique of them is far faster than np.unique(axis=0) over the rows
-        codes = row_codes(ys[keep] - STAR, [a + 1 for a in model.arities])
+        # a 1-D unique of codes: far faster than np.unique(axis=0) on rows
+        codes = output_codes(ys[keep], model.arities)
         _, first, col = np.unique(codes, return_index=True, return_inverse=True)
         ys = ys[keep][first]
         u = row_codes(xs[keep][:, list(K)], [model.arities[k] for k in K])

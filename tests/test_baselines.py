@@ -10,6 +10,7 @@ from genomask import (
     MarkovChainModel,
     MismatchPair,
     STAR,
+    SequenceModel,
     WindowPolicy,
     robustness_experiment,
     sequence_kl,
@@ -161,6 +162,34 @@ def test_kl_mc_rejects_models_of_different_shapes(rng):
             sequence_kl_mc(p, q, 100, rng)
         with pytest.raises(InputError):
             sequence_kl_mc(q, p, 100, rng)
+
+
+def test_sequence_kl_rejects_models_of_different_arities():
+    # (2, 3) and (3, 2) tables have the same size: read side by side, two
+    # uniform tables used to give a divergence of 0
+    uniform = np.full(6, 1 / 6)
+    a = ExplicitJointModel(uniform, arities=(2, 3))
+    b = ExplicitJointModel(uniform, arities=(3, 2))
+    for p, q in ((a, b), (b, a)):
+        with pytest.raises(InputError):
+            sequence_kl(p, q)
+
+
+def test_window_leakage_exact_enumerates_the_space_once(rng, monkeypatch):
+    calls = []
+    enumerate_space = SequenceModel.enumerate_space
+
+    def counted(model):
+        calls.append(model)
+        return enumerate_space(model)
+
+    monkeypatch.setattr(SequenceModel, "enumerate_space", counted)
+    for model in (random_hmm(rng, 5, 3), random_markov(rng, 4),
+                  ExplicitJointModel.uniform(3)):
+        for omega in (0, 2):
+            calls.clear()
+            window_leakage_exact(model, [0], omega)
+            assert calls == [model]
 
 
 def test_sweep_requires_leading_sensitive(rng):

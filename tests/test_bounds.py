@@ -2,12 +2,14 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from genomask import (
     STAR,
     ExplicitJointModel,
     HmmModel,
     InputError,
+    LpSolution,
     MarkovChainModel,
     Ordering,
     achievable_rate_exact,
@@ -21,6 +23,7 @@ from genomask import (
     upper_bound_rate,
 )
 from genomask.bounds import TIE_TOL
+from genomask.distributions import row_codes
 from genomask.hardness import HittingSetInstance, ParityModel
 from genomask.mechanism import EnumeratedMechanism
 
@@ -31,6 +34,7 @@ from conftest import (
     random_markov,
     zero_transition_chain,
 )
+from strategies import small_models
 
 
 # --- information measures -----------------------------------------------------
@@ -272,20 +276,64 @@ def test_lp_matches_markov_rate_and_bound():
     assert sol.optimal_rate == pytest.approx(bound, abs=1e-7)
 
 
+def assert_lp_arrays_are_a_mechanism(model, sol):
+    """Every row of the LP arrays is faithful, and each sequence of the
+    space has weights summing to 1 within 1e-8."""
+    assert sol.xs.dtype == sol.ys.dtype == np.int64
+    assert sol.xs.shape == sol.ys.shape == (sol.w.size, model.n)
+    assert np.all((sol.ys == sol.xs) | (sol.ys == STAR))
+    sums = np.bincount(row_codes(sol.xs, model.arities), weights=sol.w,
+                       minlength=model.space_size)
+    assert np.all(np.abs(sums - 1.0) < 1e-8)
+
+
 def test_lp_mechanism_is_valid_and_private(rng):
     model = random_hmm(rng, 5, 3, eps=0.05, theta=0.05)
     sol = lp_optimal_rate(model, [0])
     assert sol.status == "optimal"
-    by_x = {}
-    for (x, y), w in sol.mechanism.items():
-        assert all(b in (STAR, a) for a, b in zip(x, y))
-        by_x[x] = by_x.get(x, 0.0) + w
-    assert all(abs(s - 1.0) < 1e-8 for s in by_x.values())
+    assert_lp_arrays_are_a_mechanism(model, sol)
     dist = lp_output_distribution(model, [0], sol)
     assert dist.mutual_information_bits() <= 1e-7
     assert dist.max_conditional_deviation() <= 1e-7
     implied = 1.0 - dist.expected_erasure_fraction()
     assert implied == pytest.approx(sol.optimal_rate, abs=1e-8)
+
+
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(case=small_models(max_n=4))
+def test_lp_sandwich_and_privacy_on_drawn_models(case):
+    # rate <= LP <= bound against the enumeration oracle, and the LP
+    # mechanism is faithful with output independent of the sensitive values
+    model, K, ordering = case
+    sol = lp_optimal_rate(model, K)
+    assert sol.status == "optimal"
+    assert_lp_arrays_are_a_mechanism(model, sol)
+    rate = achievable_rate_exact(model, K, ordering)
+    bound = upper_bound_rate(model, K)
+    assert rate <= sol.optimal_rate + 1e-7 <= bound + 2e-7
+    dist = lp_output_distribution(model, K, sol)
+    assert dist.mutual_information_bits() <= 1e-7
+    assert dist.max_conditional_deviation() <= 1e-7
+
+
+def test_lp_json_sorts_triples_and_erases_impossible_sequences():
+    model = zero_transition_chain(3)
+    sol = lp_optimal_rate(model, [0])
+    assert sol.status == "optimal"
+    triples = json.loads(sol.to_json())["mechanism"]
+    assert triples == sorted(triples)
+    impossible = {"".join(map(str, x))
+                  for x in model.enumerate_space().tolist()
+                  if model.joint_prob(x) == 0.0}
+    assert impossible          # 0 -> 2 and 2 -> 0 never happen
+    for x in impossible:
+        assert [t[1:] for t in triples if t[0] == x] == [["***", 1.0]]
+    # a solution that is not optimal carries no mechanism, and so no law
+    capacity = LpSolution(float("nan"), "capacity")
+    empty = json.loads(capacity.to_json())
+    assert empty["status"] == "capacity" and empty["mechanism"] == []
+    with pytest.raises(ValueError):
+        lp_output_distribution(model, [0], capacity)
 
 
 def test_lp_sandwich_on_truncated_hmm(rng):

@@ -186,6 +186,16 @@ def test_exit_codes(tmp_path, capsys, monkeypatch):
     assert main(["rate", "--model", str(cfg), "--k", "1", "--runs", "0"]) == 3
 
 
+def test_gen_panel_beyond_the_memory_budget_exits_3(tmp_path, capsys):
+    # the size check comes before any draw, so nothing is allocated
+    out = tmp_path / "huge.txt"
+    assert main(["gen-panel", "--m", "100000000000", "--n", "100000000000",
+                 "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not out.exists()
+
+
 def test_negative_runs_rejected(panel_file, capsys):
     for cmd in (["rate"], ["window", "--omega", "0,2"]):
         assert main(cmd + ["--panel", str(panel_file), "--k", "1",

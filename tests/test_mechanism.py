@@ -210,6 +210,15 @@ def test_rate_identity_across_models_and_orderings(rng):
         assert direct == pytest.approx(stepwise, abs=1e-9)
 
 
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(case=small_models(max_n=4))
+def test_rate_identity_on_drawn_models(case):
+    # the stepwise-minima rate against the rate of the walk's law
+    model, K, ordering = case
+    direct = achievable_rate_exact(model, K, ordering)
+    assert abs(rate_from_stepwise_minima(model, K, ordering) - direct) <= 1e-9
+
+
 def test_deterministic_mechanism_has_zero_mc_variance(rng):
     inst = HittingSetInstance.from_lists(2, [[1, 2]])
     model = ParityModel(inst)
