@@ -5,9 +5,11 @@ every step, which enumeration only delivers for toy sizes.  A model whose
 `hidden_chain()` is not None (the copying HMM with m panel rows, a Markov
 chain with m symbols) gives it in O(n m^2) arithmetic per hypothesis:
 
-* a backward pass over hidden states precomputes, for every position and
+* a backward pass over hidden states gives, for every position and
   sensitive assignment u, the likelihood of the not-yet-passed sensitive
-  symbols given the current hidden state;
+  symbols given the current hidden state; it keeps about sqrt(n) of those
+  rows and recomputes the others one segment at a time as the forward
+  pass reaches them;
 * a per-hypothesis belief over hidden states is filtered forward through
   the outputs actually produced, folding in the mechanism's own release
   randomness, not just the chain's.
@@ -62,23 +64,71 @@ NORM_TOL = 1e-6
 
 @dataclass(frozen=True)
 class SensitiveBackwardTable:
-    """Backward likelihoods of future sensitive symbols.
+    """Checkpoints of the backward likelihoods of future sensitive symbols.
 
-    ``values[i, u, s]`` is the probability that the sensitive positions at
-    or after i carry the values assigned by u, given hidden state s at
-    position i.  Positions past the last sensitive index have value 1 for
-    every state, where the filter falls back to the plain chain kernel.
+    Row i of the full table, ``row(i)[u, s]``, is the probability that the
+    sensitive positions at or after i carry the values assigned by u, given
+    hidden state s at position i.  ``values`` stores only every
+    ``stride``-th row, ``values[j] = row(j * stride)`` with stride =
+    ceil(sqrt(n)); `segment` recomputes the rows between two checkpoints
+    with the build's own products, bit for bit (Tarnas & Hughey,
+    Bioinformatics 14:401, 1998).  Rows from ``plain_from`` on are products
+    of T's row sums, 1 only up to rounding; the recursion runs through them
+    unstored, so the rows before them keep the bits of the full pass.
     """
 
     K: tuple[int, ...]
-    values: np.ndarray            # (n, num_u, m)
+    values: np.ndarray            # (ceil(n / stride), num_u, m) checkpoints
     u_components: np.ndarray      # (num_u, |K|)
     prior: np.ndarray             # (num_u,) = p(sensitive = u)
     plain_from: int               # first position with no sensitive suffix
+    chain: HiddenChain
 
     @property
     def num_u(self) -> int:
         return self.values.shape[1]
+
+    @property
+    def stride(self) -> int:
+        """Rows per segment, ceil(sqrt(n))."""
+        return _stride(self.chain.emissions.shape[0])
+
+    def segment(self, j: int, rows: np.ndarray, prods: np.ndarray) -> None:
+        """Recompute rows a .. b-1, a = j * stride and b = min(a + stride,
+        n), into ``rows[:b - a]`` from the checkpoint above (the pass starts
+        from ones at row n - 1).  ``prods[k]`` receives row(a + k + 1) @ T.T,
+        the product before position a + k's emission factor, which is the
+        masking session's normalizer at position a + k + 1.
+        """
+        n, a = self.chain.emissions.shape[0], j * self.stride
+        b = min(a + self.stride, n)
+        nxt = self.values[j + 1] if b < n else None
+        for i in range(b - 1, a - 1, -1):
+            _backward_step(self.chain, self.K, self.u_components, i, nxt,
+                           prods[i - a], rows[i - a])
+            nxt = rows[i - a]
+
+
+def _stride(n: int) -> int:
+    """ceil(sqrt(n)) for n >= 1."""
+    return math.isqrt(n - 1) + 1
+
+
+def _backward_step(chain: HiddenChain, K, ucomp, i, nxt, pre, row) -> None:
+    """Backward row i into ``row`` from ``nxt`` = row i + 1, or from ones
+    when ``nxt`` is None (i = n - 1); ``pre`` receives the product before
+    position i's emission factor.  ``row`` may be ``nxt``, which only the
+    product reads."""
+    if nxt is None:
+        pre[...] = 1.0
+    else:
+        # row(i)[u, s] = sum_s' T[s, s'] * row(i + 1)[u, s']
+        np.matmul(nxt, chain.trans.T, out=pre)
+    if i in K:
+        emis = chain.emissions[i]                            # (arity, m)
+        np.multiply(pre, emis[ucomp[:, K.index(i)]], out=row)
+    else:
+        row[...] = pre
 
 
 def require_chain(model: SequenceModel, what: str) -> HiddenChain:
@@ -100,19 +150,17 @@ def sensitive_backward_table(model: SequenceModel, K) -> SensitiveBackwardTable:
     us = sensitive_assignments(model.arities, K)
     ucomp = np.array(us, dtype=np.int64).reshape(len(us), len(K))
     num_u = ucomp.shape[0]
-    t = chain.trans
-    values = np.ones((n, num_u, m))             # 1 past the last position
-    slot = {k: j for j, k in enumerate(K)}
+    stride = _stride(n)
+    values = np.empty((-(-n // stride), num_u, m))
+    pre, row = np.empty((2, num_u, m))
     for i in range(n - 1, -1, -1):
-        if i < n - 1:
-            # values[i, u, s] = sum_s' T[s, s'] * values[i + 1, u, s']
-            values[i] = values[i + 1] @ t.T
-        if i in slot:
-            emis = chain.emissions[i]                    # (arity, m)
-            values[i] *= emis[ucomp[:, slot[i]]]
+        _backward_step(chain, K, ucomp, i, None if i == n - 1 else row,
+                       pre, row)
+        if i % stride == 0:
+            values[i // stride] = row
     prior = values[0] @ chain.initial
     plain_from = (max(K) + 1) if K else 0
-    return SensitiveBackwardTable(K, values, ucomp, prior, plain_from)
+    return SensitiveBackwardTable(K, values, ucomp, prior, plain_from, chain)
 
 
 def sensitive_conditionals(model: SequenceModel, K) -> np.ndarray:
@@ -129,8 +177,11 @@ def sensitive_conditionals(model: SequenceModel, K) -> np.ndarray:
     slot = {k: j for j, k in enumerate(K)}
     out = np.full((n, num_u, arity), np.nan)
     fwd = np.broadcast_to(chain.initial, (num_u, m)).copy()
-    t = chain.trans
+    t, stride = chain.trans, table.stride
+    back, prods = np.empty((2, stride, num_u, m))
     for i in range(n):
+        if i % stride == 0:
+            table.segment(i // stride, back, prods)
         emis = chain.emissions[i]  # (arity, m)
         if i in slot:
             rows = np.zeros((num_u, arity))
@@ -138,7 +189,7 @@ def sensitive_conditionals(model: SequenceModel, K) -> np.ndarray:
             out[i] = rows
             fwd = fwd * emis[table.u_components[:, slot[i]]]
         else:
-            joint = np.einsum("um,vm,um->uv", fwd, emis, table.values[i])
+            joint = np.einsum("um,vm,um->uv", fwd, emis, back[i % stride])
             z = joint.sum(axis=1)
             np.divide(joint, z[:, None], out=out[i], where=z[:, None] > 0)
         fwd = fwd @ t
@@ -165,8 +216,10 @@ class BatchMaskingSession:
     `_position_tables` returns are session-owned buffers that the next
     `advance` overwrites; while sensitive positions remain ahead, computing
     a position's tables also rescales ``belief`` in place.  Copy what must
-    outlive a step.  A deep copy of a session owns its own buffers and
-    advances independently.
+    outlive a step.  Below the last sensitive position the session reads
+    the backward rows from one recomputed segment of the table at a time
+    (`SensitiveBackwardTable.segment`), kept in a buffer of its own.  A deep
+    copy of a session owns its own buffers and advances independently.
     """
 
     def __init__(self, model: SequenceModel, K, x_sensitive, table=None):
@@ -190,6 +243,9 @@ class BatchMaskingSession:
         self._slot = {k: j for j, k in enumerate(self.K)}
         self._cache: tuple | None = None
         self._inv_mass: np.ndarray | None = None
+        # (rows, prods) of backward segment ``_back_seg``, made on first use
+        self._back: np.ndarray | None = None
+        self._back_seg = -1
 
     # -- per-position quantities -------------------------------------------
 
@@ -208,14 +264,28 @@ class BatchMaskingSession:
             np.matmul(self.belief.reshape(flat), self.chain.trans,
                       out=pred.reshape(flat))
             return pred
-        g = self.table.values[self.pos]                     # (num_u, m)
-        # pred[b,u,k] = sum_s belief[b,u,s] / z[u,s] * T[s,k] * g[u,k]; the
-        # belief is not read again before `advance` overwrites it
-        self.belief *= _inverse_or_zero(g @ self.chain.trans.T)  # 1 / z[u, s]
+        # pred[b,u,k] = sum_s belief[b,u,s] / z[u,s] * T[s,k] * g[u,k] with
+        # g the backward row at pos and z = g @ T.T, the pass's product for
+        # row pos - 1.  z is read before g's segment may overwrite it, and
+        # the belief is not read again before `advance` overwrites it.
+        self.belief *= _inverse_or_zero(self._backward(self.pos - 1)[1])
         np.matmul(self.belief.reshape(flat), self.chain.trans,
                   out=pred.reshape(flat))
-        pred *= g
+        pred *= self._backward(self.pos)[0]
         return pred
+
+    def _backward(self, i: int):
+        """(row i, row i + 1 @ T.T) of the backward pass as views of the
+        session's segment buffer, recomputing i's segment unless it is the
+        one held."""
+        j, k = divmod(i, self.table.stride)
+        if self._back_seg != j:
+            if self._back is None:
+                self._back = np.empty((2, self.table.stride,
+                                       self.table.num_u, self.chain.m))
+            self.table.segment(j, *self._back)
+            self._back_seg = j
+        return self._back[0, k], self._back[1, k]
 
     def _position_tables(self):
         """(pred_states, pred_symbols, mins, ratios) for the current position.
