@@ -36,10 +36,9 @@ from .simplex import linear_program
 #: assignment within this of a node's minimum counts as a minimizer.
 TIE_TOL = 1e-10
 
-#: `lp_optimal_rate` returns status "capacity" past this many variables, or
-#: past this many entries of its dense constraint matrix.
+#: `lp_optimal_rate` returns status "capacity" past this many variables;
+#: its sparse constraint matrix holds at most three nonzeros per variable.
 LP_VAR_BUDGET = 20_000
-LP_DENSE_BUDGET = 20_000_000
 
 
 def upper_bound_rate(model: SequenceModel, K) -> float:
@@ -128,7 +127,7 @@ def _masks(n: int, forced: tuple[int, ...]) -> np.ndarray:
 
 def lp_optimal_rate(model: SequenceModel, K) -> LpSolution:
     """Maximize the released fraction over all faithful mechanisms whose
-    output is independent of the sensitive values, by Bland-rule simplex
+    output is independent of the sensitive values, by HiGHS's simplex
     (`simplex.linear_program`).
 
     Faithfulness is structural: one variable per (sequence, erased subset).
@@ -151,7 +150,8 @@ def lp_optimal_rate(model: SequenceModel, K) -> LpSolution:
         return LpSolution(float("nan"), "capacity")
 
     # variable j = (sequence rows[var_x[j]], mask var_mask[j]), sequences
-    # outermost, outputs by first appearance: Bland's rule reads this order
+    # outermost, outputs by first appearance: the rows of `LpSolution` and
+    # so `from_mechanism` follow this order
     var_x = np.repeat(np.arange(rows.size), len(masks))
     var_mask = np.tile(np.arange(len(masks)), rows.size)
     var_row = rows[var_x]
@@ -160,11 +160,7 @@ def lp_optimal_rate(model: SequenceModel, K) -> LpSolution:
     cost = p[var_row] * masks.sum(axis=1)[var_mask] / model.n
 
     n_priv = (n_pos - 1) * (int(var_y.max()) + 1)
-    n_rows = n_priv + rows.size
-    if n_rows * nvars > LP_DENSE_BUDGET:
-        return LpSolution(float("nan"), "capacity")
-    a = np.zeros((n_rows, nvars))
-    b = np.zeros(n_rows)
+    b = np.zeros(n_priv + rows.size)
     # consecutive positive-prior assignments t, t+1 must give each output
     # the same conditional mass: +p(x | u_t) on row t, -p(x | u_{t+1})
     t = u_rank[u_of_row[var_row]]
@@ -172,9 +168,9 @@ def lp_optimal_rate(model: SequenceModel, K) -> LpSolution:
     cell = var_y * (n_pos - 1) + t
     j = np.arange(nvars)
     up, down = t < n_pos - 1, t > 0
-    a[cell[up], j[up]] = weight[up]
-    a[cell[down] - 1, j[down]] = -weight[down]
-    a[n_priv + var_x, j] = 1.0
+    a = (np.concatenate([cell[up], cell[down] - 1, n_priv + var_x]),
+         np.concatenate([j[up], j[down], j]),
+         np.concatenate([weight[up], -weight[down], np.ones(nvars)]))
     b[n_priv:] = 1.0
 
     result = linear_program(cost, a, b)
@@ -182,10 +178,14 @@ def lp_optimal_rate(model: SequenceModel, K) -> LpSolution:
         status = "infeasible" if result.status == "infeasible" else "numerical"
         return LpSolution(float("nan"), status)
 
-    w = result.x
-    sums = np.bincount(var_x, weights=w, minlength=rows.size)
+    sums = np.bincount(var_x, weights=result.x, minlength=rows.size)
     if np.any(np.abs(sums - 1.0) > 1e-8):
         return LpSolution(float("nan"), "numerical")
+    # the solver meets x >= 0 only to its feasibility tolerance (1e-7):
+    # drop the small negatives and rescale each sequence's weights to sum
+    # to 1, so that the mechanism is a set of distributions
+    w = np.maximum(result.x, 0.0)
+    w /= np.bincount(var_x, weights=w, minlength=rows.size)[var_x]
     rate = 1.0 - result.objective
     if abs(rate - (1.0 - float(cost @ w))) > 1e-8:
         return LpSolution(rate, "numerical")

@@ -197,6 +197,13 @@ def sensitive_conditionals(model: SequenceModel, K) -> np.ndarray:
     return out
 
 
+def _same_chain(a: HiddenChain, b: HiddenChain) -> bool:
+    """The same chain, by identity or else by value: some models build a
+    new `HiddenChain` on each `hidden_chain()` call."""
+    return a is b or all(np.array_equal(getattr(a, f), getattr(b, f))
+                         for f in ("initial", "trans", "emissions"))
+
+
 def _row_sums(a: np.ndarray) -> np.ndarray:
     """Sums over the last axis as one BLAS matrix-vector product: numpy's own
     reduction runs a short inner loop per row."""
@@ -229,6 +236,8 @@ class BatchMaskingSession:
         self.table = table if table is not None else sensitive_backward_table(model, self.K)
         if self.table.K != self.K:
             raise InputError("backward table was built for a different K")
+        if not _same_chain(self.table.chain, self.chain):
+            raise InputError("backward table was built for a different model")
         self.u_true = row_codes(x_sensitive,
                                 [model.arities[k] for k in self.K])
         self.batch = self.u_true.shape[0]

@@ -299,7 +299,7 @@ def test_lp_mechanism_is_valid_and_private(rng):
     assert implied == pytest.approx(sol.optimal_rate, abs=1e-8)
 
 
-@settings(max_examples=20, deadline=None, derandomize=True)
+@settings(max_examples=200, deadline=None, derandomize=True)
 @given(case=small_models(max_n=4))
 def test_lp_sandwich_and_privacy_on_drawn_models(case):
     # rate <= LP <= bound against the enumeration oracle, and the LP
@@ -314,6 +314,39 @@ def test_lp_sandwich_and_privacy_on_drawn_models(case):
     dist = lp_output_distribution(model, K, sol)
     assert dist.mutual_information_bits() <= 1e-7
     assert dist.max_conditional_deviation() <= 1e-7
+
+
+def test_lp_solves_a_degenerate_chain_to_the_bound():
+    # a drawn 3-symbol chain with a highly degenerate LP, always feasible
+    # (erase everything); its optimum meets the converse bound
+    initial = np.array([0.805059, 1.0848e-05, 0.194930])
+    trans = np.array([[0.311183, 0.093094, 0.595724],
+                      [0.012324, 0.775753, 0.211923],
+                      [0.086899, 0.913101, 0.0]])
+    model = MarkovChainModel(initial / initial.sum(),
+                             trans / trans.sum(axis=1, keepdims=True), 4)
+    sol = lp_optimal_rate(model, [2])
+    assert sol.status == "optimal"
+    assert abs(sol.optimal_rate - upper_bound_rate(model, [2])) <= 1e-9
+    dist = lp_output_distribution(model, [2], sol)
+    assert dist.mutual_information_bits() <= 1e-7
+    assert dist.max_conditional_deviation() <= 1e-7
+
+
+def test_lp_mechanism_weights_are_distributions():
+    # a drawn chain whose LP optimum, as the solver returns it, holds a
+    # weight near -1.9e-8, inside the solver's feasibility tolerance
+    initial = [0.39546198954297845, 0.5930180594914135, 0.01151995096560798]
+    trans = [[1.3903400990358395e-03, 0.0, 9.9860965990096417e-01],
+             [1.5865173381980024e-01, 1.7789920231940143e-01,
+              6.6344906386079838e-01],
+             [6.4820214191131020e-01, 3.5166006400659455e-01,
+              1.3779408209523564e-04]]
+    model = MarkovChainModel(initial, trans, 4)
+    sol = lp_optimal_rate(model, [3])
+    assert sol.status == "optimal"
+    assert np.all(sol.w > 0)
+    assert_lp_arrays_are_a_mechanism(model, sol)
 
 
 def test_lp_json_sorts_triples_and_erases_impossible_sequences():

@@ -450,6 +450,29 @@ def test_prior_zero_sensitive_value_rejected():
         BatchMaskingSession(model, (0,), np.array([[1]]))
 
 
+@pytest.mark.parametrize("m", [3, 4], ids=["same-m", "other-m"])
+def test_session_rejects_a_table_of_another_model(rng, m):
+    # same n and K: a table of the same m was used silently, and one of
+    # another m failed inside numpy
+    model = random_hmm(rng, 5, 3)
+    table = sensitive_backward_table(random_hmm(rng, 5, m), [0])
+    with pytest.raises(InputError, match="different model"):
+        BatchMaskingSession(model, [0], [[0]], table)
+    with pytest.raises(InputError, match="different model"):
+        mask_hmm_batch(model, model.sample_batch(2, rng), [0], rng, table)
+
+
+def test_session_accepts_a_table_of_an_equal_chain(rng):
+    # a Markov chain builds a new hidden chain on each call, so its table
+    # is matched by value; an HMM's cached chain is matched by identity
+    for model in (random_markov(rng, 5, alphabet=3), random_hmm(rng, 5, 3)):
+        table = sensitive_backward_table(model, [0])
+        xs = model.sample_batch(4, rng)
+        given = mask_hmm_batch(model, xs, [0], np.random.default_rng(1), table)
+        built = mask_hmm_batch(model, xs, [0], np.random.default_rng(1))
+        assert np.array_equal(given, built)
+
+
 def test_advance_rejects_symbols_outside_alphabet(rng):
     model = random_hmm(rng, 4, 3)
     for y in (2, -2):

@@ -618,7 +618,7 @@ def test_shrunken_budget_raises_capacity_error(rng, monkeypatch, module, name,
         call(model)
 
 
-@pytest.mark.parametrize("name", ["LP_VAR_BUDGET", "LP_DENSE_BUDGET"])
+@pytest.mark.parametrize("name", ["LP_VAR_BUDGET"])
 def test_shrunken_lp_budget_reports_capacity(rng, monkeypatch, name):
     model = random_markov(rng, 3)
     assert lp_optimal_rate(model, [0]).status == "optimal"
