@@ -20,8 +20,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import distributions
 from . import hmm as _hmm
-from .distributions import HiddenChain, SequenceModel
+from .distributions import SequenceModel
 from .errors import DegenerateSensitiveError, InputError, NumericalError
 from .info import entropy, kl_divergence, sample_stderr
 from .masking import STAR, MaskedSequence, Ordering, _validate_sensitive
@@ -85,23 +86,6 @@ def window_leakage_exact(model: SequenceModel, K, omega: int,
     return dist.mutual_information_bits() / entropy(prior)
 
 
-def _suffix_rows(chain: HiddenChain, xs: np.ndarray, rows) -> dict[int, np.ndarray]:
-    """{i: beta_i} for i in the ascending ``rows`` (each in 1..n), where
-    beta_i[b, s] = p(x_i..x_{n-1} | S_i = s), renormalized per step with a
-    per-sample scale (scales cancel in posteriors)."""
-    n, t = xs.shape[1], chain.trans
-    cur = np.ones((xs.shape[0], chain.m))
-    out = {n: cur} if n in rows else {}
-    for i in range(n - 1, (rows[0] if rows else n) - 1, -1):
-        emis = chain.emissions[i]                   # (arity, m)
-        cur = (cur @ t.T) * emis[xs[:, i]]          # (batch, m)
-        scale = cur.max(axis=1, keepdims=True)
-        np.divide(cur, scale, out=cur, where=scale > 0)
-        if i in rows:
-            out[i] = cur
-    return out
-
-
 def window_leakage_sweep(model: SequenceModel, K, omegas, samples: int,
                          rng: np.random.Generator):
     """Normalized leakage of the prefix-window baseline for several omegas,
@@ -109,10 +93,10 @@ def window_leakage_sweep(model: SequenceModel, K, omegas, samples: int,
 
     Only the paper's setting K = {first position} is supported: the
     posterior of x_0 given the released suffix is exact (hidden-state
-    forward/backward), and one backward pass per sample serves every omega.
-    Samples go in batches sized so that the suffix rows kept for the
-    omegas, plus the working row, stay within
-    ``distributions.BELIEF_BUDGET_BYTES``.
+    forward/backward).  Samples are drawn in the blocks of `hmm.mc_blocks`,
+    and the budget only cuts a block's backward pass into pieces (three
+    m-vectors a row).  The pass serves each distinct omega once, at the
+    step where it reaches it.
     Returns (estimates, standard errors) as arrays aligned with omegas.
     """
     chain = _hmm.require_chain(model, "the sampled window estimator "
@@ -125,49 +109,43 @@ def window_leakage_sweep(model: SequenceModel, K, omegas, samples: int,
         raise InputError(f"omegas must be a non-empty list in 0..{model.n}")
     if samples < 1:
         raise InputError("samples must be >= 1")
-    kept = sorted({w for w in omegas if w > 0})
-    batch_size = _hmm.mc_batch_size(8 * chain.m * (len(kept) + 1))
-    table = _hmm.sensitive_backward_table(model, K)
-    prior = table.prior
+    prior = _hmm.sensitive_backward_table(model, K).prior
     if np.count_nonzero(prior) < 2:
         raise DegenerateSensitiveError("sensitive symbol carries no entropy")
     h_k = entropy(prior)
 
-    (_, arity, m), t = chain.emissions.shape, chain.trans
-    # alpha[w, v, s] = p(x_0 = v, S_w = s): sample-independent, one chain
-    # of no-observation propagations
-    max_w = max(omegas)
-    alpha = np.empty((max_w + 1, arity, m))
-    emis0 = chain.emissions[0]
-    alpha[0] = np.nan  # omega = 0 releases x_0 itself; handled separately
-    if max_w >= 1:
-        alpha[1] = (chain.initial[None, :] * emis0) @ t
-        for w in range(2, max_w + 1):
-            alpha[w] = alpha[w - 1] @ t
+    n, t = model.n, chain.trans
+    # alpha[w][v, s] = p(x_0 = v, S_w = s): sample-independent, one chain of
+    # no-observation propagations; omega = 0 releases x_0 itself
+    alpha, cur = {}, chain.initial[None, :] * chain.emissions[0]
+    for w in range(1, max(omegas) + 1):
+        cur = cur @ t
+        if w in omegas:
+            alpha[w] = cur
+    # neglog[w] = -log2 p(x_0 = truth | the sample's x_w .. x_n-1)
+    neglog = {w: np.zeros(samples) for w in omegas}
+    for block in _hmm.mc_blocks(samples):
+        xs = model.sample_batch(block.stop - block.start, rng)
+        for piece in distributions.budget_pieces(len(xs), 3 * 8 * chain.m):
+            rows, truth = xs[piece], xs[piece, 0]
+            at = slice(block.start + piece.start, block.start + piece.stop)
+            # beta[r, s] = p(x_i .. x_n-1 | S_i = s), rescaled per step with
+            # a per-sample scale (scales cancel in posteriors)
+            beta = np.ones((rows.shape[0], chain.m))
+            for i in range(n, min(alpha, default=n) - 1, -1):
+                if i < n:
+                    beta = (beta @ t.T) * chain.emissions[i][rows[:, i]]
+                    scale = beta.max(axis=1, keepdims=True)
+                    np.divide(beta, scale, out=beta, where=scale > 0)
+                if i in alpha:
+                    scores = np.einsum("vs,bs->bv", alpha[i], beta)
+                    post = (scores[np.arange(rows.shape[0]), truth]
+                            / scores.sum(axis=1))
+                    neglog[i][at] = -np.log2(np.maximum(post, 1e-300))
 
-    neglog = {w: [] for w in omegas}
-    done = 0
-    while done < samples:
-        b = min(batch_size, samples - done)
-        xs = model.sample_batch(b, rng)
-        beta = _suffix_rows(chain, xs, kept)
-        truth = xs[:, 0]
-        for w in omegas:
-            if w == 0:
-                post = np.ones(b)  # x_0 is released: posterior is certain
-            else:
-                scores = np.einsum("vs,bs->bv", alpha[w], beta[w])
-                z = scores.sum(axis=1)
-                post = scores[np.arange(b), truth] / z
-            neglog[w].append(-np.log2(np.maximum(post, 1e-300)))
-        done += b
-
-    ests, errs = [], []
-    for w in omegas:
-        vals = np.concatenate(neglog[w])
-        ests.append((h_k - float(vals.mean())) / h_k)
-        errs.append(sample_stderr(vals) / h_k)
-    return np.array(ests), np.array(errs)
+    ests = np.array([(h_k - float(neglog[w].mean())) / h_k for w in omegas])
+    errs = np.array([sample_stderr(neglog[w]) / h_k for w in omegas])
+    return ests, errs
 
 
 @dataclass(frozen=True)
@@ -197,18 +175,20 @@ def sequence_kl(p_model: SequenceModel, q_model: SequenceModel) -> float:
 def sequence_kl_mc(p_model: SequenceModel, q_model: SequenceModel,
                    samples: int, rng: np.random.Generator):
     """Monte-Carlo estimate of D(p || q) in bits for models too long to
-    enumerate, from one batch of draws; both models need a hidden chain
+    enumerate, drawn in `hmm.mc_blocks`; both models need a hidden chain
     (HMMs or Markov chains), whose forward pass gives log p(x)."""
     MismatchPair(p_model, q_model)      # InputError unless the arities match
     p_chain = _hmm.require_chain(p_model, "sequence_kl_mc")
     q_chain = _hmm.require_chain(q_model, "sequence_kl_mc")
     if samples < 1:
         raise InputError("samples must be >= 1")
-    xs = p_model.sample_batch(samples, rng)
-    lq = q_chain.log_probs(xs)
-    if np.any(lq == -math.inf):
-        return float("inf"), 0.0
-    vals = (p_chain.log_probs(xs) - lq) / math.log(2)
+    vals = np.empty(samples)
+    for block in _hmm.mc_blocks(samples):
+        xs = p_model.sample_batch(block.stop - block.start, rng)
+        lq = q_chain.log_probs(xs)
+        if np.any(lq == -math.inf):
+            return float("inf"), 0.0
+        vals[block] = (p_chain.log_probs(xs) - lq) / math.log(2)
     return float(vals.mean()), sample_stderr(vals)
 
 

@@ -29,11 +29,10 @@ from .errors import CapacityError, InputError
 #: time by `SequenceModel.enumerate_space`, the one place that checks it.
 ENUMERATION_BUDGET = 1 << 17
 
-#: Bytes the float64 working arrays of one batch may take: the row blocks of
-#: `HiddenChain.log_probs`, the beliefs of `hmm.erasure_rate_mc` (see
-#: `hmm.mc_batch_size`), the kept suffix rows of
-#: `baselines.window_leakage_sweep` and the batches of
-#: `mechanism.EnumeratedMechanism.walk`.  Read at call time.
+#: Bytes the working arrays of one batch may take: `budget_pieces` cuts
+#: `HiddenChain.log_probs`, `hmm.mask_hmm_batch` and the window sweep to
+#: fit, and `mechanism.EnumeratedMechanism.walk` splits its batches by it.
+#: It sets how work is cut, never which draws are made.  Read at call time.
 BELIEF_BUDGET_BYTES = 64 * 2**20
 
 _SUM_TOL = 1e-12
@@ -101,6 +100,17 @@ def assignment_index(u: Sequence[int], arities: Sequence[int], K: Sequence[int])
                          [arities[k] for k in sorted(K)])[0])
 
 
+def budget_pieces(count: int, row_bytes: int) -> list[slice]:
+    """Slices of ``range(count)`` whose rows of ``row_bytes`` fit in
+    ``BELIEF_BUDGET_BYTES``; `CapacityError` if one row does not."""
+    size = BELIEF_BUDGET_BYTES // row_bytes
+    if size < 1:
+        raise CapacityError(f"one {row_bytes}-byte batch row exceeds the "
+                            f"{BELIEF_BUDGET_BYTES}-byte budget")
+    return [slice(start, min(start + size, count))
+            for start in range(0, count, size)]
+
+
 def _inverse_or_zero(x: np.ndarray, keep=None) -> np.ndarray:
     """1 / x where ``keep`` (default: x > 0), 0 elsewhere."""
     return np.divide(1.0, x, out=np.zeros_like(x),
@@ -127,14 +137,15 @@ class HiddenChain:
 
     def log_probs(self, xs: np.ndarray) -> np.ndarray:
         """log p(x) per row by a scaled forward pass (Rabiner 1989); -inf for
-        impossible rows.  Rows go in blocks whose four live (rows, m) float64
-        arrays fit in ``BELIEF_BUDGET_BYTES``."""
+        impossible rows.  Rows go in pieces whose four live (rows, m) float64
+        arrays fit in ``BELIEF_BUDGET_BYTES``; a row that does not fit goes
+        alone, as a node of the walk that reaches this via `joint_table`."""
         xs = np.asarray(xs, dtype=np.int64)
         emis, t = self.emissions, self.trans
-        block = max(1, BELIEF_BUDGET_BYTES // (4 * 8 * self.m))
         log_p = np.zeros(xs.shape[0])
-        for start in range(0, xs.shape[0], block):
-            rows, out = xs[start:start + block], log_p[start:start + block]
+        row_bytes = min(4 * 8 * self.m, BELIEF_BUDGET_BYTES)
+        for piece in budget_pieces(xs.shape[0], row_bytes):
+            rows, out = xs[piece], log_p[piece]
             f = self.initial * emis[0][rows[:, 0]]             # (rows, m)
             for i in range(emis.shape[0]):
                 if i:

@@ -17,7 +17,9 @@ chain with m symbols) gives it in O(n m^2) arithmetic per hypothesis:
 The belief filter is renormalized per position per hypothesis, so long
 sequences stay in the linear domain without underflow.  All state is kept
 in arrays with a leading batch axis; independent Monte-Carlo runs share
-the immutable backward table and advance in lockstep.
+the immutable backward table and advance in lockstep.  They are drawn in
+fixed blocks (`mc_blocks`), which the memory budget only cuts into pieces,
+so the budget never moves a seeded result.
 """
 
 from __future__ import annotations
@@ -55,6 +57,7 @@ from .masking import (
 #: Sensitive sets larger than this make the 2^|K| hypothesis loop pointless.
 MAX_SENSITIVE = 12
 
+#: Runs of one Monte-Carlo block, which draws its sequences at once.
 MAX_MC_BATCH = 512
 
 #: Belief-filter normalizers must match the predicted output probability
@@ -422,51 +425,56 @@ def mask_hmm(model: SequenceModel, x, K, rng: np.random.Generator):
 
 def mask_hmm_batch(model: SequenceModel, xs, K, rng: np.random.Generator,
                    table=None) -> np.ndarray:
-    """Mask a batch of sequences in lockstep; returns (batch, n) outcomes."""
+    """Mask a batch of sequences in lockstep; returns (batch, n) outcomes.
+
+    The release uniforms come first, one ``rng.random((n, batch))``.  Then
+    each budget piece of rows (two (num_u, m) session buffers, sequence,
+    uniforms and outcomes a row) is masked by a session of its own over
+    one backward table: the budget does not move the outcomes."""
     xs = np.asarray(xs, dtype=np.int64)
     if xs.ndim != 2 or xs.shape[1] != model.n:
         raise InputError(f"xs must have shape (batch, {model.n})")
     if xs.size and (xs.min() < 0 or xs.max() >= max(model.arities)):
         raise InputError(f"symbols must lie in 0..{max(model.arities) - 1}")
     K = _validate_sensitive(K, model.n)
-    session = BatchMaskingSession(model, K, xs[:, list(K)], table)
+    if table is None:
+        table = sensitive_backward_table(model, K)
+    num_u, m = table.values.shape[1:]
+    uniforms = rng.random((model.n, xs.shape[0]))
     out = np.empty_like(xs)
-    for i in range(model.n):
-        out[:, i], _ = session.step(xs[:, i], rng)
+    pieces = distributions.budget_pieces(
+        xs.shape[0], 8 * (2 * num_u * m + 3 * model.n))
+    for piece in pieces or [slice(0, 0)]:   # an empty batch checks the table
+        session = BatchMaskingSession(model, K, xs[piece][:, list(K)], table)
+        for i in range(model.n):
+            x_col = xs[piece, i]
+            r = session.release_probability(x_col)
+            out[piece, i] = np.where(uniforms[i, piece] < r, x_col, STAR)
+            session.advance(out[piece, i])
     return out
 
 
-def mc_batch_size(row_bytes: int) -> int:
-    """Largest batch up to ``MAX_MC_BATCH`` whose rows of ``row_bytes``
-    each fit in ``distributions.BELIEF_BUDGET_BYTES``; `CapacityError` if
-    one does not."""
-    budget = distributions.BELIEF_BUDGET_BYTES
-    batch_size = min(MAX_MC_BATCH, budget // row_bytes)
-    if batch_size < 1:
-        raise CapacityError(f"one {row_bytes}-byte batch row exceeds "
-                            f"the {budget}-byte budget")
-    return batch_size
+def mc_blocks(runs: int) -> list[slice]:
+    """Slices of ``range(runs)`` of ``MAX_MC_BATCH`` each, the last shorter:
+    the blocks that Monte-Carlo estimators draw at once."""
+    return [slice(start, min(start + MAX_MC_BATCH, runs))
+            for start in range(0, runs, MAX_MC_BATCH)]
 
 
 def erasure_rate_mc(model: SequenceModel, K, runs: int, rng: np.random.Generator):
     """Monte-Carlo rate of the mechanism: (mean of 1 - e/n, stderr).
 
-    Runs go in batches sized so that one belief array stays within
-    ``distributions.BELIEF_BUDGET_BYTES``.
+    Each block of `mc_blocks` draws its sequences, then `mask_hmm_batch`
+    its uniforms; the budget only cuts the block into pieces.
     """
     if runs < 1:
         raise InputError("runs must be >= 1")
-    chain = require_chain(model, "erasure_rate_mc")
+    require_chain(model, "erasure_rate_mc")
     K = _validate_sensitive(K, model.n)
-    num_u = math.prod(model.arities[k] for k in K)
-    batch_size = mc_batch_size(8 * num_u * chain.m)
     table = sensitive_backward_table(model, K)
     rates = np.empty(runs)
-    done = 0
-    while done < runs:
-        b = min(batch_size, runs - done)
-        xs = model.sample_batch(b, rng)
+    for block in mc_blocks(runs):
+        xs = model.sample_batch(block.stop - block.start, rng)
         ys = mask_hmm_batch(model, xs, K, rng, table)
-        rates[done:done + b] = 1.0 - (ys == STAR).sum(axis=1) / model.n
-        done += b
+        rates[block] = 1.0 - (ys == STAR).sum(axis=1) / model.n
     return float(rates.mean()), sample_stderr(rates)

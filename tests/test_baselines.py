@@ -99,25 +99,67 @@ def test_pure_noise_emissions_leak_nothing(rng):
 
 
 def test_sweep_batch_fits_belief_budget(rng, monkeypatch):
+    # the 30 samples are one block, drawn at once; the budget only cuts its
+    # backward pass into pieces of at most 7 rows
     import genomask.distributions as dist_mod
 
     model = random_hmm(rng, 6, 3, eps=0.15, theta=0.05)
-    row = 8 * model.m * 3                  # rows at omegas 2 and 4, plus one
-    sizes = []
-    real = model.sample_batch
+    row = 8 * model.m * 3                  # three working m-vectors
+    sizes, pieces = [], []
+    real, real_pieces = model.sample_batch, dist_mod.budget_pieces
 
     def recording(count, rng_):
         sizes.append(count)
         return real(count, rng_)
 
+    def recording_pieces(count, row_bytes):
+        cut = real_pieces(count, row_bytes)
+        pieces.extend((p.stop - p.start) * row_bytes for p in cut)
+        return cut
+
     monkeypatch.setattr(model, "sample_batch", recording)
+    monkeypatch.setattr(dist_mod, "budget_pieces", recording_pieces)
     monkeypatch.setattr(dist_mod, "BELIEF_BUDGET_BYTES", 7 * row + 5)
     window_leakage_sweep(model, [0], [0, 2, 4, 2], 30, rng)
-    assert sizes == [7, 7, 7, 7, 2]
-    assert all(b * row <= dist_mod.BELIEF_BUDGET_BYTES for b in sizes)
+    assert sizes == [30]
+    assert pieces == [7 * row] * 4 + [2 * row]
     monkeypatch.setattr(dist_mod, "BELIEF_BUDGET_BYTES", row - 1)
     with pytest.raises(CapacityError):
         window_leakage_sweep(model, [0], [0, 2, 4], 30, rng)
+
+
+def test_repeated_omega_is_estimated_once():
+    # a repeated omega used to append its values once per repeat, which
+    # shrank its standard error by sqrt(2)
+    model = random_hmm(np.random.default_rng(1), 12, 6, eps=0.1, theta=0.05)
+    alone = window_leakage_sweep(model, [0], [2], 800,
+                                 np.random.default_rng(1))
+    est, err = window_leakage_sweep(model, [0], [2, 5, 2], 800,
+                                    np.random.default_rng(1))
+    assert err[0] > 0
+    for i in (0, 2):
+        assert (est[i], err[i]) == (alone[0][0], alone[1][0])
+
+
+def test_kl_mc_draws_in_fixed_blocks(rng, monkeypatch):
+    # a Markov chain draws row by row, so its blocks give the draws, and
+    # here the estimate, of one batch
+    p = random_markov(rng, 6)
+    q = MarkovChainModel(p.initial, [[0.6, 0.4], [0.3, 0.7]], 6)
+    xs = p.sample_batch(1100, np.random.default_rng(3))
+    vals = (p.hidden_chain().log_probs(xs)
+            - q.hidden_chain().log_probs(xs)) / np.log(2)
+    sizes = []
+    real = p.sample_batch
+
+    def recording(count, rng_):
+        sizes.append(count)
+        return real(count, rng_)
+
+    monkeypatch.setattr(p, "sample_batch", recording)
+    est, err = sequence_kl_mc(p, q, 1100, np.random.default_rng(3))
+    assert sizes == [512, 512, 76]
+    assert est == float(vals.mean())
 
 
 def test_markov_sweep_and_kl_mc_match_exact(rng):

@@ -2,7 +2,6 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
 
 from genomask import (
     STAR,
@@ -34,7 +33,7 @@ from conftest import (
     random_markov,
     zero_transition_chain,
 )
-from strategies import small_models
+from strategies import seeded_examples, small_models
 
 
 # --- information measures -----------------------------------------------------
@@ -299,12 +298,11 @@ def test_lp_mechanism_is_valid_and_private(rng):
     assert implied == pytest.approx(sol.optimal_rate, abs=1e-8)
 
 
-@settings(max_examples=200, deadline=None, derandomize=True)
-@given(case=small_models(max_n=4))
-def test_lp_sandwich_and_privacy_on_drawn_models(case):
+@seeded_examples(200)
+def test_lp_sandwich_and_privacy_on_drawn_models(seed):
     # rate <= LP <= bound against the enumeration oracle, and the LP
     # mechanism is faithful with output independent of the sensitive values
-    model, K, ordering = case
+    model, K, ordering = small_models(seed, max_n=4)
     sol = lp_optimal_rate(model, K)
     assert sol.status == "optimal"
     assert_lp_arrays_are_a_mechanism(model, sol)

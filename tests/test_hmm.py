@@ -5,8 +5,6 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from genomask import (
     CapacityError,
@@ -21,6 +19,7 @@ from genomask import (
     sensitive_backward_table,
     sensitive_conditionals,
     upper_bound_rate,
+    window_leakage_sweep,
 )
 from genomask.distributions import assignment_index, sensitive_assignments
 from genomask.hmm import BatchMaskingSession, erasure_rate_mc
@@ -32,7 +31,7 @@ from conftest import (
     random_markov,
     zero_transition_chain,
 )
-from strategies import small_models
+from strategies import seeded_examples, small_models
 
 
 def case_model(rng, n, m, eps, theta):
@@ -125,10 +124,9 @@ def test_backward_segments_equal_full_recursion(rng, kind, n, K):
     assert_segments_equal_reference(model, K)
 
 
-@settings(max_examples=30, deadline=None, derandomize=True)
-@given(case=small_models(kinds=("markov", "hmm")))
-def test_backward_segments_equal_full_recursion_on_drawn_models(case):
-    model, K, _ = case
+@seeded_examples(30)
+def test_backward_segments_equal_full_recursion_on_drawn_models(seed):
+    model, K, _ = small_models(seed, kinds=("markov", "hmm"))
     assert_segments_equal_reference(model, K)
 
 
@@ -185,12 +183,11 @@ def test_sensitive_conditionals_match_enumeration(rng):
             assert cond[pos] == pytest.approx(brute, abs=1e-12, nan_ok=True)
 
 
-@settings(max_examples=30, deadline=None, derandomize=True)
-@given(seed=st.integers(0, 10 ** 6),
-       kind=st.sampled_from(["markov", "markov-zero", "hmm"]))
-def test_sensitive_conditionals_equal_enumeration_oracle(seed, kind):
+@seeded_examples(30)
+def test_sensitive_conditionals_equal_enumeration_oracle(seed):
     # the forward/backward table against the enumerated one, NaN rows (zero
     # prior) included, and the bound of each against its explicit twin
+    kind = ("markov", "markov-zero", "hmm")[seed % 3]
     rng = np.random.default_rng(seed)
     n, arity = int(rng.integers(2, 7)), int(rng.integers(2, 4))
     if kind == "markov":
@@ -296,11 +293,10 @@ def test_session_predictive_matches_brute_force_everywhere(rng, n, m, K,
         assert not np.all(sensitive_backward_table(model, K).prior > 0)
 
 
-@settings(max_examples=30, deadline=None, derandomize=True)
-@given(case=small_models(kinds=("markov", "hmm")))
-def test_session_predictive_equals_oracle_on_drawn_models(case):
+@seeded_examples(30)
+def test_session_predictive_equals_oracle_on_drawn_models(seed):
     # the session runs the linear ordering, so the drawn one is unused
-    model, K, _ = case
+    model, K, _ = small_models(seed, kinds=("markov", "hmm"))
     assert _walk_all_prefixes(model, K, _possible_assignment(model, K)) <= 1e-10
 
 
@@ -370,10 +366,9 @@ def test_session_output_law_matches_enumeration(rng, n, m, K, eps, theta):
     assert worst <= 1e-9 and stray <= 1e-12
 
 
-@settings(max_examples=30, deadline=None, derandomize=True)
-@given(case=small_models(kinds=("markov", "hmm")))
-def test_session_output_law_equals_oracle_on_drawn_models(case):
-    model, K, _ = case
+@seeded_examples(30)
+def test_session_output_law_equals_oracle_on_drawn_models(seed):
+    model, K, _ = small_models(seed, kinds=("markov", "hmm"))
     assert session_law_tv(model, K) <= 1e-9
 
 
@@ -458,8 +453,10 @@ def test_session_rejects_a_table_of_another_model(rng, m):
     table = sensitive_backward_table(random_hmm(rng, 5, m), [0])
     with pytest.raises(InputError, match="different model"):
         BatchMaskingSession(model, [0], [[0]], table)
-    with pytest.raises(InputError, match="different model"):
-        mask_hmm_batch(model, model.sample_batch(2, rng), [0], rng, table)
+    for batch in (2, 0):
+        with pytest.raises(InputError, match="different model"):
+            mask_hmm_batch(model, model.sample_batch(batch, rng), [0], rng,
+                           table)
 
 
 def test_session_accepts_a_table_of_an_equal_chain(rng):
@@ -588,23 +585,69 @@ def test_batch_rate_agrees_with_exact(rng):
 
 
 def test_mc_batch_fits_belief_budget(rng, monkeypatch):
+    # the 30 runs are one block, drawn at once; the budget only cuts the
+    # block into sessions of at most 7 rows
     import genomask.distributions as dist_mod
+    import genomask.hmm as hmm_mod
 
     model = random_hmm(rng, 5, 3, eps=0.15, theta=0.05)
     K = (0, 2)                                   # 4 hypotheses
-    row = 8 * 4 * model.m
-    sizes = []
+    # a row: the session's two (4, m) buffers, its sequence, its uniforms
+    # and its outcomes
+    row = 8 * (2 * 4 * model.m + 3 * model.n)
+    sizes, pieces = [], []
     real = model.sample_batch
 
     def recording(count, rng_):
         sizes.append(count)
         return real(count, rng_)
 
+    class RecordingSession(BatchMaskingSession):
+        def __init__(self, *args):
+            super().__init__(*args)
+            pieces.append(self.batch)
+
     monkeypatch.setattr(model, "sample_batch", recording)
+    monkeypatch.setattr(hmm_mod, "BatchMaskingSession", RecordingSession)
     monkeypatch.setattr(dist_mod, "BELIEF_BUDGET_BYTES", 7 * row + 5)
     erasure_rate_mc(model, K, runs=30, rng=rng)
-    assert sizes == [7, 7, 7, 7, 2]
-    assert all(b * row <= dist_mod.BELIEF_BUDGET_BYTES for b in sizes)
+    assert sizes == [30]
+    assert pieces == [7, 7, 7, 7, 2]
+    assert all(b * row <= dist_mod.BELIEF_BUDGET_BYTES for b in pieces)
     monkeypatch.setattr(dist_mod, "BELIEF_BUDGET_BYTES", row - 1)
     with pytest.raises(CapacityError):
         erasure_rate_mc(model, K, runs=30, rng=rng)
+
+
+def test_seeded_estimates_do_not_depend_on_the_budget(monkeypatch):
+    # budgets that cut every block into 1-row and into 37-row pieces (the
+    # 512- and 88-run blocks of 600 runs, a 40-row caller batch) give the
+    # rate and the outcomes of the default budget bit for bit, and the
+    # sweep up to the rounding of smaller matrix products
+    import genomask.distributions as dist_mod
+
+    rng = np.random.default_rng(1818)
+    model = random_hmm(rng, 6, 4, eps=0.1, theta=0.05)
+    K, omegas = (0, 3), [0, 1, 3, 6]
+    xs = model.sample_batch(40, rng)
+    mask_row = 8 * (2 * 4 * model.m + 3 * model.n)
+    sweep_row = 3 * 8 * model.m
+
+    def rate():
+        return erasure_rate_mc(model, K, 600, np.random.default_rng(3))
+
+    def sweep():
+        return np.concatenate(window_leakage_sweep(
+            model, [0], omegas, 600, np.random.default_rng(4)))
+
+    def outcomes():
+        return mask_hmm_batch(model, xs, K, np.random.default_rng(5))
+
+    want = rate(), sweep(), outcomes()
+    assert want[0][1] > 0 and np.all(want[1][5:7] > 0)
+    for rows in (1, 37):
+        monkeypatch.setattr(dist_mod, "BELIEF_BUDGET_BYTES", rows * mask_row)
+        assert rate() == want[0]
+        assert np.array_equal(outcomes(), want[2])
+        monkeypatch.setattr(dist_mod, "BELIEF_BUDGET_BYTES", rows * sweep_row)
+        assert np.abs(sweep() - want[1]).max() <= 1e-12

@@ -4,8 +4,6 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from genomask import (
     CapacityError,
@@ -58,7 +56,7 @@ from conftest import (
     replayed_ratios,
     zero_transition_chain,
 )
-from strategies import small_models
+from strategies import seeded_examples, small_models
 
 
 def independent_model(n=3, p1=0.3):
@@ -161,12 +159,11 @@ def test_zero_probability_input_warns(rng):
         mask_sequence(m, (0, 1), [0], rng=rng)
 
 
-@settings(max_examples=40, deadline=None, derandomize=True)
-@given(seed=st.integers(0, 10 ** 6), ksize=st.integers(1, 3))
-def test_masking_is_faithful(seed, ksize):
+@seeded_examples(40)
+def test_masking_is_faithful(seed):
     rng = np.random.default_rng(seed)
     model = random_markov(rng, 5)
-    K = sorted(rng.choice(5, size=ksize, replace=False))
+    K = sorted(rng.choice(5, size=1 + seed % 3, replace=False))
     x = model.sample(rng)
     masked, _ = mask_sequence(model, x, K, rng=rng)
     assert masked.is_faithful_to(x)
@@ -210,11 +207,10 @@ def test_rate_identity_across_models_and_orderings(rng):
         assert direct == pytest.approx(stepwise, abs=1e-9)
 
 
-@settings(max_examples=30, deadline=None, derandomize=True)
-@given(case=small_models(max_n=4))
-def test_rate_identity_on_drawn_models(case):
+@seeded_examples(30)
+def test_rate_identity_on_drawn_models(seed):
     # the stepwise-minima rate against the rate of the walk's law
-    model, K, ordering = case
+    model, K, ordering = small_models(seed, max_n=4)
     direct = achievable_rate_exact(model, K, ordering)
     assert abs(rate_from_stepwise_minima(model, K, ordering) - direct) <= 1e-9
 
@@ -406,16 +402,14 @@ def test_mismatched_walk_equals_replay(rng):
         assert result.leakage_bits == dist.mutual_information_bits()
 
 
-@settings(max_examples=10, deadline=None, derandomize=True)
-@given(case=small_models(), mismatch_seed=st.integers(0, 2 ** 32 - 1))
-def test_walk_law_is_replay_for_matched_and_mismatched_engines(case,
-                                                               mismatch_seed):
+@seeded_examples(10)
+def test_walk_law_is_replay_for_matched_and_mismatched_engines(seed):
     # a matched engine enters children without the mismatched engine's
     # mask; both must give the replayed law, zeros and all
-    model, K, ordering = case
+    model, K, ordering = small_models(seed)
     engine = EnumeratedMechanism(model, K)
     _assert_law_is_replay(engine, ordering, engine.output_distribution(ordering))
-    q_model = random_explicit(np.random.default_rng(mismatch_seed), model.n,
+    q_model = random_explicit(np.random.default_rng([seed, 1]), model.n,
                               model.arities[0], sparse=True)
     engine = EnumeratedMechanism(model, K, q_model)
     _assert_law_is_replay(engine, ordering, engine.output_distribution(ordering))
@@ -774,10 +768,10 @@ def assert_sorted_int_outputs(dist, n):
     assert dist.y_values == rows
 
 
-@settings(max_examples=12, deadline=None, derandomize=True)
-@given(seed=st.integers(0, 10 ** 6), n=st.integers(2, 5),
-       kind=st.sampled_from(["explicit", "markov", "hmm"]))
-def test_from_mechanism_laws(seed, n, kind):
+@seeded_examples(12)
+def test_from_mechanism_laws(seed):
+    # the 12 seeds cover each (n, kind) pair once
+    n, kind = 2 + seed % 4, ("explicit", "markov", "hmm")[seed % 3]
     rng = np.random.default_rng(seed)
     model = {"explicit": lambda: random_explicit(rng, n),
              "markov": lambda: random_markov(rng, n),
