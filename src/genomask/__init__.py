@@ -48,7 +48,6 @@ from .hardness import (
 from .hmm import (
     BatchMaskingSession,
     SensitiveBackwardTable,
-    mask_hmm,
     mask_hmm_batch,
     sensitive_backward_table,
     sensitive_conditionals,
@@ -58,14 +57,11 @@ from .masking import STAR, MaskedSequence, Ordering, TranscriptEntry
 from .mechanism import (
     EnumeratedMechanism,
     OutputDistribution,
-    PrivacyAudit,
     achievable_rate_exact,
     achievable_rate_mc,
-    conditional_query,
     exact_output_distribution,
     mask_sequence,
     rate_from_stepwise_minima,
-    verify_privacy_exact,
 )
 
 __version__ = "0.1.0"

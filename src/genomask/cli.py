@@ -15,7 +15,7 @@ import sys
 
 import numpy as np
 
-from . import baselines, bounds, distributions, experiments, hardness, hmm, mechanism
+from . import baselines, bounds, distributions, experiments, hardness, mechanism
 from .distributions import HmmModel, SequenceModel, load_model_config, load_panel
 from .errors import CapacityError, GenomaskError, InputError, NumericalError
 from .masking import Ordering, transcript_to_json_lines
@@ -120,10 +120,7 @@ def cmd_mask(args) -> int:
     else:
         raise InputError("provide --x SEQUENCE or --sample")
     ordering = _parse_order(args.order, model.n) if args.order else None
-    if model.hidden_chain() is not None and (ordering is None or ordering.is_linear):
-        masked, transcript = hmm.mask_hmm(model, x, K, rng)
-    else:
-        masked, transcript = mechanism.mask_sequence(model, x, K, ordering, rng)
+    masked, transcript = mechanism.mask_sequence(model, x, K, ordering, rng)
     _emit(args, masked.text())
     if args.transcript:
         _write(args.transcript, transcript_to_json_lines(transcript) + "\n")
@@ -160,7 +157,7 @@ def cmd_lp(args) -> int:
     K = _parse_positions(args.k, model.n)
     sol = bounds.lp_optimal_rate(model, K)
     if sol.status == "capacity":
-        raise CapacityError("the LP exceeds its variable or matrix budget")
+        raise CapacityError("the LP exceeds LP_VAR_BUDGET variables")
     if sol.status != "optimal":
         raise NumericalError(f"the LP solve ended {sol.status}")
     _emit(args, sol.to_json() if args.json

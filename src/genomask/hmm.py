@@ -37,7 +37,6 @@ from .distributions import (
     assignment_index,
     row_codes,
     sensitive_assignments,
-    validate_sequence,
 )
 from .errors import (
     CapacityError,
@@ -48,8 +47,6 @@ from .errors import (
 from .info import sample_stderr
 from .masking import (
     STAR,
-    MaskedSequence,
-    TranscriptEntry,
     _validate_sensitive,
     release_rule,
 )
@@ -400,27 +397,6 @@ class BatchMaskingSession:
         belief *= _inverse_or_zero(norms, self.live)[:, :, None]
         self.pos += 1
         self._cache = None
-
-    def step(self, x_col, rng: np.random.Generator):
-        """Sample outcomes for the current position; returns (y, release_prob)."""
-        x_col = np.asarray(x_col, dtype=np.int64)
-        r = self.release_probability(x_col)
-        y = np.where(rng.random(self.batch) < r, x_col, STAR)
-        self.advance(y)
-        return y, r
-
-
-def mask_hmm(model: SequenceModel, x, K, rng: np.random.Generator):
-    """Mask one sequence; returns (MaskedSequence, transcript)."""
-    x = validate_sequence(x, model.arities)
-    K = _validate_sensitive(K, model.n)
-    session = BatchMaskingSession(
-        model, K, np.array([[x[k] for k in K]], dtype=np.int64))
-    transcript = []
-    for i in range(model.n):
-        out, r = session.step(np.array([x[i]]), rng)
-        transcript.append(TranscriptEntry(i, float(r[0]), int(out[0])))
-    return MaskedSequence(tuple(e.outcome for e in transcript)), tuple(transcript)
 
 
 def mask_hmm_batch(model: SequenceModel, xs, K, rng: np.random.Generator,

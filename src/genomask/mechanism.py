@@ -13,6 +13,9 @@ Everything here works for any `SequenceModel` by enumerating the sequence
 space, which is the authoritative (slow) reference path.  The mechanism's
 belief about the data may differ from the true distribution
 (``mechanism_model``), which is what the model-mismatch analysis exercises.
+`mask_sequence` masks a model with a hidden chain in the linear order
+through `hmm.BatchMaskingSession`, and any other through
+`EnumeratedMechanism.mask`; both draw one uniform per position.
 
 One walker, `EnumeratedMechanism.walk`, visits the prefix tree of produced
 outputs a level at a time: every node at depth d processes the same
@@ -21,9 +24,10 @@ support row), and the predictive and release tables of the whole batch are
 single array operations.  Each entry's flat cell (node, hypothesis, own
 symbol) sums it into the first and reads its step factor off the second.
 The per-node `predictive`, `release_table` and `step_factor` are their
-one-node case, for `EnumeratedMechanism.mask`, the conditional query
-(`EnumeratedMechanism.conditional`), the prior table of the converse bound
-(`EnumeratedMechanism.sensitive_conditionals`) and the tests.  The release
+one-node case, for the conditional query (`EnumeratedMechanism.conditional`),
+the prior table of the converse bound
+(`EnumeratedMechanism.sensitive_conditionals`) and the tests, and `mask`
+does their arithmetic on the live rows of its one path.  The release
 probabilities come from one rule, `masking.release_rule`, here and in the
 HMM session alike.  A branch is entered only when its true-model weight
 stays positive.  Batches are cut at node boundaries and walked depth first,
@@ -67,9 +71,8 @@ from .masking import (
     release_rule,
 )
 
-#: Cap on the number of distinct output sequences visited by exact
-#: composition walks (and, times n, on the prefix nodes of the stepwise
-#: rate); read at call time.
+#: Cap on the prefix-tree nodes of each depth of a walk, and so on its
+#: outputs, since every entered node has an entered child; read at call time.
 LEAF_BUDGET = 1 << 17
 
 #: Upper bounds on what one walk batch holds at its peak: bytes per entry
@@ -94,9 +97,9 @@ class EnumeratedMechanism:
         Distribution the mechanism believes in; defaults to ``model``.
 
     The enumerated space is capped by ``distributions.ENUMERATION_BUDGET``,
-    the outputs of one walk by ``LEAF_BUDGET`` and a walk batch's arrays by
-    ``distributions.BELIEF_BUDGET_BYTES``; each is read when used, so a test
-    can shrink it with ``monkeypatch``.
+    a walk batch's arrays by ``distributions.BELIEF_BUDGET_BYTES``, and the
+    walk itself caps every depth at ``LEAF_BUDGET`` nodes; each is read when
+    used, so a test can shrink it with ``monkeypatch``.
     """
 
     def __init__(self, model: SequenceModel, K, mechanism_model=None):
@@ -189,24 +192,24 @@ class EnumeratedMechanism:
     # -- single runs ---------------------------------------------------------
 
     def mask(self, x, ordering: Ordering, rng: np.random.Generator):
-        """Mask one sequence; returns (MaskedSequence, transcript)."""
+        """Mask one sequence; returns (MaskedSequence, transcript).  Rows of
+        zero weight are dropped: they add nothing to the bincounts."""
         x = validate_sequence(x, self.arities)
-        if self.mech_model.joint_prob(x) == 0.0:
-            warnings.warn(
-                "input sequence has probability zero under the mechanism's "
-                "model; impossible contexts will be erased",
-                stacklevel=3,
-            )
         u_code = assignment_index([x[k] for k in self.K], self.arities, self.K)
-        wq = self.q.copy()
+        row = np.flatnonzero(self.q > 0)
+        wq = self.q[row]
         y = [STAR] * self.n
         transcript = []
         for pos in ordering:
-            cond, totals = self.predictive(wq, pos)
-            _, ratios = self.release_table(cond, totals, pos)
+            cell = self._cells(pos, 0, row)
+            cond, totals = self._predictive(pos, 1, cell, wq)
+            _, ratios = self.release_table(cond[0], totals[0], pos)
             r = float(ratios[u_code, x[pos]])
             y[pos] = x[pos] if rng.random() < r else STAR
-            wq *= self.step_factor(pos, y[pos], ratios)
+            release = ratios.reshape(-1)[cell]
+            wq = wq * (1.0 - release if y[pos] == STAR else
+                       np.where(self.space[row, pos] == y[pos], release, 0.0))
+            row, wq = row[wq > 0], wq[wq > 0]
             transcript.append(TranscriptEntry(pos, r, y[pos]))
         return MaskedSequence(tuple(y)), tuple(transcript)
 
@@ -260,7 +263,8 @@ class EnumeratedMechanism:
         batch in hand with its temporaries, plus the pending batches of
         the shallower depths, stay within
         ``distributions.BELIEF_BUDGET_BYTES``; a
-        node too large for its share of the budget is walked alone.
+        node too large for its share of the budget is walked alone.  A depth
+        past ``LEAF_BUDGET`` nodes raises `CapacityError`.
         """
         matched = self.mech_model is self.model
         rows = self.space.shape[0]
@@ -268,8 +272,12 @@ class EnumeratedMechanism:
         stack = [NodeBatch(0, np.zeros((1, 0), dtype=np.int64),
                            np.zeros(rows, dtype=np.int64), np.arange(rows),
                            self.p, self.p if matched else self.q)]
+        nodes = [0] * (self.n + 1)
         while stack:
             batch = stack.pop()
+            nodes[batch.depth] += batch.size
+            if nodes[batch.depth] > LEAF_BUDGET:
+                raise CapacityError(f"a walk depth exceeded {LEAF_BUDGET} nodes")
             if batch.depth < self.n:
                 batch.pos = pos = ordering.perm[batch.depth]
                 batch.cell = self._cells(pos, batch.node, batch.row)
@@ -339,14 +347,10 @@ class EnumeratedMechanism:
 
     def output_distribution(self, ordering: Ordering):
         """Exact joint law of (sensitive values, masked output)."""
-        ys, cols, leaves = [], [], 0
+        ys, cols = [], []
         for batch in self.walk(ordering):
             if batch.pos is not None:
                 continue
-            leaves += batch.size
-            if leaves > LEAF_BUDGET:
-                raise CapacityError(
-                    f"output enumeration exceeded {LEAF_BUDGET} leaves")
             y = np.empty((batch.size, self.n), dtype=np.int64)
             y[:, ordering.perm] = batch.paths
             ys.append(y)
@@ -370,14 +374,9 @@ class EnumeratedMechanism:
         if self.mech_model is not self.model:
             raise InputError("rate identity requires a matched mechanism")
         acc = 0.0
-        nodes = 0
         for batch in self.walk(ordering):
             if batch.pos is None:
                 continue
-            nodes += batch.size
-            if nodes > LEAF_BUDGET * self.n:
-                raise CapacityError(f"prefix enumeration exceeded "
-                                    f"{LEAF_BUDGET * self.n} nodes")
             acc += float(batch.totals.sum(axis=1) @ batch.mins.sum(axis=1))
         return acc / self.n
 
@@ -481,29 +480,41 @@ class OutputDistribution:
                             initial=0.0))
 
 
-@dataclass(frozen=True)
-class PrivacyAudit:
-    max_deviation: float
-    mutual_information_bits: float
-
-
 # ---------------------------------------------------------------------------
 # Module-level operations
 
 
-def conditional_query(model: SequenceModel, i: int, u, K,
-                      y_prefix=()) -> np.ndarray:
-    """Exact p(X_i | sensitive = u, produced prefix) by enumeration."""
-    return EnumeratedMechanism(model, K).conditional(i, u, y_prefix)
-
-
 def mask_sequence(model: SequenceModel, x, K, ordering: Ordering | None = None,
                   rng: np.random.Generator | None = None):
-    """Mask one sequence with the sequential mechanism (reference path)."""
+    """Mask one sequence; returns (MaskedSequence, transcript).  A chain in
+    the linear order goes through a session (`InputError` for a sensitive
+    value of prior zero), any other model or order through
+    `EnumeratedMechanism.mask`; both draw one ``rng.random()`` a position.
+    An x of probability zero warns, and its impossible contexts erase."""
     if rng is None:
         raise InputError("mask_sequence requires a random generator")
-    engine = EnumeratedMechanism(model, K)
-    return engine.mask(x, _validate_ordering(ordering, model.n), rng)
+    ordering = _validate_ordering(ordering, model.n)
+    x = validate_sequence(x, model.arities)
+    K = _validate_sensitive(K, model.n)
+    chain = model.hidden_chain()
+    if chain is None or not ordering.is_linear:
+        engine, session = EnumeratedMechanism(model, K), None
+    else:      # raises for a prior-zero sensitive value before any warning
+        session = _hmm.BatchMaskingSession(model, K, [[x[k] for k in K]])
+    # on a chain log p(x), which a long x does not underflow
+    if (model.joint_prob(x) == 0.0 if chain is None
+            else chain.log_probs([x])[0] == -np.inf):
+        warnings.warn("input sequence has probability zero under the model; "
+                      "impossible contexts will be erased", stacklevel=2)
+    if session is None:
+        return engine.mask(x, ordering, rng)
+    y, transcript = list(x), []
+    for i in range(model.n):
+        r = float(session.release_probability([x[i]])[0])
+        y[i] = x[i] if rng.random() < r else STAR
+        session.advance([y[i]])
+        transcript.append(TranscriptEntry(i, r, y[i]))
+    return MaskedSequence(tuple(y)), tuple(transcript)
 
 
 def exact_output_distribution(model: SequenceModel, K,
@@ -540,18 +551,6 @@ def achievable_rate_mc(model: SequenceModel, K, ordering: Ordering | None = None
     if model.hidden_chain() is not None and ordering.is_linear:
         return _hmm.erasure_rate_mc(model, K, runs, rng)
     engine = EnumeratedMechanism(model, K)
-    rates = np.empty(runs)
-    for r in range(runs):
-        x = model.sample(rng)
-        masked, _ = engine.mask(x, ordering, rng)
-        rates[r] = 1.0 - masked.erasure_rate
+    masks = (engine.mask(model.sample(rng), ordering, rng)[0] for _ in range(runs))
+    rates = np.array([1.0 - masked.erasure_rate for masked in masks])
     return float(rates.mean()), sample_stderr(rates)
-
-
-def verify_privacy_exact(model: SequenceModel, K,
-                         ordering: Ordering | None = None) -> PrivacyAudit:
-    """Exact privacy audit: worst-case conditional deviation and mutual
-    information between sensitive values and the masked output."""
-    dist = exact_output_distribution(model, K, ordering)
-    return PrivacyAudit(dist.max_conditional_deviation(),
-                        dist.mutual_information_bits())

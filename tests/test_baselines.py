@@ -19,8 +19,10 @@ from genomask import (
     window_mask,
 )
 from genomask.baselines import sequence_kl_mc
+from genomask.mechanism import EnumeratedMechanism
 
 from conftest import random_hmm, random_markov
+from strategies import seeded_examples, small_models
 
 
 def test_window_mask_examples():
@@ -90,6 +92,24 @@ def test_estimator_matches_exact(rng):
         est, err = window_leakage_sweep(model, [0], [w], 4000,
                                         np.random.default_rng(5))
         assert abs(est[0] - exact) <= 4 * max(err[0], 1e-4)
+
+
+@seeded_examples(60)
+def test_window_sweep_matches_exact_on_drawn_chains(seed):
+    # every omega of a drawn Markov chain or HMM, zero structure included;
+    # a one-sided prior on x_0 leaves nothing to normalize by
+    model, _, _ = small_models(seed, kinds=("markov", "hmm"))
+    omegas = list(range(model.n + 1))
+    rng = np.random.default_rng([seed, 3])
+    if np.count_nonzero(EnumeratedMechanism(model, [0]).q_prior) < 2:
+        with pytest.raises(DegenerateSensitiveError):
+            window_leakage_exact(model, [0], 0)
+        with pytest.raises(DegenerateSensitiveError):
+            window_leakage_sweep(model, [0], omegas, 10, rng)
+        return
+    est, err = window_leakage_sweep(model, [0], omegas, 2000, rng)
+    for w, e, s in zip(omegas, est, err):
+        assert abs(e - window_leakage_exact(model, [0], w)) <= 4 * max(s, 1e-4)
 
 
 def test_pure_noise_emissions_leak_nothing(rng):
@@ -280,8 +300,8 @@ def test_sequence_kl_exact_vs_mc(rng):
 
 
 def test_q_built_mechanism_private_under_q():
-    from genomask import verify_privacy_exact
+    from genomask import exact_output_distribution
 
     q = MarkovChainModel.binary_symmetric(0.8, 4)
-    audit = verify_privacy_exact(q, [0])
-    assert audit.mutual_information_bits <= 1e-10
+    dist = exact_output_distribution(q, [0])
+    assert dist.mutual_information_bits() <= 1e-10

@@ -66,9 +66,9 @@ def test_transcript_matches_reference_recomputation(panel_file, capsys):
     rng = np.random.default_rng(21)
     model = HmmModel(load_panel(panel_file), 0.25, 0.1)
     x = model.sample(rng)
-    from genomask import mask_hmm
+    from genomask import mask_sequence
 
-    masked, transcript = mask_hmm(model, x, (1,), rng)
+    masked, transcript = mask_sequence(model, x, (1,), rng=rng)
     engine = EnumeratedMechanism(model, (1,))
     prefix = []
     for entry in transcript:
@@ -181,6 +181,7 @@ def test_exit_codes(tmp_path, capsys, monkeypatch):
     assert main(["lp", "--panel", str(panel), "--k", "1"]) == 3
     out, err = capsys.readouterr()
     assert out == "" and err.startswith("error: ") and err.count("\n") == 1
+    assert "LP_VAR_BUDGET" in err and "matrix" not in err
     # capacity error: the 8-sequence space over a shrunken enumeration budget
     monkeypatch.setattr(distributions, "ENUMERATION_BUDGET", 7)
     assert main(["rate", "--model", str(cfg), "--k", "1", "--runs", "0"]) == 3

@@ -14,7 +14,6 @@ from genomask import (
     InputError,
     MarkovChainModel,
     ParityModel,
-    conditional_query,
     load_model_config,
     load_panel,
     save_panel,
@@ -22,6 +21,7 @@ from genomask import (
 from genomask import distributions
 from genomask.distributions import assignment_index, sensitive_assignments
 from genomask.hmm import BatchMaskingSession
+from genomask.mechanism import EnumeratedMechanism
 
 from conftest import random_explicit, random_hmm, random_markov
 
@@ -312,7 +312,7 @@ def test_out_of_range_assignments_raise_input_error(u):
     # -1 used to wrap to the assignment (1,), 2 raised a bare IndexError
     chain = MarkovChainModel.binary_symmetric(0.8, 3)
     with pytest.raises(InputError):
-        conditional_query(chain, 1, u, [0])
+        EnumeratedMechanism(chain, [0]).conditional(1, u)
     session = BatchMaskingSession(
         HmmModel(np.array([[0, 1, 1], [1, 0, 1]]), 0.1, 0.05), [0], [[0]])
     with pytest.raises(InputError):

@@ -16,7 +16,6 @@ from genomask import (
     exact_output_distribution,
     min_hitting_set_bruteforce,
     verify_deterministic_rule,
-    verify_privacy_exact,
 )
 from genomask.hardness import random_instance, reduction_report
 
@@ -163,8 +162,8 @@ def test_sensitive_placement_is_irrelevant():
 
 def test_parity_model_is_perfectly_private():
     model = ParityModel(chain_instance())
-    audit = verify_privacy_exact(model, model.K)
-    assert audit.mutual_information_bits <= 1e-10
+    dist = exact_output_distribution(model, model.K)
+    assert dist.mutual_information_bits() <= 1e-10
 
 
 def test_capacity_guards():

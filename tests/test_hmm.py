@@ -14,8 +14,8 @@ from genomask import (
     InputError,
     STAR,
     exact_output_distribution,
-    mask_hmm,
     mask_hmm_batch,
+    mask_sequence,
     sensitive_backward_table,
     sensitive_conditionals,
     upper_bound_rate,
@@ -412,11 +412,44 @@ def test_session_outcomes_are_pinned():
 def test_sensitive_positions_step_to_star(rng):
     model = random_hmm(rng, 4, 3)
     x = model.sample(rng)
-    masked, transcript = mask_hmm(model, x, [0, 2], rng)
+    masked, transcript = mask_sequence(model, x, [0, 2], rng=rng)
     assert masked.symbols[0] == STAR and masked.symbols[2] == STAR
     assert transcript[0].release_prob == 0.0
     assert transcript[2].release_prob == 0.0
     assert masked.is_faithful_to(x)
+
+
+@pytest.mark.parametrize("kind", ["hmm", "markov"])
+def test_mask_sequence_masks_a_long_chain_as_the_batch_does(kind):
+    # 2^n sequences are far past the enumeration budget: a chain in the
+    # linear order goes through the session, with the outcomes and the
+    # generator state of `mask_hmm_batch` at the same seed
+    rng = np.random.default_rng(7)
+    model = (random_hmm(rng, 200, 20, eps=0.05, theta=0.01) if kind == "hmm"
+             else random_markov(rng, 120))
+    x = model.sample(rng)
+    one, batch = np.random.default_rng(4), np.random.default_rng(4)
+    masked, transcript = mask_sequence(model, x, [0, 99], rng=one)
+    ys = mask_hmm_batch(model, np.array([x]), [0, 99], batch)
+    assert masked.symbols == tuple(ys[0].tolist())
+    assert one.random() == batch.random()
+    assert [e.index for e in transcript] == list(range(model.n))
+    assert [e.outcome for e in transcript] == list(masked.symbols)
+    assert masked.is_faithful_to(x)
+    assert masked.symbols[0] == masked.symbols[99] == STAR
+
+
+def test_mask_sequence_on_a_chain_rejects_a_prior_zero_assignment(rng):
+    # the session refuses a sensitive value the model never emits, where
+    # the enumeration used to warn and erase
+    model = HmmModel(np.array([[0, 0], [0, 1]]), epsilon=0.2, theta=0.0)
+    with pytest.raises(InputError, match="prior zero"):
+        mask_sequence(model, (1, 0), [0], rng=rng)
+    # an impossible x with a possible sensitive value warns and is masked
+    x = (1, 0, 2, 1)                              # 0 -> 2 never happens
+    with pytest.warns(UserWarning, match="probability zero"):
+        masked, _ = mask_sequence(zero_transition_chain(4), x, [0], rng=rng)
+    assert masked.is_faithful_to(x) and masked.symbols[0] == STAR
 
 
 def test_single_reference_row_releases_everything(rng):
@@ -429,7 +462,7 @@ def test_single_reference_row_releases_everything(rng):
 def test_empty_sensitive_set_releases_all(rng):
     model = random_hmm(rng, 5, 3)
     x = model.sample(rng)
-    masked, _ = mask_hmm(model, x, [], rng)
+    masked, _ = mask_sequence(model, x, [], rng=rng)
     assert masked.symbols == x
 
 
@@ -483,9 +516,6 @@ def test_advance_rejects_symbols_outside_alphabet(rng):
     pytest.param("release_probability", [0, STAR], id="release-minus-one"),
     pytest.param("release_probability", [2, 0], id="release-arity"),
     pytest.param("release_probability", [1], id="release-short"),
-    pytest.param("step", [STAR, 0], id="step-minus-one"),
-    pytest.param("step", [0, 2], id="step-arity"),
-    pytest.param("step", [0, 1, 1], id="step-long"),
     pytest.param("advance", [0, -2], id="advance-minus-two"),
     pytest.param("advance", [2, STAR], id="advance-arity"),
     pytest.param("advance", [STAR], id="advance-short"),
@@ -497,11 +527,12 @@ def test_session_rejects_malformed_columns(rng, call, col):
     model = random_hmm(rng, 5, 3)
     ses = BatchMaskingSession(model, [0], [[0], [1]])
     ses.advance([STAR, STAR])
-    args = (col, rng) if call == "step" else (col,)
     with pytest.raises(InputError):
-        getattr(ses, call)(*args)
+        getattr(ses, call)(col)
     # nothing moved: the session steps on as before
-    assert ses.pos == 1 and ses.step([0, 1], rng)[0].shape == (2,)
+    assert ses.pos == 1 and ses.release_probability([0, 1]).shape == (2,)
+    ses.advance([STAR, STAR])
+    assert ses.pos == 2
 
 
 def test_batch_rejects_malformed_sequences(rng):
@@ -533,7 +564,8 @@ def test_belief_rows_stay_normalized(rng):
     ses = BatchMaskingSession(model, [1], [[0]])
     x = model.sample(rng)
     for i in range(model.n):
-        ses.step([x[i]], rng)
+        r = ses.release_probability([x[i]])
+        ses.advance(np.where(rng.random(1) < r, x[i], STAR))
         live = ses.live[0]
         sums = ses.belief[0].sum(axis=1)
         assert sums[live] == pytest.approx(np.ones(live.sum()), abs=1e-9)
@@ -569,10 +601,8 @@ def test_degenerate_parameters_still_mask_faithfully(rng):
 def test_degenerate_parameters_keep_privacy(rng):
     panel = np.array([[0, 1, 0], [1, 1, 0], [0, 0, 1]])
     model = HmmModel(panel, epsilon=0.0, theta=0.1)
-    from genomask import verify_privacy_exact
-
-    audit = verify_privacy_exact(model, [0])
-    assert audit.mutual_information_bits <= 1e-10
+    dist = exact_output_distribution(model, [0])
+    assert dist.mutual_information_bits() <= 1e-10
 
 
 def test_batch_rate_agrees_with_exact(rng):

@@ -17,19 +17,17 @@ from genomask import (
     WindowPolicy,
     achievable_rate_exact,
     achievable_rate_mc,
-    conditional_query,
     exact_output_distribution,
     lp_optimal_rate,
     lp_output_distribution,
     mask_sequence,
     rate_from_stepwise_minima,
-    verify_privacy_exact,
     window_leakage_exact,
 )
 from genomask import bounds, distributions, mechanism
 from genomask.baselines import MismatchPair, robustness_experiment
 from genomask.bounds import markov_sufficient_condition_check
-from genomask.distributions import first_seen_ranks, row_codes
+from genomask.distributions import assignment_index, first_seen_ranks, row_codes
 from genomask.hardness import (
     HittingSetInstance,
     ParityModel,
@@ -70,19 +68,20 @@ def independent_model(n=3, p1=0.3):
     return ExplicitJointModel(probs, n=n, alphabet=2)
 
 
-# --- conditional_query --------------------------------------------------------
+# --- EnumeratedMechanism.conditional -----------------------------------------
 
 
 def test_conditional_of_independent_model_is_marginal():
     m = independent_model()
-    d = conditional_query(m, 2, (0,), K=[0], y_prefix=[(0, STAR), (1, 1)])
+    d = EnumeratedMechanism(m, [0]).conditional(2, (0,), [(0, STAR), (1, 1)])
     assert d == pytest.approx([0.5, 0.5])  # P(1) = 0.3 + 2/10
 
 
 def test_markov_conditional_with_erased_sensitive():
     mc = MarkovChainModel.binary_symmetric(0.9, 3)
-    d0 = conditional_query(mc, 1, (0,), K=[0], y_prefix=[(0, STAR)])
-    d1 = conditional_query(mc, 1, (1,), K=[0], y_prefix=[(0, STAR)])
+    engine = EnumeratedMechanism(mc, [0])
+    d0 = engine.conditional(1, (0,), [(0, STAR)])
+    d1 = engine.conditional(1, (1,), [(0, STAR)])
     assert d0 == pytest.approx([0.9, 0.1], abs=1e-12)
     assert d1 == pytest.approx([0.1, 0.9], abs=1e-12)
 
@@ -98,15 +97,16 @@ def test_conditional_sums_to_one_on_reachable_prefixes(rng):
 def test_impossible_context_raises():
     m = ExplicitJointModel([0.5, 0.0, 0.0, 0.5], n=2, alphabet=2)
     with pytest.raises(ImpossibleContextError):
-        conditional_query(m, 1, (0,), K=[0], y_prefix=[(0, 1)])  # y0=1 under u=0
+        # y0=1 under u=0
+        EnumeratedMechanism(m, [0]).conditional(1, (0,), [(0, 1)])
 
 
 def test_prefix_validation():
-    m = independent_model()
+    engine = EnumeratedMechanism(independent_model(), [0])
     with pytest.raises(InputError):
-        conditional_query(m, 1, (0,), K=[0], y_prefix=[(1, 0)])
+        engine.conditional(1, (0,), [(1, 0)])
     with pytest.raises(InputError):
-        conditional_query(m, 1, (0,), K=[0], y_prefix=[(0, 5)])
+        engine.conditional(1, (0,), [(0, 5)])
 
 
 # --- erasure probability -------------------------------------------------------
@@ -157,6 +157,44 @@ def test_zero_probability_input_warns(rng):
     m = ExplicitJointModel([0.5, 0.0, 0.0, 0.5], n=2, alphabet=2)
     with pytest.warns(UserWarning):
         mask_sequence(m, (0, 1), [0], rng=rng)
+
+
+def _full_support_mask(engine, x, ordering, rng):
+    """The transcript of masking x with every support row replayed through
+    `predictive`, `release_table` and `step_factor`, rows of weight zero
+    included."""
+    u = assignment_index([x[k] for k in engine.K], engine.arities, engine.K)
+    wq = engine.q.copy()
+    transcript = []
+    for pos in ordering:
+        cond, totals = engine.predictive(wq, pos)
+        _, ratios = engine.release_table(cond, totals, pos)
+        r = float(ratios[u, x[pos]])
+        y = x[pos] if rng.random() < r else STAR
+        wq *= engine.step_factor(pos, y, ratios)
+        transcript.append(TranscriptEntry(pos, r, y))
+    return tuple(transcript)
+
+
+@seeded_examples(30)
+def test_mask_is_the_full_support_replay(seed):
+    # `mask` keeps only the rows of positive weight; a dropped zero adds
+    # nothing to a bincount, so its transcripts equal the full replay
+    # exactly, for a matched and a mismatched engine, and for a sequence
+    # of probability zero when the draw has one
+    model, K, ordering = small_models(seed)
+    rng = np.random.default_rng([seed, 2])
+    q_model = random_explicit(rng, model.n, model.arities[0], sparse=True)
+    for engine in (EnumeratedMechanism(model, K),
+                   EnumeratedMechanism(model, K, q_model)):
+        xs = [model.sample(rng)]
+        zero = np.flatnonzero(engine.q == 0)
+        if zero.size:
+            xs.append(tuple(int(v) for v in engine.space[zero[0]]))
+        for x in xs:
+            _, got = engine.mask(x, ordering, np.random.default_rng(seed))
+            assert got == _full_support_mask(engine, x, ordering,
+                                             np.random.default_rng(seed))
 
 
 @seeded_examples(40)
@@ -226,9 +264,9 @@ def test_privacy_of_random_instances(rng):
     for _ in range(6):
         model = random_explicit(rng, 4)
         perm = tuple(int(v) for v in rng.permutation(4))
-        audit = verify_privacy_exact(model, [0], Ordering(perm))
-        assert audit.max_deviation <= 1e-10
-        assert abs(audit.mutual_information_bits) <= 1e-10
+        dist = exact_output_distribution(model, [0], Ordering(perm))
+        assert dist.max_conditional_deviation() <= 1e-10
+        assert abs(dist.mutual_information_bits()) <= 1e-10
 
 
 def test_release_everything_leaks():
@@ -301,7 +339,6 @@ def test_ordering_validation():
         lambda o: achievable_rate_exact(mc, [0], o),
         lambda o: rate_from_stepwise_minima(mc, [0], o),
         lambda o: markov_sufficient_condition_check(mc, [0], o),
-        lambda o: verify_privacy_exact(mc, [0], o),
         lambda o: mask_sequence(mc, (0, 1, 1, 0), [0], o, rng=rng),
         lambda o: achievable_rate_mc(mc, [0], o, runs=5, rng=rng),
         lambda o: robustness_experiment(MismatchPair(mc, mc), [0], o),
@@ -602,6 +639,15 @@ def test_split_shortcut_at_its_boundary(monkeypatch):
     pytest.param(mechanism, "LEAF_BUDGET", 1,
                  lambda m: EnumeratedMechanism(m, [0]).stepwise_minima_rate(
                      Ordering.linear(4)), id="nodes-stepwise"),
+    # the walk owns the cap, so the two walks that return a verdict raise
+    # too, where they used to answer True
+    pytest.param(mechanism, "LEAF_BUDGET", 1,
+                 lambda m: markov_sufficient_condition_check(m, [0]),
+                 id="certificate"),
+    pytest.param(mechanism, "LEAF_BUDGET", 1,
+                 lambda m: verify_deterministic_rule(
+                     HittingSetInstance.from_lists(4, [[1, 2], [2, 3], [3, 4]]),
+                     (1, 2, 3, 4)), id="parity-rule"),
 ])
 def test_shrunken_budget_raises_capacity_error(rng, monkeypatch, module, name,
                                                value, call):
