@@ -109,15 +109,14 @@ def window_leakage_sweep(model: SequenceModel, K, omegas, samples: int,
         raise InputError(f"omegas must be a non-empty list in 0..{model.n}")
     if samples < 1:
         raise InputError("samples must be >= 1")
-    prior = _hmm.sensitive_backward_table(model, K).prior
-    if np.count_nonzero(prior) < 2:
-        raise DegenerateSensitiveError("sensitive symbol carries no entropy")
-    h_k = entropy(prior)
-
     n, t = model.n, chain.trans
     # alpha[w][v, s] = p(x_0 = v, S_w = s): sample-independent, one chain of
     # no-observation propagations; omega = 0 releases x_0 itself
     alpha, cur = {}, chain.initial[None, :] * chain.emissions[0]
+    prior = cur.sum(axis=1)
+    if np.count_nonzero(prior) < 2:
+        raise DegenerateSensitiveError("sensitive symbol carries no entropy")
+    h_k = entropy(prior)
     for w in range(1, max(omegas) + 1):
         cur = cur @ t
         if w in omegas:

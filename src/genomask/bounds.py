@@ -27,7 +27,7 @@ from .masking import (
     _validate_ordering,
     _validate_sensitive,
     output_codes,
-    symbol_char,
+    symbols_text,
 )
 from .mechanism import EnumeratedMechanism, OutputDistribution
 from .simplex import linear_program
@@ -105,10 +105,9 @@ class LpSolution:
 
     def to_json(self) -> str:
         # "*" sorts before the digits, so the triples sort as the tuples
-        rows = () if self.w is None else zip(
-            self.xs.tolist(), self.ys.tolist(), self.w.tolist())
-        triples = sorted(["".join(map(symbol_char, x)),
-                          "".join(map(symbol_char, y)), p] for x, y, p in rows)
+        rows = () if self.w is None else zip(self.xs, self.ys, self.w.tolist())
+        triples = sorted([symbols_text(x), symbols_text(y), p]
+                         for x, y, p in rows)
         return json.dumps({"rate": self.optimal_rate, "status": self.status,
                            "mechanism": triples})
 

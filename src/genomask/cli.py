@@ -48,14 +48,6 @@ def _parse_order(text: str, n: int) -> Ordering:
     return Ordering(tuple(v - 1 for v in vals))
 
 
-def _parse_symbols(text: str) -> tuple[int, ...]:
-    """A run of decimal digits, one symbol each, e.g. 010110."""
-    text = text.strip()
-    if not text.isdecimal():
-        raise InputError(f"--x must be a run of digits, got {text!r}")
-    return tuple(int(ch) for ch in text)
-
-
 def _check_runs(runs: int) -> None:
     if runs < 0:
         raise InputError(f"--runs must be >= 0 (0 = exact), got {runs}")
@@ -105,7 +97,7 @@ def cmd_gen_panel(args) -> int:
     if args.m * args.n * 8 > distributions.BELIEF_BUDGET_BYTES:
         raise CapacityError(f"a {args.m} x {args.n} panel exceeds the memory budget")
     panel = _rng(args.seed).integers(args.alphabet, size=(args.m, args.n))
-    _emit(args, "\n".join("".join(str(v) for v in row) for row in panel))
+    _emit(args, "\n".join(map(distributions.symbols_text, panel.tolist())))
     return 0
 
 
@@ -116,7 +108,7 @@ def cmd_mask(args) -> int:
     if args.sample:
         x = model.sample(rng)
     elif args.x:
-        x = _parse_symbols(args.x)
+        x = distributions.parse_symbols(args.x, "--x")
     else:
         raise InputError("provide --x SEQUENCE or --sample")
     ordering = _parse_order(args.order, model.n) if args.order else None

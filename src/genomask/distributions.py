@@ -1,14 +1,14 @@
 """Sequence models: explicit joint tables, first-order Markov chains, and
 the haplotype-copying hidden Markov model.
 
-A model implements two batched methods, `joint_probs` (exact probabilities
-of an (N, n) array of sequences) and `sample_batch`; `SequenceModel` derives
-`joint_prob`, `sample` and `joint_table` from them.  The copying HMM and
-the Markov chain (hidden state = symbol) return a `hidden_chain`, whose
-forward pass renormalizes per step and accumulates a log scale factor so
-that joint probabilities of long sequences stay exact; probabilities are
-kept in the linear domain.  `row_codes` is the one row-major coding of
-sequences and sensitive assignments (first position most significant).
+A model implements two batched methods, `joint_probs` (probabilities of an
+(N, n) array of sequences, in the linear domain) and `sample_batch`;
+`SequenceModel` derives `joint_prob`, `sample` and `joint_table` from them.
+The copying HMM and the Markov chain (hidden state = symbol) return a
+`hidden_chain`, whose scaled forward pass keeps log probabilities of long
+sequences exact.  `row_codes` is the one row-major coding of sequences and
+sensitive assignments.  This module owns `STAR` and the one text form of
+symbol rows: `symbols_text` writes it and `parse_symbols` reads it.
 """
 
 from __future__ import annotations
@@ -36,6 +36,8 @@ ENUMERATION_BUDGET = 1 << 17
 BELIEF_BUDGET_BYTES = 64 * 2**20
 
 _SUM_TOL = 1e-12
+
+STAR, STAR_CHAR = -1, "*"   # the erasure symbol (others are >= 0), its character
 
 
 @dataclass(frozen=True)
@@ -85,6 +87,23 @@ def row_codes(rows, dims: Sequence[int]) -> np.ndarray:
         return np.ravel_multi_index(tuple(rows.T), dims)
     except ValueError as exc:
         raise InputError(f"value outside the ranges {dims}") from exc
+
+
+def symbols_text(row) -> str:
+    """Text form: a digit 0-9 per symbol, STAR_CHAR for STAR, else `InputError`."""
+    for v in row:
+        if not STAR <= v <= 9:
+            raise InputError(f"symbol {v} has no one-character text form")
+    return "".join(STAR_CHAR if v == STAR else str(int(v)) for v in row)
+
+
+def parse_symbols(text: str, what: str) -> tuple[int, ...]:
+    """The row of a stripped text: a `str.isdecimal` character per symbol,
+    STAR_CHAR as STAR; `InputError` naming ``what`` for others, like ²."""
+    for ch in text.strip():
+        if ch != STAR_CHAR and not ch.isdecimal():
+            raise InputError(f"{what}: {ch!r} is not a digit or {STAR_CHAR!r}")
+    return tuple(STAR if ch == STAR_CHAR else int(ch) for ch in text.strip())
 
 
 def first_seen_ranks(codes: np.ndarray) -> np.ndarray:
@@ -168,8 +187,9 @@ class SequenceModel(abc.ABC):
 
     @abc.abstractmethod
     def joint_probs(self, xs: np.ndarray) -> np.ndarray:
-        """Exact probabilities of the rows of an (N, n) array of valid
-        sequences."""
+        """Probabilities of the rows of an (N, n) array of valid sequences,
+        multiplied in the linear domain: a possible long row can read 0.0,
+        and `hidden_chain().log_probs` (as `mask_sequence` reads) cannot."""
 
     @abc.abstractmethod
     def sample_batch(self, count: int, rng: np.random.Generator) -> np.ndarray:
@@ -180,7 +200,7 @@ class SequenceModel(abc.ABC):
         return None
 
     def joint_prob(self, x: Sequence[int]) -> float:
-        """Exact probability of the full sequence x."""
+        """Probability of the full sequence x, linear as `joint_probs`."""
         x = validate_sequence(x, self.arities)
         return float(self.joint_probs(np.array([x], dtype=np.int64))[0])
 
@@ -262,8 +282,7 @@ class MarkovChainModel(SequenceModel):
         self.initial = np.asarray(initial, dtype=float)
         self.transition = np.asarray(transition, dtype=float)
         size = self.initial.size
-        if size < 2:
-            raise InputError("alphabet size must be at least 2")
+        self.alphabet = Alphabet(size)
         if self.transition.shape != (size, size):
             raise InputError("transition matrix shape mismatch")
         if not all(np.all(np.isfinite(a) & (a >= 0))
@@ -277,7 +296,6 @@ class MarkovChainModel(SequenceModel):
         if n < 1:
             raise InputError("n must be >= 1")
         self.n = int(n)
-        self.alphabet = Alphabet(size)
         self.arities = (size,) * self.n
         self.initial.setflags(write=False)
         self.transition.setflags(write=False)
@@ -346,15 +364,13 @@ class HmmModel(SequenceModel):
         if not 0.0 <= theta <= 1.0:
             raise InputError("theta must be in [0, 1]")
         size = alphabet.size if isinstance(alphabet, Alphabet) else int(alphabet)
-        if size < 2:
-            raise InputError("alphabet size must be at least 2")
+        self.alphabet = Alphabet(size)
         if panel.min() < 0 or panel.max() >= size:
             raise InputError("panel entries outside alphabet")
         self.panel = panel
         self.panel.setflags(write=False)
         self.epsilon = float(epsilon)
         self.theta = float(theta)
-        self.alphabet = Alphabet(size)
         self.m, self.n = panel.shape
         self.arities = (size,) * self.n
         self._chain: HiddenChain | None = None
@@ -413,19 +429,19 @@ class HmmModel(SequenceModel):
 
 
 def load_panel(path: str | Path) -> np.ndarray:
-    """Read a panel file: one haplotype per line, one digit per symbol."""
+    """A panel file, a `parse_symbols` row per non-blank line: `InputError`
+    names the file (and line) if unreadable, empty, ragged, non-digit or STAR."""
     try:
         text = Path(path).read_text()
     except OSError as exc:
         raise InputError(f"cannot read panel {path}: {exc.strerror}") from exc
     rows = []
     for lineno, line in enumerate(text.splitlines(), start=1):
-        line = line.strip()
-        if not line:
-            continue
-        if not line.isdigit():
-            raise InputError(f"{path}:{lineno}: non-digit panel entry")
-        rows.append([int(ch) for ch in line])
+        row = parse_symbols(line, f"{path}:{lineno}")
+        if STAR in row:
+            raise InputError(f"{path}:{lineno}: erasure {STAR_CHAR!r} in a panel")
+        if row:
+            rows.append(row)
     if not rows:
         raise InputError(f"{path}: empty panel file")
     lengths = {len(r) for r in rows}
@@ -435,8 +451,11 @@ def load_panel(path: str | Path) -> np.ndarray:
 
 
 def save_panel(panel: np.ndarray, path: str | Path) -> None:
-    lines = ["".join(str(int(v)) for v in row) for row in np.asarray(panel)]
-    Path(path).write_text("\n".join(lines) + "\n")
+    """Write `load_panel`'s form; `InputError`, nothing written, outside 0..9."""
+    text = "\n".join(map(symbols_text, np.asarray(panel).tolist())) + "\n"
+    if STAR_CHAR in text:
+        raise InputError(f"erasure {STAR_CHAR!r} in a panel")
+    Path(path).write_text(text)
 
 
 def load_model_config(source: str | Path | dict) -> SequenceModel:
@@ -465,6 +484,11 @@ def load_model_config(source: str | Path | dict) -> SequenceModel:
     if kind is None and "panel_path" in cfg:
         kind = "hmm"
     try:
+        n = int(cfg["n"]) if kind in ("markov", "explicit") else 1
+        if n < 1:   # n is checked before a model builds (size,) * n
+            raise InputError(f"n must be >= 1, got {n}")
+        if 8 * n > BELIEF_BUDGET_BYTES:
+            raise CapacityError(f"one row of n = {n} exceeds BELIEF_BUDGET_BYTES")
         if kind == "hmm":
             panel_path = Path(cfg["panel_path"])
             if not panel_path.is_absolute():
@@ -473,12 +497,12 @@ def load_model_config(source: str | Path | dict) -> SequenceModel:
             return HmmModel(panel, cfg["epsilon"], cfg["theta"],
                             int(cfg.get("alphabet", 2)))
         if kind == "markov":
-            return MarkovChainModel(cfg["initial"], cfg["transition"], int(cfg["n"]))
+            return MarkovChainModel(cfg["initial"], cfg["transition"], n)
         if kind == "explicit":
-            return ExplicitJointModel(cfg["probs"], n=int(cfg["n"]),
+            return ExplicitJointModel(cfg["probs"], n=n,
                                       alphabet=int(cfg.get("alphabet", 2)))
     except KeyError as exc:
         raise InputError(f"model config missing field {exc}") from exc
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise InputError(f"bad {kind} model config: {exc}") from exc
     raise InputError(f"unrecognized model config type {kind!r}")

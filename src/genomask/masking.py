@@ -1,5 +1,5 @@
-"""Shared vocabulary for masked sequences and their codes, orderings and
-transcripts, and `release_rule`, which the enumeration and HMM paths apply."""
+"""Masked sequences (`STAR` and their text form are `distributions`'), their
+codes, orderings and transcripts, and the one `release_rule` of every path."""
 
 from __future__ import annotations
 
@@ -10,14 +10,8 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .distributions import row_codes
+from .distributions import STAR, STAR_CHAR, parse_symbols, row_codes, symbols_text
 from .errors import InputError, NumericalError
-
-#: Sentinel for the erasure symbol. Symbols are non-negative integers,
-#: so -1 is safe in integer arrays.
-STAR = -1
-
-STAR_CHAR = "*"
 
 #: Probabilities may leave [0, 1] by at most this much before it is treated
 #: as a logic error rather than round-off.
@@ -73,14 +67,6 @@ def release_rule(cond: np.ndarray, live: np.ndarray, sensitive: bool):
     return mins, ratios
 
 
-def symbol_char(v: int) -> str:
-    """Single-character rendering of a symbol: the text form has one digit
-    per symbol, so a symbol above 9 raises `InputError`."""
-    if v > 9:
-        raise InputError(f"symbol {v} has no one-digit text form")
-    return STAR_CHAR if v == STAR else str(v)
-
-
 def output_codes(ys: np.ndarray, arities: Sequence[int]) -> np.ndarray:
     """`row_codes` of outputs, v as v + 1 and STAR as 0: in tuple order."""
     return row_codes(ys - STAR, [a + 1 for a in arities])
@@ -109,19 +95,13 @@ class MaskedSequence:
         return self.erasure_count / len(self.symbols)
 
     def text(self) -> str:
-        return "".join(symbol_char(v) for v in self.symbols)
+        """A digit per symbol, ``*`` for STAR; `InputError` above 9."""
+        return symbols_text(self.symbols)
 
     @classmethod
     def parse(cls, text: str) -> "MaskedSequence":
-        symbols = []
-        for ch in text.strip():
-            if ch == STAR_CHAR:
-                symbols.append(STAR)
-            elif ch.isdigit():
-                symbols.append(int(ch))
-            else:
-                raise InputError(f"invalid masked-sequence character {ch!r}")
-        return cls(tuple(symbols))
+        """A digit per symbol, ``*`` as STAR; `InputError` for others."""
+        return cls(parse_symbols(text, "masked sequence"))
 
     def is_faithful_to(self, x: Sequence[int]) -> bool:
         """Every non-erased entry must equal the source symbol."""

@@ -3,13 +3,21 @@ import json
 import numpy as np
 import pytest
 
-from genomask import MaskedSequence, STAR, distributions, load_panel
+from genomask import (
+    GenomaskError,
+    MaskedSequence,
+    STAR,
+    distributions,
+    load_model_config,
+    load_panel,
+)
 from genomask.cli import main
 from genomask.distributions import HmmModel
 from genomask.experiments import CSV_COLUMNS
 from genomask.mechanism import EnumeratedMechanism
 
 from conftest import replayed_ratios
+from strategies import seeded_examples
 
 
 @pytest.fixture
@@ -294,3 +302,85 @@ def test_mask_non_digit_input_rejected(panel_file, capsys, flags):
     assert main(["mask", "--panel", str(panel_file), "--k", "1"] + flags) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+# mostly binary digits, so that many draws are valid; the rest are other
+# digits, the erasure, characters that pass str.isdigit but not
+# str.isdecimal, a decimal digit of another script, letters and a space
+_ODD_CHARS = list("23456789*") + ["\u00b2", "\u2460", "\u0663", "a", "Z", " "]
+
+
+def _drawn_text(rng, length):
+    return "".join(str(rng.integers(2)) if rng.random() < 0.85
+                   else _ODD_CHARS[rng.integers(len(_ODD_CHARS))]
+                   for _ in range(length))
+
+
+def _assert_clean_exit(code, err):
+    assert code in (0, 2, 3), (code, err)
+    assert "Traceback" not in err
+    if code:
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
+def test_text_and_config_inputs_exit_0_2_or_3_with_one_line(tmp_path, capsys):
+    # panel lines, --x strings, masked strings and model configs up to
+    # n = 10**30: a malformed one is exit 2 (or 3 past the memory budget)
+    # with one error line, never a traceback
+    binary = tmp_path / "binary.txt"
+    binary.write_text("0110\n1011\n0010\n")
+    commands = [["rate"], ["bound"], ["lp"], ["window", "--omega", "0,1"],
+                ["mask", "--sample"],
+                ["experiment", "--name", "fig4", "--runs", "2",
+                 "--epsilon", "0.1", "--theta", "0.05"]]
+
+    def cli(argv):
+        code = main(argv)
+        return code, capsys.readouterr().err
+
+    @seeded_examples(40)
+    def check(seed):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(2, 5))
+        lines = [_drawn_text(rng, n) for _ in range(rng.integers(1, 4))]
+        panel = tmp_path / f"panel{seed}.txt"
+        panel.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        command = commands[seed % len(commands)]
+        k = [] if command[0] == "experiment" else ["--k", "1"]
+        _assert_clean_exit(*cli(command + ["--panel", str(panel)] + k))
+
+        x = _drawn_text(rng, int(rng.integers(3, 6)))
+        _assert_clean_exit(*cli(["mask", "--panel", str(binary), "--k", "1",
+                                 "--x", x]))
+
+        masked = _drawn_text(rng, int(rng.integers(0, 5)))
+        try:
+            parsed = MaskedSequence.parse(masked)
+        except GenomaskError as exc:
+            _assert_clean_exit(exc.exit_code, f"error: {exc}\n")
+        else:
+            assert parsed.text() == "".join(
+                "*" if ch == "*" else str(int(ch)) for ch in masked.strip())
+
+        kind = ("markov", "explicit")[seed % 2]
+        sizes = ((0, 1, 4, 8_388_609, 10**30) if kind == "markov"
+                 else (0, 1, 4, 10**30))
+        size = sizes[int(rng.integers(len(sizes)))]
+        cfg = {"type": kind, "n": size}
+        if kind == "markov":
+            cfg.update(initial=[0.4, 0.6], transition=[[0.9, 0.1], [0.3, 0.7]])
+        else:
+            entries = int(rng.choice([1, 2, 16]))
+            cfg.update(probs=[1.0 / entries] * entries)
+        path = tmp_path / f"model{seed}.json"
+        path.write_text(json.dumps(cfg))
+        if size <= 4:
+            _assert_clean_exit(*cli(["bound", "--model", str(path),
+                                     "--k", "1"]))
+            return
+        # a representable huge n would run its chain loop in a subcommand
+        with pytest.raises(GenomaskError) as info:
+            load_model_config(path)
+        _assert_clean_exit(info.value.exit_code, f"error: {info.value}\n")
+
+    check()

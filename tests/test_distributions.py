@@ -18,8 +18,13 @@ from genomask import (
     load_panel,
     save_panel,
 )
-from genomask import distributions
-from genomask.distributions import assignment_index, sensitive_assignments
+from genomask import STAR, distributions
+from genomask.distributions import (
+    assignment_index,
+    parse_symbols,
+    sensitive_assignments,
+    symbols_text,
+)
 from genomask.hmm import BatchMaskingSession
 from genomask.mechanism import EnumeratedMechanism
 
@@ -256,6 +261,33 @@ def test_panel_errors(tmp_path):
     bad.write_text("01a\n")
     with pytest.raises(InputError):
         load_panel(bad)
+    # an erasure is a symbol of the text form, but not of a panel
+    bad.write_text("01\n\n0*\n")
+    with pytest.raises(InputError, match=r"bad\.txt:3: "):
+        load_panel(bad)
+
+
+def test_symbol_text_round_trips_with_erasures():
+    for row in [(0, STAR, 9), (STAR,), (STAR, STAR, 1, 0), ()]:
+        assert parse_symbols(symbols_text(row), "row") == row
+    assert symbols_text(np.array([3, STAR, 0])) == "3*0"
+    # any script's decimal digit reads as its value; the writer is ASCII
+    assert parse_symbols(" ٣*1\n", "row") == (3, STAR, 1)
+    for text in ["1²0", "①", "1 0", "1a"]:
+        with pytest.raises(InputError, match="^row: "):
+            parse_symbols(text, "row")
+    for row in [(10,), (0, -2)]:
+        with pytest.raises(InputError):
+            symbols_text(row)
+
+
+@pytest.mark.parametrize("entry", [10, -1])
+def test_save_panel_rejects_symbols_without_a_panel_digit(tmp_path, entry):
+    # 10 would write "101", which reads back as three symbols; -1 as "*"
+    path = tmp_path / "panel.txt"
+    with pytest.raises(InputError):
+        save_panel(np.array([[entry, 1], [0, 3]]), path)
+    assert not path.exists()
 
 
 def test_model_config_loading(tmp_path):

@@ -367,6 +367,13 @@ def test_symbols_above_nine_have_no_text_form():
     assert MaskedSequence((9, STAR, 1)).text() == "9*1"
 
 
+def test_masked_sequence_parse_rejects_non_decimal_digits():
+    # "²" passes str.isdigit, which int() then rejects
+    for text in ["1²0", "1①0", "1-0"]:
+        with pytest.raises(InputError):
+            MaskedSequence.parse(text)
+
+
 def test_transcript_serialization():
     entries = (TranscriptEntry(0, 0.5, STAR), TranscriptEntry(1, 1.0, 1))
     lines = transcript_to_json_lines(entries).splitlines()
