@@ -109,16 +109,15 @@ def window_leakage_sweep(model: SequenceModel, K, omegas, samples: int,
         raise InputError(f"omegas must be a non-empty list in 0..{model.n}")
     if samples < 1:
         raise InputError("samples must be >= 1")
-    n, t = model.n, chain.trans
     # alpha[w][v, s] = p(x_0 = v, S_w = s): sample-independent, one chain of
     # no-observation propagations; omega = 0 releases x_0 itself
-    alpha, cur = {}, chain.initial[None, :] * chain.emissions[0]
+    alpha, cur = {}, chain.initial[None, :] * chain.emission(0)
     prior = cur.sum(axis=1)
     if np.count_nonzero(prior) < 2:
         raise DegenerateSensitiveError("sensitive symbol carries no entropy")
     h_k = entropy(prior)
     for w in range(1, max(omegas) + 1):
-        cur = cur @ t
+        cur = chain.forward(cur)
         if w in omegas:
             alpha[w] = cur
     # neglog[w] = -log2 p(x_0 = truth | the sample's x_w .. x_n-1)
@@ -131,9 +130,9 @@ def window_leakage_sweep(model: SequenceModel, K, omegas, samples: int,
             # beta[r, s] = p(x_i .. x_n-1 | S_i = s), rescaled per step with
             # a per-sample scale (scales cancel in posteriors)
             beta = np.ones((rows.shape[0], chain.m))
-            for i in range(n, min(alpha, default=n) - 1, -1):
-                if i < n:
-                    beta = (beta @ t.T) * chain.emissions[i][rows[:, i]]
+            for i in range(model.n, min(alpha, default=model.n) - 1, -1):
+                if i < model.n:
+                    beta = chain.backward(beta) * chain.emission(i)[rows[:, i]]
                     scale = beta.max(axis=1, keepdims=True)
                     np.divide(beta, scale, out=beta, where=scale > 0)
                 if i in alpha:

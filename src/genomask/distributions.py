@@ -140,19 +140,43 @@ def _inverse_or_zero(x: np.ndarray, keep=None) -> np.ndarray:
 class HiddenChain:
     """A hidden Markov chain with per-position emissions (write-locked):
     ``initial[s]`` = p(S_0 = s), ``trans[s, t]`` = p(S_i+1 = t | S_i = s)
-    and ``emissions[i, v, s]`` = p(x_i = v | S_i = s)."""
+    and ``emissions[i, v, s]`` = p(x_i = v | S_i = s).  `forward`, `backward`
+    and `emission` are the only readers of T and the stack, so a structured T
+    (copying: diagonal plus rank one) or a byte check has one site to change."""
 
     initial: np.ndarray      # (m,)
     trans: np.ndarray        # (m, m)
     emissions: np.ndarray    # (n, arity, m)
 
     def __post_init__(self):
-        for array in (self.initial, self.trans, self.emissions):
+        for array in vars(self).values():
             array.setflags(write=False)
 
     @property
     def m(self) -> int:
         return self.initial.size
+
+    @property
+    def n(self) -> int:
+        return self.emissions.shape[0]
+
+    def forward(self, b: np.ndarray, out=None) -> np.ndarray:
+        """b @ T: a belief over S_i carried to S_i+1."""
+        return np.matmul(b, self.trans, out=out)
+
+    def backward(self, b: np.ndarray, out=None) -> np.ndarray:
+        """b @ T.T: a likelihood given S_i+1 carried back to S_i."""
+        return np.matmul(b, self.trans.T, out=out)
+
+    def emission(self, i: int) -> np.ndarray:
+        """The (arity, m) law p(x_i = v | S_i = s)."""
+        return self.emissions[i]
+
+    def same_as(self, other: HiddenChain) -> bool:
+        """The same chain, by identity or else by value: some models build a
+        new chain on each `hidden_chain()` call."""
+        return self is other or all(map(np.array_equal, vars(self).values(),
+                                        vars(other).values()))
 
     def log_probs(self, xs: np.ndarray) -> np.ndarray:
         """log p(x) per row by a scaled forward pass (Rabiner 1989); -inf for
@@ -160,15 +184,15 @@ class HiddenChain:
         arrays fit in ``BELIEF_BUDGET_BYTES``; a row that does not fit goes
         alone, as a node of the walk that reaches this via `joint_table`."""
         xs = np.asarray(xs, dtype=np.int64)
-        emis, t = self.emissions, self.trans
         log_p = np.zeros(xs.shape[0])
         row_bytes = min(4 * 8 * self.m, BELIEF_BUDGET_BYTES)
         for piece in budget_pieces(xs.shape[0], row_bytes):
             rows, out = xs[piece], log_p[piece]
-            f = self.initial * emis[0][rows[:, 0]]             # (rows, m)
-            for i in range(emis.shape[0]):
+            f = self.initial * self.emission(0)[rows[:, 0]]    # (rows, m)
+            for i in range(self.n):
                 if i:
-                    f = (f * _inverse_or_zero(total)[:, None]) @ t * emis[i][rows[:, i]]
+                    f = (self.forward(f * _inverse_or_zero(total)[:, None])
+                         * self.emission(i)[rows[:, i]])
                 total = f.sum(axis=1)
                 out += np.log(total, out=np.full_like(total, -np.inf),
                               where=total > 0)
@@ -213,14 +237,17 @@ class SequenceModel(abc.ABC):
         return math.prod(self.arities)
 
     def enumerate_space(self) -> np.ndarray:
-        """All sequences as an (N, n) int array in row-major order."""
-        if self.space_size > ENUMERATION_BUDGET:
-            raise CapacityError(
-                f"sequence space of size {self.space_size} exceeds budget "
-                f"{ENUMERATION_BUDGET}"
-            )
-        return np.stack(np.unravel_index(np.arange(self.space_size),
-                                         self.arities), axis=1)
+        """All sequences as an (N, n) int array in row-major order.  Each
+        arity >= 2 at least doubles the space, so past 64 of them it is over
+        any enumerable budget and its product, quadratic in n, is not formed."""
+        wide = [a for a in self.arities if a > 1]
+        size = math.prod(wide) if len(wide) <= 64 else None
+        if size is None or size > ENUMERATION_BUDGET:
+            raise CapacityError(f"sequence space of n = {self.n} positions"
+                                + (f" and size {size}" if size else "")
+                                + f" exceeds budget {ENUMERATION_BUDGET}")
+        return np.stack(np.unravel_index(np.arange(size), self.arities),
+                        axis=1)
 
     def joint_table(self) -> tuple[np.ndarray, np.ndarray]:
         """(space, probs) for the full sequence space."""
@@ -247,10 +274,10 @@ class ExplicitJointModel(SequenceModel):
             raise InputError("every position needs arity >= 2")
         self.n = len(self.arities)
         probs = np.asarray(probs, dtype=float).reshape(-1)
-        if probs.size != self.space_size:
-            raise InputError(
-                f"table has {probs.size} entries, expected {self.space_size}"
-            )
+        # every arity >= 2: past size.bit_length() positions, 2**n > size
+        if self.n > probs.size.bit_length() or probs.size != self.space_size:
+            raise InputError(f"table has {probs.size} entries, not one per "
+                             f"sequence of n = {self.n} positions")
         if not np.all(np.isfinite(probs) & (probs >= 0)):
             raise InputError("table entries must be finite and non-negative")
         if abs(probs.sum() - 1.0) > _SUM_TOL:

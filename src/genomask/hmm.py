@@ -19,7 +19,9 @@ sequences stay in the linear domain without underflow.  All state is kept
 in arrays with a leading batch axis; independent Monte-Carlo runs share
 the immutable backward table and advance in lockstep.  They are drawn in
 fixed blocks (`mc_blocks`), which the memory budget only cuts into pieces,
-so the budget never moves a seeded result.
+so the budget never moves a seeded result.  Every product with T and every
+emission law comes from `HiddenChain.forward`, `backward` and `emission`, so
+a structured kernel or a byte check on the chain changes that class alone.
 """
 
 from __future__ import annotations
@@ -38,18 +40,9 @@ from .distributions import (
     row_codes,
     sensitive_assignments,
 )
-from .errors import (
-    CapacityError,
-    ImpossibleContextError,
-    InputError,
-    NumericalError,
-)
+from .errors import CapacityError, ImpossibleContextError, InputError, NumericalError
 from .info import sample_stderr
-from .masking import (
-    STAR,
-    _validate_sensitive,
-    release_rule,
-)
+from .masking import STAR, _validate_sensitive, release_rule
 
 #: Sensitive sets larger than this make the 2^|K| hypothesis loop pointless.
 MAX_SENSITIVE = 12
@@ -91,7 +84,7 @@ class SensitiveBackwardTable:
     @property
     def stride(self) -> int:
         """Rows per segment, ceil(sqrt(n))."""
-        return _stride(self.chain.emissions.shape[0])
+        return _stride(self.chain.n)
 
     def segment(self, j: int, rows: np.ndarray, prods: np.ndarray) -> None:
         """Recompute rows a .. b-1, a = j * stride and b = min(a + stride,
@@ -100,7 +93,7 @@ class SensitiveBackwardTable:
         the product before position a + k's emission factor, which is the
         masking session's normalizer at position a + k + 1.
         """
-        n, a = self.chain.emissions.shape[0], j * self.stride
+        n, a = self.chain.n, j * self.stride
         b = min(a + self.stride, n)
         nxt = self.values[j + 1] if b < n else None
         for i in range(b - 1, a - 1, -1):
@@ -123,10 +116,9 @@ def _backward_step(chain: HiddenChain, K, ucomp, i, nxt, pre, row) -> None:
         pre[...] = 1.0
     else:
         # row(i)[u, s] = sum_s' T[s, s'] * row(i + 1)[u, s']
-        np.matmul(nxt, chain.trans.T, out=pre)
+        chain.backward(nxt, out=pre)
     if i in K:
-        emis = chain.emissions[i]                            # (arity, m)
-        np.multiply(pre, emis[ucomp[:, K.index(i)]], out=row)
+        np.multiply(pre, chain.emission(i)[ucomp[:, K.index(i)]], out=row)
     else:
         row[...] = pre
 
@@ -173,35 +165,27 @@ def sensitive_conditionals(model: SequenceModel, K) -> np.ndarray:
     chain = require_chain(model, "the sensitive conditionals")
     table = sensitive_backward_table(model, K)
     K = table.K
-    (n, arity, m), num_u = chain.emissions.shape, table.num_u
+    n, (arity, m), num_u = chain.n, chain.emission(0).shape, table.num_u
     slot = {k: j for j, k in enumerate(K)}
     out = np.full((n, num_u, arity), np.nan)
     fwd = np.broadcast_to(chain.initial, (num_u, m)).copy()
-    t, stride = chain.trans, table.stride
+    stride = table.stride
     back, prods = np.empty((2, stride, num_u, m))
     for i in range(n):
         if i % stride == 0:
             table.segment(i // stride, back, prods)
-        emis = chain.emissions[i]  # (arity, m)
+        emis = chain.emission(i)  # (arity, m)
         if i in slot:
-            rows = np.zeros((num_u, arity))
-            rows[np.arange(num_u), table.u_components[:, slot[i]]] = 1.0
-            out[i] = rows
-            fwd = fwd * emis[table.u_components[:, slot[i]]]
+            comp = table.u_components[:, slot[i]]
+            out[i] = np.eye(arity)[comp]
+            fwd = fwd * emis[comp]
         else:
             joint = np.einsum("um,vm,um->uv", fwd, emis, back[i % stride])
             z = joint.sum(axis=1)
             np.divide(joint, z[:, None], out=out[i], where=z[:, None] > 0)
-        fwd = fwd @ t
+        fwd = chain.forward(fwd)
     out[:, table.prior <= 0] = np.nan
     return out
-
-
-def _same_chain(a: HiddenChain, b: HiddenChain) -> bool:
-    """The same chain, by identity or else by value: some models build a
-    new `HiddenChain` on each `hidden_chain()` call."""
-    return a is b or all(np.array_equal(getattr(a, f), getattr(b, f))
-                         for f in ("initial", "trans", "emissions"))
 
 
 def _row_sums(a: np.ndarray) -> np.ndarray:
@@ -236,7 +220,7 @@ class BatchMaskingSession:
         self.table = table if table is not None else sensitive_backward_table(model, self.K)
         if self.table.K != self.K:
             raise InputError("backward table was built for a different K")
-        if not _same_chain(self.table.chain, self.chain):
+        if not self.table.chain.same_as(self.chain):
             raise InputError("backward table was built for a different model")
         self.u_true = row_codes(x_sensitive,
                                 [model.arities[k] for k in self.K])
@@ -268,19 +252,17 @@ class BatchMaskingSession:
             pred[...] = base * _inverse_or_zero(base.sum(axis=1))[:, None]
             return pred
         flat = (self.batch * self.table.num_u, self.chain.m)
-        if self.pos >= self.table.plain_from:
-            # no sensitive positions remain: the plain chain kernel applies
-            np.matmul(self.belief.reshape(flat), self.chain.trans,
-                      out=pred.reshape(flat))
-            return pred
         # pred[b,u,k] = sum_s belief[b,u,s] / z[u,s] * T[s,k] * g[u,k] with
         # g the backward row at pos and z = g @ T.T, the pass's product for
-        # row pos - 1.  z is read before g's segment may overwrite it, and
-        # the belief is not read again before `advance` overwrites it.
-        self.belief *= _inverse_or_zero(self._backward(self.pos - 1)[1])
-        np.matmul(self.belief.reshape(flat), self.chain.trans,
-                  out=pred.reshape(flat))
-        pred *= self._backward(self.pos)[0]
+        # row pos - 1; with no sensitive position ahead the plain kernel
+        # applies.  z is read before g's segment may overwrite it, and the
+        # belief is not read again before `advance` overwrites it.
+        ahead = self.pos < self.table.plain_from
+        if ahead:
+            self.belief *= _inverse_or_zero(self._backward(self.pos - 1)[1])
+        self.chain.forward(self.belief.reshape(flat), out=pred.reshape(flat))
+        if ahead:
+            pred *= self._backward(self.pos)[0]
         return pred
 
     def _backward(self, i: int):
@@ -313,7 +295,7 @@ class BatchMaskingSession:
             raise InputError("session already consumed the whole sequence")
         pred = self._predicted_states()
         # one 2-D product: a 3-D matmul with the strided emis.T costs twice
-        emis_t = np.ascontiguousarray(self.chain.emissions[self.pos].T)
+        emis_t = np.ascontiguousarray(self.chain.emission(self.pos).T)
         (m, arity), num_u = emis_t.shape, self.table.num_u
         px = (pred.reshape(self.batch * num_u, m) @ emis_t).reshape(
             self.batch, num_u, arity)
@@ -334,7 +316,7 @@ class BatchMaskingSession:
         """``col`` as int64 of shape (batch,); `InputError` for another shape
         or a symbol outside 0..arity-1 (STAR also allowed for outcomes)."""
         col = np.asarray(col, dtype=np.int64)
-        arity = self.chain.emissions.shape[1]
+        arity = self.chain.emission(self.pos).shape[0]
         if col.shape != (self.batch,):
             raise InputError(f"a column must have shape ({self.batch},), "
                              f"not {col.shape}")
@@ -373,7 +355,7 @@ class BatchMaskingSession:
         released = y_col != STAR
         if self.pos in self._slot and released.any():
             raise InputError("sensitive positions must be erased")
-        emis = self.chain.emissions[self.pos]               # (arity, m)
+        emis = self.chain.emission(self.pos)                # (arity, m)
         (arity, m), num_u = emis.shape, self.table.num_u
         hit = y_col[:, None] == np.arange(arity)            # (batch, arity)
         coef = np.where(released[:, None, None], ratios * hit[:, None, :],

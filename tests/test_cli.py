@@ -323,6 +323,26 @@ def _assert_clean_exit(code, err):
         assert err.startswith("error: ") and err.count("\n") == 1, err
 
 
+def test_long_configs_exit_with_one_line_before_any_product(tmp_path, capsys):
+    # n = 20000 passes the config's n check, but its 2**20000 space used to
+    # end the exact subcommands in a traceback while printing its size; a
+    # two-entry table for n = 400000 took seconds to form its product
+    chain, table = tmp_path / "chain.json", tmp_path / "table.json"
+    chain.write_text(json.dumps({"type": "markov", "n": 20000,
+                                 "initial": [0.5, 0.5],
+                                 "transition": [[0.9, 0.1], [0.1, 0.9]]}))
+    table.write_text(json.dumps({"type": "explicit", "n": 400000,
+                                 "probs": [0.5, 0.5]}))
+    for cfg, code, message in ((chain, 3, "n = 20000 positions exceeds budget"),
+                               (table, 2, "n = 400000 positions")):
+        for command in (["rate"], ["lp"], ["window", "--omega", "1"],
+                        ["robustness", "--q-model", str(cfg)]):
+            assert main(command + ["--model", str(cfg), "--k", "1"]) == code
+            out, err = capsys.readouterr()
+            assert out == "" and message in err, (command, err)
+            _assert_clean_exit(code, err)
+
+
 def test_text_and_config_inputs_exit_0_2_or_3_with_one_line(tmp_path, capsys):
     # panel lines, --x strings, masked strings and model configs up to
     # n = 10**30: a malformed one is exit 2 (or 3 past the memory budget)

@@ -29,6 +29,7 @@ from genomask.hmm import BatchMaskingSession
 from genomask.mechanism import EnumeratedMechanism
 
 from conftest import random_explicit, random_hmm, random_markov
+from strategies import seeded_examples, small_models
 
 
 def test_alphabet_requires_two_symbols():
@@ -357,3 +358,24 @@ def test_assignment_indexing():
     assert us == [(0, 0), (0, 1), (1, 0), (1, 1), (2, 0), (2, 1)]
     for i, u in enumerate(us):
         assert assignment_index(u, arities, [1, 2]) == i
+
+
+@seeded_examples(40)
+def test_chain_methods_equal_the_dense_fields_bitwise(seed):
+    # the oracle a structured kernel is held to: forward, backward and
+    # emission against the fields they read, with and without out=, on
+    # the 1-, 2- and 3-D beliefs the filters pass
+    model, _, _ = small_models(seed, kinds=("markov", "hmm"))
+    chain = model.hidden_chain()
+    assert chain.n == model.n == chain.emissions.shape[0]
+    rng = np.random.default_rng(seed)
+    for shape in ((chain.m,), (3, chain.m), (2, 3, chain.m)):
+        b = rng.random(shape)
+        for method, dense in ((chain.forward, b @ chain.trans),
+                              (chain.backward, b @ chain.trans.T)):
+            assert np.array_equal(method(b), dense)
+            out = np.empty_like(b)
+            assert method(b, out=out) is out
+            assert np.array_equal(out, dense)
+    for i in range(chain.n):
+        assert np.array_equal(chain.emission(i), chain.emissions[i])
