@@ -277,7 +277,12 @@ def build_parser() -> argparse.ArgumentParser:
     _add_model_args(p)
     p.add_argument("--order", help="processing order, 1-based permutation")
     p.add_argument("--runs", type=int, default=0,
-                   help="Monte-Carlo runs; 0 = exact enumeration")
+                   help="Monte-Carlo runs; 0 = exact enumeration.  A run "
+                        "scores (1/n) sum_i sum_v min_u p(x_i = v | u, "
+                        "prefix), its release probabilities given its "
+                        "produced prefixes: by the tower property the mean "
+                        "of the released fraction, and the stderr is that "
+                        "of these per-run minima sums")
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_rate)
 

@@ -521,8 +521,14 @@ def load_model_config(source: str | Path | dict) -> SequenceModel:
             if not panel_path.is_absolute():
                 panel_path = base / panel_path
             panel = load_panel(panel_path)
-            return HmmModel(panel, cfg["epsilon"], cfg["theta"],
-                            int(cfg.get("alphabet", 2)))
+            alphabet = int(cfg.get("alphabet", 2))
+            # the chain's (n, alphabet, m) emission stack, before it is built
+            if 8 * panel.size * alphabet > BELIEF_BUDGET_BYTES:
+                raise CapacityError(
+                    f"an emission stack of alphabet {alphabet} on a "
+                    f"{panel.shape[0]}x{panel.shape[1]} panel exceeds "
+                    f"BELIEF_BUDGET_BYTES")
+            return HmmModel(panel, cfg["epsilon"], cfg["theta"], alphabet)
         if kind == "markov":
             return MarkovChainModel(cfg["initial"], cfg["transition"], n)
         if kind == "explicit":

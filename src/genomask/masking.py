@@ -90,10 +90,6 @@ class MaskedSequence:
     def erasure_count(self) -> int:
         return sum(1 for v in self.symbols if v == STAR)
 
-    @property
-    def erasure_rate(self) -> float:
-        return self.erasure_count / len(self.symbols)
-
     def text(self) -> str:
         """A digit per symbol, ``*`` for STAR; `InputError` above 9."""
         return symbols_text(self.symbols)

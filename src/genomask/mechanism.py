@@ -192,18 +192,26 @@ class EnumeratedMechanism:
     # -- single runs ---------------------------------------------------------
 
     def mask(self, x, ordering: Ordering, rng: np.random.Generator):
-        """Mask one sequence; returns (MaskedSequence, transcript).  Rows of
-        zero weight are dropped: they add nothing to the bincounts."""
+        """Mask one sequence; returns (MaskedSequence, transcript)."""
+        masked, transcript, _ = self._mask_path(x, ordering, rng)
+        return masked, transcript
+
+    def _mask_path(self, x, ordering: Ordering, rng: np.random.Generator):
+        """`mask` and the path's released mass, the sum over positions of
+        sum_v mins(v).  Rows of zero weight are dropped: they add nothing
+        to the bincounts."""
         x = validate_sequence(x, self.arities)
         u_code = assignment_index([x[k] for k in self.K], self.arities, self.K)
         row = np.flatnonzero(self.q > 0)
         wq = self.q[row]
         y = [STAR] * self.n
         transcript = []
+        released_mass = 0.0
         for pos in ordering:
             cell = self._cells(pos, 0, row)
             cond, totals = self._predictive(pos, 1, cell, wq)
-            _, ratios = self.release_table(cond[0], totals[0], pos)
+            mins, ratios = self.release_table(cond[0], totals[0], pos)
+            released_mass += float(mins.sum())
             r = float(ratios[u_code, x[pos]])
             y[pos] = x[pos] if rng.random() < r else STAR
             release = ratios.reshape(-1)[cell]
@@ -211,7 +219,7 @@ class EnumeratedMechanism:
                        np.where(self.space[row, pos] == y[pos], release, 0.0))
             row, wq = row[wq > 0], wq[wq > 0]
             transcript.append(TranscriptEntry(pos, r, y[pos]))
-        return MaskedSequence(tuple(y)), tuple(transcript)
+        return MaskedSequence(tuple(y)), tuple(transcript), released_mass
 
     def conditional(self, i: int, u, y_prefix=()) -> np.ndarray:
         """p(X_i | sensitive = u, produced prefix) under the mechanism's
@@ -542,7 +550,17 @@ def rate_from_stepwise_minima(model: SequenceModel, K,
 
 def achievable_rate_mc(model: SequenceModel, K, ordering: Ordering | None = None,
                        runs: int = 1000, rng: np.random.Generator | None = None):
-    """Monte-Carlo rate estimate: (mean of 1 - e(Y)/n, standard error)."""
+    """Monte-Carlo rate estimate: (mean, standard error) of the per-run
+    (1/n) sum_i sum_v mins_i(v), where mins_i(v) is the least conditional of
+    v over the hypotheses given the run's produced prefix.
+
+    That sum is the probability of releasing position i given the prefix
+    and the sensitive values, so by the tower property the estimate has the
+    mean of the released fraction 1 - e(Y)/n; its stderr is that of the
+    per-run minima sums.  A chain in the linear order goes through
+    `hmm.erasure_rate_mc`; any other model or order draws ``model.sample``
+    and then masks it through `EnumeratedMechanism.mask`'s path, per run.
+    """
     if rng is None:
         raise InputError("achievable_rate_mc requires a random generator")
     if runs < 1:
@@ -551,6 +569,6 @@ def achievable_rate_mc(model: SequenceModel, K, ordering: Ordering | None = None
     if model.hidden_chain() is not None and ordering.is_linear:
         return _hmm.erasure_rate_mc(model, K, runs, rng)
     engine = EnumeratedMechanism(model, K)
-    masks = (engine.mask(model.sample(rng), ordering, rng)[0] for _ in range(runs))
-    rates = np.array([1.0 - masked.erasure_rate for masked in masks])
+    rates = np.array([engine._mask_path(model.sample(rng), ordering, rng)[2]
+                      for _ in range(runs)]) / model.n
     return float(rates.mean()), sample_stderr(rates)

@@ -343,6 +343,25 @@ def test_long_configs_exit_with_one_line_before_any_product(tmp_path, capsys):
             _assert_clean_exit(code, err)
 
 
+def test_hmm_alphabet_past_the_budget_exits_3_before_the_emissions(tmp_path,
+                                                                   capsys):
+    # a 10**15-symbol alphabet used to allocate the (n, alphabet, m)
+    # emission stack and end in numpy's memory error; 11 symbols still run
+    (tmp_path / "p2.txt").write_text("01\n10\n")
+    for alphabet, code in ((10**15, 3), (11, 0)):
+        cfg = tmp_path / f"hmm{alphabet}.json"
+        cfg.write_text(json.dumps({"epsilon": 0.1, "theta": 0.05,
+                                   "panel_path": "p2.txt",
+                                   "alphabet": alphabet}))
+        assert main(["bound", "--model", str(cfg), "--k", "1"]) == code
+        out, err = capsys.readouterr()
+        _assert_clean_exit(code, err)
+        if code:
+            assert out == "" and "emission stack" in err, err
+        else:
+            assert out == "0.125958\n"
+
+
 def test_text_and_config_inputs_exit_0_2_or_3_with_one_line(tmp_path, capsys):
     # panel lines, --x strings, masked strings and model configs up to
     # n = 10**30: a malformed one is exit 2 (or 3 past the memory budget)

@@ -23,6 +23,7 @@ from genomask import (
 )
 from genomask.distributions import assignment_index, sensitive_assignments
 from genomask.hmm import BatchMaskingSession, erasure_rate_mc
+from genomask.info import sample_stderr
 from genomask.mechanism import EnumeratedMechanism
 
 from conftest import (
@@ -382,27 +383,47 @@ def _pinned_sessions():
 
 
 def test_session_outcomes_are_pinned():
-    # sha256 of seeded `mask_hmm_batch` outcomes and `erasure_rate_mc`
-    # (rate, stderr), recorded before the session's per-position step was
-    # rewritten: release probabilities may move by rounding, outcomes may not
+    # sha256 of seeded `mask_hmm_batch` outcomes, recorded before the
+    # session's per-position step was rewritten and before the Monte-Carlo
+    # rate moved to the minima sums: release probabilities may move by
+    # rounding, outcomes may not
     got = {}
     for name, model, K in _pinned_sessions():
         rng = np.random.default_rng(7)
-        digest = hashlib.sha256(
-            mask_hmm_batch(model, model.sample_batch(64, rng), K, rng).tobytes())
-        digest.update(repr(erasure_rate_mc(model, K, 300, rng)).encode())
-        got[name] = digest.hexdigest()
+        got[name] = hashlib.sha256(mask_hmm_batch(
+            model, model.sample_batch(64, rng), K, rng).tobytes()).hexdigest()
     assert got == {
         "plain":
-            "56e2b8cf7437d3193714a5c5ce47e53489e52e06ef2c8382e49cad72696a9f5e",
+            "066987311eb45188df5a8159e2677c619e0ba6e3a70cb53cab4409d543f86de6",
         "conditioned":
-            "f146fa2b78410e8edd9abbffc6e9da87b2ed9b7488555cb31ffd7dabbc15b144",
+            "d664943a38dd9b0b14c9bb480a7210644d4c71c564ef626859a3bfe2f7cb4fba",
         "eps0":
-            "27080ba55610c73f9d5d2318e51d455400b9a051f733b5a97de69c7857f9ef6d",
+            "d70bfed770a1a99e1930e796466ff3ead261287f13dff0db26dd5b15772324f2",
         "theta0":
-            "9b1105ef38edbf838a8cc298ab62aa92c757342bf3fce7fda12c08892817d186",
+            "6369dca89a1856d823dbb21c0ba7ba61b41b57a6bc40d0091bb8b08c103f998e",
         "markov":
-            "0336411f740227e24070d56107251ecc49f889dd141c9fc7526b53eb5ca16b76",
+            "5a62ae6e5b2ae888ef53083fbe0296758c3631234171849e76b6258c142c5f44",
+    }
+
+
+def test_session_rates_are_pinned():
+    # sha256 of the repr of seeded `erasure_rate_mc` (rate, stderr), the
+    # mean and stderr of the per-run minima sums
+    got = {}
+    for name, model, K in _pinned_sessions():
+        got[name] = hashlib.sha256(repr(erasure_rate_mc(
+            model, K, 300, np.random.default_rng(7))).encode()).hexdigest()
+    assert got == {
+        "plain":
+            "844a1e65b08504b8e6e8215e6106161113a6ed22255e0c341b200c87b64cb07f",
+        "conditioned":
+            "46f0a2e49d7c2cf75a4f90c4e1be51e8ae2ae65b18b6ae903b18dbb29b2fcd36",
+        "eps0":
+            "0ca4fb3ddeb1698689d8ea1b3ee4141881fe23779c778c3ffbd18935252b2863",
+        "theta0":
+            "f36e5dc5d42de88dfb7eb797f22d775d3385773a50d8d86d5695cca8a133c70c",
+        "markov":
+            "45a26b032de3eec517b22f2fce294b5f6ddecc9d0e893661bb38d30047342d0a",
     }
 
 
@@ -609,6 +630,21 @@ def test_batch_rate_agrees_with_exact(rng):
     exact = achievable_rate_exact(model, [0])
     est, err = erasure_rate_mc(model, [0], runs=4000, rng=rng)
     assert abs(est - exact) < 4 * max(err, 1e-6)
+
+
+def test_minima_rate_has_less_spread_than_the_release_indicators():
+    # the same seed draws the same sequences, uniforms and outcomes; at
+    # epsilon = 0.5 the minima sums cut the per-run variance about 18x, so
+    # half the indicators' stderr leaves a clear margin, and an estimator
+    # that averaged the indicators again would fail
+    model = random_hmm(np.random.default_rng(100), 30, 10, eps=0.5, theta=0.05)
+    rate, err = erasure_rate_mc(model, (0,), 400, np.random.default_rng(5))
+    rng = np.random.default_rng(5)
+    ys = mask_hmm_batch(model, model.sample_batch(400, rng), (0,), rng)
+    released = 1.0 - (ys == STAR).sum(axis=1) / model.n
+    indicator_err = sample_stderr(released)
+    assert 0.0 < err <= 0.5 * indicator_err
+    assert abs(rate - released.mean()) <= 4 * indicator_err
 
 
 def test_mc_batch_fits_belief_budget(rng, monkeypatch):

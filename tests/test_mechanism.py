@@ -253,6 +253,21 @@ def test_rate_identity_on_drawn_models(seed):
     assert abs(rate_from_stepwise_minima(model, K, ordering) - direct) <= 1e-9
 
 
+@seeded_examples(30)
+def test_monte_carlo_rate_agrees_with_exact_on_both_paths(seed):
+    # the minima-sum estimate through the chain session (linear order) or
+    # the enumeration (an explicit model), then through the enumeration
+    # under a non-linear order, against the exact rate of that order
+    model, K, ordering = small_models(seed, max_n=4)
+    if ordering.is_linear:
+        ordering = Ordering(ordering.perm[::-1])
+    rng = np.random.default_rng(seed)
+    for order in (None, ordering):
+        exact = achievable_rate_exact(model, K, order)
+        est, err = achievable_rate_mc(model, K, order, runs=200, rng=rng)
+        assert abs(est - exact) <= 4 * max(err, 1e-9), (order, est, exact, err)
+
+
 def test_deterministic_mechanism_has_zero_mc_variance(rng):
     inst = HittingSetInstance.from_lists(2, [[1, 2]])
     model = ParityModel(inst)
