@@ -40,6 +40,10 @@ TIE_TOL = 1e-10
 #: its sparse constraint matrix holds at most three nonzeros per variable.
 LP_VAR_BUDGET = 20_000
 
+#: Largest certified duality gap of an "optimal" `lp_optimal_rate` answer:
+#: the tolerance of its two primal checks.
+LP_GAP_TOL = 1e-8
+
 
 def upper_bound_rate(model: SequenceModel, K) -> float:
     """Converse bound: (1/n) sum_i sum_v min_u p(x_i = v | sensitive = u).
@@ -95,13 +99,20 @@ class LpSolution:
     """Optimal faithful private mechanism found by linear programming: it
     releases ``xs[j]`` as ``ys[j]`` with probability ``w[j]`` ((rows, n)
     int64, (rows,) float; None unless optimal): the variables above 1e-12
-    in variable order, then all-erased rows for sequences of prior zero."""
+    in variable order, then all-erased rows for sequences of prior zero.
+    ``gap`` bounds how far the mechanism's erased fraction is above the
+    optimum, by LP duality; NaN when the solve ended without an answer or
+    the answer failed a primal check."""
 
     optimal_rate: float
-    status: str  # optimal | infeasible | capacity | numerical
+    # optimal | capacity | numerical.  Never infeasible: erasing everything
+    # is a feasible mechanism, so a solver verdict of infeasible is a
+    # numerical failure.
+    status: str
     xs: np.ndarray | None = None
     ys: np.ndarray | None = None
     w: np.ndarray | None = None
+    gap: float = float("nan")
 
     def to_json(self) -> str:
         # "*" sorts before the digits, so the triples sort as the tuples
@@ -133,6 +144,15 @@ def lp_optimal_rate(model: SequenceModel, K) -> LpSolution:
     When every sensitive assignment has positive prior, any output that
     reveals a sensitive position is forced to zero, so those variables are
     dropped up front.
+
+    The answer is proven by weak duality.  With HiGHS's row duals y and
+    reduced costs d = c - A.T @ y, every feasible x has
+    c @ x = b @ y + d @ x, and each sequence's weights form a distribution,
+    so c @ x >= b @ y + sum over sequences of min(0, min of its d): a lower
+    bound on the erased fraction.  The gap is the returned mechanism's
+    erased fraction minus that bound.  HiGHS runs without presolve first,
+    and once more with presolve when its answer is not optimal or its gap
+    exceeds ``LP_GAP_TOL``; an answer that still fails is "numerical".
     """
     K = _validate_sensitive(K, model.n)
     space, p = model.joint_table()
@@ -172,28 +192,42 @@ def lp_optimal_rate(model: SequenceModel, K) -> LpSolution:
          np.concatenate([weight[up], -weight[down], np.ones(nvars)]))
     b[n_priv:] = 1.0
 
-    result = linear_program(cost, a, b)
-    if result.status != "optimal":
-        status = "infeasible" if result.status == "infeasible" else "numerical"
-        return LpSolution(float("nan"), status)
+    def certified(res) -> tuple[np.ndarray | None, float]:
+        """An optimal run's mechanism weights and their certified gap; no
+        weights and a NaN gap when the run fails a primal check."""
+        sums = np.bincount(var_x, weights=res.x, minlength=rows.size)
+        if np.any(np.abs(sums - 1.0) > 1e-8):
+            return None, float("nan")
+        # the solver meets x >= 0 only to its feasibility tolerance (1e-7):
+        # drop the small negatives and rescale each sequence's weights to
+        # sum to 1, so that the mechanism is a set of distributions
+        w = np.maximum(res.x, 0.0)
+        w /= np.bincount(var_x, weights=w, minlength=rows.size)[var_x]
+        erased = float(cost @ w)
+        if abs(res.objective - erased) > 1e-8:
+            return None, float("nan")
+        # each sequence's variables are consecutive, in its one row of b = 1
+        d = cost - np.bincount(a[1], weights=a[2] * res.y[a[0]],
+                               minlength=nvars)
+        low = b @ res.y + np.minimum(d.reshape(rows.size, -1).min(axis=1),
+                                     0.0).sum()
+        return w, erased - float(low)
 
-    sums = np.bincount(var_x, weights=result.x, minlength=rows.size)
-    if np.any(np.abs(sums - 1.0) > 1e-8):
+    result = linear_program(
+        cost, a, b, accept=lambda res: certified(res)[1] <= LP_GAP_TOL)
+    if result.status != "optimal":
         return LpSolution(float("nan"), "numerical")
-    # the solver meets x >= 0 only to its feasibility tolerance (1e-7):
-    # drop the small negatives and rescale each sequence's weights to sum
-    # to 1, so that the mechanism is a set of distributions
-    w = np.maximum(result.x, 0.0)
-    w /= np.bincount(var_x, weights=w, minlength=rows.size)[var_x]
+    w, gap = certified(result)
     rate = 1.0 - result.objective
-    if abs(rate - (1.0 - float(cost @ w))) > 1e-8:
-        return LpSolution(rate, "numerical")
+    if not gap <= LP_GAP_TOL:       # NaN too: a primal check failed
+        return LpSolution(rate, "numerical", gap=gap)
     chosen = np.flatnonzero(w > 1e-12)
     off = space[p == 0]     # off the support: a fixed all-erased row
     return LpSolution(rate, "optimal",
                       np.concatenate([space[var_row[chosen]], off]),
                       np.concatenate([ys[chosen], np.full_like(off, STAR)]),
-                      np.concatenate([w[chosen], np.ones(off.shape[0])]))
+                      np.concatenate([w[chosen], np.ones(off.shape[0])]),
+                      gap)
 
 
 def lp_output_distribution(model: SequenceModel, K,

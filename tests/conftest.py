@@ -1,12 +1,27 @@
 import numpy as np
 import pytest
 
-from genomask import ExplicitJointModel, HmmModel, MarkovChainModel
+from genomask import ExplicitJointModel, HmmModel, MarkovChainModel, simplex
 
 
 @pytest.fixture
 def rng():
     return np.random.default_rng(20260809)
+
+
+@pytest.fixture
+def highs_runs(monkeypatch):
+    """(presolve, iterations) of each HiGHS run, in order."""
+    runs = []
+    run = simplex._run
+
+    def counted(core, highs, presolve):
+        result = run(core, highs, presolve)
+        runs.append((presolve, result.iterations))
+        return result
+
+    monkeypatch.setattr(simplex, "_run", counted)
+    return runs
 
 
 def random_explicit(rng, n, alphabet=2, sparse=False):

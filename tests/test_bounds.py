@@ -1,3 +1,4 @@
+import collections
 import json
 
 import numpy as np
@@ -19,9 +20,10 @@ from genomask import (
     markov_sufficient_condition_check,
     mutual_information,
     rate_from_stepwise_minima,
+    simplex,
     upper_bound_rate,
 )
-from genomask.bounds import TIE_TOL
+from genomask.bounds import LP_GAP_TOL, TIE_TOL
 from genomask.distributions import row_codes
 from genomask.hardness import HittingSetInstance, ParityModel
 from genomask.mechanism import EnumeratedMechanism
@@ -305,6 +307,7 @@ def test_lp_sandwich_and_privacy_on_drawn_models(seed):
     model, K, ordering = small_models(seed, max_n=4)
     sol = lp_optimal_rate(model, K)
     assert sol.status == "optimal"
+    assert np.isfinite(sol.gap) and sol.gap <= LP_GAP_TOL, sol.gap
     assert_lp_arrays_are_a_mechanism(model, sol)
     rate = achievable_rate_exact(model, K, ordering)
     bound = upper_bound_rate(model, K)
@@ -314,9 +317,11 @@ def test_lp_sandwich_and_privacy_on_drawn_models(seed):
     assert dist.max_conditional_deviation() <= 1e-7
 
 
-def test_lp_solves_a_degenerate_chain_to_the_bound():
+def test_lp_solves_a_degenerate_chain_to_the_bound(highs_runs):
     # a drawn 3-symbol chain with a highly degenerate LP, always feasible
-    # (erase everything); its optimum meets the converse bound
+    # (erase everything); its optimum meets the converse bound.  The run
+    # without presolve ends 2.2e-6 short of its certificate, so a
+    # presolved run follows
     initial = np.array([0.805059, 1.0848e-05, 0.194930])
     trans = np.array([[0.311183, 0.093094, 0.595724],
                       [0.012324, 0.775753, 0.211923],
@@ -324,7 +329,8 @@ def test_lp_solves_a_degenerate_chain_to_the_bound():
     model = MarkovChainModel(initial / initial.sum(),
                              trans / trans.sum(axis=1, keepdims=True), 4)
     sol = lp_optimal_rate(model, [2])
-    assert sol.status == "optimal"
+    assert sol.status == "optimal" and sol.gap <= LP_GAP_TOL
+    assert [presolve for presolve, _ in highs_runs] == [False, True]
     assert abs(sol.optimal_rate - upper_bound_rate(model, [2])) <= 1e-9
     dist = lp_output_distribution(model, [2], sol)
     assert dist.mutual_information_bits() <= 1e-7
@@ -345,6 +351,86 @@ def test_lp_mechanism_weights_are_distributions():
     assert sol.status == "optimal"
     assert np.all(sol.w > 0)
     assert_lp_arrays_are_a_mechanism(model, sol)
+
+
+def test_fig5_grid_and_criterion_6_lps_take_one_highs_run(highs_runs):
+    # the run without presolve is certified on the paper's LPs (n = 6)
+    rng = np.random.default_rng(3)
+    models = [HmmModel(rng.integers(2, size=(100, 100)), eps,
+                       theta).truncated(6)
+              for theta in (0.01, 0.05) for eps in (0.01, 0.1, 0.5)]
+    panel = np.random.default_rng(20260809 + 6).integers(2, size=(100, 100))
+    models += [HmmModel(panel, eps, theta).truncated(6)
+               for theta in (0.01, 0.05)
+               for eps in (0.01, 0.02, 0.05, 0.1, 0.3)]
+    for model in models:
+        highs_runs.clear()
+        sol = lp_optimal_rate(model, [0])
+        assert sol.status == "optimal" and sol.gap <= LP_GAP_TOL
+        assert [presolve for presolve, _ in highs_runs] == [False]
+
+
+@pytest.mark.parametrize("mutate", [
+    lambda y: y * 1.01,
+    lambda y: np.concatenate([y[:1] + 1e-3, y[1:]]),     # a privacy row
+    lambda y: np.concatenate([y[:-1], y[-1:] - 1e-7]),   # a sequence row
+], ids=["scaled", "privacy-row", "sequence-row"])
+def test_wrong_duals_fail_the_certificate(mutate, highs_runs, monkeypatch):
+    model = MarkovChainModel.binary_symmetric(0.85, 4)
+    sol = lp_optimal_rate(model, [0])
+    assert sol.status == "optimal" and sol.gap <= LP_GAP_TOL
+    run = simplex._run
+
+    def mutated(core, highs, presolve):
+        result = run(core, highs, presolve)
+        result.y = mutate(result.y)
+        return result
+
+    monkeypatch.setattr(simplex, "_run", mutated)
+    highs_runs.clear()
+    sol = lp_optimal_rate(model, [0])
+    assert sol.status == "numerical" and sol.gap > LP_GAP_TOL, sol.gap
+    assert sol.w is None
+    assert [presolve for presolve, _ in highs_runs] == [False, True]
+
+
+def test_an_infeasible_verdict_is_numerical(monkeypatch):
+    # erasing everything is a feasible mechanism, so HiGHS is wrong
+    monkeypatch.setattr(simplex, "_run", lambda core, highs, presolve:
+                        simplex.SimplexResult("infeasible", None, None,
+                                              float("nan"), 0))
+    sol = lp_optimal_rate(MarkovChainModel.binary_symmetric(0.85, 4), [0])
+    assert sol.status == "numerical"
+
+
+def degenerate_chains(seed, count):
+    """``count`` (model, K) draws: chains of 2 or 3 symbols with
+    Dirichlet(0.3) initial law and rows, so near-zero entries and highly
+    degenerate LPs, and one sensitive position."""
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        arity = int(rng.integers(2, 4))
+        n = int(rng.integers(3, 6 if arity == 2 else 5))
+        initial = rng.dirichlet(np.full(arity, 0.3))
+        rows = rng.dirichlet(np.full(arity, 0.3), size=arity)
+        yield MarkovChainModel(initial, rows, n), [int(rng.integers(n))]
+
+
+def test_lp_is_certified_on_drawn_degenerate_chains():
+    # one presolved HiGHS run, uncertified, ended these 400 draws 373
+    # "optimal", 13 "numerical" and 14 "infeasible"
+    statuses = collections.Counter()
+    for model, K in degenerate_chains(2026, 400):
+        sol = lp_optimal_rate(model, K)
+        statuses[sol.status] += 1
+        if sol.status == "optimal":
+            assert sol.gap <= LP_GAP_TOL, (K, sol.gap)
+            rate = achievable_rate_exact(model, K)
+            assert rate <= sol.optimal_rate + 1e-7, (K, rate, sol)
+            bound = upper_bound_rate(model, K)
+            assert sol.optimal_rate <= bound + 1e-7, (K, bound, sol)
+    assert set(statuses) <= {"optimal", "numerical"}, statuses
+    assert statuses["optimal"] >= 373, statuses
 
 
 def test_lp_json_sorts_triples_and_erases_impossible_sequences():

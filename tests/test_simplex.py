@@ -28,6 +28,24 @@ def test_basic_minimization():
     assert res.status == "optimal"
     assert res.objective == pytest.approx(-5.0)
     assert res.x[:2] == pytest.approx([3.0, 1.0])
+    # the row duals prove it: b @ y meets the objective, and the reduced
+    # costs c - A.T @ y are nonnegative
+    assert np.dot(b, res.y) == pytest.approx(-5.0)
+    assert np.all(np.subtract(c, np.transpose(a) @ res.y) >= -1e-12)
+
+
+@pytest.mark.parametrize("accept, presolves", [
+    (lambda res: True, [False]),
+    (lambda res: False, [False, True]),
+], ids=["accepted", "rejected"])
+def test_accept_gates_one_presolved_retry(accept, presolves, highs_runs):
+    c = [-1.0, -2.0, 0.0, 0.0]
+    a = [[1, 1, 1, 0], [1, 3, 0, 1]]
+    res = linear_program(c, coords(a), [4, 6], accept=accept)
+    assert res.status == "optimal"
+    assert res.objective == pytest.approx(-5.0)
+    assert [presolve for presolve, _ in highs_runs] == presolves
+    assert res.iterations == sum(count for _, count in highs_runs)
 
 
 def test_equality_only_problem():
@@ -42,10 +60,12 @@ def test_infeasible_inconsistent_rows():
     assert res.status == "infeasible"
 
 
-def test_infeasible_sign():
-    # x1 + x2 = -1 has no nonnegative solution
+def test_infeasible_sign(highs_runs):
+    # x1 + x2 = -1 has no nonnegative solution; a run without an answer is
+    # checked by one with presolve
     res = linear_program([1.0, 1.0], coords([[1, 1]]), [-1.0])
     assert res.status == "infeasible"
+    assert [presolve for presolve, _ in highs_runs] == [False, True]
 
 
 def test_unbounded():
