@@ -5,9 +5,9 @@ values, plus the oracles, bounds and baselines to verify it exactly."""
 from .baselines import (
     MismatchPair,
     RobustnessResult,
-    WindowPolicy,
     robustness_experiment,
     sequence_kl,
+    window_erased,
     window_leakage_exact,
     window_leakage_sweep,
     window_mask,

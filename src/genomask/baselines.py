@@ -1,12 +1,13 @@
 """Deterministic window-erasure baseline and model-mismatch robustness.
 
-The baseline erases a fixed window (a prefix, or a radius around each
-sensitive position) and releases everything else; its leakage is the
-mutual information between the sensitive symbols and the released
-coordinates, normalized by the sensitive entropy.  Exact values come from
-enumeration; at realistic lengths the leakage is estimated from sampled
-sequences whose sensitive posteriors are computed exactly by constrained
-forward passes over the hidden states of the model's hidden chain.
+The baseline erases a window of size omega, every position within omega - 1
+of a sensitive position (for K = {0}, the first omega positions), and
+releases everything else; its leakage is the mutual information between
+the sensitive symbols and the released coordinates, normalized by the
+sensitive entropy.  Exact values come from enumeration; at realistic
+lengths the leakage is estimated from sampled sequences whose sensitive
+posteriors are computed exactly by constrained forward passes over the
+hidden states of the model's hidden chain.
 
 The robustness experiment builds the mechanism from a wrong distribution q
 and measures the exact leakage it incurs when inputs really follow p; the
@@ -29,55 +30,31 @@ from .masking import STAR, MaskedSequence, Ordering, _validate_sensitive
 from .mechanism import OutputDistribution, exact_output_distribution
 
 
-@dataclass(frozen=True)
-class WindowPolicy:
-    """Window-erasure policy.
-
-    ``prefix`` mode erases positions 0..omega-1 (the classical baseline for
-    a leading sensitive position); ``radius`` mode erases every position
-    within omega of a sensitive index.
-    """
-
-    mode: str
-    omega: int
-    sensitive: tuple[int, ...] = ()
-
-    def __post_init__(self):
-        if self.mode not in ("prefix", "radius"):
-            raise InputError(f"unknown window mode {self.mode!r}")
-        if self.omega < 0:
-            raise InputError("omega must be >= 0")
-        if self.mode == "radius" and not self.sensitive:
-            raise InputError("radius mode needs the sensitive positions")
-
-    def erased_positions(self, n: int) -> set[int]:
-        if self.omega > n:
-            raise InputError(f"omega {self.omega} exceeds length {n}")
-        if self.mode == "prefix":
-            return set(range(self.omega))
-        out: set[int] = set()
-        for k in self.sensitive:
-            out.update(range(max(0, k - self.omega),
-                             min(n, k + self.omega + 1)))
-        return out
+def window_erased(n: int, K, omega: int) -> list[int]:
+    """Sorted positions a window of size omega erases: those within
+    omega - 1 of a sensitive position, none at omega = 0.  For K = {0} the
+    window is the prefix 0..omega-1."""
+    K = _validate_sensitive(K, n)
+    if not 0 <= omega <= n:
+        raise InputError(f"omega {omega} outside 0..{n}")
+    return sorted({i for k in K
+                   for i in range(max(0, k - omega + 1), min(n, k + omega))})
 
 
-def window_mask(x, policy: WindowPolicy) -> MaskedSequence:
-    """Deterministically erase the policy's window."""
-    x = tuple(int(v) for v in x)
-    erased = policy.erased_positions(len(x))
-    return MaskedSequence(tuple(STAR if i in erased else v
-                                for i, v in enumerate(x)))
+def window_mask(x, K, omega: int) -> MaskedSequence:
+    """Deterministically erase the window of size omega around K."""
+    x = [int(v) for v in x]
+    for i in window_erased(len(x), K, omega):
+        x[i] = STAR
+    return MaskedSequence(tuple(x))
 
 
-def window_leakage_exact(model: SequenceModel, K, omega: int,
-                         mode: str = "prefix") -> float:
+def window_leakage_exact(model: SequenceModel, K, omega: int) -> float:
     """I(sensitive; released coordinates) / H(sensitive), by enumeration."""
-    K = _validate_sensitive(K, model.n)
-    policy = WindowPolicy(mode, omega, K)
+    erased = window_erased(model.n, K, omega)
     xs = model.enumerate_space()
     ys = xs.copy()
-    ys[:, sorted(policy.erased_positions(model.n))] = STAR
+    ys[:, erased] = STAR
     dist = OutputDistribution.from_mechanism(model, K, xs, ys,
                                              np.ones(xs.shape[0]))
     prior = dist.sensitive_marginal()

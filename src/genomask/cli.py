@@ -297,7 +297,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("window", help="window-baseline leakage")
     _add_model_args(p)
     p.add_argument("--omega", default="0,5,10,20,30",
-                   help="window sizes, comma-separated")
+                   help="window sizes, comma-separated; a window of size w "
+                   "erases each position within w - 1 of a --k position "
+                   "(for --k 1, the first w positions)")
     p.add_argument("--runs", type=int, default=0,
                    help="samples for the estimator; 0 = exact enumeration")
     p.add_argument("--seed", type=int, default=0)

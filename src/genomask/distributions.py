@@ -263,12 +263,11 @@ class ExplicitJointModel(SequenceModel):
     """
 
     def __init__(self, probs, arities: Sequence[int] | None = None,
-                 n: int | None = None, alphabet: int | Alphabet = 2):
+                 n: int | None = None, alphabet: int = 2):
         if arities is None:
-            size = alphabet.size if isinstance(alphabet, Alphabet) else int(alphabet)
             if n is None:
                 raise InputError("need n when arities are not given")
-            arities = (size,) * n
+            arities = (int(alphabet),) * n
         self.arities = tuple(int(a) for a in arities)
         if any(a < 2 for a in self.arities):
             raise InputError("every position needs arity >= 2")
@@ -390,7 +389,7 @@ class HmmModel(SequenceModel):
             raise InputError("epsilon must be in [0, 1]")
         if not 0.0 <= theta <= 1.0:
             raise InputError("theta must be in [0, 1]")
-        size = alphabet.size if isinstance(alphabet, Alphabet) else int(alphabet)
+        size = int(alphabet)
         self.alphabet = Alphabet(size)
         if panel.min() < 0 or panel.max() >= size:
             raise InputError("panel entries outside alphabet")
@@ -436,12 +435,8 @@ class HmmModel(SequenceModel):
             states[:, 1:] = 0
         x = self.panel[states, np.arange(n)[None, :]]
         err = rng.random((count, n)) < self.theta
-        if size == 2:
-            x = np.where(err, 1 - x, x)
-        else:
-            shift = rng.integers(1, size, size=(count, n))
-            x = np.where(err, (x + shift) % size, x)
-        return x
+        shift = rng.integers(1, size, size=(count, n))
+        return np.where(err, (x + shift) % size, x)
 
     def truncated(self, n_new: int) -> "HmmModel":
         """Model over the first n_new positions, parameters unchanged."""

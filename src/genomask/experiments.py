@@ -86,7 +86,8 @@ def run_fig3(config: ExperimentConfig) -> list[dict]:
         np.random.default_rng(streams[2]))
     for w, le, se in zip(config.omegas, leak, leak_err):
         rows.append(_row(config, epsilon=eps, theta=theta, omega=w,
-                         erasure_rate=w / config.n, leakage=le,
+                         erasure_rate=len(baselines.window_erased(
+                             config.n, config.k, w)) / config.n, leakage=le,
                          leakage_stderr=se, status="ok"))
     return rows
 

@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 
 from genomask import ExplicitJointModel, HmmModel, MarkovChainModel, simplex
+from genomask.distributions import first_seen_ranks, row_codes
+from genomask.info import entropy, mutual_information
 
 
 @pytest.fixture
@@ -81,3 +83,23 @@ def possible_assignments(engine):
     """Sensitive assignments with positive prior under the mechanism's
     model."""
     return [u for u, w in zip(engine.u_values, engine.q_prior) if w > 0]
+
+
+def first_seen_window_leakage(model, K, erased):
+    """The leakage of erasing ``erased`` as a bincount over released patterns
+    in order of first appearance: the reference `window_leakage_exact` must
+    match."""
+    released = sorted(set(range(model.n)) - set(erased))
+    space, p = model.joint_table()
+    space, p = space[p != 0], p[p != 0]
+    ui = row_codes(space[:, K], [model.arities[k] for k in K])
+    ri = first_seen_ranks(row_codes(space[:, released],
+                                    [model.arities[i] for i in released]))
+    cols = int(ri.max()) + 1
+    joint = np.bincount(ui * cols + ri, weights=p).reshape(-1, cols)
+    return mutual_information(joint) / entropy(joint.sum(axis=1))
+
+
+def radius_window(n, K, radius):
+    """Positions within ``radius`` of a sensitive position."""
+    return {i for i in range(n) if any(abs(i - k) <= radius for k in K)}

@@ -11,9 +11,9 @@ from genomask import (
     MismatchPair,
     STAR,
     SequenceModel,
-    WindowPolicy,
     robustness_experiment,
     sequence_kl,
+    window_erased,
     window_leakage_exact,
     window_leakage_sweep,
     window_mask,
@@ -26,23 +26,29 @@ from strategies import seeded_examples, small_models
 
 
 def test_window_mask_examples():
-    assert window_mask((0, 1, 0, 1, 1), WindowPolicy("prefix", 0)).text() == "01011"
-    assert window_mask((0, 1, 0), WindowPolicy("prefix", 3)).text() == "***"
-    assert window_mask((0, 1, 0, 1, 1), WindowPolicy("prefix", 3)).text() == "***11"
+    assert window_mask((0, 1, 0, 1, 1), [0], 0).text() == "01011"
+    assert window_mask((0, 1, 0), [0], 3).text() == "***"
+    assert window_mask((0, 1, 0, 1, 1), [0], 3).text() == "***11"
 
 
 def test_window_mask_radius_mode():
-    policy = WindowPolicy("radius", 1, sensitive=(2,))
-    assert window_mask((0, 1, 0, 1, 1), policy).text() == "0***1"
-    with pytest.raises(InputError):
-        WindowPolicy("radius", 1)
-    with pytest.raises(InputError):
-        WindowPolicy("sideways", 1)
+    # the old radius r is omega = r + 1: radius 1 around position 2
+    assert window_mask((0, 1, 0, 1, 1), [2], 2).text() == "0***1"
+    assert window_mask((0, 1, 0, 1, 1), [2], 1).text() == "01*11"
+    assert window_mask((0, 1, 0, 1, 1), [0, 4], 2).text() == "**0**"
+
+
+def test_window_erased_checks_omega_and_k():
+    assert window_erased(5, [0], 0) == []
+    assert window_erased(5, [2], 5) == [0, 1, 2, 3, 4]
+    for K, omega in (([0], -1), ([0], 6), ([5], 1), ([-1], 1)):
+        with pytest.raises(InputError):
+            window_erased(5, K, omega)
 
 
 def test_window_mask_is_faithful(rng):
     x = tuple(int(v) for v in rng.integers(2, size=6))
-    masked = window_mask(x, WindowPolicy("prefix", 4))
+    masked = window_mask(x, [0], 4)
     assert masked.is_faithful_to(x)
 
 

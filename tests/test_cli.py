@@ -10,13 +10,14 @@ from genomask import (
     distributions,
     load_model_config,
     load_panel,
+    window_leakage_exact,
 )
 from genomask.cli import main
 from genomask.distributions import HmmModel
 from genomask.experiments import CSV_COLUMNS
 from genomask.mechanism import EnumeratedMechanism
 
-from conftest import replayed_ratios
+from conftest import first_seen_window_leakage, radius_window, replayed_ratios
 from strategies import seeded_examples
 
 
@@ -126,6 +127,26 @@ def test_window_command(tmp_path, capsys):
     assert rows[-1]["leakage"] == pytest.approx(0.0, abs=1e-10)
 
 
+_CHAIN = {"initial": [0.4, 0.6], "transition": [[0.85, 0.15], [0.3, 0.7]]}
+
+
+def test_window_around_an_interior_position(tmp_path, capsys):
+    # a window of size w erases the positions within w - 1 of --k 3, so
+    # w = 1 already erases x_2; a prefix window released it up to w = 3
+    cfg = tmp_path / "markov6.json"
+    cfg.write_text(json.dumps({"type": "markov", "n": 6, **_CHAIN}))
+    assert main(["window", "--model", str(cfg), "--k", "3",
+                 "--omega", "0,1,2,3,4", "--runs", "0", "--json"]) == 0
+    got = [json.loads(line)["leakage"]
+           for line in capsys.readouterr().out.splitlines()]
+    model = load_model_config(cfg)
+    want = [first_seen_window_leakage(model, [2], radius_window(6, [2], w - 1))
+            for w in range(5)]
+    assert np.allclose(got, want, rtol=0, atol=1e-12), got
+    assert np.allclose(got, [1.0, 0.4101122022965716, 0.13403848778149136,
+                             0.021734531152334143, 0.0], rtol=0, atol=1e-12)
+
+
 def test_robustness_command(tmp_path, capsys):
     p = tmp_path / "p.json"
     q = tmp_path / "q.json"
@@ -219,7 +240,7 @@ def test_negative_runs_rejected(panel_file, capsys):
     "unwritable-gen-panel", "unwritable-rate", "unwritable-experiment",
     "unwritable-transcript", "alphabet-1", "alphabet-11", "panel-shape",
     "window-runs-explicit", "lp-json-alphabet-11", "nan-explicit",
-    "nan-markov"])
+    "nan-markov", "omega-past-n"])
 def test_malformed_input_exits_2_with_one_line(panel_file, tmp_path, capsys,
                                                case):
     probs = tmp_path / "explicit.json"
@@ -237,6 +258,9 @@ def test_malformed_input_exits_2_with_one_line(panel_file, tmp_path, capsys,
     nan_markov.write_text(json.dumps({"type": "markov", "n": 3,
                                       "initial": [float("nan")] * 2,
                                       "transition": [[0.9, 0.1], [0.1, 0.9]]}))
+    # a 2**30 space: omega is checked before it would be enumerated
+    m30 = tmp_path / "m30.json"
+    m30.write_text(json.dumps({"type": "markov", "n": 30, **_CHAIN}))
     panel2 = tmp_path / "panel2.txt"
     panel2.write_text("01\n10\n")
     hmm11 = tmp_path / "hmm11.json"
@@ -281,6 +305,8 @@ def test_malformed_input_exits_2_with_one_line(panel_file, tmp_path, capsys,
                                 "--json"],
         "nan-explicit": ["rate", "--model", str(nan_explicit)],
         "nan-markov": ["bound", "--model", str(nan_markov)],
+        "omega-past-n": ["window", "--model", str(m30), "--k", "1",
+                         "--omega", "31", "--runs", "0"],
     }[case]
     assert main(argv) == 2
     err = capsys.readouterr().err
@@ -421,5 +447,71 @@ def test_text_and_config_inputs_exit_0_2_or_3_with_one_line(tmp_path, capsys):
         with pytest.raises(GenomaskError) as info:
             load_model_config(path)
         _assert_clean_exit(info.value.exit_code, f"error: {info.value}\n")
+
+    check()
+
+
+def _window_config(rng, tmp_path, seed):
+    """An explicit, Markov or HMM config file with n <= 6 drawn from rng."""
+    n = int(rng.integers(2, 7))
+    kind = ("explicit", "markov", "hmm")[seed % 3]
+    if kind == "explicit":
+        alphabet = 3 if n <= 3 else 2
+        cfg = {"type": "explicit", "n": n, "alphabet": alphabet,
+               "probs": rng.dirichlet(np.ones(alphabet ** n)).tolist()}
+    elif kind == "markov":
+        cfg = {"type": "markov", "n": n,
+               "initial": rng.dirichlet(np.ones(2)).tolist(),
+               "transition": rng.dirichlet(np.ones(2), size=2).tolist()}
+    else:
+        panel = tmp_path / f"window-panel{seed}.txt"
+        panel.write_text("".join(
+            "".join(map(str, row)) + "\n"
+            for row in rng.integers(2, size=(int(rng.integers(2, 5)), n))))
+        cfg = {"panel_path": str(panel), "epsilon": float(rng.random()) / 2,
+               "theta": float(rng.random()) / 4}
+    path = tmp_path / f"window{seed}.json"
+    path.write_text(json.dumps(cfg))
+    return path, n
+
+
+def test_window_command_exits_cleanly_and_matches_exact(tmp_path, capsys):
+    # --k from 1, an interior position and n + 1; --omega from -1..n + 1,
+    # a non-number and repeats; --runs 0 or 5
+    @seeded_examples(30)
+    def check(seed):
+        rng = np.random.default_rng([seed, 24])
+        path, n = _window_config(rng, tmp_path, seed)
+        # mostly valid draws, so that about half the examples run
+        k_pool = [1, int(rng.integers(2, n)) if n > 2 else 2, n + 1]
+        ks = sorted({int(v) for v in rng.choice(
+            k_pool, size=int(rng.integers(1, 3)), p=[0.45, 0.45, 0.1])})
+        omegas = [str(rng.integers(n + 1)) if rng.random() < 0.85
+                  else str(rng.choice([-1, n + 1, "x"]))
+                  for _ in range(int(rng.integers(1, 5)))]
+        runs = int(rng.choice([0, 5], p=[0.7, 0.3]))
+        # "=" keeps argparse from reading a leading "-1" as an option
+        code = main(["window", "--model", str(path),
+                     "--k", ",".join(map(str, ks)),
+                     f"--omega={','.join(omegas)}", "--runs", str(runs),
+                     "--seed", str(seed), "--json"])
+        out, err = capsys.readouterr()
+        assert code in (0, 2, 3, 4), (code, err)
+        assert "Traceback" not in err
+        if code:
+            assert err.startswith("error: ") and err.count("\n") == 1, err
+            return
+        rows = [json.loads(line) for line in out.splitlines()]
+        assert [r["omega"] for r in rows] == [int(w) for w in omegas]
+        if runs:
+            return
+        model = load_model_config(path)
+        K = [k - 1 for k in ks]
+        by_omega = {}
+        for r in rows:
+            assert r["leakage"] == window_leakage_exact(model, K, r["omega"])
+            by_omega[r["omega"]] = r["leakage"]
+        leak = [by_omega[w] for w in sorted(by_omega)]
+        assert all(b <= a + 1e-12 for a, b in zip(leak, leak[1:])), leak
 
     check()

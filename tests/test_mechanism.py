@@ -14,7 +14,6 @@ from genomask import (
     NumericalError,
     Ordering,
     STAR,
-    WindowPolicy,
     achievable_rate_exact,
     achievable_rate_mc,
     exact_output_distribution,
@@ -27,14 +26,13 @@ from genomask import (
 from genomask import bounds, distributions, mechanism
 from genomask.baselines import MismatchPair, robustness_experiment
 from genomask.bounds import markov_sufficient_condition_check
-from genomask.distributions import assignment_index, first_seen_ranks, row_codes
+from genomask.distributions import assignment_index
 from genomask.hardness import (
     HittingSetInstance,
     ParityModel,
     random_instance,
     verify_deterministic_rule,
 )
-from genomask.info import entropy, mutual_information
 from genomask.masking import (
     RATIO_SNAP,
     RATIO_TOL,
@@ -46,10 +44,12 @@ from genomask.masking import (
 from genomask.mechanism import EnumeratedMechanism, OutputDistribution
 
 from conftest import (
+    first_seen_window_leakage,
     parity_n3,
     possible_assignments,
     random_explicit,
     random_hmm,
+    radius_window,
     random_markov,
     replayed_ratios,
     zero_transition_chain,
@@ -804,26 +804,10 @@ def test_release_rule_matches_axis_minimum_bitwise(num_u, arity):
 # --- OutputDistribution.from_mechanism ----------------------------------------
 
 
-def first_seen_window_leakage(model, K, omega, mode):
-    """The window leakage as a bincount over released patterns in order of
-    first appearance: the reference `window_leakage_exact` must match."""
-    erased = WindowPolicy(mode, omega, tuple(K)).erased_positions(model.n)
-    released = sorted(set(range(model.n)) - erased)
-    space, p = model.joint_table()
-    space, p = space[p != 0], p[p != 0]
-    ui = row_codes(space[:, K], [model.arities[k] for k in K])
-    ri = first_seen_ranks(row_codes(space[:, released],
-                                    [model.arities[i] for i in released]))
-    cols = int(ri.max()) + 1
-    joint = np.bincount(ui * cols + ri, weights=p).reshape(-1, cols)
-    return mutual_information(joint) / entropy(joint.sum(axis=1))
-
-
-def window_law(model, K, omega, mode):
+def window_law(model, K, erased):
     xs = model.enumerate_space()
     ys = xs.copy()
-    ys[:, sorted(WindowPolicy(mode, omega, tuple(K))
-                 .erased_positions(model.n))] = STAR
+    ys[:, sorted(erased)] = STAR
     return OutputDistribution.from_mechanism(model, K, xs, ys,
                                              np.ones(xs.shape[0]))
 
@@ -845,10 +829,10 @@ def test_from_mechanism_laws(seed):
              "markov": lambda: random_markov(rng, n),
              "hmm": lambda: random_hmm(rng, n, 3)}[kind]()
     for omega in range(n + 1):
+        prefix = range(omega)
         assert abs(window_leakage_exact(model, [0], omega)
-                   - first_seen_window_leakage(model, [0], omega,
-                                               "prefix")) <= 1e-12
-        assert_sorted_int_outputs(window_law(model, [0], omega, "prefix"), n)
+                   - first_seen_window_leakage(model, [0], prefix)) <= 1e-12
+        assert_sorted_int_outputs(window_law(model, [0], prefix), n)
     assert_sorted_int_outputs(exact_output_distribution(model, [0]), n)
     solution = lp_optimal_rate(model, [0])
     assert solution.status == "optimal"
@@ -857,8 +841,8 @@ def test_from_mechanism_laws(seed):
 
 def test_from_mechanism_radius_window(rng):
     model = random_explicit(rng, 5, alphabet=3)
-    for omega in range(3):
-        assert abs(window_leakage_exact(model, [2], omega, "radius")
-                   - first_seen_window_leakage(model, [2], omega,
-                                               "radius")) <= 1e-12
-        assert_sorted_int_outputs(window_law(model, [2], omega, "radius"), 5)
+    for radius in range(3):
+        erased = radius_window(5, [2], radius)
+        assert abs(window_leakage_exact(model, [2], radius + 1)
+                   - first_seen_window_leakage(model, [2], erased)) <= 1e-12
+        assert_sorted_int_outputs(window_law(model, [2], erased), 5)
