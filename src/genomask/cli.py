@@ -112,7 +112,8 @@ def cmd_mask(args) -> int:
     else:
         raise InputError("provide --x SEQUENCE or --sample")
     ordering = _parse_order(args.order, model.n) if args.order else None
-    masked, transcript = mechanism.mask_sequence(model, x, K, ordering, rng)
+    masked, transcript = mechanism.mask_sequence(model, x, K, ordering,
+                                                  rng=rng)
     _emit(args, masked.text())
     if args.transcript:
         _write(args.transcript, transcript_to_json_lines(transcript) + "\n")
@@ -246,8 +247,16 @@ def _add_model_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--out", help="write output to this file")
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors raise `InputError` (exit 2, one line); so do its
+    subparsers', which argparse makes of the same class."""
+
+    def error(self, message):
+        raise InputError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="genomask",
         description="Erasure masking of sensitive sequence positions with "
                     "exact privacy verification.",
@@ -341,9 +350,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except GenomaskError as exc:
         print(f"error: {exc}", file=sys.stderr)

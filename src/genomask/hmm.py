@@ -48,7 +48,8 @@ from .errors import CapacityError, ImpossibleContextError, InputError, Numerical
 from .info import sample_stderr
 from .masking import STAR, _validate_sensitive, release_rule
 
-#: Sensitive sets larger than this make the 2^|K| hypothesis loop pointless.
+#: The hypotheses, the product of the sensitive arities, may number at most
+#: 2^MAX_SENSITIVE: |K| <= 12 on a binary model.
 MAX_SENSITIVE = 12
 
 #: Runs of one Monte-Carlo block, which draws its sequences at once.
@@ -139,13 +140,12 @@ def sensitive_backward_table(model: SequenceModel, K) -> SensitiveBackwardTable:
     """Backward recursion over hidden states, one column per hypothesis."""
     chain = require_chain(model, "the backward table")
     K = _validate_sensitive(K, model.n)
-    if len(K) > MAX_SENSITIVE:
-        raise CapacityError(
-            f"|K| = {len(K)} exceeds the supported maximum {MAX_SENSITIVE}")
+    if (num_u := math.prod(model.arities[k] for k in K)) > 2 ** MAX_SENSITIVE:
+        raise CapacityError(f"{num_u} sensitive hypotheses exceed the "
+                            f"supported maximum 2^{MAX_SENSITIVE}")
     n, m = model.n, chain.m
     us = sensitive_assignments(model.arities, K)
-    ucomp = np.array(us, dtype=np.int64).reshape(len(us), len(K))
-    num_u = ucomp.shape[0]
+    ucomp = np.array(us, dtype=np.int64).reshape(num_u, len(K))
     stride = _stride(n)
     values = np.empty((-(-n // stride), num_u, m))
     pre, row = np.empty((2, num_u, m))
@@ -390,15 +390,17 @@ def mask_hmm_batch(model: SequenceModel, xs, K, rng: np.random.Generator,
     """Mask a batch of sequences in lockstep; returns (batch, n) outcomes.
 
     The release uniforms come first, one ``rng.random((n, batch))``.  Then
-    each budget piece of rows (two (num_u, m) session buffers, sequence,
-    uniforms and outcomes a row) is masked by a session of its own over
-    one backward table: the budget does not move the outcomes."""
-    return _mask_in_lockstep(model, xs, K, rng, table)
+    each budget piece of rows (two (num_u, m) session buffers and four
+    n-vectors a row) is masked by a session of its own over one backward
+    table: the budget does not move the outcomes."""
+    return _mask_in_lockstep(model, xs, K, rng, table)[0]
 
 
-def _mask_in_lockstep(model, xs, K, rng, table, minima=None) -> np.ndarray:
-    """`mask_hmm_batch`; with ``minima``, a (batch,) float array, it also
-    adds each position's released mass sum_v mins(v) to the row's entry."""
+def _mask_in_lockstep(model, xs, K, rng, table):
+    """The one loop that drives a session, as `mask_hmm_batch` describes:
+    (batch, n) outcomes and probabilities of releasing the true symbol
+    (`release_probability`'s), and (batch,) released masses sum_i sum_v
+    mins_i(v).  The n-vectors of a row: sequence, uniforms and these two."""
     xs = np.asarray(xs, dtype=np.int64)
     if xs.ndim != 2 or xs.shape[1] != model.n:
         raise InputError(f"xs must have shape (batch, {model.n})")
@@ -409,19 +411,18 @@ def _mask_in_lockstep(model, xs, K, rng, table, minima=None) -> np.ndarray:
         table = sensitive_backward_table(model, K)
     num_u, m = table.values.shape[1:]
     uniforms = rng.random((model.n, xs.shape[0]))
-    out = np.empty_like(xs)
+    out, probs, mass = np.empty_like(xs), np.empty(xs.shape), np.zeros(len(xs))
     pieces = distributions.budget_pieces(
-        xs.shape[0], 8 * (2 * num_u * m + 3 * model.n))
+        xs.shape[0], 8 * (2 * num_u * m + 4 * model.n))
     for piece in pieces or [slice(0, 0)]:   # an empty batch checks the table
         session = BatchMaskingSession(model, K, xs[piece][:, list(K)], table)
         for i in range(model.n):
             x_col = xs[piece, i]
-            r = session.release_probability(x_col)
-            if minima is not None:
-                minima[piece] += _row_sums(session._position_tables()[2])
+            r = probs[piece, i] = session.release_probability(x_col)
+            mass[piece] += _row_sums(session._position_tables()[2])
             out[piece, i] = np.where(uniforms[i, piece] < r, x_col, STAR)
             session.advance(out[piece, i])
-    return out
+    return out, probs, mass
 
 
 def mc_blocks(runs: int) -> list[slice]:
@@ -452,6 +453,6 @@ def erasure_rate_mc(model: SequenceModel, K, runs: int, rng: np.random.Generator
     minima = np.zeros(runs)
     for block in mc_blocks(runs):
         xs = model.sample_batch(block.stop - block.start, rng)
-        _mask_in_lockstep(model, xs, K, rng, table, minima[block])
+        minima[block] = _mask_in_lockstep(model, xs, K, rng, table)[2]
     rates = minima / model.n
     return float(rates.mean()), sample_stderr(rates)

@@ -13,8 +13,8 @@ Everything here works for any `SequenceModel` by enumerating the sequence
 space, which is the authoritative (slow) reference path.  The mechanism's
 belief about the data may differ from the true distribution
 (``mechanism_model``), which is what the model-mismatch analysis exercises.
-`mask_sequence` masks a model with a hidden chain in the linear order
-through `hmm.BatchMaskingSession`, and any other through
+`mask_sequence` masks a chain in the linear order as a batch of one
+through `hmm._mask_in_lockstep`, and any other model or order through
 `EnumeratedMechanism.mask`; both draw one uniform per position.
 
 One walker, `EnumeratedMechanism.walk`, visits the prefix tree of produced
@@ -493,36 +493,27 @@ class OutputDistribution:
 
 
 def mask_sequence(model: SequenceModel, x, K, ordering: Ordering | None = None,
-                  rng: np.random.Generator | None = None):
+                  *, rng: np.random.Generator):
     """Mask one sequence; returns (MaskedSequence, transcript).  A chain in
-    the linear order goes through a session (`InputError` for a sensitive
-    value of prior zero), any other model or order through
-    `EnumeratedMechanism.mask`; both draw one ``rng.random()`` a position.
-    An x of probability zero warns, and its impossible contexts erase."""
-    if rng is None:
-        raise InputError("mask_sequence requires a random generator")
+    the linear order is masked as a batch of one by `hmm._mask_in_lockstep`
+    (`InputError` for a sensitive value of prior zero), any other model or
+    order by `EnumeratedMechanism.mask`; both draw one uniform a position.
+    Then an x of probability zero warns: its impossible contexts erased."""
     ordering = _validate_ordering(ordering, model.n)
     x = validate_sequence(x, model.arities)
-    K = _validate_sensitive(K, model.n)
     chain = model.hidden_chain()
     if chain is None or not ordering.is_linear:
-        engine, session = EnumeratedMechanism(model, K), None
-    else:      # raises for a prior-zero sensitive value before any warning
-        session = _hmm.BatchMaskingSession(model, K, [[x[k] for k in K]])
+        result = EnumeratedMechanism(model, K).mask(x, ordering, rng)
+    else:
+        (y,), (r,), _ = _hmm._mask_in_lockstep(model, [x], K, rng, None)
+        result = MaskedSequence(tuple(y.tolist())), tuple(map(
+            TranscriptEntry, range(model.n), r.tolist(), y.tolist()))
     # on a chain log p(x), which a long x does not underflow
     if (model.joint_prob(x) == 0.0 if chain is None
             else chain.log_probs([x])[0] == -np.inf):
         warnings.warn("input sequence has probability zero under the model; "
                       "impossible contexts will be erased", stacklevel=2)
-    if session is None:
-        return engine.mask(x, ordering, rng)
-    y, transcript = list(x), []
-    for i in range(model.n):
-        r = float(session.release_probability([x[i]])[0])
-        y[i] = x[i] if rng.random() < r else STAR
-        session.advance([y[i]])
-        transcript.append(TranscriptEntry(i, r, y[i]))
-    return MaskedSequence(tuple(y)), tuple(transcript)
+    return result
 
 
 def exact_output_distribution(model: SequenceModel, K,
@@ -549,7 +540,7 @@ def rate_from_stepwise_minima(model: SequenceModel, K,
 
 
 def achievable_rate_mc(model: SequenceModel, K, ordering: Ordering | None = None,
-                       runs: int = 1000, rng: np.random.Generator | None = None):
+                       runs: int = 1000, *, rng: np.random.Generator):
     """Monte-Carlo rate estimate: (mean, standard error) of the per-run
     (1/n) sum_i sum_v mins_i(v), where mins_i(v) is the least conditional of
     v over the hypotheses given the run's produced prefix.
@@ -561,8 +552,6 @@ def achievable_rate_mc(model: SequenceModel, K, ordering: Ordering | None = None
     `hmm.erasure_rate_mc`; any other model or order draws ``model.sample``
     and then masks it through `EnumeratedMechanism.mask`'s path, per run.
     """
-    if rng is None:
-        raise InputError("achievable_rate_mc requires a random generator")
     if runs < 1:
         raise InputError("runs must be >= 1")
     ordering = _validate_ordering(ordering, model.n)

@@ -226,6 +226,30 @@ def test_gen_panel_beyond_the_memory_budget_exits_3(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_sensitive_hypotheses_past_the_cap_exit_3(tmp_path, capsys):
+    # 10^4 hypotheses of a 10-symbol model pass |K| <= 12 but not the
+    # 2^12 hypothesis cap, which is checked before they are listed
+    panel = tmp_path / "p13.txt"
+    panel.write_text("0101101011010\n1100110011001\n")
+    cfg = tmp_path / "a10.json"
+    cfg.write_text(json.dumps({"type": "hmm", "panel_path": str(panel),
+                               "epsilon": 0.1, "theta": 0.05,
+                               "alphabet": 10}))
+    assert main(["bound", "--model", str(cfg), "--k", "1,2,3"]) == 0
+    capsys.readouterr()
+    assert main(["bound", "--model", str(cfg), "--k", "1,2,3,4"]) == 3
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: ") and err.count("\n") == 1
+    assert "hypotheses" in err
+
+
+def test_help_still_exits_0(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["window", "--help"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: genomask window")
+
+
 def test_negative_runs_rejected(panel_file, capsys):
     for cmd in (["rate"], ["window", "--omega", "0,2"]):
         assert main(cmd + ["--panel", str(panel_file), "--k", "1",
@@ -240,7 +264,8 @@ def test_negative_runs_rejected(panel_file, capsys):
     "unwritable-gen-panel", "unwritable-rate", "unwritable-experiment",
     "unwritable-transcript", "alphabet-1", "alphabet-11", "panel-shape",
     "window-runs-explicit", "lp-json-alphabet-11", "nan-explicit",
-    "nan-markov", "omega-past-n"])
+    "nan-markov", "omega-past-n", "argparse-omega", "argparse-runs",
+    "argparse-command", "argparse-missing", "prior-zero-mask"])
 def test_malformed_input_exits_2_with_one_line(panel_file, tmp_path, capsys,
                                                case):
     probs = tmp_path / "explicit.json"
@@ -270,6 +295,8 @@ def test_malformed_input_exits_2_with_one_line(panel_file, tmp_path, capsys,
     # longer than the OS path limit, and its sets miss element 3
     long_literal = json.dumps({"m": 3, "sets": [[1, 2]], "note": "x" * 5000})
     unwritable = str(tmp_path / "no-such-dir" / "out.txt")
+    zero_panel = tmp_path / "zero.txt"          # no row starts with 1
+    zero_panel.write_text("00\n01\n")
     panel = ["--panel", str(panel_file)]
     argv = {
         "omega": ["window", "--panel", str(panel_file), "--omega", "1,x"],
@@ -307,6 +334,14 @@ def test_malformed_input_exits_2_with_one_line(panel_file, tmp_path, capsys,
         "nan-markov": ["bound", "--model", str(nan_markov)],
         "omega-past-n": ["window", "--model", str(m30), "--k", "1",
                          "--omega", "31", "--runs", "0"],
+        # errors argparse raises itself, not a usage block
+        "argparse-omega": ["window", *panel, "--omega", "-1,3"],
+        "argparse-runs": ["window", *panel, "--runs", "x"],
+        "argparse-command": ["nosuch"],
+        "argparse-missing": ["gen-panel", "--n", "3"],
+        # refused before the zero-probability x would warn
+        "prior-zero-mask": ["mask", "--panel", str(zero_panel), "--theta",
+                            "0", "--x", "10", "--k", "1"],
     }[case]
     assert main(argv) == 2
     err = capsys.readouterr().err

@@ -427,6 +427,48 @@ def test_session_rates_are_pinned():
     }
 
 
+def test_mask_sequence_transcripts_are_pinned():
+    # sha256 of the repr of seeded chain `mask_sequence` transcripts
+    # (index, release_prob, outcome), recorded while the single sequence had
+    # a session loop of its own: the batch-of-one loop keeps every bit and
+    # the Python int and float types
+    got = {}
+    for name, model, K in _pinned_sessions():
+        rng = np.random.default_rng(7)
+        _, transcript = mask_sequence(model, model.sample(rng), K, rng=rng)
+        got[name] = hashlib.sha256(repr(
+            [(e.index, e.release_prob, e.outcome) for e in transcript]
+        ).encode()).hexdigest()
+    assert got == {
+        "plain":
+            "be7e882167e6758211ae0ee282c9541e7776e2cebb6f4793067cf0d154bc8395",
+        "conditioned":
+            "d5f0d0cea5cf423197ac3b812cdd28be11d5006f14459dde21840c3211c2de53",
+        "eps0":
+            "36d7b04a100cc2a6a009e2616257cf39262ca09eed1153221c6a336825cbf7c6",
+        "theta0":
+            "0dae0b019182a87d0511ab938f30f1ce4247d578c85a2f9017d5318828fe140b",
+        "markov":
+            "846444d9e5998df14362799eb14167761dddb14dcb20378e70f3e02bea1295ed",
+    }
+
+
+def test_mask_sequence_on_a_chain_keeps_the_batch_budget(rng, monkeypatch):
+    # a single chain sequence is a batch of one: a lockstep row over the
+    # budget raises before the session is made
+    import genomask.distributions as dist_mod
+
+    model = random_hmm(rng, 5, 3)
+    x = model.sample(rng)
+    row = 8 * (2 * 2 * model.m + 4 * model.n)    # K = (1,): 2 hypotheses
+    monkeypatch.setattr(dist_mod, "BELIEF_BUDGET_BYTES", row)
+    masked, _ = mask_sequence(model, x, [1], rng=rng)
+    assert masked.is_faithful_to(x)
+    monkeypatch.setattr(dist_mod, "BELIEF_BUDGET_BYTES", row - 1)
+    with pytest.raises(CapacityError):
+        mask_sequence(model, x, [1], rng=rng)
+
+
 def test_sensitive_positions_step_to_star(rng):
     model = random_hmm(rng, 4, 3)
     x = model.sample(rng)
@@ -488,6 +530,12 @@ def test_sensitive_size_guard(rng):
     model = random_hmm(rng, 14, 2)
     with pytest.raises(CapacityError):
         sensitive_backward_table(model, list(range(13)))
+    # the cap counts hypotheses: 3^7 = 2187 fit under 2^12, and 3^8 = 6561
+    # do not, though |K| = 8 is below 12
+    model = random_markov(rng, 10, alphabet=3)
+    assert sensitive_backward_table(model, range(7)).num_u == 3 ** 7
+    with pytest.raises(CapacityError, match="6561 sensitive hypotheses"):
+        sensitive_backward_table(model, range(8))
 
 
 def test_prior_zero_sensitive_value_rejected():
@@ -655,9 +703,9 @@ def test_mc_batch_fits_belief_budget(rng, monkeypatch):
 
     model = random_hmm(rng, 5, 3, eps=0.15, theta=0.05)
     K = (0, 2)                                   # 4 hypotheses
-    # a row: the session's two (4, m) buffers, its sequence, its uniforms
-    # and its outcomes
-    row = 8 * (2 * 4 * model.m + 3 * model.n)
+    # a row: the session's two (4, m) buffers, its sequence, its uniforms,
+    # its outcomes and its release probabilities
+    row = 8 * (2 * 4 * model.m + 4 * model.n)
     sizes, pieces = [], []
     real = model.sample_batch
 
@@ -693,7 +741,7 @@ def test_seeded_estimates_do_not_depend_on_the_budget(monkeypatch):
     model = random_hmm(rng, 6, 4, eps=0.1, theta=0.05)
     K, omegas = (0, 3), [0, 1, 3, 6]
     xs = model.sample_batch(40, rng)
-    mask_row = 8 * (2 * 4 * model.m + 3 * model.n)
+    mask_row = 8 * (2 * 4 * model.m + 4 * model.n)
     sweep_row = 3 * 8 * model.m
 
     def rate():
