@@ -1,13 +1,12 @@
 """Deterministic window-erasure baseline and model-mismatch robustness.
 
 The baseline erases a window of size omega, every position within omega - 1
-of a sensitive position (for K = {0}, the first omega positions), and
-releases everything else; its leakage is the mutual information between
-the sensitive symbols and the released coordinates, normalized by the
-sensitive entropy.  Exact values come from enumeration; at realistic
-lengths the leakage is estimated from sampled sequences whose sensitive
-posteriors are computed exactly by constrained forward passes over the
-hidden states of the model's hidden chain.
+of a sensitive position, and releases the rest; its leakage is I(sensitive;
+released coordinates) / H(sensitive).  Exact values come from enumeration,
+for any K.  At realistic lengths the leakage of one sensitive position k is
+estimated from samples whose posteriors of x_k are exact: a scaled forward
+filter over the released part left of the window and a scaled backward pass
+over the part right of it, joined through the model's hidden chain.
 
 The robustness experiment builds the mechanism from a wrong distribution q
 and measures the exact leakage it incurs when inputs really follow p; the
@@ -32,8 +31,8 @@ from .mechanism import OutputDistribution, exact_output_distribution
 
 def window_erased(n: int, K, omega: int) -> list[int]:
     """Sorted positions a window of size omega erases: those within
-    omega - 1 of a sensitive position, none at omega = 0.  For K = {0} the
-    window is the prefix 0..omega-1."""
+    omega - 1 of a sensitive position, none at omega = 0.  Around one k it
+    releases 0..k-omega and k+omega..n-1, clipped to the sequence."""
     K = _validate_sensitive(K, n)
     if not 0 <= omega <= n:
         raise InputError(f"omega {omega} outside 0..{n}")
@@ -63,60 +62,81 @@ def window_leakage_exact(model: SequenceModel, K, omega: int) -> float:
     return dist.mutual_information_bits() / entropy(prior)
 
 
+def _rescaled(b: np.ndarray) -> np.ndarray:
+    """b divided in place by each row's maximum (rows of zeros stay)."""
+    scale = b.max(axis=1, keepdims=True)
+    return np.divide(b, scale, out=b, where=scale > 0)
+
+
 def window_leakage_sweep(model: SequenceModel, K, omegas, samples: int,
                          rng: np.random.Generator):
-    """Normalized leakage of the prefix-window baseline for several omegas,
-    on a model with a hidden chain (an HMM or a Markov chain).
+    """Normalized leakage of the window baseline around one sensitive
+    position k for several omegas, on a model with a hidden chain (an HMM
+    or a Markov chain): (estimates, standard errors) aligned with omegas.
 
-    Only the paper's setting K = {first position} is supported: the
-    posterior of x_0 given the released suffix is exact (hidden-state
-    forward/backward).  Samples are drawn in the blocks of `hmm.mc_blocks`,
-    and the budget only cuts a block's backward pass into pieces (three
-    m-vectors a row).  The pass serves each distinct omega once, at the
-    step where it reaches it.
-    Returns (estimates, standard errors) as arrays aligned with omegas.
+    The window of omega releases 0..lo and hi..n-1 (`window_erased`).  A
+    scaled forward filter stores p(S_lo | x_0..x_lo) at each distinct
+    lo >= 0 (initial . T^k at S_k when lo < 0), and the scaled backward
+    pass (Rabiner 1989) reaches each hi, where the left law is carried to
+    S_k, weighted by p(x_k = v | S_k) and carried on to S_hi.  Samples come
+    in `hmm.mc_blocks`; the budget cuts a block into pieces of rows of three
+    m-vectors, one per stored filter and 2 x arity for the weighted law.
     """
     chain = _hmm.require_chain(model, "the sampled window estimator "
                                "(--runs 0 is exact for any model)")
     K = _validate_sensitive(K, model.n)
-    if K != (0,):
-        raise InputError("the prefix-window estimator requires K = {0}")
+    if len(K) != 1:
+        raise InputError("the sampled window estimator takes one sensitive "
+                         "position (--runs 0 is exact for any K)")
     omegas = [int(w) for w in omegas]
-    if not omegas or any(w < 0 or w > model.n for w in omegas):
-        raise InputError(f"omegas must be a non-empty list in 0..{model.n}")
-    if samples < 1:
-        raise InputError("samples must be >= 1")
-    # alpha[w][v, s] = p(x_0 = v, S_w = s): sample-independent, one chain of
-    # no-observation propagations; omega = 0 releases x_0 itself
-    alpha, cur = {}, chain.initial[None, :] * chain.emission(0)
-    prior = cur.sum(axis=1)
+    if not omegas or samples < 1:
+        raise InputError("need a non-empty list of omegas and samples >= 1")
+    (k,), emit_k = K, chain.emission(K[0])
+    # omega -> (lo, hi); omega = 0 erases nothing, so x_k is released
+    cuts = {w: (erased[0] - 1, erased[-1] + 1) for w in omegas
+            if (erased := window_erased(model.n, K, w))}
+    lows = {lo for lo, _ in cuts.values() if lo >= 0}
+
+    def carry(b, steps):
+        for _ in range(steps):
+            b = chain.forward(b)
+        return b
+    ahead = carry(chain.initial, k)[None, :] * emit_k   # p(x_k = v, S_k = s)
+    prior = ahead.sum(axis=1)
     if np.count_nonzero(prior) < 2:
         raise DegenerateSensitiveError("sensitive symbol carries no entropy")
     h_k = entropy(prior)
-    for w in range(1, max(omegas) + 1):
-        cur = chain.forward(cur)
-        if w in omegas:
-            alpha[w] = cur
-    # neglog[w] = -log2 p(x_0 = truth | the sample's x_w .. x_n-1)
+    alone = {w: carry(ahead, hi - k) for w, (lo, hi) in cuts.items() if lo < 0}
+    row = 8 * chain.m * (3 + len(lows) + (2 * len(emit_k) if lows else 0))
+    # neglog[w] = -log2 p(x_k = truth | the sample's released positions)
     neglog = {w: np.zeros(samples) for w in omegas}
     for block in _hmm.mc_blocks(samples):
         xs = model.sample_batch(block.stop - block.start, rng)
-        for piece in distributions.budget_pieces(len(xs), 3 * 8 * chain.m):
-            rows, truth = xs[piece], xs[piece, 0]
+        for piece in distributions.budget_pieces(len(xs), row):
+            rows, truth = xs[piece], xs[piece, k]
             at = slice(block.start + piece.start, block.start + piece.stop)
-            # beta[r, s] = p(x_i .. x_n-1 | S_i = s), rescaled per step with
-            # a per-sample scale (scales cancel in posteriors)
+            # f[r, s] = p(S_i = s | x_0 .. x_i), beta[r, s] = p(x_i .. x_n-1
+            # | S_i = s); per-sample scales cancel in posteriors
+            filters, f = {}, chain.initial
+            for i in range(max(lows, default=-1) + 1):
+                f = _rescaled((chain.forward(f) if i else f)
+                              * chain.emission(i)[rows[:, i]])
+                if i in lows:
+                    filters[i] = f
             beta = np.ones((rows.shape[0], chain.m))
-            for i in range(model.n, min(alpha, default=model.n) - 1, -1):
+            for i in range(model.n, min((hi for _, hi in cuts.values()),
+                                        default=model.n) - 1, -1):
                 if i < model.n:
-                    beta = chain.backward(beta) * chain.emission(i)[rows[:, i]]
-                    scale = beta.max(axis=1, keepdims=True)
-                    np.divide(beta, scale, out=beta, where=scale > 0)
-                if i in alpha:
-                    scores = np.einsum("vs,bs->bv", alpha[i], beta)
+                    beta = _rescaled(chain.backward(beta)
+                                     * chain.emission(i)[rows[:, i]])
+                for w in [w for w in cuts if cuts[w][1] == i]:
+                    lo = cuts[w][0]
+                    law = alone[w] if lo < 0 else carry(
+                        carry(filters[lo], k - lo)[:, None, :] * emit_k, i - k)
+                    scores = np.einsum("...vs,...s->...v", law, beta)
                     post = (scores[np.arange(rows.shape[0]), truth]
                             / scores.sum(axis=1))
-                    neglog[i][at] = -np.log2(np.maximum(post, 1e-300))
+                    neglog[w][at] = -np.log2(np.maximum(post, 1e-300))
 
     ests = np.array([(h_k - float(neglog[w].mean())) / h_k for w in omegas])
     errs = np.array([sample_stderr(neglog[w]) / h_k for w in omegas])

@@ -34,11 +34,11 @@ def _parse_numbers(text: str, what: str, kind=int) -> list:
 
 
 def _parse_positions(text: str, n: int) -> tuple[int, ...]:
-    """Comma-separated 1-based indices -> sorted 0-based tuple."""
+    """Comma-separated 1-based indices -> sorted 0-based tuple, each once."""
     vals = _parse_numbers(text, "position list")
     if any(v < 1 or v > n for v in vals):
         raise InputError(f"positions in {text!r} outside 1..{n}")
-    return tuple(sorted(v - 1 for v in vals))
+    return tuple(sorted({v - 1 for v in vals}))
 
 
 def _parse_order(text: str, n: int) -> Ordering:
@@ -307,10 +307,11 @@ def build_parser() -> argparse.ArgumentParser:
     _add_model_args(p)
     p.add_argument("--omega", default="0,5,10,20,30",
                    help="window sizes, comma-separated; a window of size w "
-                   "erases each position within w - 1 of a --k position "
-                   "(for --k 1, the first w positions)")
+                   "erases each position within w - 1 of a --k position")
     p.add_argument("--runs", type=int, default=0,
-                   help="samples for the estimator; 0 = exact enumeration")
+                   help="samples for the estimator, which takes one --k "
+                   "position and a Markov or HMM model; 0 = exact "
+                   "enumeration, for any --k")
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_window)
 

@@ -118,6 +118,26 @@ def test_window_sweep_matches_exact_on_drawn_chains(seed):
         assert abs(e - window_leakage_exact(model, [0], w)) <= 4 * max(s, 1e-4)
 
 
+@seeded_examples(40)
+def test_window_sweep_around_any_position_matches_exact(seed):
+    # a window around a drawn k releases both sides of it: a forward filter
+    # over the left part meets the backward pass over the right one
+    model, _, _ = small_models(seed, kinds=("markov", "hmm"))
+    k = int(np.random.default_rng([seed, 26]).integers(model.n))
+    omegas = list(range(model.n + 1))
+    rng = np.random.default_rng([seed, 5])
+    try:
+        exact = [window_leakage_exact(model, [k], w) for w in omegas]
+    except DegenerateSensitiveError:
+        with pytest.raises(DegenerateSensitiveError):
+            window_leakage_sweep(model, [k], omegas, 10, rng)
+        return
+    est, err = window_leakage_sweep(model, [k], omegas, 2000, rng)
+    assert est[0] == 1.0 and err[0] == 0.0       # omega = 0 releases x_k
+    for e, s, x in zip(est, err, exact):
+        assert abs(e - x) <= 4 * max(s, 1e-4), (k, e, s, x)
+
+
 def test_pure_noise_emissions_leak_nothing(rng):
     model = HmmModel(rng.integers(2, size=(4, 6)), epsilon=0.2, theta=0.5)
     est, err = window_leakage_sweep(model, [0], [1, 3], 3000, rng)
@@ -260,10 +280,13 @@ def test_window_leakage_exact_enumerates_the_space_once(rng, monkeypatch):
             assert calls == [model]
 
 
-def test_sweep_requires_leading_sensitive(rng):
+def test_sweep_takes_one_sensitive_position(rng):
+    # the sampled estimator joins one filter and one backward pass at a
+    # single x_k; two sensitive positions stay exact-only (--runs 0)
     model = random_hmm(rng, 6, 3)
-    with pytest.raises(InputError):
-        window_leakage_sweep(model, [1], [2], 100, rng)
+    with pytest.raises(InputError, match="one sensitive position"):
+        window_leakage_sweep(model, [1, 4], [2], 100, rng)
+    window_leakage_sweep(model, [4, 4], [2], 10, rng)   # one position, twice
 
 
 def test_matched_models_leak_nothing():

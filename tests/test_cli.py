@@ -6,7 +6,9 @@ import pytest
 from genomask import (
     GenomaskError,
     MaskedSequence,
+    Ordering,
     STAR,
+    achievable_rate_exact,
     distributions,
     load_model_config,
     load_panel,
@@ -145,6 +147,13 @@ def test_window_around_an_interior_position(tmp_path, capsys):
     assert np.allclose(got, want, rtol=0, atol=1e-12), got
     assert np.allclose(got, [1.0, 0.4101122022965716, 0.13403848778149136,
                              0.021734531152334143, 0.0], rtol=0, atol=1e-12)
+    # the sampled estimator joins a filter over x_0 .. x_lo and the backward
+    # pass over x_hi .. x_5 at x_2
+    assert main(["window", "--model", str(cfg), "--k", "3",
+                 "--omega", "0,1,2,3,4", "--runs", "20000", "--json"]) == 0
+    rows = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+    for exact, r in zip(got, rows):
+        assert abs(r["leakage"] - exact) <= 4 * max(r["stderr"], 1e-4), rows
 
 
 def test_robustness_command(tmp_path, capsys):
@@ -180,6 +189,17 @@ def test_experiment_csv_deterministic(tmp_path):
     assert a.read_bytes() == b.read_bytes()
     header = a.read_text().splitlines()[0]
     assert header == ",".join(CSV_COLUMNS)
+
+
+def test_repeated_positions_count_once(capsys):
+    # "--k 1,1" used to parse as two sensitive positions, so the hardness
+    # sweep drew instances with 2 sets where "--k 1" draws the default 3
+    outs = []
+    for k in ("1", "1,1"):
+        assert main(["experiment", "--name", "hardness", "--runs", "3",
+                     "--seed", "3", "--k", k, "--json"]) == 0
+        outs.append(capsys.readouterr().out)
+    assert outs[0] == outs[1]
 
 
 def test_experiment_fig5_tiny(tmp_path):
@@ -548,5 +568,42 @@ def test_window_command_exits_cleanly_and_matches_exact(tmp_path, capsys):
             by_omega[r["omega"]] = r["leakage"]
         leak = [by_omega[w] for w in sorted(by_omega)]
         assert all(b <= a + 1e-12 for a, b in zip(leak, leak[1:])), leak
+
+    check()
+
+
+def test_rate_command_exits_cleanly_and_matches_exact(tmp_path, capsys):
+    # --runs from -1, 0, 5 and a non-number; --order valid, a repeat or
+    # absent; --k inside and outside 1..n
+    @seeded_examples(30)
+    def check(seed):
+        rng = np.random.default_rng([seed, 26])
+        path, n = _window_config(rng, tmp_path, seed)
+        ks = sorted({int(v) for v in rng.choice(
+            [1, int(rng.integers(1, n + 1)), 0, n + 1],
+            size=int(rng.integers(1, 3)), p=[0.45, 0.45, 0.05, 0.05])})
+        runs = str(rng.choice(["-1", "0", "5", "x"], p=[0.1, 0.6, 0.2, 0.1]))
+        order = [int(v) + 1 for v in rng.permutation(n)]
+        if rng.random() < 0.2:
+            order[0] = order[-1]
+        order_args = (["--order", ",".join(map(str, order))]
+                      if rng.random() < 0.6 else [])
+        # "=" keeps argparse from reading a leading "-1" as an option
+        code = main(["rate", "--model", str(path),
+                     "--k", ",".join(map(str, ks)), f"--runs={runs}",
+                     "--seed", str(seed), "--json"] + order_args)
+        out, err = capsys.readouterr()
+        assert code in (0, 2, 3, 4), (code, err)
+        assert "Traceback" not in err
+        if code:
+            assert err.startswith("error: ") and err.count("\n") == 1, err
+            return
+        payload = json.loads(out)
+        assert payload["runs"] == int(runs) and payload["stderr"] >= 0
+        if runs == "0":
+            ordering = (Ordering(tuple(v - 1 for v in order))
+                        if order_args else None)
+            assert payload["rate"] == achievable_rate_exact(
+                load_model_config(path), [k - 1 for k in ks], ordering)
 
     check()

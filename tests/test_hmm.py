@@ -734,7 +734,9 @@ def test_seeded_estimates_do_not_depend_on_the_budget(monkeypatch):
     # budgets that cut every block into 1-row and into 37-row pieces (the
     # 512- and 88-run blocks of 600 runs, a 40-row caller batch) give the
     # rate and the outcomes of the default budget bit for bit, and the
-    # sweep up to the rounding of smaller matrix products
+    # sweeps up to the rounding of smaller matrix products; a sweep around
+    # x_2 also stores a left filter for each distinct lo (0 at omega 2,
+    # 1 at omega 1), and its law has 2 x arity m-vectors
     import genomask.distributions as dist_mod
 
     rng = np.random.default_rng(1818)
@@ -743,6 +745,7 @@ def test_seeded_estimates_do_not_depend_on_the_budget(monkeypatch):
     xs = model.sample_batch(40, rng)
     mask_row = 8 * (2 * 4 * model.m + 4 * model.n)
     sweep_row = 3 * 8 * model.m
+    interior_row = (3 + 2 + 2 * model.arities[2]) * 8 * model.m
 
     def rate():
         return erasure_rate_mc(model, K, 600, np.random.default_rng(3))
@@ -751,10 +754,14 @@ def test_seeded_estimates_do_not_depend_on_the_budget(monkeypatch):
         return np.concatenate(window_leakage_sweep(
             model, [0], omegas, 600, np.random.default_rng(4)))
 
+    def interior():
+        return np.concatenate(window_leakage_sweep(
+            model, [2], omegas + [2], 600, np.random.default_rng(6)))
+
     def outcomes():
         return mask_hmm_batch(model, xs, K, np.random.default_rng(5))
 
-    want = rate(), sweep(), outcomes()
+    want = rate(), sweep(), outcomes(), interior()
     assert want[0][1] > 0 and np.all(want[1][5:7] > 0)
     for rows in (1, 37):
         monkeypatch.setattr(dist_mod, "BELIEF_BUDGET_BYTES", rows * mask_row)
@@ -762,3 +769,10 @@ def test_seeded_estimates_do_not_depend_on_the_budget(monkeypatch):
         assert np.array_equal(outcomes(), want[2])
         monkeypatch.setattr(dist_mod, "BELIEF_BUDGET_BYTES", rows * sweep_row)
         assert np.abs(sweep() - want[1]).max() <= 1e-12
+        monkeypatch.setattr(dist_mod, "BELIEF_BUDGET_BYTES",
+                            rows * interior_row)
+        assert np.abs(interior() - want[3]).max() <= 1e-12
+    monkeypatch.setattr(dist_mod, "BELIEF_BUDGET_BYTES", interior_row - 1)
+    assert np.abs(sweep() - want[1]).max() <= 1e-12
+    with pytest.raises(CapacityError):
+        interior()
