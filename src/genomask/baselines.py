@@ -24,7 +24,7 @@ from . import distributions
 from . import hmm as _hmm
 from .distributions import SequenceModel
 from .errors import DegenerateSensitiveError, InputError, NumericalError
-from .info import entropy, kl_divergence, sample_stderr
+from .info import entropy, kl_divergence
 from .masking import STAR, MaskedSequence, Ordering, _validate_sensitive
 from .mechanism import OutputDistribution, exact_output_distribution
 
@@ -78,9 +78,10 @@ def window_leakage_sweep(model: SequenceModel, K, omegas, samples: int,
     scaled forward filter stores p(S_lo | x_0..x_lo) at each distinct
     lo >= 0 (initial . T^k at S_k when lo < 0), and the scaled backward
     pass (Rabiner 1989) reaches each hi, where the left law is carried to
-    S_k, weighted by p(x_k = v | S_k) and carried on to S_hi.  Samples come
-    in `hmm.mc_blocks`; the budget cuts a block into pieces of rows of three
-    m-vectors, one per stored filter and 2 x arity for the weighted law.
+    S_k, weighted by p(x_k = v | S_k) and carried on to S_hi.  The samples
+    come from `hmm._monte_carlo`, scored one column per omega; the budget
+    cuts a block into rows of three m-vectors, one per stored filter and
+    2 x arity for the weighted law.
     """
     chain = _hmm.require_chain(model, "the sampled window estimator "
                                "(--runs 0 is exact for any model)")
@@ -89,13 +90,14 @@ def window_leakage_sweep(model: SequenceModel, K, omegas, samples: int,
         raise InputError("the sampled window estimator takes one sensitive "
                          "position (--runs 0 is exact for any K)")
     omegas = [int(w) for w in omegas]
-    if not omegas or samples < 1:
-        raise InputError("need a non-empty list of omegas and samples >= 1")
+    if not omegas:
+        raise InputError("need a non-empty list of omegas")
     (k,), emit_k = K, chain.emission(K[0])
     # omega -> (lo, hi); omega = 0 erases nothing, so x_k is released
     cuts = {w: (erased[0] - 1, erased[-1] + 1) for w in omegas
             if (erased := window_erased(model.n, K, w))}
     lows = {lo for lo, _ in cuts.values() if lo >= 0}
+    cols = {w: [j for j, v in enumerate(omegas) if v == w] for w in cuts}
 
     def carry(b, steps):
         for _ in range(steps):
@@ -108,13 +110,13 @@ def window_leakage_sweep(model: SequenceModel, K, omegas, samples: int,
     h_k = entropy(prior)
     alone = {w: carry(ahead, hi - k) for w, (lo, hi) in cuts.items() if lo < 0}
     row = 8 * chain.m * (3 + len(lows) + (2 * len(emit_k) if lows else 0))
-    # neglog[w] = -log2 p(x_k = truth | the sample's released positions)
-    neglog = {w: np.zeros(samples) for w in omegas}
-    for block in _hmm.mc_blocks(samples):
-        xs = model.sample_batch(block.stop - block.start, rng)
+
+    def score(xs):
+        # neglog[r, j] = -log2 p(x_k = truth | sample r's released positions
+        # under omegas[j])
+        neglog = np.zeros((len(xs), len(omegas)))
         for piece in distributions.budget_pieces(len(xs), row):
             rows, truth = xs[piece], xs[piece, k]
-            at = slice(block.start + piece.start, block.start + piece.stop)
             # f[r, s] = p(S_i = s | x_0 .. x_i), beta[r, s] = p(x_i .. x_n-1
             # | S_i = s); per-sample scales cancel in posteriors
             filters, f = {}, chain.initial
@@ -136,11 +138,12 @@ def window_leakage_sweep(model: SequenceModel, K, omegas, samples: int,
                     scores = np.einsum("...vs,...s->...v", law, beta)
                     post = (scores[np.arange(rows.shape[0]), truth]
                             / scores.sum(axis=1))
-                    neglog[w][at] = -np.log2(np.maximum(post, 1e-300))
+                    neglog[piece, cols[w]] = -np.log2(
+                        np.maximum(post, 1e-300))[:, None]
+        return neglog
 
-    ests = np.array([(h_k - float(neglog[w].mean())) / h_k for w in omegas])
-    errs = np.array([sample_stderr(neglog[w]) / h_k for w in omegas])
-    return ests, errs
+    means, errs = _hmm._monte_carlo(model, samples, rng, score)
+    return (h_k - means) / h_k, errs / h_k
 
 
 @dataclass(frozen=True)
@@ -170,21 +173,16 @@ def sequence_kl(p_model: SequenceModel, q_model: SequenceModel) -> float:
 def sequence_kl_mc(p_model: SequenceModel, q_model: SequenceModel,
                    samples: int, rng: np.random.Generator):
     """Monte-Carlo estimate of D(p || q) in bits for models too long to
-    enumerate, drawn in `hmm.mc_blocks`; both models need a hidden chain
-    (HMMs or Markov chains), whose forward pass gives log p(x)."""
+    enumerate, drawn by `hmm._monte_carlo`, or (inf, 0.0) once a drawn x has
+    q(x) = 0; both models need a hidden chain, whose forward pass gives
+    log p(x)."""
     MismatchPair(p_model, q_model)      # InputError unless the arities match
     p_chain = _hmm.require_chain(p_model, "sequence_kl_mc")
     q_chain = _hmm.require_chain(q_model, "sequence_kl_mc")
-    if samples < 1:
-        raise InputError("samples must be >= 1")
-    vals = np.empty(samples)
-    for block in _hmm.mc_blocks(samples):
-        xs = p_model.sample_batch(block.stop - block.start, rng)
-        lq = q_chain.log_probs(xs)
-        if np.any(lq == -math.inf):
-            return float("inf"), 0.0
-        vals[block] = (p_chain.log_probs(xs) - lq) / math.log(2)
-    return float(vals.mean()), sample_stderr(vals)
+    with np.errstate(invalid="ignore"):     # the stderr of infinite scores
+        (mean,), (err,) = _hmm._monte_carlo(p_model, samples, rng, lambda xs: (
+            p_chain.log_probs(xs) - q_chain.log_probs(xs)) / math.log(2))
+    return (float(mean), float(err)) if mean < math.inf else (math.inf, 0.0)
 
 
 def robustness_experiment(pair: MismatchPair, K,

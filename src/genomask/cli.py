@@ -212,7 +212,8 @@ def cmd_experiment(args) -> int:
         k=_parse_positions(args.k, n),
         epsilons=tuple(_parse_numbers(args.epsilon, "--epsilon", float)),
         thetas=tuple(_parse_numbers(args.theta, "--theta", float)),
-        omegas=tuple(_parse_numbers(args.omega, "--omega")),
+        omegas=(None if args.omega is None
+                else tuple(_parse_numbers(args.omega, "--omega"))),
         runs=args.runs, seed=args.seed, panel=panel,
     )
     rows = experiments.run_experiment(config)
@@ -339,7 +340,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", default="1")
     p.add_argument("--epsilon", default=",".join(map(str, experiments.DEFAULT_EPSILONS)))
     p.add_argument("--theta", default=",".join(map(str, experiments.DEFAULT_THETAS)))
-    p.add_argument("--omega", default=",".join(map(str, experiments.DEFAULT_OMEGAS)))
+    p.add_argument("--omega", help="default: 0,5,..,50 up to --n")
     p.add_argument("--runs", type=int, default=2000)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--panel", help="reuse an existing panel file")

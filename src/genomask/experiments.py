@@ -36,12 +36,14 @@ class ExperimentConfig:
     k: tuple[int, ...] = (0,)
     epsilons: tuple[float, ...] = DEFAULT_EPSILONS
     thetas: tuple[float, ...] = DEFAULT_THETAS
-    omegas: tuple[int, ...] = DEFAULT_OMEGAS
+    omegas: tuple[int, ...] | None = None    # None: DEFAULT_OMEGAS up to n
     runs: int = 2000
     seed: int = 0
     panel: np.ndarray | None = field(default=None, repr=False)
 
     def __post_init__(self):
+        if self.omegas is None:
+            self.omegas = tuple(w for w in DEFAULT_OMEGAS if w <= self.n)
         if self.runs < 1:
             raise InputError("runs must be >= 1")
         if not self.epsilons or not self.thetas or not self.omegas:

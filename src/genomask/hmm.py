@@ -17,15 +17,16 @@ chain with m symbols) gives it in O(n m^2) arithmetic per hypothesis:
 The belief filter is renormalized per position per hypothesis, so long
 sequences stay in the linear domain without underflow.  All state is kept
 in arrays with a leading batch axis; independent Monte-Carlo runs share
-the immutable backward table and advance in lockstep.  They are drawn in
-fixed blocks (`mc_blocks`), which the memory budget only cuts into pieces,
-so the budget never moves a seeded result.  The Monte-Carlo rate
-(`erasure_rate_mc`) averages each run's (1/n) sum_i sum_v mins_i(v), the
-release probabilities given its produced prefixes, in place of its
-released fraction: the same mean by the tower property, and the stderr of
-the per-run minima sums.  Every product with T and every
-emission law comes from `HiddenChain.forward`, `backward` and `emission`, so
-a structured kernel or a byte check on the chain changes that class alone.
+the immutable backward table and advance in lockstep.  `_monte_carlo` is
+the one place where the runs of every Monte-Carlo estimator are drawn, in
+fixed blocks that the memory budget only cuts into pieces, so the budget
+never moves a seeded result.  The Monte-Carlo rate (`erasure_rate_mc`)
+averages each run's (1/n) sum_i sum_v mins_i(v), the release probabilities
+given its produced prefixes, in place of its released fraction: the same
+mean by the tower property, and the stderr of the per-run minima sums.
+Every product with T and every emission law comes from
+`HiddenChain.forward`, `backward` and `emission`, so a structured kernel or
+a byte check on the chain changes that class alone.
 """
 
 from __future__ import annotations
@@ -425,11 +426,19 @@ def _mask_in_lockstep(model, xs, K, rng, table):
     return out, probs, mass
 
 
-def mc_blocks(runs: int) -> list[slice]:
-    """Slices of ``range(runs)`` of ``MAX_MC_BATCH`` each, the last shorter:
-    the blocks that Monte-Carlo estimators draw at once."""
-    return [slice(start, min(start + MAX_MC_BATCH, runs))
-            for start in range(0, runs, MAX_MC_BATCH)]
+def _monte_carlo(model: SequenceModel, runs: int, rng: np.random.Generator,
+                 score):
+    """The one place where Monte-Carlo runs are drawn: blocks of
+    ``MAX_MC_BATCH`` by ``model.sample_batch``, each scored by ``score``,
+    which draws its own uniforms and gives (rows,) or (rows, columns).
+    Returns (means, stderrs), each taken on a contiguous column."""
+    if runs < 1:
+        raise InputError("runs must be >= 1")
+    vals = np.concatenate([
+        score(model.sample_batch(min(MAX_MC_BATCH, runs - start), rng))
+        for start in range(0, runs, MAX_MC_BATCH)])
+    cols = map(np.ascontiguousarray, vals.reshape(runs, -1).T)
+    return np.array([(c.mean(), sample_stderr(c)) for c in cols]).T
 
 
 def erasure_rate_mc(model: SequenceModel, K, runs: int, rng: np.random.Generator):
@@ -440,19 +449,11 @@ def erasure_rate_mc(model: SequenceModel, K, runs: int, rng: np.random.Generator
     released with probability sum_v mins_i(v), the same for every value, so
     by the tower property this per-run rate has the mean of the released
     fraction 1 - e(Y)/n.  The stderr is that of the per-run minima sums,
-    smaller than the released fractions' in every case measured.  Each
-    block of `mc_blocks` draws its sequences, then masks them as
-    `mask_hmm_batch` does, with its uniforms and outcomes; the budget only
-    cuts the block into pieces.
+    smaller than the released fractions' in every case measured.  The runs
+    come from `_monte_carlo`, and each block is masked as `mask_hmm_batch`
+    masks it; the budget only cuts the block into pieces.
     """
-    if runs < 1:
-        raise InputError("runs must be >= 1")
-    require_chain(model, "erasure_rate_mc")
-    K = _validate_sensitive(K, model.n)
     table = sensitive_backward_table(model, K)
-    minima = np.zeros(runs)
-    for block in mc_blocks(runs):
-        xs = model.sample_batch(block.stop - block.start, rng)
-        minima[block] = _mask_in_lockstep(model, xs, K, rng, table)[2]
-    rates = minima / model.n
-    return float(rates.mean()), sample_stderr(rates)
+    (mean,), (err,) = _monte_carlo(model, runs, rng, lambda xs: _mask_in_lockstep(
+        model, xs, table.K, rng, table)[2] / model.n)
+    return float(mean), float(err)

@@ -59,7 +59,7 @@ from .distributions import (
     validate_sequence,
 )
 from .errors import CapacityError, ImpossibleContextError, InputError
-from .info import mutual_information, sample_stderr
+from .info import mutual_information
 from .masking import (
     STAR,
     MaskedSequence,
@@ -549,15 +549,13 @@ def achievable_rate_mc(model: SequenceModel, K, ordering: Ordering | None = None
     and the sensitive values, so by the tower property the estimate has the
     mean of the released fraction 1 - e(Y)/n; its stderr is that of the
     per-run minima sums.  A chain in the linear order goes through
-    `hmm.erasure_rate_mc`; any other model or order draws ``model.sample``
-    and then masks it through `EnumeratedMechanism.mask`'s path, per run.
+    `hmm.erasure_rate_mc`; any other model or order scores each row of a
+    `hmm._monte_carlo` block with `EnumeratedMechanism.mask`'s path.
     """
-    if runs < 1:
-        raise InputError("runs must be >= 1")
     ordering = _validate_ordering(ordering, model.n)
     if model.hidden_chain() is not None and ordering.is_linear:
         return _hmm.erasure_rate_mc(model, K, runs, rng)
     engine = EnumeratedMechanism(model, K)
-    rates = np.array([engine._mask_path(model.sample(rng), ordering, rng)[2]
-                      for _ in range(runs)]) / model.n
-    return float(rates.mean()), sample_stderr(rates)
+    (mean,), (err,) = _hmm._monte_carlo(model, runs, rng, lambda xs: np.array(
+        [engine._mask_path(x, ordering, rng)[2] for x in xs]) / model.n)
+    return float(mean), float(err)

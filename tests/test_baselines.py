@@ -208,6 +208,15 @@ def test_kl_mc_draws_in_fixed_blocks(rng, monkeypatch):
     assert est == float(vals.mean())
 
 
+def test_kl_mc_is_infinite_when_q_misses_a_drawn_row(rng):
+    # q never switches symbols, so any drawn p-row that switches has
+    # q-probability 0; the scores' stderr raises no warning
+    p = MarkovChainModel.binary_symmetric(0.8, 4)
+    q = MarkovChainModel([0.5, 0.5], [[1.0, 0.0], [0.0, 1.0]], 4)
+    assert sequence_kl(p, q) == float("inf")
+    assert sequence_kl_mc(p, q, 100, rng) == (float("inf"), 0.0)
+
+
 def test_markov_sweep_and_kl_mc_match_exact(rng):
     p = random_markov(rng, 7)
     q = MarkovChainModel(p.initial, [[0.6, 0.4], [0.3, 0.7]], 7)

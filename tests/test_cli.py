@@ -214,6 +214,38 @@ def test_experiment_fig5_tiny(tmp_path):
     assert float(row["lp_rate"]) <= float(row["bound"]) + 1e-7
 
 
+def test_experiment_fig3_takes_its_default_omegas_up_to_n(tmp_path, capsys):
+    # the default grid 0, 5, .., 50 used to reach past n = 12 and exit 2;
+    # an explicit omega past n still does
+    args = ["experiment", "--name", "fig3", "--n", "12", "--m", "6",
+            "--k", "5", "--runs", "50"]
+    outs = []
+    for path in (tmp_path / "a.csv", tmp_path / "b.csv"):
+        assert main(args + ["--out", str(path)]) == 0
+        outs.append(path.read_bytes())
+    assert outs[0] == outs[1]
+    header, *lines = outs[0].decode().splitlines()
+    assert header == ",".join(CSV_COLUMNS)
+    rows = [dict(zip(CSV_COLUMNS, line.split(","))) for line in lines]
+    assert [r["omega"] for r in rows] == ["", "0", "5", "10"]
+    assert all(np.isfinite(float(v)) for v in (rows[0]["rate"],
+                                               rows[0]["stderr"]))
+    assert all(np.isfinite(float(r["leakage"]))
+               and np.isfinite(float(r["leakage_stderr"])) for r in rows[1:])
+    assert main(args + ["--omega", "15"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
+def test_experiment_robustness_stays_within_its_bound(capsys):
+    assert main(["experiment", "--name", "robustness", "--n", "4",
+                 "--runs", "3", "--json"]) == 0
+    rows = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+    assert len(rows) == 3
+    assert all(r["status"] == "ok" and r["leakage"] <= r["kl_bound"] + 1e-9
+               for r in rows), rows
+
+
 def test_exit_codes(tmp_path, capsys, monkeypatch):
     # input error: malformed sensitive positions
     cfg = tmp_path / "m.json"

@@ -544,16 +544,21 @@ def test_prior_zero_sensitive_value_rejected():
         BatchMaskingSession(model, (0,), np.array([[1]]))
 
 
-@pytest.mark.parametrize("m", [3, 4], ids=["same-m", "other-m"])
-def test_session_rejects_a_table_of_another_model(rng, m):
+@pytest.mark.parametrize("m,K,match", [
+    pytest.param(3, [0], "different model", id="same-m"),
+    pytest.param(4, [0], "different model", id="other-m"),
+    pytest.param(None, [1], "different K", id="other-K")])
+def test_session_rejects_a_table_of_another_model(rng, m, K, match):
     # same n and K: a table of the same m was used silently, and one of
-    # another m failed inside numpy
+    # another m failed inside numpy; a table of the model itself built for
+    # another K is refused too
     model = random_hmm(rng, 5, 3)
-    table = sensitive_backward_table(random_hmm(rng, 5, m), [0])
-    with pytest.raises(InputError, match="different model"):
+    table = sensitive_backward_table(
+        model if m is None else random_hmm(rng, 5, m), K)
+    with pytest.raises(InputError, match=match):
         BatchMaskingSession(model, [0], [[0]], table)
     for batch in (2, 0):
-        with pytest.raises(InputError, match="different model"):
+        with pytest.raises(InputError, match=match):
             mask_hmm_batch(model, model.sample_batch(batch, rng), [0], rng,
                            table)
 
@@ -576,6 +581,20 @@ def test_advance_rejects_symbols_outside_alphabet(rng):
         ses.advance([STAR])
         with pytest.raises(InputError):
             ses.advance([y])
+
+
+def test_session_refuses_a_sensitive_release_and_a_step_past_the_end(rng):
+    model = random_hmm(rng, 3, 3)
+    ses = BatchMaskingSession(model, [1], [[0]])
+    ses.advance([STAR])
+    with pytest.raises(InputError, match="must be erased"):
+        ses.advance([0])
+    ses.advance([STAR])                      # the refused step moved nothing
+    ses.advance([STAR])
+    assert ses.pos == model.n
+    for call, col in (("release_probability", [0]), ("advance", [STAR])):
+        with pytest.raises(InputError, match="whole sequence"):
+            getattr(ses, call)(col)
 
 
 @pytest.mark.parametrize("call,col", [

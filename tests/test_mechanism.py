@@ -24,9 +24,10 @@ from genomask import (
     window_leakage_exact,
 )
 from genomask import bounds, distributions, mechanism
-from genomask.baselines import MismatchPair, robustness_experiment
+from genomask.baselines import MismatchPair, robustness_experiment, sequence_kl_mc
 from genomask.bounds import markov_sufficient_condition_check
 from genomask.distributions import assignment_index
+from genomask.hmm import erasure_rate_mc
 from genomask.hardness import (
     HittingSetInstance,
     ParityModel,
@@ -273,6 +274,54 @@ def test_deterministic_mechanism_has_zero_mc_variance(rng):
     model = ParityModel(inst)
     est, err = achievable_rate_mc(model, model.K, runs=64, rng=rng)
     assert err == 0.0
+
+
+@pytest.mark.parametrize("runs", [0, -1])
+@pytest.mark.parametrize("estimator", ["erasure_rate_mc", "fallback",
+                                       "sequence_kl_mc"])
+def test_monte_carlo_estimators_need_a_run(rng, estimator, runs):
+    # one check, in the driver that draws every estimator's runs
+    chain, table = random_markov(rng, 4), random_explicit(rng, 4)
+    call = {"erasure_rate_mc": lambda: erasure_rate_mc(chain, [0], runs, rng),
+            "fallback": lambda: achievable_rate_mc(table, [0], runs=runs,
+                                                   rng=rng),
+            "sequence_kl_mc": lambda: sequence_kl_mc(chain, chain, runs, rng)}
+    with pytest.raises(InputError, match="runs must be >= 1"):
+        call[estimator]()
+
+
+def test_enumeration_fallback_draws_in_fixed_blocks(monkeypatch):
+    # a chain in a reversed order takes the enumeration fallback: its runs
+    # are drawn in the driver's blocks, and each row scores the released
+    # mass of its own masking path, whose uniforms follow the block's draw
+    model = MarkovChainModel([0.4, 0.6], [[0.85, 0.15], [0.3, 0.7]], 6)
+    ordering = Ordering(tuple(range(5, -1, -1)))
+    engine = EnumeratedMechanism(model, [1])
+    rng, masses, blocks = np.random.default_rng(3), [], []
+    for count in (512, 512, 76):
+        blocks.append(model.sample_batch(count, rng))
+        masses += [engine._mask_path(x, ordering, rng)[2] for x in blocks[-1]]
+    sizes, real = [], model.sample_batch
+
+    def recording(count, rng_):
+        sizes.append(count)
+        return real(count, rng_)
+
+    monkeypatch.setattr(model, "sample_batch", recording)
+    est, err = achievable_rate_mc(model, [1], ordering, runs=1100,
+                                  rng=np.random.default_rng(3))
+    assert sizes == [512, 512, 76]
+    assert est == float((np.array(masses) / model.n).mean()) and err > 0
+
+
+def test_engines_refuse_other_arities_and_a_mismatched_rate(rng):
+    p = random_markov(rng, 4)
+    for q in (random_markov(rng, 3), random_markov(rng, 4, alphabet=3)):
+        with pytest.raises(InputError, match="share shape"):
+            EnumeratedMechanism(p, [0], q)
+    engine = EnumeratedMechanism(p, [0], random_markov(rng, 4))
+    with pytest.raises(InputError, match="matched mechanism"):
+        engine.stepwise_minima_rate(Ordering(tuple(range(4))))
 
 
 def test_privacy_of_random_instances(rng):
