@@ -138,15 +138,18 @@ def _inverse_or_zero(x: np.ndarray, keep=None) -> np.ndarray:
 
 @dataclass(frozen=True)
 class HiddenChain:
-    """A hidden Markov chain with per-position emissions (write-locked):
-    ``initial[s]`` = p(S_0 = s), ``trans[s, t]`` = p(S_i+1 = t | S_i = s)
-    and ``emissions[i, v, s]`` = p(x_i = v | S_i = s).  `forward`, `backward`
-    and `emission` are the only readers of T and the stack, so a structured T
-    (copying: diagonal plus rank one) or a byte check has one site to change."""
+    """A hidden Markov chain (write-locked): ``initial[s]`` = p(S_0 = s),
+    ``trans[s, t]`` = p(S_i+1 = t | S_i = s), ``law[v, c]`` = p(x = v | class
+    c) and ``classes[i, s]``, the class of state s at position i.  Only
+    `forward`, `backward` and `emission(i)`, p(x_i = v | S_i = s) made one
+    position at a time, read T and the law, so a structured T (copying:
+    diagonal plus rank one) or a byte check has one site to change; the
+    dense `emissions` stack is derived from them for the oracles alone."""
 
     initial: np.ndarray      # (m,)
     trans: np.ndarray        # (m, m)
-    emissions: np.ndarray    # (n, arity, m)
+    law: np.ndarray          # (arity, classes)
+    classes: np.ndarray      # (n, m) integer
 
     def __post_init__(self):
         for array in vars(self).values():
@@ -158,7 +161,14 @@ class HiddenChain:
 
     @property
     def n(self) -> int:
-        return self.emissions.shape[0]
+        return self.classes.shape[0]
+
+    @property
+    def emissions(self) -> np.ndarray:
+        """The dense, write-locked (n, arity, m) stack of `emission`."""
+        stack = np.moveaxis(self.law.take(self.classes, axis=1), 0, 1)
+        stack.setflags(write=False)
+        return stack
 
     def forward(self, b: np.ndarray, out=None) -> np.ndarray:
         """b @ T: a belief over S_i carried to S_i+1."""
@@ -169,8 +179,8 @@ class HiddenChain:
         return np.matmul(b, self.trans.T, out=out)
 
     def emission(self, i: int) -> np.ndarray:
-        """The (arity, m) law p(x_i = v | S_i = s)."""
-        return self.emissions[i]
+        """The (arity, m) law p(x_i = v | S_i = s), a new array per call."""
+        return self.law.take(self.classes[i], axis=1)
 
     def same_as(self, other: HiddenChain) -> bool:
         """The same chain, by identity or else by value: some models build a
@@ -335,8 +345,8 @@ class MarkovChainModel(SequenceModel):
     def hidden_chain(self) -> HiddenChain:
         """The chain itself: the hidden state is the symbol, emitted as is."""
         size = self.alphabet.size
-        return HiddenChain(self.initial, self.transition,
-                           np.broadcast_to(np.eye(size), (self.n, size, size)))
+        return HiddenChain(self.initial, self.transition, np.eye(size),
+                           np.broadcast_to(np.arange(size), (self.n, size)))
 
     def joint_probs(self, xs: np.ndarray) -> np.ndarray:
         xs = np.asarray(xs, dtype=np.int64)
@@ -367,7 +377,9 @@ class HmmModel(SequenceModel):
     probability 1-epsilon and switches to each other row with probability
     epsilon/(m-1).  The initial state is uniform.  The emitted symbol copies
     the panel entry and is corrupted with probability theta (uniformly over
-    the other symbols).
+    the other symbols).  The panel is write-locked, not copied: the chain's
+    ``classes`` is a view of it.  The emission law and one (alphabet, m)
+    slice must fit in ``BELIEF_BUDGET_BYTES`` or the panel's bytes.
 
     Parameters
     ----------
@@ -393,24 +405,27 @@ class HmmModel(SequenceModel):
         self.alphabet = Alphabet(size)
         if panel.min() < 0 or panel.max() >= size:
             raise InputError("panel entries outside alphabet")
+        self.m, self.n = panel.shape
+        if 8 * size * max(size, self.m) > max(BELIEF_BUDGET_BYTES, panel.nbytes):
+            raise CapacityError(f"the emission law of alphabet {size} exceeds "
+                                f"the budget on a {self.m}x{self.n} panel")
         self.panel = panel
         self.panel.setflags(write=False)
         self.epsilon = float(epsilon)
         self.theta = float(theta)
-        self.m, self.n = panel.shape
         self.arities = (size,) * self.n
         self._chain: HiddenChain | None = None
 
     def hidden_chain(self) -> HiddenChain:
         """The copying chain of the class docstring, built on first use."""
         if self._chain is None:
-            m, n, size = self.m, self.n, self.alphabet.size
+            m, size = self.m, self.alphabet.size
             trans = np.full((m, m), self.epsilon / max(m - 1, 1))
             np.fill_diagonal(trans, 1.0 - self.epsilon if m > 1 else 1.0)
-            emissions = np.full((n, size, m), self.theta / (size - 1))
-            emissions[np.arange(n)[:, None], self.panel.T,
-                      np.arange(m)] = 1.0 - self.theta
-            self._chain = HiddenChain(np.full(m, 1.0 / m), trans, emissions)
+            law = np.full((size, size), self.theta / (size - 1))
+            np.fill_diagonal(law, 1.0 - self.theta)
+            self._chain = HiddenChain(np.full(m, 1.0 / m), trans, law,
+                                      self.panel.T)
         return self._chain
 
     def joint_probs(self, xs: np.ndarray) -> np.ndarray:
@@ -515,15 +530,8 @@ def load_model_config(source: str | Path | dict) -> SequenceModel:
             panel_path = Path(cfg["panel_path"])
             if not panel_path.is_absolute():
                 panel_path = base / panel_path
-            panel = load_panel(panel_path)
-            alphabet = int(cfg.get("alphabet", 2))
-            # the chain's (n, alphabet, m) emission stack, before it is built
-            if 8 * panel.size * alphabet > BELIEF_BUDGET_BYTES:
-                raise CapacityError(
-                    f"an emission stack of alphabet {alphabet} on a "
-                    f"{panel.shape[0]}x{panel.shape[1]} panel exceeds "
-                    f"BELIEF_BUDGET_BYTES")
-            return HmmModel(panel, cfg["epsilon"], cfg["theta"], alphabet)
+            return HmmModel(load_panel(panel_path), cfg["epsilon"],
+                            cfg["theta"], int(cfg.get("alphabet", 2)))
         if kind == "markov":
             return MarkovChainModel(cfg["initial"], cfg["transition"], n)
         if kind == "explicit":

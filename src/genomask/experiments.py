@@ -48,6 +48,8 @@ class ExperimentConfig:
             raise InputError("runs must be >= 1")
         if not self.epsilons or not self.thetas or not self.omegas:
             raise InputError("parameter grids must be non-empty")
+        if bad := [w for w in self.omegas if not 0 <= w <= self.n]:
+            raise InputError(f"omega {bad[0]} outside 0..{self.n}")
         if not 0 <= self.seed < 2 ** 64:
             raise InputError("seed must fit in 64 bits")
         if self.panel is not None and np.shape(self.panel) != (self.m, self.n):

@@ -299,8 +299,9 @@ class BatchMaskingSession:
         if self.pos >= self.model.n:
             raise InputError("session already consumed the whole sequence")
         pred = self._predicted_states()
-        # one 2-D product: a 3-D matmul with the strided emis.T costs twice
-        emis_t = np.ascontiguousarray(self.chain.emission(self.pos).T)
+        # kept for `advance`; one 2-D product: a 3-D matmul with emis.T costs twice
+        self._emis = self.chain.emission(self.pos)
+        emis_t = np.ascontiguousarray(self._emis.T)
         (m, arity), num_u = emis_t.shape, self.table.num_u
         px = (pred.reshape(self.batch * num_u, m) @ emis_t).reshape(
             self.batch, num_u, arity)
@@ -321,7 +322,7 @@ class BatchMaskingSession:
         """``col`` as int64 of shape (batch,); `InputError` for another shape
         or a symbol outside 0..arity-1 (STAR also allowed for outcomes)."""
         col = np.asarray(col, dtype=np.int64)
-        arity = self.chain.emission(self.pos).shape[0]
+        arity = self.model.arities[self.pos]
         if col.shape != (self.batch,):
             raise InputError(f"a column must have shape ({self.batch},), "
                              f"not {col.shape}")
@@ -360,14 +361,13 @@ class BatchMaskingSession:
         released = y_col != STAR
         if self.pos in self._slot and released.any():
             raise InputError("sensitive positions must be erased")
-        emis = self.chain.emission(self.pos)                # (arity, m)
-        (arity, m), num_u = emis.shape, self.table.num_u
+        (arity, m), num_u = self._emis.shape, self.table.num_u
         hit = y_col[:, None] == np.arange(arity)            # (batch, arity)
         coef = np.where(released[:, None, None], ratios * hit[:, None, :],
                         1.0 - ratios)
         coef *= self._inv_mass[:, :, None]
         belief = self.belief
-        np.matmul(coef.reshape(self.batch * num_u, arity), emis,
+        np.matmul(coef.reshape(self.batch * num_u, arity), self._emis,
                   out=belief.reshape(self.batch * num_u, m))
         belief *= pred
         norms = _row_sums(belief)

@@ -12,6 +12,7 @@ from genomask import (
     distributions,
     load_model_config,
     load_panel,
+    mechanism,
     window_leakage_exact,
 )
 from genomask.cli import main
@@ -237,6 +238,18 @@ def test_experiment_fig3_takes_its_default_omegas_up_to_n(tmp_path, capsys):
     assert err.startswith("error: ") and err.count("\n") == 1, err
 
 
+def test_experiment_checks_omega_before_any_rate(monkeypatch, capsys):
+    # an omega past n used to cost the whole Monte-Carlo rate of fig3
+    # before the sweep refused it
+    def refuse(*args, **kwargs):
+        raise AssertionError("the rate ran before omega was checked")
+
+    monkeypatch.setattr(mechanism, "achievable_rate_mc", refuse)
+    assert main(["experiment", "--name", "fig3", "--omega", "0,120"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err == "error: omega 120 outside 0..100\n", err
+
+
 def test_experiment_robustness_stays_within_its_bound(capsys):
     assert main(["experiment", "--name", "robustness", "--n", "4",
                  "--runs", "3", "--json"]) == 0
@@ -459,7 +472,8 @@ def test_long_configs_exit_with_one_line_before_any_product(tmp_path, capsys):
 def test_hmm_alphabet_past_the_budget_exits_3_before_the_emissions(tmp_path,
                                                                    capsys):
     # a 10**15-symbol alphabet used to allocate the (n, alphabet, m)
-    # emission stack and end in numpy's memory error; 11 symbols still run
+    # emission stack and end in numpy's memory error; `HmmModel` now refuses
+    # its (alphabet, alphabet) emission law; 11 symbols still run
     (tmp_path / "p2.txt").write_text("01\n10\n")
     for alphabet, code in ((10**15, 3), (11, 0)):
         cfg = tmp_path / f"hmm{alphabet}.json"
@@ -470,7 +484,7 @@ def test_hmm_alphabet_past_the_budget_exits_3_before_the_emissions(tmp_path,
         out, err = capsys.readouterr()
         _assert_clean_exit(code, err)
         if code:
-            assert out == "" and "emission stack" in err, err
+            assert out == "" and "emission law" in err, err
         else:
             assert out == "0.125958\n"
 
@@ -637,5 +651,48 @@ def test_rate_command_exits_cleanly_and_matches_exact(tmp_path, capsys):
                         if order_args else None)
             assert payload["rate"] == achievable_rate_exact(
                 load_model_config(path), [k - 1 for k in ks], ordering)
+
+    check()
+
+
+def test_bound_command_exits_cleanly(tmp_path, capsys, monkeypatch):
+    # HMM configs with an alphabet on either side of the emission-law
+    # check, which a 288-byte budget puts at 6 symbols on these panels
+    # (at most 160 bytes each); --k lists inside and outside 1..n, empty,
+    # non-numeric and the separate "--k -1,3", which argparse refuses;
+    # missing config and panel paths
+    monkeypatch.setattr(distributions, "BELIEF_BUDGET_BYTES", 8 * 6 * 6)
+
+    @seeded_examples(30)
+    def check(seed):
+        rng = np.random.default_rng([seed, 29])
+        m, n = int(rng.integers(2, 5)), int(rng.integers(2, 6))
+        panel = tmp_path / f"bound-panel{seed}.txt"
+        panel.write_text("".join("".join(map(str, row)) + "\n" for row in
+                                 rng.integers(2, size=(m, n))))
+        alphabet = int(rng.choice([2, 5, 6, 7, 9, 10**15]))
+        missing = str(rng.choice(["", "", "", "", "config", "panel"]))
+        cfg = tmp_path / f"bound{seed}.json"
+        cfg.write_text(json.dumps({
+            "epsilon": 0.1, "theta": 0.05, "alphabet": alphabet,
+            "panel_path": str(panel) + "x" * (missing == "panel")}))
+        cfg_arg = str(cfg) + "x" * (missing == "config")
+        k = str(rng.choice(["1", str(n), f"1,{n}", "0", str(n + 1), "x",
+                            "", "-1,3"]))
+        code = main(["bound", "--model", cfg_arg, "--k", k])
+        out, err = capsys.readouterr()
+        assert code in (0, 2, 3, 4), (code, err)
+        assert "Traceback" not in err
+        if code:
+            assert err.startswith("error: ") and err.count("\n") == 1, err
+            assert out == "", out
+        if k == "-1,3" or missing:
+            assert code == 2, (k, missing, err)
+        elif alphabet > 6:
+            assert code == 3 and "emission law" in err, err
+        elif k in ("1", str(n), f"1,{n}"):
+            assert code == 0 and 0.0 <= float(out) <= 1.0, (code, err, out)
+        else:
+            assert code == 2, (k, err)
 
     check()

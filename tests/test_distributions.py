@@ -136,6 +136,29 @@ def test_hmm_hidden_chain_is_cached_closed_form_and_locked(rng, m):
             array[(0,) * array.ndim] = 0.5
 
 
+def test_hmm_hidden_chain_holds_no_emission_stack(rng):
+    # the chain keeps a (size, size) law and a view of the panel, so its
+    # build traces T (1.91 MiB at m = 500) and little more; the dense
+    # (n, size, m) stack it used to hold traced 9.67 MiB at this shape
+    model = HmmModel(rng.integers(2, size=(500, 1000)), 0.05, 0.01)
+    tracemalloc.start()
+    try:
+        chain = model.hidden_chain()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * 2**20, peak
+    assert np.shares_memory(chain.classes, model.panel)
+    # each position's law in closed form, on a 3-symbol panel
+    theta, size = 0.07, 3
+    model = HmmModel(rng.integers(size, size=(4, 9)), 0.2, theta, size)
+    chain = model.hidden_chain()
+    for i in range(model.n):
+        copied = np.arange(size)[:, None] == model.panel[:, i]
+        want = np.where(copied, 1.0 - theta, theta / (size - 1))
+        assert np.array_equal(chain.emission(i), want)
+
+
 def test_markov_hidden_chain_emits_the_state(rng):
     chain_model = random_markov(rng, 4, alphabet=3)
     chain = chain_model.hidden_chain()
