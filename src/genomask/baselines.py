@@ -79,9 +79,9 @@ def window_leakage_sweep(model: SequenceModel, K, omegas, samples: int,
     lo >= 0 (initial . T^k at S_k when lo < 0), and the scaled backward
     pass (Rabiner 1989) reaches each hi, where the left law is carried to
     S_k, weighted by p(x_k = v | S_k) and carried on to S_hi.  The samples
-    come from `hmm._monte_carlo`, scored one column per omega; the budget
-    cuts a block into rows of three m-vectors, one per stored filter and
-    2 x arity for the weighted law.
+    are drawn by `sample_batch` in `hmm._monte_carlo`'s blocks and scored
+    one column per omega; the budget cuts a block into rows of three
+    m-vectors, one per stored filter and 2 x arity for the weighted law.
     """
     chain = _hmm.require_chain(model, "the sampled window estimator "
                                "(--runs 0 is exact for any model)")
@@ -111,9 +111,10 @@ def window_leakage_sweep(model: SequenceModel, K, omegas, samples: int,
     alone = {w: carry(ahead, hi - k) for w, (lo, hi) in cuts.items() if lo < 0}
     row = 8 * chain.m * (3 + len(lows) + (2 * len(emit_k) if lows else 0))
 
-    def score(xs):
+    def score(count):
         # neglog[r, j] = -log2 p(x_k = truth | sample r's released positions
         # under omegas[j])
+        xs = model.sample_batch(count, rng)
         neglog = np.zeros((len(xs), len(omegas)))
         for piece in distributions.budget_pieces(len(xs), row):
             rows, truth = xs[piece], xs[piece, k]
@@ -142,7 +143,7 @@ def window_leakage_sweep(model: SequenceModel, K, omegas, samples: int,
                         np.maximum(post, 1e-300))[:, None]
         return neglog
 
-    means, errs = _hmm._monte_carlo(model, samples, rng, score)
+    means, errs = _hmm._monte_carlo(samples, score)
     return (h_k - means) / h_k, errs / h_k
 
 
@@ -173,15 +174,19 @@ def sequence_kl(p_model: SequenceModel, q_model: SequenceModel) -> float:
 def sequence_kl_mc(p_model: SequenceModel, q_model: SequenceModel,
                    samples: int, rng: np.random.Generator):
     """Monte-Carlo estimate of D(p || q) in bits for models too long to
-    enumerate, drawn by `hmm._monte_carlo`, or (inf, 0.0) once a drawn x has
-    q(x) = 0; both models need a hidden chain, whose forward pass gives
-    log p(x)."""
+    enumerate, drawn in `hmm._monte_carlo`'s blocks, or (inf, 0.0) once a
+    drawn x has q(x) = 0; both models need a hidden chain, whose forward
+    pass gives log p(x)."""
     MismatchPair(p_model, q_model)      # InputError unless the arities match
     p_chain = _hmm.require_chain(p_model, "sequence_kl_mc")
     q_chain = _hmm.require_chain(q_model, "sequence_kl_mc")
+
+    def score(count):
+        xs = p_model.sample_batch(count, rng)
+        return (p_chain.log_probs(xs) - q_chain.log_probs(xs)) / math.log(2)
+
     with np.errstate(invalid="ignore"):     # the stderr of infinite scores
-        (mean,), (err,) = _hmm._monte_carlo(p_model, samples, rng, lambda xs: (
-            p_chain.log_probs(xs) - q_chain.log_probs(xs)) / math.log(2))
+        (mean,), (err,) = _hmm._monte_carlo(samples, score)
     return (float(mean), float(err)) if mean < math.inf else (math.inf, 0.0)
 
 

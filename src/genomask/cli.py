@@ -114,9 +114,10 @@ def cmd_mask(args) -> int:
     ordering = _parse_order(args.order, model.n) if args.order else None
     masked, transcript = mechanism.mask_sequence(model, x, K, ordering,
                                                   rng=rng)
-    _emit(args, masked.text())
+    # the transcript first: an unwritable path exits 2 with nothing printed
     if args.transcript:
         _write(args.transcript, transcript_to_json_lines(transcript) + "\n")
+    _emit(args, masked.text())
     return 0
 
 

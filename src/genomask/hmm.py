@@ -15,15 +15,20 @@ chain with m symbols) gives it in O(n m^2) arithmetic per hypothesis:
   randomness, not just the chain's.
 
 The belief filter is renormalized per position per hypothesis, so long
-sequences stay in the linear domain without underflow.  All state is kept
-in arrays with a leading batch axis; independent Monte-Carlo runs share
-the immutable backward table and advance in lockstep.  `_monte_carlo` is
-the one place where the runs of every Monte-Carlo estimator are drawn, in
-fixed blocks that the memory budget only cuts into pieces, so the budget
-never moves a seeded result.  The Monte-Carlo rate (`erasure_rate_mc`)
-averages each run's (1/n) sum_i sum_v mins_i(v), the release probabilities
-given its produced prefixes, in place of its released fraction: the same
-mean by the tower property, and the stderr of the per-run minima sums.
+sequences stay in the linear domain without underflow; the normalizers
+come from (batch, num_u, arity) tables and scale the outcome coefficients,
+so the (batch, num_u, m) belief is formed once, already normalized.  All
+state is kept in arrays with a leading batch axis; independent
+Monte-Carlo runs share the immutable backward table and advance in
+lockstep.  `_monte_carlo` counts out the runs of every Monte-Carlo
+estimator in fixed blocks that the memory budget only cuts into pieces,
+so the budget never moves a seeded result.  The Monte-Carlo rate
+(`erasure_rate_mc`) averages each run's (1/n) sum_i sum_v mins_i(v), the
+release probabilities given its produced prefixes, in place of its
+released fraction: the same mean by the tower property, and the stderr of
+the per-run minima sums.  Since P(Y_i = v | prefix, u) = mins_i(v) for
+every hypothesis u, its runs draw their outputs from the minima and need
+no sampled x.
 Every product with T and every emission law comes from
 `HiddenChain.forward`, `backward` and `emission`, so a structured kernel or
 a byte check on the chain changes that class alone.
@@ -53,7 +58,8 @@ from .masking import STAR, _validate_sensitive, release_rule
 #: 2^MAX_SENSITIVE: |K| <= 12 on a binary model.
 MAX_SENSITIVE = 12
 
-#: Runs of one Monte-Carlo block, which draws its sequences at once.
+#: Runs of one Monte-Carlo block, which draws its sequences or outputs at
+#: once.
 MAX_MC_BATCH = 512
 
 #: Belief-filter normalizers must match the predicted output probability
@@ -206,7 +212,11 @@ class BatchMaskingSession:
     Per position, the session computes the per-hypothesis predictive
     distribution of the next symbol, turns it into release probabilities,
     and — once the outcome is fixed — filters the hidden-state beliefs
-    through the corresponding output likelihood.
+    through the corresponding output likelihood.  ``x_sensitive`` holds the
+    rows' true sensitive values, (batch, |K|), or is a batch size: the
+    output law does not depend on the true values, so such a session can
+    advance through any outcomes its own release tables allow, but it has
+    no `release_probability`.
 
     ``belief`` (defined once the first position is advanced) and the arrays
     `_position_tables` returns are session-owned buffers that the next
@@ -227,20 +237,27 @@ class BatchMaskingSession:
             raise InputError("backward table was built for a different K")
         if not self.table.chain.same_as(self.chain):
             raise InputError("backward table was built for a different model")
-        self.u_true = row_codes(x_sensitive,
-                                [model.arities[k] for k in self.K])
-        self.batch = self.u_true.shape[0]
+        if isinstance(x_sensitive, (int, np.integer)):
+            if x_sensitive < 0:
+                raise InputError("a batch size must be >= 0")
+            self.u_true, self.batch = None, int(x_sensitive)
+        else:
+            self.u_true = row_codes(x_sensitive,
+                                    [model.arities[k] for k in self.K])
+            self.batch = self.u_true.shape[0]
         self.pos = 0
         shape = (self.batch, self.table.num_u, self.chain.m)
         self.belief = np.empty(shape)
         self._pred = np.empty(shape)
         self.live = np.broadcast_to(self.table.prior > 0,
                                     (self.batch, self.table.num_u)).copy()
-        if not np.all(self.live[np.arange(self.batch), self.u_true]):
+        if (self.u_true is not None
+                and not np.all(self.live[np.arange(self.batch), self.u_true])):
             raise InputError("a supplied sensitive assignment has prior zero")
         self._slot = {k: j for j, k in enumerate(self.K)}
         self._cache: tuple | None = None
         self._inv_mass: np.ndarray | None = None
+        self._px_raw: np.ndarray | None = None
         # (rows, prods) of backward segment ``_back_seg``, made on first use
         self._back: np.ndarray | None = None
         self._back_seg = -1
@@ -292,7 +309,8 @@ class BatchMaskingSession:
         = 0) model starved some states.  Its inverse, the defensive
         renormalization, scales pred_symbols here and the outcome
         coefficients in `advance`: (batch, num_u, arity) tables, not the
-        (batch, num_u, m) pred_states.
+        (batch, num_u, m) pred_states.  The unscaled pred_symbols stay for
+        `advance`'s normalizers.
         """
         if self._cache is not None:
             return self._cache
@@ -303,9 +321,9 @@ class BatchMaskingSession:
         self._emis = self.chain.emission(self.pos)
         emis_t = np.ascontiguousarray(self._emis.T)
         (m, arity), num_u = emis_t.shape, self.table.num_u
-        px = (pred.reshape(self.batch * num_u, m) @ emis_t).reshape(
-            self.batch, num_u, arity)
-        mass = _row_sums(px)
+        raw = self._px_raw = (pred.reshape(self.batch * num_u, m)
+                              @ emis_t).reshape(self.batch, num_u, arity)
+        mass = _row_sums(raw)
         live = self.live & (mass > 1e-12)
         self._inv_mass = _inverse_or_zero(mass, live)
         if self.pos in self._slot:
@@ -313,7 +331,7 @@ class BatchMaskingSession:
             px = np.where(live[:, :, None] & (comp[:, None] == np.arange(arity)),
                           1.0, 0.0)
         else:
-            px *= self._inv_mass[:, :, None]
+            px = raw * self._inv_mass[:, :, None]
         mins, ratios = release_rule(px, live, self.pos in self._slot)
         self._cache = (pred, px, mins, ratios)
         return self._cache
@@ -344,6 +362,9 @@ class BatchMaskingSession:
 
     def release_probability(self, x_col) -> np.ndarray:
         """Probability of releasing the true symbol at the current position."""
+        if self.u_true is None:
+            raise InputError("a session made from a batch size has no true "
+                             "sensitive values")
         _, _, _, ratios = self._position_tables()
         x_col = self._column(x_col, outcomes=False)
         return ratios[np.arange(self.batch), self.u_true, x_col]
@@ -355,8 +376,15 @@ class BatchMaskingSession:
         a released y, coef is ratio(u, y) at v = y and 0 elsewhere; for an
         erasure, coef is 1 - ratio(u, v), which is right only because
         sum_v p(v | s) = 1.  Ratios lie in [0, 1], so the factor is >= 0.
+
+        The new belief's row sums are sum_v coef[u, v] times the unscaled
+        pred_symbols, (batch, num_u, arity) tables; times the defensive
+        renormalization they are the normalizers, which must match the
+        output probability.  Their inverses scale coef, where the
+        renormalization cancels, before the one product that forms the
+        (batch, num_u, m) belief.
         """
-        pred, px, mins, ratios = self._position_tables()
+        pred, _, mins, ratios = self._position_tables()
         y_col = self._column(y_col, outcomes=True)
         released = y_col != STAR
         if self.pos in self._slot and released.any():
@@ -365,12 +393,8 @@ class BatchMaskingSession:
         hit = y_col[:, None] == np.arange(arity)            # (batch, arity)
         coef = np.where(released[:, None, None], ratios * hit[:, None, :],
                         1.0 - ratios)
-        coef *= self._inv_mass[:, :, None]
-        belief = self.belief
-        np.matmul(coef.reshape(self.batch * num_u, arity), self._emis,
-                  out=belief.reshape(self.batch * num_u, m))
-        belief *= pred
-        norms = _row_sums(belief)
+        sums = _row_sums(coef * self._px_raw)
+        norms = sums * self._inv_mass
         # STAR gathers the last column, which `where` discards
         expected = np.where(released, mins[np.arange(self.batch), y_col],
                             1.0 - _row_sums(mins))
@@ -381,7 +405,11 @@ class BatchMaskingSession:
                 "probability beyond tolerance")
         # hypotheses whose context became impossible drop out of the minimum
         self.live = self.live & (norms > 0)
-        belief *= _inverse_or_zero(norms, self.live)[:, :, None]
+        coef *= _inverse_or_zero(sums, self.live)[:, :, None]
+        belief = self.belief
+        np.matmul(coef.reshape(self.batch * num_u, arity), self._emis,
+                  out=belief.reshape(self.batch * num_u, m))
+        belief *= pred
         self.pos += 1
         self._cache = None
 
@@ -392,51 +420,86 @@ def mask_hmm_batch(model: SequenceModel, xs, K, rng: np.random.Generator,
 
     The release uniforms come first, one ``rng.random((n, batch))``.  Then
     each budget piece of rows (two (num_u, m) session buffers and four
-    n-vectors a row) is masked by a session of its own over one backward
-    table: the budget does not move the outcomes."""
+    n-vectors a row: sequence, uniforms, outcomes and release probabilities)
+    is masked by a session of its own over one backward table: the budget
+    does not move the outcomes."""
     return _mask_in_lockstep(model, xs, K, rng, table)[0]
 
 
-def _mask_in_lockstep(model, xs, K, rng, table):
-    """The one loop that drives a session, as `mask_hmm_batch` describes:
+def _mask_in_lockstep(model, xs, K, rng, table, runs=0):
+    """The one loop that drives a session.  Given (batch, n) sequences
+    ``xs`` it masks them as `mask_hmm_batch` describes and returns the
     (batch, n) outcomes and probabilities of releasing the true symbol
-    (`release_probability`'s), and (batch,) released masses sum_i sum_v
-    mins_i(v).  The n-vectors of a row: sequence, uniforms and these two."""
-    xs = np.asarray(xs, dtype=np.int64)
-    if xs.ndim != 2 or xs.shape[1] != model.n:
-        raise InputError(f"xs must have shape (batch, {model.n})")
-    if xs.size and (xs.min() < 0 or xs.max() >= max(model.arities)):
-        raise InputError(f"symbols must lie in 0..{max(model.arities) - 1}")
+    (`release_probability`'s).  With ``xs`` None it draws ``runs`` outputs
+    from the output process, position i giving v with probability
+    mins_i(v), and returns their (runs,) released masses sum_i sum_v
+    mins_i(v); a row then holds one n-vector, its uniforms.
+
+    Each position draws from one law over the symbols, the remainder being
+    the erasure, with one uniform a row: the first v whose cumulative law
+    exceeds the uniform.  Masking a given x puts its release probability r
+    on x alone, so the draw is exactly ``uniform < r``."""
+    given = xs is not None
+    if given:
+        xs = np.asarray(xs, dtype=np.int64)
+        if xs.ndim != 2 or xs.shape[1] != model.n:
+            raise InputError(f"xs must have shape (batch, {model.n})")
+        if xs.size and (xs.min() < 0 or xs.max() >= max(model.arities)):
+            raise InputError(
+                f"symbols must lie in 0..{max(model.arities) - 1}")
+        rows, out, probs = len(xs), np.empty_like(xs), np.empty(xs.shape)
+    else:
+        rows, mass = runs, np.zeros(runs)
     K = _validate_sensitive(K, model.n)
     if table is None:
         table = sensitive_backward_table(model, K)
     num_u, m = table.values.shape[1:]
-    uniforms = rng.random((model.n, xs.shape[0]))
-    out, probs, mass = np.empty_like(xs), np.empty(xs.shape), np.zeros(len(xs))
+    uniforms = rng.random((model.n, rows))
     pieces = distributions.budget_pieces(
-        xs.shape[0], 8 * (2 * num_u * m + 4 * model.n))
+        rows, 8 * (2 * num_u * m + (4 if given else 1) * model.n))
     for piece in pieces or [slice(0, 0)]:   # an empty batch checks the table
-        session = BatchMaskingSession(model, K, xs[piece][:, list(K)], table)
+        session = BatchMaskingSession(
+            model, K, xs[piece][:, list(K)] if given
+            else piece.stop - piece.start, table)
         for i in range(model.n):
-            x_col = xs[piece, i]
-            r = probs[piece, i] = session.release_probability(x_col)
-            mass[piece] += _row_sums(session._position_tables()[2])
-            out[piece, i] = np.where(uniforms[i, piece] < r, x_col, STAR)
-            session.advance(out[piece, i])
-    return out, probs, mass
+            if given:
+                x_col = xs[piece, i]
+                r = probs[piece, i] = session.release_probability(x_col)
+                law = r[:, None] * (x_col[:, None] == np.arange(
+                    model.arities[i]))
+            else:
+                law = session._position_tables()[2]
+            y, total = _draw(law, uniforms[i, piece])
+            if given:
+                out[piece, i] = y
+            else:
+                mass[piece] += total
+            session.advance(y)
+    return (out, probs) if given else mass
 
 
-def _monte_carlo(model: SequenceModel, runs: int, rng: np.random.Generator,
-                 score):
-    """The one place where Monte-Carlo runs are drawn: blocks of
-    ``MAX_MC_BATCH`` by ``model.sample_batch``, each scored by ``score``,
-    which draws its own uniforms and gives (rows,) or (rows, columns).
-    Returns (means, stderrs), each taken on a contiguous column."""
+def _draw(law, uniforms):
+    """Per row of ``law`` (rows, arity), the first v whose cumulative law
+    exceeds the row's uniform, STAR past the last; and the law's row sums,
+    as the cumulative sum leaves them.  Column by column: numpy runs a short
+    inner loop per row along a short last axis."""
+    y, cum = np.zeros(len(uniforms), dtype=np.int64), np.zeros(len(uniforms))
+    for col in law.T:
+        cum = cum + col
+        y += uniforms >= cum
+    y[y == law.shape[1]] = STAR
+    return y, cum
+
+
+def _monte_carlo(runs: int, score):
+    """The one place where Monte-Carlo runs are counted out: blocks of
+    ``MAX_MC_BATCH``, each scored by ``score(count)``, which draws its own
+    sequences or outputs and gives (rows,) or (rows, columns).  Returns
+    (means, stderrs), each taken on a contiguous column."""
     if runs < 1:
         raise InputError("runs must be >= 1")
-    vals = np.concatenate([
-        score(model.sample_batch(min(MAX_MC_BATCH, runs - start), rng))
-        for start in range(0, runs, MAX_MC_BATCH)])
+    vals = np.concatenate([score(min(MAX_MC_BATCH, runs - start))
+                           for start in range(0, runs, MAX_MC_BATCH)])
     cols = map(np.ascontiguousarray, vals.reshape(runs, -1).T)
     return np.array([(c.mean(), sample_stderr(c)) for c in cols]).T
 
@@ -449,11 +512,16 @@ def erasure_rate_mc(model: SequenceModel, K, runs: int, rng: np.random.Generator
     released with probability sum_v mins_i(v), the same for every value, so
     by the tower property this per-run rate has the mean of the released
     fraction 1 - e(Y)/n.  The stderr is that of the per-run minima sums,
-    smaller than the released fractions' in every case measured.  The runs
-    come from `_monte_carlo`, and each block is masked as `mask_hmm_batch`
-    masks it; the budget only cuts the block into pieces.
+    smaller than the released fractions' in every case measured.
+
+    No x is drawn.  The output law is the same under every hypothesis,
+    P(Y_i = v | prefix, u) = mins_i(v), so each run draws its outputs
+    straight from the minima (`_mask_in_lockstep` with no sequences),
+    with the law and so the mean and stderr of runs that masked a sampled x.
+    The runs come in `_monte_carlo`'s blocks; the budget only cuts a block
+    into pieces.
     """
     table = sensitive_backward_table(model, K)
-    (mean,), (err,) = _monte_carlo(model, runs, rng, lambda xs: _mask_in_lockstep(
-        model, xs, table.K, rng, table)[2] / model.n)
+    (mean,), (err,) = _monte_carlo(runs, lambda count: _mask_in_lockstep(
+        model, None, table.K, rng, table, count) / model.n)
     return float(mean), float(err)

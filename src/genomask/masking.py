@@ -54,8 +54,9 @@ def release_rule(cond: np.ndarray, live: np.ndarray, sensitive: bool):
         mins = np.zeros(cond.shape[:-2] + cond.shape[-1:])
     else:
         # slice by slice: numpy reduces a short middle axis slowly
-        mins = functools.reduce(np.minimum, np.moveaxis(
-            np.where(live[..., None], cond, np.inf), -2, 0))
+        masked = np.where(live[..., None], cond, np.inf)
+        mins = functools.reduce(np.minimum, [masked[..., u, :] for u in
+                                             range(cond.shape[-2])])
         mins[np.isinf(mins)] = 0.0
     ratios = np.zeros_like(cond)
     np.divide(mins[..., None, :], cond, out=ratios, where=cond > 0)
@@ -63,7 +64,7 @@ def release_rule(cond: np.ndarray, live: np.ndarray, sensitive: bool):
             or ratios.min(initial=0.0) < -RATIO_TOL):
         raise NumericalError("release ratio outside [0, 1] beyond tolerance")
     np.maximum(ratios, 0.0, out=ratios)
-    ratios[ratios > 1.0 - RATIO_SNAP] = 1.0
+    np.putmask(ratios, ratios > 1.0 - RATIO_SNAP, 1.0)
     return mins, ratios
 
 

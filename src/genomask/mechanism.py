@@ -505,7 +505,7 @@ def mask_sequence(model: SequenceModel, x, K, ordering: Ordering | None = None,
     if chain is None or not ordering.is_linear:
         result = EnumeratedMechanism(model, K).mask(x, ordering, rng)
     else:
-        (y,), (r,), _ = _hmm._mask_in_lockstep(model, [x], K, rng, None)
+        (y,), (r,) = _hmm._mask_in_lockstep(model, [x], K, rng, None)
         result = MaskedSequence(tuple(y.tolist())), tuple(map(
             TranscriptEntry, range(model.n), r.tolist(), y.tolist()))
     # on a chain log p(x), which a long x does not underflow
@@ -549,13 +549,16 @@ def achievable_rate_mc(model: SequenceModel, K, ordering: Ordering | None = None
     and the sensitive values, so by the tower property the estimate has the
     mean of the released fraction 1 - e(Y)/n; its stderr is that of the
     per-run minima sums.  A chain in the linear order goes through
-    `hmm.erasure_rate_mc`; any other model or order scores each row of a
-    `hmm._monte_carlo` block with `EnumeratedMechanism.mask`'s path.
+    `hmm.erasure_rate_mc`, whose runs draw each output from the minima
+    themselves, with no sampled x; any other model or order draws a block
+    of x with `sample_batch` for each `hmm._monte_carlo` block and scores
+    each row with `EnumeratedMechanism.mask`'s path.
     """
     ordering = _validate_ordering(ordering, model.n)
     if model.hidden_chain() is not None and ordering.is_linear:
         return _hmm.erasure_rate_mc(model, K, runs, rng)
     engine = EnumeratedMechanism(model, K)
-    (mean,), (err,) = _hmm._monte_carlo(model, runs, rng, lambda xs: np.array(
-        [engine._mask_path(x, ordering, rng)[2] for x in xs]) / model.n)
+    (mean,), (err,) = _hmm._monte_carlo(runs, lambda count: np.array(
+        [engine._mask_path(x, ordering, rng)[2]
+         for x in model.sample_batch(count, rng)]) / model.n)
     return float(mean), float(err)

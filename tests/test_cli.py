@@ -696,3 +696,74 @@ def test_bound_command_exits_cleanly(tmp_path, capsys, monkeypatch):
             assert code == 2, (k, err)
 
     check()
+
+
+def test_mask_command_exits_cleanly(tmp_path, capsys):
+    # argv drawn for `mask`, which runs the lockstep loop on a chain in the
+    # linear order and the enumeration otherwise, over panels and Markov
+    # configs; each draw breaks at most one piece: a missing model path;
+    # --k outside 1..n, empty, non-numeric or the separate "--k -1,3"; --x
+    # short, non-digit, past the binary alphabet, or neither --x nor
+    # --sample; a malformed order; a negative or non-numeric seed; a
+    # transcript in a missing directory.  A broken draw exits 2 with one
+    # line and prints nothing to stdout; the rest mask faithfully
+    def pick(rng, options):
+        return options[int(rng.integers(len(options)))]
+
+    @seeded_examples(40)
+    def check(seed):
+        rng = np.random.default_rng([seed, 31])
+        n = int(rng.integers(2, 6))
+        valid = "".join(map(str, rng.integers(2, size=n)))
+        fault = pick(rng, ["", "", "", "", "model", "k", "x", "order", "seed",
+                           "transcript"])
+        if rng.integers(2):
+            source = tmp_path / f"mask-panel{seed}.txt"
+            source.write_text("".join("".join(map(str, row)) + "\n" for row in
+                                      rng.integers(2, size=(3, n))))
+            model_args = ["--panel", str(source), "--epsilon", "0.1",
+                          "--theta", "0.05"]
+        else:
+            source = tmp_path / f"mask-chain{seed}.json"
+            source.write_text(json.dumps({"type": "markov", "n": n,
+                                          **_CHAIN}))
+            model_args = ["--model", str(source)]
+        if fault == "model":
+            model_args[1] += "x"
+        k = pick(rng, ["0", str(n + 1), "x", "", "-1,3"] if fault == "k"
+                 else ["1", str(n), f"1,{n}"])
+        x_args = pick(rng, [["--x", valid[1:]], ["--x", "a" + valid[1:]],
+                            ["--x", "2" + valid[1:]], []] if fault == "x"
+                      else [["--x", valid], ["--sample"]])
+        order_args = pick(rng, [["--order", ",".join(["1"] * n)],
+                                ["--order", "x"]] if fault == "order"
+                          else [[], [], ["--order", ",".join(
+                              map(str, range(n, 0, -1)))]])
+        seed_arg = pick(rng, ["-1", "x"] if fault == "seed" else ["0", "7"])
+        path = tmp_path / (f"no-such-dir/t{seed}.jsonl"
+                           if fault == "transcript" else f"t{seed}.jsonl")
+        transcript = fault == "transcript" or bool(rng.integers(2))
+        argv = ["mask", *model_args, "--k", k, *x_args, *order_args,
+                "--seed", seed_arg] + (["--transcript", str(path)]
+                                       if transcript else [])
+        code = main(argv)
+        out, err = capsys.readouterr()
+        assert code in (0, 2, 3, 4), (argv, code, err)
+        assert "Traceback" not in err
+        if code:
+            assert err.startswith("error: ") and err.count("\n") == 1, err
+            assert out == "", out
+        assert code == (2 if fault else 0), (argv, code, err)
+        if not code:
+            masked = MaskedSequence.parse(out.strip())
+            assert len(masked) == n and all(
+                masked.symbols[int(v) - 1] == STAR for v in k.split(",")), out
+            if x_args[0] == "--x":
+                assert masked.is_faithful_to([int(c) for c in valid]), out
+            if transcript:
+                assert len(path.read_text().splitlines()) == n
+        faults.append(fault)
+
+    faults = []
+    check()
+    assert faults.count("") >= 10 and len(set(faults)) == 7, faults

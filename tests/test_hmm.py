@@ -12,7 +12,9 @@ from genomask import (
     HmmModel,
     ImpossibleContextError,
     InputError,
+    NumericalError,
     STAR,
+    achievable_rate_exact,
     exact_output_distribution,
     mask_hmm_batch,
     mask_sequence,
@@ -408,30 +410,32 @@ def test_session_outcomes_are_pinned():
 
 def test_session_rates_are_pinned():
     # sha256 of the repr of seeded `erasure_rate_mc` (rate, stderr), the
-    # mean and stderr of the per-run minima sums
+    # mean and stderr of the per-run minima sums, recorded when the runs
+    # began drawing their outputs from the minima with no sampled x
     got = {}
     for name, model, K in _pinned_sessions():
         got[name] = hashlib.sha256(repr(erasure_rate_mc(
             model, K, 300, np.random.default_rng(7))).encode()).hexdigest()
     assert got == {
         "plain":
-            "844a1e65b08504b8e6e8215e6106161113a6ed22255e0c341b200c87b64cb07f",
+            "9621b48e9af1cffc2e83739484f62e3e4c23fe74b091de60c9d8d0fd7743da60",
         "conditioned":
-            "46f0a2e49d7c2cf75a4f90c4e1be51e8ae2ae65b18b6ae903b18dbb29b2fcd36",
+            "1e4e93744232fc80adab74495e3c7d51305c4a4cae3542e541b8240920ba828a",
         "eps0":
-            "0ca4fb3ddeb1698689d8ea1b3ee4141881fe23779c778c3ffbd18935252b2863",
+            "edb9863d0f13843978197f18cc152d68f385d437885d3e7fa7a9bb61e75fc2bd",
         "theta0":
-            "f36e5dc5d42de88dfb7eb797f22d775d3385773a50d8d86d5695cca8a133c70c",
+            "c2a922be6b17d71d7c5050e47aba84d0a328334d245fcf001a8d5ae09283a709",
         "markov":
-            "45a26b032de3eec517b22f2fce294b5f6ddecc9d0e893661bb38d30047342d0a",
+            "0ca206809a7cd7f7adbe315428150c83a69dc2f48b86b409517172accd57716e",
     }
 
 
 def test_mask_sequence_transcripts_are_pinned():
     # sha256 of the repr of seeded chain `mask_sequence` transcripts
-    # (index, release_prob, outcome), recorded while the single sequence had
-    # a session loop of its own: the batch-of-one loop keeps every bit and
-    # the Python int and float types
+    # (index, release_prob, outcome), recorded when the belief began to be
+    # normalized through its outcome coefficients: release probabilities
+    # moved by rounding (at most 4.5e-16 here), outcomes did not, and the
+    # batch-of-one loop keeps the Python int and float types
     got = {}
     for name, model, K in _pinned_sessions():
         rng = np.random.default_rng(7)
@@ -441,13 +445,13 @@ def test_mask_sequence_transcripts_are_pinned():
         ).encode()).hexdigest()
     assert got == {
         "plain":
-            "be7e882167e6758211ae0ee282c9541e7776e2cebb6f4793067cf0d154bc8395",
+            "1cb39d2b94b7ade65280fa2e6eb3791461b7f9a320e76bf61c1edd3071c2c0d9",
         "conditioned":
-            "d5f0d0cea5cf423197ac3b812cdd28be11d5006f14459dde21840c3211c2de53",
+            "5a204066b2dee310c9eb3dd7ba8b4eb73537a61d2315c3fa795be5d77241f46c",
         "eps0":
-            "36d7b04a100cc2a6a009e2616257cf39262ca09eed1153221c6a336825cbf7c6",
+            "db6ae255cfa6069936b200c1b5ef670ec1866ea9d02594408bb784f71bcea5bc",
         "theta0":
-            "0dae0b019182a87d0511ab938f30f1ce4247d578c85a2f9017d5318828fe140b",
+            "11ee449e6d99941dfea5cdba33d59be50074f79198d8ca19319ee9d9c610a9ff",
         "markov":
             "846444d9e5998df14362799eb14167761dddb14dcb20378e70f3e02bea1295ed",
     }
@@ -692,18 +696,82 @@ def test_degenerate_parameters_keep_privacy(rng):
 
 def test_batch_rate_agrees_with_exact(rng):
     model = random_hmm(rng, 6, 3, eps=0.15, theta=0.05)
-    from genomask import achievable_rate_exact
-
     exact = achievable_rate_exact(model, [0])
     est, err = erasure_rate_mc(model, [0], runs=4000, rng=rng)
     assert abs(est - exact) < 4 * max(err, 1e-6)
 
 
+def test_output_process_rate_agrees_with_exact_on_drawn_chains():
+    # the rate's runs draw each output from the stepwise minima with no
+    # sampled x; the mean of the per-run score is the exact rate of the
+    # linear order within 4 stderr, on drawn HMMs (epsilon or theta 0 among
+    # them) and Markov chains.  On many short chains every run scores the
+    # same, so the draws must also keep enough with a spread
+    kinds, spread = set(), []
+
+    @seeded_examples(40)
+    def check(seed):
+        model, K, _ = small_models(seed, kinds=("markov", "hmm"))
+        kinds.add("markov" if not isinstance(model, HmmModel) else
+                  "degenerate" if 0.0 in (model.epsilon, model.theta)
+                  else "hmm")
+        exact = achievable_rate_exact(model, K)
+        est, err = erasure_rate_mc(model, K, 400, np.random.default_rng(seed))
+        assert abs(est - exact) <= 4 * max(err, 1e-9), (K, est, exact, err)
+        spread.append(err > 0)
+
+    check()
+    assert kinds == {"markov", "degenerate", "hmm"} and sum(spread) >= 10
+
+
+def test_a_session_from_a_batch_size_has_the_tables_of_one_with_truth(rng):
+    # the output law does not depend on the true sensitive values, so a
+    # session made from a batch size walks the same release tables as one
+    # given the truth, bit for bit; it alone cannot name a true symbol
+    model = random_hmm(rng, 6, 4, eps=0.2, theta=0.1)
+    K, xs = (1, 4), model.sample_batch(3, rng)
+    told = BatchMaskingSession(model, K, xs[:, list(K)])
+    blind = BatchMaskingSession(model, K, 3)
+    for i in range(model.n):
+        a, b = told._position_tables(), blind._position_tables()
+        assert all(np.array_equal(u, v) for u, v in zip(a[1:], b[1:]))
+        y = np.where(told.release_probability(xs[:, i]) > 0.5, xs[:, i], STAR)
+        told.advance(y)
+        blind.advance(y)
+    with pytest.raises(InputError, match="no true sensitive values"):
+        BatchMaskingSession(model, K, 3).release_probability(xs[:, 0])
+    with pytest.raises(InputError, match="batch size"):
+        BatchMaskingSession(model, K, -1)
+
+
+def test_a_skewed_release_ratio_trips_the_normalizer_check(monkeypatch):
+    # non-sensitive ratios scaled by 1 - 1e-4 no longer give the minima as
+    # output probabilities, so the belief normalizers miss them by far more
+    # than NORM_TOL
+    import genomask.hmm as hmm_mod
+
+    real = hmm_mod.release_rule
+
+    def skewed(cond, live, sensitive):
+        mins, ratios = real(cond, live, sensitive)
+        return mins, ratios if sensitive else ratios * (1 - 1e-4)
+
+    model = random_hmm(np.random.default_rng(21), 8, 4, eps=0.2, theta=0.1)
+    rng = np.random.default_rng(22)
+    xs = model.sample_batch(16, rng)
+    mask_hmm_batch(model, xs, [0], rng)
+    monkeypatch.setattr(hmm_mod, "release_rule", skewed)
+    with pytest.raises(NumericalError, match="normalizer"):
+        mask_hmm_batch(model, xs, [0], rng)
+
+
 def test_minima_rate_has_less_spread_than_the_release_indicators():
-    # the same seed draws the same sequences, uniforms and outcomes; at
-    # epsilon = 0.5 the minima sums cut the per-run variance about 18x, so
-    # half the indicators' stderr leaves a clear margin, and an estimator
-    # that averaged the indicators again would fail
+    # the rate draws its outputs from the minima and the indicators come
+    # from masking sampled sequences, two independent sets of 400 runs with
+    # one law of the output; at epsilon = 0.5 the minima sums cut the
+    # per-run variance about 18x, so half the indicators' stderr leaves a
+    # clear margin, an estimator that averaged the indicators again would
+    # fail, and the two means differ by well under four indicator stderrs
     model = random_hmm(np.random.default_rng(100), 30, 10, eps=0.5, theta=0.05)
     rate, err = erasure_rate_mc(model, (0,), 400, np.random.default_rng(5))
     rng = np.random.default_rng(5)
@@ -722,26 +790,25 @@ def test_mc_batch_fits_belief_budget(rng, monkeypatch):
 
     model = random_hmm(rng, 5, 3, eps=0.15, theta=0.05)
     K = (0, 2)                                   # 4 hypotheses
-    # a row: the session's two (4, m) buffers, its sequence, its uniforms,
-    # its outcomes and its release probabilities
-    row = 8 * (2 * 4 * model.m + 4 * model.n)
-    sizes, pieces = [], []
-    real = model.sample_batch
+    # a rate row: the session's two (4, m) buffers and its uniforms
+    row = 8 * (2 * 4 * model.m + model.n)
+    blocks, pieces = [], []
+    real = hmm_mod._mask_in_lockstep
 
-    def recording(count, rng_):
-        sizes.append(count)
-        return real(count, rng_)
+    def recording(*args):
+        blocks.append(args[-1])
+        return real(*args)
 
     class RecordingSession(BatchMaskingSession):
         def __init__(self, *args):
             super().__init__(*args)
             pieces.append(self.batch)
 
-    monkeypatch.setattr(model, "sample_batch", recording)
+    monkeypatch.setattr(hmm_mod, "_mask_in_lockstep", recording)
     monkeypatch.setattr(hmm_mod, "BatchMaskingSession", RecordingSession)
     monkeypatch.setattr(dist_mod, "BELIEF_BUDGET_BYTES", 7 * row + 5)
     erasure_rate_mc(model, K, runs=30, rng=rng)
-    assert sizes == [30]
+    assert blocks == [30]
     assert pieces == [7, 7, 7, 7, 2]
     assert all(b * row <= dist_mod.BELIEF_BUDGET_BYTES for b in pieces)
     monkeypatch.setattr(dist_mod, "BELIEF_BUDGET_BYTES", row - 1)
@@ -751,8 +818,8 @@ def test_mc_batch_fits_belief_budget(rng, monkeypatch):
 
 def test_seeded_estimates_do_not_depend_on_the_budget(monkeypatch):
     # budgets that cut every block into 1-row and into 37-row pieces (the
-    # 512- and 88-run blocks of 600 runs, a 40-row caller batch) give the
-    # rate and the outcomes of the default budget bit for bit, and the
+    # 512- and 88-run rate blocks of 600 runs, a 40-row caller batch) give
+    # the rate and the outcomes of the default budget bit for bit, and the
     # sweeps up to the rounding of smaller matrix products; a sweep around
     # x_2 also stores a left filter for each distinct lo (0 at omega 2,
     # 1 at omega 1), and its law has 2 x arity m-vectors
@@ -763,6 +830,7 @@ def test_seeded_estimates_do_not_depend_on_the_budget(monkeypatch):
     K, omegas = (0, 3), [0, 1, 3, 6]
     xs = model.sample_batch(40, rng)
     mask_row = 8 * (2 * 4 * model.m + 4 * model.n)
+    rate_row = 8 * (2 * 4 * model.m + model.n)
     sweep_row = 3 * 8 * model.m
     interior_row = (3 + 2 + 2 * model.arities[2]) * 8 * model.m
 
@@ -783,8 +851,9 @@ def test_seeded_estimates_do_not_depend_on_the_budget(monkeypatch):
     want = rate(), sweep(), outcomes(), interior()
     assert want[0][1] > 0 and np.all(want[1][5:7] > 0)
     for rows in (1, 37):
-        monkeypatch.setattr(dist_mod, "BELIEF_BUDGET_BYTES", rows * mask_row)
+        monkeypatch.setattr(dist_mod, "BELIEF_BUDGET_BYTES", rows * rate_row)
         assert rate() == want[0]
+        monkeypatch.setattr(dist_mod, "BELIEF_BUDGET_BYTES", rows * mask_row)
         assert np.array_equal(outcomes(), want[2])
         monkeypatch.setattr(dist_mod, "BELIEF_BUDGET_BYTES", rows * sweep_row)
         assert np.abs(sweep() - want[1]).max() <= 1e-12
