@@ -482,7 +482,9 @@ def _draw(law, uniforms):
     """Per row of ``law`` (rows, arity), the first v whose cumulative law
     exceeds the row's uniform, STAR past the last; and the law's row sums,
     as the cumulative sum leaves them.  Column by column: numpy runs a short
-    inner loop per row along a short last axis."""
+    inner loop per row along a short last axis.  The one categorical rule of
+    both engines: `_mask_in_lockstep` and the runs of
+    `mechanism.EnumeratedMechanism.walk` draw through it."""
     y, cum = np.zeros(len(uniforms), dtype=np.int64), np.zeros(len(uniforms))
     for col in law.T:
         cum = cum + col

@@ -26,14 +26,19 @@ symbol) sums it into the first and reads its step factor off the second.
 The per-node `predictive`, `release_table` and `step_factor` are their
 one-node case, for the conditional query (`EnumeratedMechanism.conditional`),
 the prior table of the converse bound
-(`EnumeratedMechanism.sensitive_conditionals`) and the tests, and `mask`
-does their arithmetic on the live rows of its one path.  The release
+(`EnumeratedMechanism.sensitive_conditionals`) and the tests.  The release
 probabilities come from one rule, `masking.release_rule`, here and in the
-HMM session alike.  A branch is entered only when its true-model weight
-stays positive.  Batches are cut at node boundaries and walked depth first,
-so the walk's live arrays stay within ``distributions.BELIEF_BUDGET_BYTES``.
-The output law, the stepwise-minima rate, the minimizer-stability
-certificate and the parity-rule check are per-batch reductions over it.
+HMM session alike.  Batches are cut at node boundaries and walked depth
+first, so the walk's live arrays stay within
+``distributions.BELIEF_BUDGET_BYTES``.
+
+The walk has two child rules.  Expanding every child whose true-model
+weight stays positive gives the output law, the stepwise-minima rate, the
+minimizer-stability certificate and the parity-rule check as per-batch
+reductions.  Following runs, each run enters one child per node, drawn
+from a law over its symbols: the minima for the sampled rate, since
+P(Y_i = v | prefix, U = u) = mins_i(v) for every u, and x's own release
+probability for `mask`.
 
 Conventions:
   * the minimum ranges over sensitive assignments that are possible under
@@ -147,7 +152,7 @@ class EnumeratedMechanism:
                            minlength=nodes * self.num_u * arity)
         sums = sums.reshape(nodes, self.num_u, arity)
         totals = sums.sum(axis=2)
-        cond = np.full_like(sums, np.nan)
+        cond = np.full(sums.shape, np.nan)    # an empty node sums to int 0
         np.divide(sums, totals[..., None], out=cond, where=totals[..., None] > 0)
         return cond, totals
 
@@ -192,34 +197,27 @@ class EnumeratedMechanism:
     # -- single runs ---------------------------------------------------------
 
     def mask(self, x, ordering: Ordering, rng: np.random.Generator):
-        """Mask one sequence; returns (MaskedSequence, transcript)."""
-        masked, transcript, _ = self._mask_path(x, ordering, rng)
-        return masked, transcript
+        """Mask one sequence; returns (MaskedSequence, transcript).
 
-    def _mask_path(self, x, ordering: Ordering, rng: np.random.Generator):
-        """`mask` and the path's released mass, the sum over positions of
-        sum_v mins(v).  Rows of zero weight are dropped: they add nothing
-        to the bincounts."""
+        One run of `walk`, on the uniforms ``rng.random((n, 1))``: at each
+        position the law r·1[v = x_pos], r the release probability of x's
+        hypothesis, releases x_pos exactly when the uniform is below r."""
         x = validate_sequence(x, self.arities)
-        u_code = assignment_index([x[k] for k in self.K], self.arities, self.K)
-        row = np.flatnonzero(self.q > 0)
-        wq = self.q[row]
-        y = [STAR] * self.n
-        transcript = []
-        released_mass = 0.0
-        for pos in ordering:
-            cell = self._cells(pos, 0, row)
-            cond, totals = self._predictive(pos, 1, cell, wq)
-            mins, ratios = self.release_table(cond[0], totals[0], pos)
-            released_mass += float(mins.sum())
-            r = float(ratios[u_code, x[pos]])
-            y[pos] = x[pos] if rng.random() < r else STAR
-            release = ratios.reshape(-1)[cell]
-            wq = wq * (1.0 - release if y[pos] == STAR else
-                       np.where(self.space[row, pos] == y[pos], release, 0.0))
-            row, wq = row[wq > 0], wq[wq > 0]
-            transcript.append(TranscriptEntry(pos, r, y[pos]))
-        return MaskedSequence(tuple(y)), tuple(transcript), released_mass
+        u = assignment_index([x[k] for k in self.K], self.arities, self.K)
+
+        def law(b):
+            at_x = np.arange(self.arities[b.pos]) == x[b.pos]
+            return b.ratios[:, u, x[b.pos], None] * at_x
+
+        r, y = [], np.empty(self.n, dtype=np.int64)
+        for batch in self.walk(ordering, law, rng.random((self.n, 1))):
+            if batch.pos is None:
+                y[list(ordering)] = batch.paths[0]
+            else:
+                r.append(float(batch.ratios[0, u, x[batch.pos]]))
+        y = y.tolist()
+        return MaskedSequence(tuple(y)), tuple(
+            TranscriptEntry(pos, p, y[pos]) for pos, p in zip(ordering, r))
 
     def conditional(self, i: int, u, y_prefix=()) -> np.ndarray:
         """p(X_i | sensitive = u, produced prefix) under the mechanism's
@@ -255,31 +253,40 @@ class EnumeratedMechanism:
 
     # -- exact composition ----------------------------------------------------
 
-    def walk(self, ordering: Ordering):
+    def walk(self, ordering: Ordering, law=None, uniforms=None):
         """Level-synchronous walk of the prefix tree of produced outputs.
 
         Yields `NodeBatch`es, parents before children.  Every node at depth
         d processes position ``ordering.perm[d]``, so a batch holds many
         nodes and each of its tables is one array operation for all of
         them.  An entry spawns at most two children, the erasure and the
-        release of its own symbol; a child node is entered only when its
-        true-model weight is positive somewhere, and a matched engine
-        shares ``wp`` as ``wq``.  Leaves (depth n) come with ``pos`` and the
-        tables set to None.
+        release of its own symbol; a matched engine shares ``wp`` as
+        ``wq``.  Leaves (depth n) have ``pos`` and the tables None.
+
+        Without ``law`` a child node is entered when its true-model weight
+        is positive somewhere.  With ``law``, a callable giving each batch
+        a (nodes, arity) law over its symbols, the walk follows the runs of
+        ``uniforms`` (n, runs) instead: every run enters one child of its
+        node, drawn from the node's row by `hmm._draw`'s rule on
+        ``uniforms[depth, run]``, the erasure taking the mass the row
+        leaves.  A drawn child is entered whatever its weights.  A batch's
+        ``run`` lists its runs grouped by node, ``run_node`` their nodes.
 
         Batches are cut at node boundaries and walked depth first, so the
         batch in hand with its temporaries, plus the pending batches of
-        the shallower depths, stay within
-        ``distributions.BELIEF_BUDGET_BYTES``; a
-        node too large for its share of the budget is walked alone.  A depth
-        past ``LEAF_BUDGET`` nodes raises `CapacityError`.
+        the shallower depths, stay within ``distributions.BELIEF_BUDGET_BYTES``;
+        a node too large for its share of the budget is walked alone.  A
+        draw is indexed by (depth, run), so the cuts never move one.  A
+        depth past ``LEAF_BUDGET`` nodes raises `CapacityError`.
         """
         matched = self.mech_model is self.model
         rows = self.space.shape[0]
         share = distributions.BELIEF_BUDGET_BYTES // (self.n + 1)
+        run = np.arange(0 if uniforms is None else uniforms.shape[1])
         stack = [NodeBatch(0, np.zeros((1, 0), dtype=np.int64),
                            np.zeros(rows, dtype=np.int64), np.arange(rows),
-                           self.p, self.p if matched else self.q)]
+                           self.p, self.p if matched else self.q,
+                           run, np.zeros_like(run))]
         nodes = [0] * (self.n + 1)
         while stack:
             batch = stack.pop()
@@ -295,12 +302,14 @@ class EnumeratedMechanism:
                     batch.cond, batch.totals > 0, pos in self.K)
             yield batch
             if batch.pos is not None:
-                children = self._children(batch, matched)
+                children = self._children(batch, matched, law, uniforms)
                 stack.extend(reversed(self._split(children, share)))
 
-    def _children(self, batch: "NodeBatch", matched: bool) -> "NodeBatch":
-        """The entered children of every node of ``batch``, in node order,
-        symbols ascending and the erasure last within a node."""
+    def _children(self, batch: "NodeBatch", matched: bool, law,
+                  uniforms) -> "NodeBatch":
+        """The entered children of every node of ``batch``, or with ``law``
+        the children its runs draw (see `walk`), in node order, symbols
+        ascending and the erasure last within a node."""
         arity = self.arities[batch.pos]
         slots = arity + 1                      # symbols, then the erasure
         release = batch.ratios.reshape(-1)[batch.cell]
@@ -312,45 +321,62 @@ class EnumeratedMechanism:
         wq = wp if matched else np.concatenate([batch.wq * release,
                                                 batch.wq * erase])
         keep = wp > 0
-        if not matched:
-            # q mass on rows where p = 0 goes only into children p enters
+        if law is not None:
+            y, _ = _hmm._draw(law(batch)[batch.run_node],
+                              uniforms[batch.depth, batch.run])
+            drawn = batch.run_node * slots + np.where(y == STAR, arity, y)
+        if law is not None or not matched:
+            # q mass on rows where p = 0 goes only into children p enters,
+            # or the runs draw
             entered = np.zeros(batch.size * slots, dtype=bool)
-            entered[keys[keep]] = True
+            entered[keys[keep] if law is None else drawn] = True
             keep = entered[keys] & (keep | (wq > 0))
         order = np.flatnonzero(keep)
         order = order[np.argsort(keys[order], kind="stable")]
         keys, wp = keys[order], wp[order]
         wq = wp if matched else wq[order]
         row = np.concatenate([batch.row, batch.row])[order]
-        first = np.ones(keys.size, dtype=bool)
-        first[1:] = keys[1:] != keys[:-1]
-        parent, slot = np.divmod(keys[first], slots)
+        run, run_node = batch.run, batch.run_node
+        if law is None:
+            first = np.ones(keys.size, dtype=bool)
+            first[1:] = keys[1:] != keys[:-1]
+            heads, node = keys[first], np.cumsum(first) - 1
+        else:   # a drawn child may hold no entry
+            heads, run_node = np.unique(drawn, return_inverse=True)
+            node = np.searchsorted(heads, keys)
+            by_node = np.argsort(run_node, kind="stable")
+            run, run_node = run[by_node], run_node[by_node]
+        parent, slot = np.divmod(heads, slots)
         paths = np.column_stack([batch.paths[parent],
                                  np.where(slot == arity, STAR, slot)])
-        return NodeBatch(batch.depth + 1, paths, np.cumsum(first) - 1, row,
-                         wp, wq)
+        return NodeBatch(batch.depth + 1, paths, node, row, wp, wq, run,
+                         run_node)
 
     def _split(self, batch: "NodeBatch", share: int) -> list["NodeBatch"]:
         """``batch`` cut at node boundaries into pieces whose walk arrays
         take at most ``share`` bytes each, or one node when it alone is
-        larger than half of that."""
+        larger than half of that; a run costs what an entry does."""
         node_bytes = 8 * (_TABLES_PER_NODE * self.num_u * max(self.arities)
                           + batch.depth + 1)
         half = max(share // 2, 1)
-        if batch.node.size * _ENTRY_BYTES + batch.size * node_bytes <= half:
+        if ((batch.node.size + batch.run.size) * _ENTRY_BYTES
+                + batch.size * node_bytes <= half):
             return [batch] if batch.size else []   # as the cut below would
         counts = np.bincount(batch.node, minlength=batch.size)
-        cost = counts * _ENTRY_BYTES + node_bytes
+        cost = (counts + np.bincount(batch.run_node, minlength=batch.size)
+                ) * _ENTRY_BYTES + node_bytes
         piece = (np.cumsum(cost) - cost) // half
         cuts = np.flatnonzero(piece[1:] != piece[:-1]) + 1
         bounds = np.concatenate([[0], cuts, [batch.size]])
         offsets = np.concatenate([[0], np.cumsum(counts)])
+        runs = np.searchsorted(batch.run_node, bounds)
         pieces = []
-        for a, b in zip(bounds[:-1], bounds[1:]):
-            e = slice(offsets[a], offsets[b])
+        for j, (a, b) in enumerate(zip(bounds[:-1], bounds[1:])):
+            e, r = slice(offsets[a], offsets[b]), slice(runs[j], runs[j + 1])
             pieces.append(NodeBatch(batch.depth, batch.paths[a:b],
                                     batch.node[e] - a, batch.row[e],
-                                    batch.wp[e], batch.wq[e]))
+                                    batch.wp[e], batch.wq[e], batch.run[r],
+                                    batch.run_node[r] - a))
         return pieces
 
     def output_distribution(self, ordering: Ordering):
@@ -397,7 +423,9 @@ class NodeBatch:
     under the true model and ``wq[e]`` under the mechanism's.  Entries are
     grouped by node and in row order within a node; one whose weights are
     both 0 is dropped.  ``paths[j]`` lists node j's outcomes in processing
-    order.  The tables at ``pos`` have the node on their leading axis:
+    order.  A walk that follows runs lists the batch's runs in ``run``,
+    grouped by node, and their nodes in ``run_node``; both are empty
+    otherwise.  The tables at ``pos`` have the node on their leading axis:
     ``cond`` and ``ratios`` (nodes, num_u, arity), ``totals`` (nodes, num_u)
     and ``mins`` (nodes, arity), as `EnumeratedMechanism.predictive` and
     `EnumeratedMechanism.release_table` give them for one node.  ``cell[e]``
@@ -411,6 +439,8 @@ class NodeBatch:
     row: np.ndarray
     wp: np.ndarray
     wq: np.ndarray
+    run: np.ndarray
+    run_node: np.ndarray
     pos: int | None = None
     cell: np.ndarray | None = None
     cond: np.ndarray | None = None
@@ -548,17 +578,24 @@ def achievable_rate_mc(model: SequenceModel, K, ordering: Ordering | None = None
     That sum is the probability of releasing position i given the prefix
     and the sensitive values, so by the tower property the estimate has the
     mean of the released fraction 1 - e(Y)/n; its stderr is that of the
-    per-run minima sums.  A chain in the linear order goes through
-    `hmm.erasure_rate_mc`, whose runs draw each output from the minima
-    themselves, with no sampled x; any other model or order draws a block
-    of x with `sample_batch` for each `hmm._monte_carlo` block and scores
-    each row with `EnumeratedMechanism.mask`'s path.
+    per-run minima sums.  No x is drawn: the runs draw each output from the
+    minima themselves.  A chain in the linear order goes through
+    `hmm.erasure_rate_mc`; any other model or order walks each
+    `hmm._monte_carlo` block as the runs of one `EnumeratedMechanism.walk`
+    on ``rng.random((n, block))``.
     """
     ordering = _validate_ordering(ordering, model.n)
     if model.hidden_chain() is not None and ordering.is_linear:
         return _hmm.erasure_rate_mc(model, K, runs, rng)
     engine = EnumeratedMechanism(model, K)
-    (mean,), (err,) = _hmm._monte_carlo(runs, lambda count: np.array(
-        [engine._mask_path(x, ordering, rng)[2]
-         for x in model.sample_batch(count, rng)]) / model.n)
+
+    def score(count):
+        mass = np.zeros(count)
+        for batch in engine.walk(ordering, lambda b: b.mins,
+                                 rng.random((model.n, count))):
+            if batch.pos is not None:
+                mass[batch.run] += batch.mins.sum(axis=1)[batch.run_node]
+        return mass / model.n
+
+    (mean,), (err,) = _hmm._monte_carlo(runs, score)
     return float(mean), float(err)

@@ -13,6 +13,7 @@ from genomask import (
     load_model_config,
     load_panel,
     mechanism,
+    upper_bound_rate,
     window_leakage_exact,
 )
 from genomask.cli import main
@@ -696,6 +697,66 @@ def test_bound_command_exits_cleanly(tmp_path, capsys, monkeypatch):
             assert code == 2, (k, err)
 
     check()
+
+
+def test_lp_command_exits_cleanly(tmp_path, capsys):
+    # argv drawn for `lp` over HMM panels given directly or through a
+    # config; each draw breaks at most one piece: --k outside 1..n, empty,
+    # non-numeric or the separate "--k -1,3"; a missing config or panel
+    # path; a ragged panel or one with a non-digit.  A broken draw exits 2
+    # with one line and prints nothing to stdout; the rest print an
+    # optimal rate no larger than the converse bound
+    def pick(rng, options):
+        return options[int(rng.integers(len(options)))]
+
+    @seeded_examples(60)
+    def check(seed):
+        rng = np.random.default_rng([seed, 33])
+        n = int(rng.integers(2, 5))
+        fault = pick(rng, ["", "", "", "", "k", "config", "panel", "ragged",
+                           "digit"])
+        rows = ["".join(map(str, row)) for row in
+                rng.integers(2, size=(int(rng.integers(2, 4)), n))]
+        if fault == "ragged":
+            rows[-1] = rows[-1][:-1]
+        elif fault == "digit":
+            rows[0] = "a" + rows[0][1:]
+        panel = tmp_path / f"lp-panel{seed}.txt"
+        panel.write_text("".join(row + "\n" for row in rows))
+        panel_arg = str(panel) + "x" * (fault == "panel")
+        if fault == "config" or rng.integers(2):
+            cfg = tmp_path / f"lp{seed}.json"
+            cfg.write_text(json.dumps({"epsilon": 0.1, "theta": 0.05,
+                                       "panel_path": panel_arg}))
+            model_args = ["--model", str(cfg) + "x" * (fault == "config")]
+        else:
+            model_args = ["--panel", panel_arg, "--epsilon", "0.1",
+                          "--theta", "0.05"]
+        k = pick(rng, ["0", str(n + 1), "x", "", "-1,3"] if fault == "k"
+                 else ["1", str(n), f"1,{n}"])
+        argv = ["lp", *model_args, "--k", k]
+        code = main(argv)
+        out, err = capsys.readouterr()
+        assert code in (0, 2, 3, 4), (argv, code, err)
+        assert "Traceback" not in err
+        if code:
+            assert err.startswith("error: ") and err.count("\n") == 1, err
+            assert out == "", out
+        assert code == (2 if fault else 0), (argv, code, err)
+        if not code:
+            rate, status = out.split()
+            model = HmmModel(np.array([[int(c) for c in row] for row in rows]),
+                             0.1, 0.05)
+            bound = upper_bound_rate(model,
+                                     [int(v) - 1 for v in k.split(",")])
+            assert status == "(optimal)" and 0.0 <= float(rate), out
+            assert float(rate) <= bound + 1e-6, (out, bound)
+        faults.append(f"k {k}" if fault == "k" else fault)
+
+    faults = []
+    check()
+    assert faults.count("") >= 15 and "k -1,3" in faults, faults
+    assert {"config", "panel", "ragged", "digit"} <= set(faults), faults
 
 
 def test_mask_command_exits_cleanly(tmp_path, capsys):

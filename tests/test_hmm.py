@@ -13,8 +13,10 @@ from genomask import (
     ImpossibleContextError,
     InputError,
     NumericalError,
+    Ordering,
     STAR,
     achievable_rate_exact,
+    achievable_rate_mc,
     exact_output_distribution,
     mask_hmm_batch,
     mask_sequence,
@@ -703,25 +705,36 @@ def test_batch_rate_agrees_with_exact(rng):
 
 def test_output_process_rate_agrees_with_exact_on_drawn_chains():
     # the rate's runs draw each output from the stepwise minima with no
-    # sampled x; the mean of the per-run score is the exact rate of the
-    # linear order within 4 stderr, on drawn HMMs (epsilon or theta 0 among
-    # them) and Markov chains.  On many short chains every run scores the
-    # same, so the draws must also keep enough with a spread
-    kinds, spread = set(), []
+    # sampled x, through the chain session (a chain in the linear order)
+    # or the enumeration walk (the same chain in an order that is not
+    # linear, and an explicit model in a drawn order); the mean of the
+    # per-run score is the exact rate of that order within 4 stderr, on
+    # drawn HMMs (epsilon or theta 0 among them), Markov chains and explicit
+    # tables.  On many short models every run scores the same, so the
+    # draws must also keep enough with a spread on each path
+    kinds, spread = set(), {"chain": 0, "walk": 0}
 
     @seeded_examples(40)
     def check(seed):
-        model, K, _ = small_models(seed, kinds=("markov", "hmm"))
-        kinds.add("markov" if not isinstance(model, HmmModel) else
-                  "degenerate" if 0.0 in (model.epsilon, model.theta)
+        chain, K_c, ordering = small_models(seed, kinds=("markov", "hmm"))
+        kinds.add("markov" if not isinstance(chain, HmmModel) else
+                  "degenerate" if 0.0 in (chain.epsilon, chain.theta)
                   else "hmm")
-        exact = achievable_rate_exact(model, K)
-        est, err = erasure_rate_mc(model, K, 400, np.random.default_rng(seed))
-        assert abs(est - exact) <= 4 * max(err, 1e-9), (K, est, exact, err)
-        spread.append(err > 0)
+        if ordering.is_linear:
+            ordering = Ordering(ordering.perm[::-1])
+        explicit, K_x, order_x = small_models(seed, kinds=("explicit",))
+        for model, K, order in ((chain, K_c, None), (chain, K_c, ordering),
+                                (explicit, K_x, order_x)):
+            exact = achievable_rate_exact(model, K, order)
+            est, err = achievable_rate_mc(model, K, order, 400,
+                                          rng=np.random.default_rng(seed))
+            assert abs(est - exact) <= 4 * max(err, 1e-9), (
+                model, K, order, est, exact, err)
+            spread["chain" if order is None else "walk"] += err > 0
 
     check()
-    assert kinds == {"markov", "degenerate", "hmm"} and sum(spread) >= 10
+    assert kinds == {"markov", "degenerate", "hmm"}
+    assert min(spread.values()) >= 10, spread
 
 
 def test_a_session_from_a_batch_size_has_the_tables_of_one_with_truth(rng):

@@ -198,6 +198,21 @@ def test_mask_is_the_full_support_replay(seed):
                                              np.random.default_rng(seed))
 
 
+def test_mask_enters_a_drawn_node_that_no_row_reaches():
+    # x = 111 has probability zero: after position 0 is erased every row
+    # releases position 1, yet x's own ratio there is 0 and the run draws
+    # the erasure, a node with no support row.  Its tables come from an
+    # empty (integer) bincount; the run erases what is left instead of
+    # failing in the division
+    model = ExplicitJointModel([0.1, 0.1, 0.7, 0.0, 0.1, 0.0, 0.0, 0.0],
+                               n=3, alphabet=2)
+    with pytest.warns(UserWarning, match="probability zero"):
+        masked, transcript = mask_sequence(model, (1, 1, 1), [2],
+                                           rng=np.random.default_rng(0))
+    assert masked.symbols == (STAR,) * 3
+    assert [t.release_prob for t in transcript] == [0.0, 0.0, 0.0]
+
+
 @seeded_examples(40)
 def test_masking_is_faithful(seed):
     rng = np.random.default_rng(seed)
@@ -292,22 +307,31 @@ def test_monte_carlo_estimators_need_a_run(rng, estimator, runs):
 
 def test_enumeration_fallback_draws_in_fixed_blocks(monkeypatch):
     # a chain in a reversed order takes the enumeration fallback: its runs
-    # are drawn in the driver's blocks, and each row scores the released
-    # mass of its own masking path, whose uniforms follow the block's draw
+    # are counted out in `_monte_carlo`'s blocks, each block one walk on its
+    # own uniforms with no sampled x, and each run scores the released mass
+    # of its own path, which it also scores when walked alone
     model = MarkovChainModel([0.4, 0.6], [[0.85, 0.15], [0.3, 0.7]], 6)
     ordering = Ordering(tuple(range(5, -1, -1)))
     engine = EnumeratedMechanism(model, [1])
-    rng, masses, blocks = np.random.default_rng(3), [], []
+    rng, masses = np.random.default_rng(3), []
     for count in (512, 512, 76):
-        blocks.append(model.sample_batch(count, rng))
-        masses += [engine._mask_path(x, ordering, rng)[2] for x in blocks[-1]]
-    sizes, real = [], model.sample_batch
+        uniforms = rng.random((model.n, count))
+        for run in range(count):
+            masses.append(sum(
+                float(batch.mins.sum(axis=1)[0]) for batch in engine.walk(
+                    ordering, lambda b: b.mins, uniforms[:, run:run + 1])
+                if batch.pos is not None))
+    sizes, real = [], EnumeratedMechanism.walk
 
-    def recording(count, rng_):
-        sizes.append(count)
-        return real(count, rng_)
+    def recording(self, ordering_, law=None, uniforms=None):
+        sizes.append(uniforms.shape[1])
+        return real(self, ordering_, law, uniforms)
 
-    monkeypatch.setattr(model, "sample_batch", recording)
+    def no_sample(*args):
+        raise AssertionError("the fallback sampled an x")
+
+    monkeypatch.setattr(EnumeratedMechanism, "walk", recording)
+    monkeypatch.setattr(model, "sample_batch", no_sample)
     est, err = achievable_rate_mc(model, [1], ordering, runs=1100,
                                   rng=np.random.default_rng(3))
     assert sizes == [512, 512, 76]
@@ -582,7 +606,7 @@ def test_walker_outputs_are_pinned():
 
 def _walk_results(rng):
     """Output laws, stepwise rates, certificates and parity-rule checks
-    over a fixed seeded mix."""
+    over a fixed seeded mix, then a sampled rate and a mask transcript."""
     out = []
     for model in (random_explicit(rng, 6), random_explicit(rng, 5, sparse=True),
                   random_markov(rng, 5), random_hmm(rng, 5, 3), parity_n3()):
@@ -601,6 +625,14 @@ def _walk_results(rng):
     inst = random_instance(4, 3, rng)
     out.append(tuple(verify_deterministic_rule(inst, order)
                      for order in itertools.permutations(range(1, 5))))
+    # the drawn rule: a sampled rate of the enumeration fallback and one
+    # enumeration mask transcript
+    model = random_explicit(rng, 6)
+    ordering = Ordering(tuple(int(v) for v in rng.permutation(6)))
+    out.append((achievable_rate_mc(model, [1, 4], ordering, runs=600,
+                                   rng=np.random.default_rng(5)),
+                EnumeratedMechanism(model, [1, 4]).mask(
+                    model.sample(rng), ordering, np.random.default_rng(6))))
     return out
 
 
@@ -623,12 +655,12 @@ def test_split_batches_give_the_same_results(monkeypatch, budget):
         assert max(batches) == 1  # every node walked alone
     else:
         assert max(batches) > 1
-    for a, b in zip(whole[:-1], split[:-1]):
+    for a, b in zip(whole[:-2], split[:-2]):
         assert a[0] == b[0] and np.array_equal(a[1], b[1])
         if a[2] is not None:
             assert abs(a[2] - b[2]) <= 1e-14
         assert a[3:] == b[3:]
-    assert whole[-1] == split[-1]
+    assert whole[-2:] == split[-2:]     # drawn runs bit for bit
 
 
 def test_walk_stays_within_byte_budget(monkeypatch):
