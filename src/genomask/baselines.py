@@ -62,26 +62,20 @@ def window_leakage_exact(model: SequenceModel, K, omega: int) -> float:
     return dist.mutual_information_bits() / entropy(prior)
 
 
-def _rescaled(b: np.ndarray) -> np.ndarray:
-    """b divided in place by each row's maximum (rows of zeros stay)."""
-    scale = b.max(axis=1, keepdims=True)
-    return np.divide(b, scale, out=b, where=scale > 0)
-
-
 def window_leakage_sweep(model: SequenceModel, K, omegas, samples: int,
                          rng: np.random.Generator):
     """Normalized leakage of the window baseline around one sensitive
     position k for several omegas, on a model with a hidden chain (an HMM
     or a Markov chain): (estimates, standard errors) aligned with omegas.
 
-    The window of omega releases 0..lo and hi..n-1 (`window_erased`).  A
-    scaled forward filter stores p(S_lo | x_0..x_lo) at each distinct
-    lo >= 0 (initial . T^k at S_k when lo < 0), and the scaled backward
-    pass (Rabiner 1989) reaches each hi, where the left law is carried to
-    S_k, weighted by p(x_k = v | S_k) and carried on to S_hi.  The samples
-    are drawn by `sample_batch` in `hmm._monte_carlo`'s blocks and scored
-    one column per omega; the budget cuts a block into rows of three
-    m-vectors, one per stored filter and 2 x arity for the weighted law.
+    The window of omega releases 0..lo and hi..n-1 (`window_erased`); the
+    two-slice identity (Rabiner 1989) scores x_k = v as sum_s left[r, s]
+    e_k(v, s) right[r, s], left the `HiddenChain.filtered` row at lo times
+    T^omega (initial . T^k if lo < 0), right the scaled backward row at hi
+    times (T^omega)^T (ones if hi = n); each T^omega is made once through
+    `HiddenChain.forward`.  Samples are drawn by `sample_batch` in
+    `hmm._monte_carlo`'s blocks and scored one column per omega; the budget
+    holds the powers beside rows of 3 m-vectors and 1 per distinct lo >= 0.
     """
     chain = _hmm.require_chain(model, "the sampled window estimator "
                                "(--runs 0 is exact for any model)")
@@ -92,52 +86,52 @@ def window_leakage_sweep(model: SequenceModel, K, omegas, samples: int,
     omegas = [int(w) for w in omegas]
     if not omegas:
         raise InputError("need a non-empty list of omegas")
-    (k,), emit_k = K, chain.emission(K[0])
+    (k,), emit_k, n = K, chain.emission(K[0]), model.n
     # omega -> (lo, hi); omega = 0 erases nothing, so x_k is released
     cuts = {w: (erased[0] - 1, erased[-1] + 1) for w in omegas
-            if (erased := window_erased(model.n, K, w))}
+            if (erased := window_erased(n, K, w))}
     lows = {lo for lo, _ in cuts.values() if lo >= 0}
     cols = {w: [j for j, v in enumerate(omegas) if v == w] for w in cuts}
-
-    def carry(b, steps):
-        for _ in range(steps):
-            b = chain.forward(b)
-        return b
-    ahead = carry(chain.initial, k)[None, :] * emit_k   # p(x_k = v, S_k = s)
-    prior = ahead.sum(axis=1)
+    steps = {w for w, (lo, hi) in cuts.items() if lo >= 0 or hi < n}
+    at_k = chain.initial                                     # p(S_k)
+    for _ in range(k):
+        at_k = chain.forward(at_k)
+    prior = emit_k @ at_k
     if np.count_nonzero(prior) < 2:
         raise DegenerateSensitiveError("sensitive symbol carries no entropy")
     h_k = entropy(prior)
-    alone = {w: carry(ahead, hi - k) for w, (lo, hi) in cuts.items() if lo < 0}
-    row = 8 * chain.m * (3 + len(lows) + (2 * len(emit_k) if lows else 0))
+    row, held = 8 * chain.m * (3 + len(lows)), 8 * chain.m ** 2 * len(steps)
+    distributions.budget_pieces(0, row, held)   # raises before any work
+    powers, power = {}, np.eye(chain.m)
+    for j in range(1, max(steps, default=0) + 1):
+        power = chain.forward(power)
+        if j in steps:
+            powers[j] = power
 
     def score(count):
         # neglog[r, j] = -log2 p(x_k = truth | sample r's released positions
         # under omegas[j])
         xs = model.sample_batch(count, rng)
         neglog = np.zeros((len(xs), len(omegas)))
-        for piece in distributions.budget_pieces(len(xs), row):
+        for piece in distributions.budget_pieces(len(xs), row, held):
             rows, truth = xs[piece], xs[piece, k]
-            # f[r, s] = p(S_i = s | x_0 .. x_i), beta[r, s] = p(x_i .. x_n-1
-            # | S_i = s); per-sample scales cancel in posteriors
-            filters, f = {}, chain.initial
-            for i in range(max(lows, default=-1) + 1):
-                f = _rescaled((chain.forward(f) if i else f)
-                              * chain.emission(i)[rows[:, i]])
-                if i in lows:
-                    filters[i] = f
-            beta = np.ones((rows.shape[0], chain.m))
-            for i in range(model.n, min((hi for _, hi in cuts.values()),
-                                        default=model.n) - 1, -1):
-                if i < model.n:
-                    beta = _rescaled(chain.backward(beta)
-                                     * chain.emission(i)[rows[:, i]])
+            # filters[lo][r, s] ~ p(S_lo = s | x_0 .. x_lo), beta[r, s] ~
+            # p(x_i .. x_n-1 | S_i = s); per-sample scales cancel in posteriors
+            filters = {i: f for i, (f, _) in zip(
+                range(max(lows, default=-1) + 1), chain.filtered(rows))
+                if i in lows}
+            beta = np.ones((len(rows), chain.m))
+            for i in range(n, min((hi for _, hi in cuts.values()),
+                                  default=n) - 1, -1):
+                if i < n:
+                    beta = chain.backward(beta) * chain.emission(i)[rows[:, i]]
+                    beta /= beta.sum(axis=1, keepdims=True)
                 for w in [w for w in cuts if cuts[w][1] == i]:
                     lo = cuts[w][0]
-                    law = alone[w] if lo < 0 else carry(
-                        carry(filters[lo], k - lo)[:, None, :] * emit_k, i - k)
-                    scores = np.einsum("...vs,...s->...v", law, beta)
-                    post = (scores[np.arange(rows.shape[0]), truth]
+                    left = filters[lo] @ powers[w] if lo >= 0 else at_k
+                    right = beta @ powers[w].T if i < n else beta
+                    scores = (left * right) @ emit_k.T
+                    post = (scores[np.arange(len(rows)), truth]
                             / scores.sum(axis=1))
                     neglog[piece, cols[w]] = -np.log2(
                         np.maximum(post, 1e-300))[:, None]

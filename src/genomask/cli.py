@@ -12,6 +12,7 @@ import csv
 import io
 import json
 import sys
+import warnings
 
 import numpy as np
 
@@ -353,12 +354,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    try:
-        args = build_parser().parse_args(argv)
-        return args.func(args)
-    except GenomaskError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return exc.exit_code
+    with warnings.catch_warnings():     # a warning is one line, as errors are
+        warnings.showwarning = lambda message, *_: print(
+            f"warning: {message}", file=sys.stderr)
+        try:
+            args = build_parser().parse_args(argv)
+            return args.func(args)
+        except GenomaskError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return exc.exit_code
 
 
 if __name__ == "__main__":

@@ -30,9 +30,9 @@ from .errors import CapacityError, InputError
 ENUMERATION_BUDGET = 1 << 17
 
 #: Bytes the working arrays of one batch may take: `budget_pieces` cuts
-#: `HiddenChain.log_probs`, `hmm.mask_hmm_batch` and the window sweep to
-#: fit, and `mechanism.EnumeratedMechanism.walk` splits its batches by it.
-#: It sets how work is cut, never which draws are made.  Read at call time.
+#: `HiddenChain.log_probs`, `hmm.mask_hmm_batch` and the window sweep (its
+#: powers of T held) to fit; `EnumeratedMechanism.walk` splits its batches
+#: by it.  It sets how work is cut, never which draws.  Read at call time.
 BELIEF_BUDGET_BYTES = 64 * 2**20
 
 _SUM_TOL = 1e-12
@@ -119,13 +119,13 @@ def assignment_index(u: Sequence[int], arities: Sequence[int], K: Sequence[int])
                          [arities[k] for k in sorted(K)])[0])
 
 
-def budget_pieces(count: int, row_bytes: int) -> list[slice]:
+def budget_pieces(count: int, row_bytes: int, _held: int = 0) -> list[slice]:
     """Slices of ``range(count)`` whose rows of ``row_bytes`` fit in
-    ``BELIEF_BUDGET_BYTES``; `CapacityError` if one row does not."""
-    size = BELIEF_BUDGET_BYTES // row_bytes
+    ``BELIEF_BUDGET_BYTES`` less ``_held``; `CapacityError` if one does not."""
+    size = (BELIEF_BUDGET_BYTES - _held) // row_bytes
     if size < 1:
-        raise CapacityError(f"one {row_bytes}-byte batch row exceeds the "
-                            f"{BELIEF_BUDGET_BYTES}-byte budget")
+        raise CapacityError(f"{_held} held bytes and one {row_bytes}-byte "
+                            f"row exceed the {BELIEF_BUDGET_BYTES}-byte budget")
     return [slice(start, min(start + size, count))
             for start in range(0, count, size)]
 
@@ -188,8 +188,20 @@ class HiddenChain:
         return self is other or all(map(np.array_equal, vars(self).values(),
                                         vars(other).values()))
 
+    def filtered(self, rows: np.ndarray):
+        """The scaled forward filter (Rabiner 1989) of (rows, n) symbols: per
+        position i, (f, total) with f / total = p(S_i | x_0..x_i) and total =
+        f.sum(1) = p(x_i | x_0..x_i-1)."""
+        f = self.initial * self.emission(0)[rows[:, 0]]        # (rows, m)
+        for i in range(self.n):
+            if i:
+                f = (self.forward(f * _inverse_or_zero(total)[:, None])
+                     * self.emission(i)[rows[:, i]])
+            total = f.sum(axis=1)
+            yield f, total
+
     def log_probs(self, xs: np.ndarray) -> np.ndarray:
-        """log p(x) per row by a scaled forward pass (Rabiner 1989); -inf for
+        """log p(x) per row, the sum of `filtered`'s log totals; -inf for
         impossible rows.  Rows go in pieces whose four live (rows, m) float64
         arrays fit in ``BELIEF_BUDGET_BYTES``; a row that does not fit goes
         alone, as a node of the walk that reaches this via `joint_table`."""
@@ -197,15 +209,9 @@ class HiddenChain:
         log_p = np.zeros(xs.shape[0])
         row_bytes = min(4 * 8 * self.m, BELIEF_BUDGET_BYTES)
         for piece in budget_pieces(xs.shape[0], row_bytes):
-            rows, out = xs[piece], log_p[piece]
-            f = self.initial * self.emission(0)[rows[:, 0]]    # (rows, m)
-            for i in range(self.n):
-                if i:
-                    f = (self.forward(f * _inverse_or_zero(total)[:, None])
-                         * self.emission(i)[rows[:, i]])
-                total = f.sum(axis=1)
-                out += np.log(total, out=np.full_like(total, -np.inf),
-                              where=total > 0)
+            for _, total in self.filtered(xs[piece]):
+                log_p[piece] += np.log(total, out=np.full_like(total, -np.inf),
+                                       where=total > 0)
         return log_p
 
 

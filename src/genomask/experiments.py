@@ -76,9 +76,9 @@ def _panel(config: ExperimentConfig, root: np.random.SeedSequence) -> np.ndarray
 def run_fig3(config: ExperimentConfig) -> list[dict]:
     """Window-baseline leakage sweep next to the mechanism's erasure rate,
     for one sensitive position k anywhere (`--k`).  The window of omega
-    erases the positions within omega - 1 of k; its leakage is sampled with
-    a forward filter over the released part left of it and a backward pass
-    over the part right of it (`baselines.window_leakage_sweep`)."""
+    erases the positions within omega - 1 of k; its leakage is sampled by
+    `baselines.window_leakage_sweep`, which joins the chain's forward filter
+    left of the window and a backward pass right of it through T^omega."""
     root = np.random.SeedSequence(config.seed)
     panel = _panel(config, root)
     eps, theta = config.epsilons[0], config.thetas[0]

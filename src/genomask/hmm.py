@@ -31,7 +31,8 @@ every hypothesis u, its runs draw their outputs from the minima and need
 no sampled x.
 Every product with T and every emission law comes from
 `HiddenChain.forward`, `backward` and `emission`, so a structured kernel or
-a byte check on the chain changes that class alone.
+a byte check on the chain changes that class alone; the window sweep makes
+its powers T^omega through `forward` and then uses them as plain products.
 """
 
 from __future__ import annotations

@@ -145,12 +145,13 @@ def test_pure_noise_emissions_leak_nothing(rng):
 
 
 def test_sweep_batch_fits_belief_budget(rng, monkeypatch):
-    # the 30 samples are one block, drawn at once; the budget only cuts its
-    # backward pass into pieces of at most 7 rows
+    # the 30 samples are one block, drawn at once; the budget holds the
+    # powers T^2 and T^4 and only cuts the block into pieces of at most 7 rows
     import genomask.distributions as dist_mod
 
     model = random_hmm(rng, 6, 3, eps=0.15, theta=0.05)
     row = 8 * model.m * 3                  # three working m-vectors
+    powers = 2 * 8 * model.m ** 2
     sizes, pieces = [], []
     real, real_pieces = model.sample_batch, dist_mod.budget_pieces
 
@@ -158,18 +159,18 @@ def test_sweep_batch_fits_belief_budget(rng, monkeypatch):
         sizes.append(count)
         return real(count, rng_)
 
-    def recording_pieces(count, row_bytes):
-        cut = real_pieces(count, row_bytes)
+    def recording_pieces(count, row_bytes, _held=0):
+        cut = real_pieces(count, row_bytes, _held)
         pieces.extend((p.stop - p.start) * row_bytes for p in cut)
         return cut
 
     monkeypatch.setattr(model, "sample_batch", recording)
     monkeypatch.setattr(dist_mod, "budget_pieces", recording_pieces)
-    monkeypatch.setattr(dist_mod, "BELIEF_BUDGET_BYTES", 7 * row + 5)
+    monkeypatch.setattr(dist_mod, "BELIEF_BUDGET_BYTES", 7 * row + 5 + powers)
     window_leakage_sweep(model, [0], [0, 2, 4, 2], 30, rng)
     assert sizes == [30]
     assert pieces == [7 * row] * 4 + [2 * row]
-    monkeypatch.setattr(dist_mod, "BELIEF_BUDGET_BYTES", row - 1)
+    monkeypatch.setattr(dist_mod, "BELIEF_BUDGET_BYTES", row + powers - 1)
     with pytest.raises(CapacityError):
         window_leakage_sweep(model, [0], [0, 2, 4], 30, rng)
 

@@ -58,6 +58,21 @@ def test_mask_all_sensitive(panel_file, capsys):
     assert out == "*" * 8
 
 
+def test_mask_of_a_zero_probability_x_warns_in_one_line(tmp_path, capsys):
+    # the warning used to print as Python's file path and line number,
+    # then the echoed source line; a second call in the process warns too
+    cfg = tmp_path / "table.json"
+    cfg.write_text(json.dumps({"type": "explicit", "n": 3, "alphabet": 2,
+                               "probs": [0.1, 0.1, 0.7, 0, 0.1, 0, 0, 0]}))
+    for _ in range(2):
+        assert main(["mask", "--model", str(cfg), "--k", "3",
+                     "--x", "111"]) == 0
+        out, err = capsys.readouterr()
+        assert out == "***\n"
+        assert err.startswith("warning: input sequence has probability zero")
+        assert err.count("\n") == 1
+
+
 def test_mask_deterministic_and_transcript(panel_file, tmp_path, capsys):
     tr = tmp_path / "t.jsonl"
     args = ["mask", "--panel", str(panel_file), "--epsilon", "0.2",
@@ -129,6 +144,27 @@ def test_window_command(tmp_path, capsys):
     rows = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
     assert rows[0]["leakage"] == pytest.approx(1.0)
     assert rows[-1]["leakage"] == pytest.approx(0.0, abs=1e-10)
+
+
+def test_window_powers_past_the_budget_exit_3_before_any_draw(
+        tmp_path, monkeypatch, capsys):
+    # --k 50 on a 20 x 100 panel holds T^5, T^10, T^20 and T^30 (12800
+    # bytes) beside rows of seven m-vectors (1120 bytes): one byte short
+    # of both, the sweep refuses before it draws a sample
+    panel = tmp_path / "p100.txt"
+    assert main(["gen-panel", "--m", "20", "--n", "100", "--seed", "1",
+                 "--out", str(panel)]) == 0
+
+    def no_draws(*_):
+        raise AssertionError("sample_batch called")
+
+    monkeypatch.setattr(HmmModel, "sample_batch", no_draws)
+    monkeypatch.setattr(distributions, "BELIEF_BUDGET_BYTES",
+                        4 * 8 * 20 ** 2 + 7 * 8 * 20 - 1)
+    assert main(["window", "--panel", str(panel), "--k", "50",
+                 "--runs", "10"]) == 3
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: ") and err.count("\n") == 1
 
 
 _CHAIN = {"initial": [0.4, 0.6], "transition": [[0.85, 0.15], [0.3, 0.7]]}
@@ -828,3 +864,71 @@ def test_mask_command_exits_cleanly(tmp_path, capsys):
     faults = []
     check()
     assert faults.count("") >= 10 and len(set(faults)) == 7, faults
+
+
+def test_experiment_command_exits_cleanly(tmp_path, capsys):
+    # argv drawn for `experiment` over every --name with small --n, --m and
+    # --runs (fig3 around an interior --k), the shape given directly or by
+    # a --panel; each draw breaks at most one piece: --epsilon or --theta
+    # not a number list, --omega outside 0..n or not a number, --k outside
+    # 1..n, or the panel path missing, ragged or with a non-digit.  A
+    # broken draw exits 2 with one line and prints nothing to stdout; the
+    # rest print a header and rows for the drawn grid
+    def pick(rng, options):
+        return options[int(rng.integers(len(options)))]
+
+    @seeded_examples(60)
+    def check(seed):
+        rng = np.random.default_rng([seed, 23])
+        name = pick(rng, ["fig3", "fig3", "fig4", "fig5", "robustness",
+                          "hardness"])
+        n, m = int(rng.integers(3, 7)), int(rng.integers(2, 5))
+        fault = pick(rng, ["", "", "", "", "epsilon", "theta", "omega", "k",
+                           "panel", "ragged", "digit"])
+        k = pick(rng, ["0", str(n + 1), "x"] if fault == "k" else
+                 [str(int(rng.integers(2, n)))] if name == "fig3" else
+                 ["1", str(min(n, 5)), f"1,{min(n, 5)}"])
+        epsilon, theta = pick(rng, ["0.1", "0.1,0.3"]), "0.05"
+        if fault == "epsilon":
+            epsilon = pick(rng, ["x", "", "0.1;0.2"])
+        elif fault == "theta":
+            theta = pick(rng, ["x", "", "0.1;0.2"])
+        omega = (pick(rng, ["-1", str(n + 1), "x"]) if fault == "omega"
+                 else ",".join(map(str, rng.integers(n + 1, size=2))))
+        # "=" keeps argparse from reading "-1" as an option; no --omega
+        # takes the default grid up to n
+        omega_args = ([f"--omega={omega}"] if fault == "omega"
+                      or rng.integers(2) else [])
+        argv = ["experiment", "--name", name, "--k", k, "--epsilon", epsilon,
+                "--theta", theta, *omega_args,
+                "--runs", str(int(rng.integers(1, 12))), "--seed", str(seed)]
+        if fault in ("panel", "ragged", "digit") or rng.integers(2):
+            rows = ["".join(map(str, row))
+                    for row in rng.integers(2, size=(m, n))]
+            if fault == "ragged":
+                rows[-1] = rows[-1][:-1]
+            elif fault == "digit":
+                rows[0] = "a" + rows[0][1:]
+            panel = tmp_path / f"experiment-panel{seed}.txt"
+            panel.write_text("".join(row + "\n" for row in rows))
+            argv += ["--panel", str(panel) + "x" * (fault == "panel")]
+        else:
+            argv += ["--n", str(n), "--m", str(m)]
+        code = main(argv)
+        out, err = capsys.readouterr()
+        assert code in (0, 2, 3, 4), (argv, code, err)
+        assert "Traceback" not in err
+        if code:
+            assert err.startswith("error: ") and err.count("\n") == 1, err
+            assert out == "", out
+        assert code == (2 if fault else 0), (argv, code, err)
+        if not code:
+            rows = out.splitlines()
+            assert rows[0] == ",".join(CSV_COLUMNS) and len(rows) > 1, out
+            names.append(name)
+        faults.append(fault)
+
+    faults, names = [], []
+    check()
+    assert len(set(faults)) == 8, faults
+    assert len(set(names)) == 5 and names.count("fig3") >= 3, names

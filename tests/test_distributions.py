@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import json
 import tracemalloc
@@ -28,7 +29,12 @@ from genomask.distributions import (
 from genomask.hmm import BatchMaskingSession
 from genomask.mechanism import EnumeratedMechanism
 
-from conftest import random_explicit, random_hmm, random_markov
+from conftest import (
+    random_explicit,
+    random_hmm,
+    random_markov,
+    zero_transition_chain,
+)
 from strategies import seeded_examples, small_models
 
 
@@ -402,3 +408,27 @@ def test_chain_methods_equal_the_dense_fields_bitwise(seed):
             assert np.array_equal(out, dense)
     for i in range(chain.n):
         assert np.array_equal(chain.emission(i), chain.emissions[i])
+
+
+def test_log_probs_are_pinned():
+    # sha256 of `HiddenChain.log_probs` bytes, whose HMM joint tables the
+    # exact audits read: whole spaces of short HMMs (epsilon or theta 0 in
+    # some, so -inf rows too) and of a chain with impossible steps, and
+    # drawn rows of long HMMs and a long Markov chain
+    digest = hashlib.sha256()
+    for seed in range(12):
+        rng = np.random.default_rng([seed, 33])
+        eps, theta = [(None, None), (0.0, None), (None, 0.0),
+                      (0.0, 0.0)][seed % 4]
+        short = random_hmm(rng, 6, 3, 2 + seed % 2, eps, theta)
+        long = random_hmm(rng, 80, 10, 2, eps, theta)
+        for model, xs in ((short, short.enumerate_space()),
+                          (long, long.sample_batch(40, rng))):
+            digest.update(model.hidden_chain().log_probs(xs).tobytes())
+    chain = zero_transition_chain(6)
+    markov = random_markov(np.random.default_rng(33), 120, alphabet=3)
+    drawn = markov.sample_batch(40, np.random.default_rng(3))
+    for model, xs in ((chain, chain.enumerate_space()), (markov, drawn)):
+        digest.update(model.hidden_chain().log_probs(xs).tobytes())
+    assert digest.hexdigest() == (
+        "746076ce7033ae5e38b146cd97a879ae46d8696149794951102d34b3f09e8f4b")

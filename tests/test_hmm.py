@@ -833,9 +833,10 @@ def test_seeded_estimates_do_not_depend_on_the_budget(monkeypatch):
     # budgets that cut every block into 1-row and into 37-row pieces (the
     # 512- and 88-run rate blocks of 600 runs, a 40-row caller batch) give
     # the rate and the outcomes of the default budget bit for bit, and the
-    # sweeps up to the rounding of smaller matrix products; a sweep around
-    # x_2 also stores a left filter for each distinct lo (0 at omega 2,
-    # 1 at omega 1), and its law has 2 x arity m-vectors
+    # sweeps up to the rounding of smaller matrix products; each sweep also
+    # holds its powers of T (omegas 1 and 3 around x_0, and 2 too around
+    # x_2), and a sweep around x_2 stores a left filter for each distinct
+    # lo (0 at omega 2, 1 at omega 1)
     import genomask.distributions as dist_mod
 
     rng = np.random.default_rng(1818)
@@ -844,8 +845,8 @@ def test_seeded_estimates_do_not_depend_on_the_budget(monkeypatch):
     xs = model.sample_batch(40, rng)
     mask_row = 8 * (2 * 4 * model.m + 4 * model.n)
     rate_row = 8 * (2 * 4 * model.m + model.n)
-    sweep_row = 3 * 8 * model.m
-    interior_row = (3 + 2 + 2 * model.arities[2]) * 8 * model.m
+    sweep_row, sweep_powers = 3 * 8 * model.m, 2 * 8 * model.m ** 2
+    interior_row, interior_powers = (3 + 2) * 8 * model.m, 3 * 8 * model.m ** 2
 
     def rate():
         return erasure_rate_mc(model, K, 600, np.random.default_rng(3))
@@ -868,12 +869,14 @@ def test_seeded_estimates_do_not_depend_on_the_budget(monkeypatch):
         assert rate() == want[0]
         monkeypatch.setattr(dist_mod, "BELIEF_BUDGET_BYTES", rows * mask_row)
         assert np.array_equal(outcomes(), want[2])
-        monkeypatch.setattr(dist_mod, "BELIEF_BUDGET_BYTES", rows * sweep_row)
+        monkeypatch.setattr(dist_mod, "BELIEF_BUDGET_BYTES",
+                            rows * sweep_row + sweep_powers)
         assert np.abs(sweep() - want[1]).max() <= 1e-12
         monkeypatch.setattr(dist_mod, "BELIEF_BUDGET_BYTES",
-                            rows * interior_row)
+                            rows * interior_row + interior_powers)
         assert np.abs(interior() - want[3]).max() <= 1e-12
-    monkeypatch.setattr(dist_mod, "BELIEF_BUDGET_BYTES", interior_row - 1)
+    monkeypatch.setattr(dist_mod, "BELIEF_BUDGET_BYTES",
+                        interior_row + interior_powers - 1)
     assert np.abs(sweep() - want[1]).max() <= 1e-12
     with pytest.raises(CapacityError):
         interior()
