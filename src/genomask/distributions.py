@@ -143,8 +143,7 @@ class HiddenChain:
     c) and ``classes[i, s]``, the class of state s at position i.  Only
     `forward`, `backward` and `emission(i)`, p(x_i = v | S_i = s) made one
     position at a time, read T and the law, so a structured T (copying:
-    diagonal plus rank one) or a byte check has one site to change; the
-    dense `emissions` stack is derived from them for the oracles alone."""
+    diagonal plus rank one) or a byte check has one site to change."""
 
     initial: np.ndarray      # (m,)
     trans: np.ndarray        # (m, m)
@@ -162,13 +161,6 @@ class HiddenChain:
     @property
     def n(self) -> int:
         return self.classes.shape[0]
-
-    @property
-    def emissions(self) -> np.ndarray:
-        """The dense, write-locked (n, arity, m) stack of `emission`."""
-        stack = np.moveaxis(self.law.take(self.classes, axis=1), 0, 1)
-        stack.setflags(write=False)
-        return stack
 
     def forward(self, b: np.ndarray, out=None) -> np.ndarray:
         """b @ T: a belief over S_i carried to S_i+1."""
@@ -304,10 +296,6 @@ class ExplicitJointModel(SequenceModel):
     def uniform(cls, n: int, alphabet: int = 2) -> "ExplicitJointModel":
         size = alphabet ** n
         return cls(np.full(size, 1.0 / size), n=n, alphabet=alphabet)
-
-    def index_of(self, x: Sequence[int]) -> int:
-        return int(row_codes([validate_sequence(x, self.arities)],
-                             self.arities)[0])
 
     def joint_probs(self, xs: np.ndarray) -> np.ndarray:
         return self.probs[row_codes(xs, self.arities)]

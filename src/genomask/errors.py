@@ -31,10 +31,10 @@ class NumericalError(GenomaskError):
 class ImpossibleContextError(GenomaskError):
     """A conditioning event has probability zero.
 
-    Raised by the exact conditional queries `EnumeratedMechanism.conditional`
-    and `BatchMaskingSession.predictive`, and caught nowhere in the package.
-    The masking paths never raise it: `release_rule` gives a context with no
-    live hypothesis minimum 0, so it is erased with probability one.
+    Raised by the conditional query `BatchMaskingSession.predictive`, and
+    caught nowhere in the package.  The masking paths never raise it:
+    `release_rule` gives a context with no live hypothesis minimum 0, so it
+    is erased with probability one.
     """
 
     exit_code = 4

@@ -25,6 +25,9 @@ DEFAULT_EPSILONS = (0.01, 0.05, 0.1, 0.2, 0.3, 0.4, 0.5)
 DEFAULT_THETAS = (0.01, 0.05)
 DEFAULT_OMEGAS = tuple(range(0, 55, 5))
 
+#: The enumerable lengths that the exact runners cut n down to.
+TRUNCATED_N = {"fig5": 6, "robustness": 5}
+
 
 @dataclass
 class ExperimentConfig:
@@ -50,11 +53,19 @@ class ExperimentConfig:
             raise InputError("parameter grids must be non-empty")
         if bad := [w for w in self.omegas if not 0 <= w <= self.n]:
             raise InputError(f"omega {bad[0]} outside 0..{self.n}")
+        if bad := [v + 1 for v in self.k if not 0 <= v < self.length]:
+            raise InputError(f"sensitive position {bad[0]} outside 1.."
+                             f"{self.length}, the n that {self.experiment} masks")
         if not 0 <= self.seed < 2 ** 64:
             raise InputError("seed must fit in 64 bits")
         if self.panel is not None and np.shape(self.panel) != (self.m, self.n):
             raise InputError(f"panel of shape {np.shape(self.panel)} does not "
                              f"match (m, n) = ({self.m}, {self.n})")
+
+    @property
+    def length(self) -> int:
+        """The n the runner masks: `TRUNCATED_N` cuts it for exact runners."""
+        return min(self.n, TRUNCATED_N.get(self.experiment, self.n))
 
 
 def _row(config: ExperimentConfig, **fields) -> dict:
@@ -122,12 +133,11 @@ def run_fig5(config: ExperimentConfig) -> list[dict]:
     """Mechanism vs. LP optimum vs. bound on truncated instances."""
     root = np.random.SeedSequence(config.seed)
     panel = _panel(config, root)
-    n_small = min(6, config.n)
     rows = []
     for theta in config.thetas:
         for eps in config.epsilons:
             # parameters are kept as-is after truncation
-            model = HmmModel(panel[:, :n_small], eps, theta)
+            model = HmmModel(panel[:, :config.length], eps, theta)
             try:
                 rate = mechanism.achievable_rate_exact(model, config.k)
                 bound = bounds.upper_bound_rate(model, config.k)
@@ -145,7 +155,7 @@ def run_robustness(config: ExperimentConfig) -> list[dict]:
     """Leakage of mechanisms built from perturbed chains vs. the divergence
     bound, on enumerable lengths."""
     root = np.random.SeedSequence(config.seed)
-    n = min(config.n, 5)
+    n = config.length
     rows = []
     for idx, child in enumerate(root.spawn(config.runs)):
         rng = np.random.default_rng(child)

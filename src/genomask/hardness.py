@@ -142,10 +142,6 @@ class ParityModel(SequenceModel):
         ok = np.all(self._encode(bits) == xs, axis=1)
         return np.where(ok, 2.0 ** -self.num_edges, 0.0)
 
-    def assemble(self, bits) -> tuple[int, ...]:
-        """Sequence implied by an assignment of edge bits."""
-        return tuple(self._encode(np.reshape(bits, (1, -1)))[0].tolist())
-
     def sample_batch(self, count: int, rng: np.random.Generator) -> np.ndarray:
         return self._encode(rng.integers(2, size=(count, self.num_edges)))
 

@@ -87,10 +87,6 @@ class MaskedSequence:
     def __len__(self) -> int:
         return len(self.symbols)
 
-    @property
-    def erasure_count(self) -> int:
-        return sum(1 for v in self.symbols if v == STAR)
-
     def text(self) -> str:
         """A digit per symbol, ``*`` for STAR; `InputError` above 9."""
         return symbols_text(self.symbols)

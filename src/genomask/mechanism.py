@@ -23,12 +23,10 @@ position, so a `NodeBatch` stores many nodes flat, one entry per (node,
 support row), and the predictive and release tables of the whole batch are
 single array operations.  Each entry's flat cell (node, hypothesis, own
 symbol) sums it into the first and reads its step factor off the second.
-The per-node `predictive`, `release_table` and `step_factor` are their
-one-node case, for the conditional query (`EnumeratedMechanism.conditional`),
-the prior table of the converse bound
-(`EnumeratedMechanism.sensitive_conditionals`) and the tests.  The release
-probabilities come from one rule, `masking.release_rule`, here and in the
-HMM session alike.  Batches are cut at node boundaries and walked depth
+The per-node `predictive` is their one-node case, for the prior table of
+the converse bound (`EnumeratedMechanism.sensitive_conditionals`).  The
+release probabilities come from one rule, `masking.release_rule`, here and
+in the HMM session alike.  Batches are cut at node boundaries and walked depth
 first, so the walk's live arrays stay within
 ``distributions.BELIEF_BUDGET_BYTES``.
 
@@ -63,7 +61,7 @@ from .distributions import (
     sensitive_assignments,
     validate_sequence,
 )
-from .errors import CapacityError, ImpossibleContextError, InputError
+from .errors import CapacityError, InputError
 from .info import mutual_information
 from .masking import (
     STAR,
@@ -135,7 +133,7 @@ class EnumeratedMechanism:
     # Each table is computed for a batch of nodes of the prefix tree that
     # sit at the same position, stored flat: entry e is support row
     # ``row[e]`` of node ``node[e]``.  ``row`` may be a slice; the one-node
-    # primitives below pass node 0 and every row.
+    # `predictive` passes node 0 and every row.
 
     def _cells(self, pos: int, node, row):
         """Per-entry flat index (node, hypothesis, own symbol) into the
@@ -156,7 +154,7 @@ class EnumeratedMechanism:
         np.divide(sums, totals[..., None], out=cond, where=totals[..., None] > 0)
         return cond, totals
 
-    # -- primitive queries --------------------------------------------------
+    # -- one-node queries ---------------------------------------------------
 
     def predictive(self, wq: np.ndarray, pos: int):
         """Per-hypothesis conditional of X_pos given the current weights.
@@ -176,23 +174,6 @@ class EnumeratedMechanism:
         for pos, arity in enumerate(self.arities):
             out[pos, :, :arity] = self.predictive(self.q, pos)[0]
         return out
-
-    def release_table(self, cond: np.ndarray, totals: np.ndarray, pos: int):
-        """Release probabilities for position pos.
-
-        Returns (mins, ratios): ``mins[v]`` is the over-hypotheses minimum
-        conditional of symbol v (also the marginal probability of releasing
-        v), ``ratios[u, v]`` the probability of release for a holder of
-        assignment u observing symbol v.
-        """
-        return release_rule(cond, totals > 0, pos in self.K)
-
-    def step_factor(self, pos: int, y: int, ratios: np.ndarray) -> np.ndarray:
-        """Per-sequence weight multiplier for outcome y at position pos."""
-        release = ratios.reshape(-1)[self._cells(pos, 0, slice(None))]
-        if y == STAR:
-            return 1.0 - release
-        return np.where(self.space[:, pos] == y, release, 0.0)
 
     # -- single runs ---------------------------------------------------------
 
@@ -218,38 +199,6 @@ class EnumeratedMechanism:
         y = y.tolist()
         return MaskedSequence(tuple(y)), tuple(
             TranscriptEntry(pos, p, y[pos]) for pos, p in zip(ordering, r))
-
-    def conditional(self, i: int, u, y_prefix=()) -> np.ndarray:
-        """p(X_i | sensitive = u, produced prefix) under the mechanism's
-        model; ``y_prefix`` is an ordered sequence of (position, outcome)
-        pairs, replayed through `step_factor`.
-
-        Raises `ImpossibleContextError` when the context has probability
-        zero.
-        """
-        if not 0 <= i < self.n:
-            raise InputError(f"position {i} out of range")
-        u = tuple(int(v) for v in u)
-        if len(u) != len(self.K):
-            raise InputError("assignment length does not match sensitive set")
-        seen = set()
-        wq = self.q.copy()
-        for pos, val in y_prefix:
-            pos = int(pos)
-            if pos == i or pos in seen or not 0 <= pos < self.n:
-                raise InputError(f"invalid prefix position {pos}")
-            if val != STAR and not 0 <= val < self.arities[pos]:
-                raise InputError(f"invalid prefix outcome {val} at {pos}")
-            seen.add(pos)
-            cond, totals = self.predictive(wq, pos)
-            _, ratios = self.release_table(cond, totals, pos)
-            wq *= self.step_factor(pos, val, ratios)
-        cond, totals = self.predictive(wq, i)
-        code = assignment_index(u, self.arities, self.K)
-        if totals[code] <= 0.0:
-            raise ImpossibleContextError(
-                f"context (sensitive={u}, prefix) has probability zero")
-        return cond[code].copy()
 
     # -- exact composition ----------------------------------------------------
 
@@ -428,9 +377,9 @@ class NodeBatch:
     otherwise.  The tables at ``pos`` have the node on their leading axis:
     ``cond`` and ``ratios`` (nodes, num_u, arity), ``totals`` (nodes, num_u)
     and ``mins`` (nodes, arity), as `EnumeratedMechanism.predictive` and
-    `EnumeratedMechanism.release_table` give them for one node.  ``cell[e]``
-    is entry e's flat index into the (nodes, num_u, arity) tables: its
-    node, its row's hypothesis and its row's symbol at ``pos``.
+    `masking.release_rule` give them for one node.  ``cell[e]`` is entry
+    e's flat index into the (nodes, num_u, arity) tables: its node, its
+    row's hypothesis and its row's symbol at ``pos``.
     """
 
     depth: int

@@ -9,6 +9,7 @@ from genomask import (
     Ordering,
     STAR,
     achievable_rate_exact,
+    baselines,
     distributions,
     load_model_config,
     load_panel,
@@ -19,6 +20,7 @@ from genomask import (
 from genomask.cli import main
 from genomask.distributions import HmmModel
 from genomask.experiments import CSV_COLUMNS
+from genomask.hardness import MAX_ELEMENTS_EXHAUSTIVE
 from genomask.mechanism import EnumeratedMechanism
 
 from conftest import first_seen_window_leakage, radius_window, replayed_ratios
@@ -932,3 +934,191 @@ def test_experiment_command_exits_cleanly(tmp_path, capsys):
     check()
     assert len(set(faults)) == 8, faults
     assert len(set(names)) == 5 and names.count("fig3") >= 3, names
+
+
+def _pick(rng, options):
+    return options[int(rng.integers(len(options)))]
+
+
+def test_gen_panel_command_exits_cleanly(tmp_path, capsys):
+    # argv drawn for `gen-panel` with small --m and --n; each draw breaks at
+    # most one piece: a dimension that is 0, negative or not an integer, an
+    # --alphabet outside 2..10, a negative or non-numeric seed, an --out in
+    # a missing directory, or a panel past the memory budget (exit 3).  A
+    # broken draw exits with one line and prints nothing to stdout; the
+    # rest write m lines of n digits below the alphabet
+    @seeded_examples(30)
+    def check(seed):
+        rng = np.random.default_rng([seed, 37])
+        m, n = (str(v) for v in rng.integers(1, 6, size=2))
+        alphabet = str(rng.integers(2, 11))
+        fault = _pick(rng, ["", "", "", "dims", "alphabet", "seed", "out",
+                            "budget"])
+        if fault == "dims":
+            m = _pick(rng, ["0", "-2", "x", "1.5"])
+        elif fault == "budget":
+            m = n = "100000"
+        elif fault == "alphabet":
+            alphabet = _pick(rng, ["1", "11", "x"])
+        seed_arg = _pick(rng, ["-1", "x"]) if fault == "seed" else str(seed)
+        path = tmp_path / ("no-such-dir" if fault == "out" else "") / f"g{seed}"
+        argv = ["gen-panel", "--m", m, "--n", n, "--alphabet", alphabet,
+                "--seed", seed_arg]
+        if fault == "out" or rng.integers(2):
+            argv += ["--out", str(path)]
+        code = main(argv)
+        out, err = capsys.readouterr()
+        assert code in (0, 2, 3, 4), (argv, code, err)
+        assert "Traceback" not in err
+        if code:
+            assert err.startswith("error: ") and err.count("\n") == 1, err
+            assert out == "", out
+        assert code == {"": 0, "budget": 3}.get(fault, 2), (argv, code, err)
+        if not code:
+            rows = (path.read_text() if "--out" in argv else out).splitlines()
+            assert len(rows) == int(m), rows
+            assert all(len(r) == int(n) and max(map(int, r)) < int(alphabet)
+                       for r in rows), rows
+        faults.append(fault)
+
+    faults = []
+    check()
+    assert faults.count("") >= 5 and len(set(faults)) == 6, faults
+
+
+def test_robustness_command_exits_cleanly(tmp_path, capsys):
+    # argv drawn for `robustness` over Markov and explicit configs with
+    # n <= 4; each draw breaks at most one piece: a --q-model that is
+    # missing, not JSON or of another length, or a --k outside 1..n, empty
+    # or not a number.  A broken draw exits 2 with one line and prints
+    # nothing to stdout; the rest print a leakage within the divergence
+    # bound
+    def config(rng, n):
+        if rng.integers(2):
+            return {"type": "markov", "n": n,
+                    "initial": rng.dirichlet(np.ones(2)).tolist(),
+                    "transition": rng.dirichlet(np.ones(2), size=2).tolist()}
+        return {"type": "explicit", "n": n,
+                "probs": rng.dirichlet(np.ones(2 ** n)).tolist()}
+
+    @seeded_examples(24)
+    def check(seed):
+        rng = np.random.default_rng([seed, 41])
+        n = int(rng.integers(2, 5))
+        fault = _pick(rng, ["", "", "", "model", "json", "shape", "k"])
+        p, q = tmp_path / f"p{seed}.json", tmp_path / f"q{seed}.json"
+        p.write_text(json.dumps(config(rng, n)))
+        q.write_text("{" if fault == "json" else
+                     json.dumps(config(rng, n + (fault == "shape"))))
+        k = _pick(rng, ["0", str(n + 1), "x", ""] if fault == "k"
+                  else ["1", str(n), f"1,{n}"])
+        argv = ["robustness", "--model", str(p), "--q-model",
+                str(q) + "x" * (fault == "model"), "--k", k]
+        code = main(argv)
+        out, err = capsys.readouterr()
+        assert code in (0, 2, 3, 4), (argv, code, err)
+        assert "Traceback" not in err
+        if code:
+            assert err.startswith("error: ") and err.count("\n") == 1, err
+            assert out == "", out
+        assert code == (2 if fault else 0), (argv, code, err)
+        if not code:
+            res = json.loads(out)
+            assert 0 <= res["leakage_bits"] <= res["kl_bound_bits"] + 1e-9, res
+        faults.append(fault)
+
+    faults = []
+    check()
+    assert faults.count("") >= 5 and len(set(faults)) == 5, faults
+
+
+def test_hardness_command_exits_cleanly(tmp_path, capsys):
+    # argv drawn for `hardness` over small instances, given as a file or as
+    # a JSON literal; each draw breaks at most one piece: a set element
+    # outside 1..m, an empty set, sets that miss an element, a missing
+    # field, text that is not JSON, or m past the ordering search's cap
+    # (exit 3).  A broken draw exits with one line and prints nothing to
+    # stdout; on the rest the ordering search finds the hitting-set optimum
+    @seeded_examples(30)
+    def check(seed):
+        rng = np.random.default_rng([seed, 43])
+        m, k = int(rng.integers(1, 5)), int(rng.integers(1, 4))
+        member = rng.random((m, k)) < 0.5
+        member[np.arange(m), rng.integers(k, size=m)] = True
+        member[rng.integers(m, size=k), np.arange(k)] = True
+        sets = [[v + 1 for v in range(m) if member[v, j]] for j in range(k)]
+        fault = _pick(rng, ["", "", "", "element", "empty", "cover", "field",
+                            "json", "budget"])
+        if fault == "element":
+            sets[0].append(m + 1)
+        elif fault == "empty":
+            sets.append([])
+        elif fault == "budget":
+            m = MAX_ELEMENTS_EXHAUSTIVE + 1
+            sets = [list(range(1, m + 1))]
+        instance = {"m": m + (fault == "cover"), "sets": sets}
+        if fault == "field":
+            del instance["sets"]
+        text = "{" if fault == "json" else json.dumps(instance)
+        source = text
+        if rng.integers(2):
+            source = tmp_path / f"instance{seed}.json"
+            source.write_text(text)
+        argv = ["hardness", "--instance", str(source)]
+        code = main(argv)
+        out, err = capsys.readouterr()
+        assert code in (0, 2, 3, 4), (argv, code, err)
+        assert "Traceback" not in err
+        if code:
+            assert err.startswith("error: ") and err.count("\n") == 1, err
+            assert out == "", out
+        assert code == {"": 0, "budget": 3}.get(fault, 2), (argv, code, err)
+        if not code:
+            report = json.loads(out)
+            assert report["e_star"] == report["h_star"], report
+        faults.append(fault)
+
+    faults = []
+    check()
+    assert faults.count("") >= 5 and len(set(faults)) == 7, faults
+
+
+def test_experiment_k_past_the_truncation_exits_2(monkeypatch, capsys):
+    # fig5 cuts n to 6 and robustness to 5, to enumerate; a --k past the
+    # cut used to pass the check against --n, so fig5 wrote one
+    # error:InputError row per grid point and exited 0, and robustness
+    # exited 2 naming a 0-based position.  The cut is checked before any
+    # row is computed
+    def refuse(*args, **kwargs):
+        raise AssertionError("a row ran before --k was checked")
+
+    monkeypatch.setattr(mechanism, "achievable_rate_exact", refuse)
+    monkeypatch.setattr(baselines, "robustness_experiment", refuse)
+    for argv, want in (
+            (["--name", "fig5", "--n", "8", "--m", "3", "--k", "8",
+              "--epsilon", "0.1", "--theta", "0.05"],
+             "8 outside 1..6, the n that fig5 masks"),
+            (["--name", "robustness", "--n", "6", "--m", "3", "--k", "6",
+              "--runs", "2"], "6 outside 1..5, the n that robustness masks")):
+        assert main(["experiment", *argv]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err == f"error: sensitive position {want}\n", err
+
+    @seeded_examples(12)
+    def check(seed):
+        rng = np.random.default_rng([seed, 47])
+        name, cut = _pick(rng, [("fig5", 6), ("robustness", 5)])
+        n = cut + int(rng.integers(1, 4))
+        past = int(rng.integers(cut + 1, n + 1))
+        argv = ["experiment", "--name", name, "--n", str(n), "--m", "3",
+                "--k", _pick(rng, [str(past), f"1,{past}"]), "--epsilon",
+                "0.1", "--theta", "0.05", "--runs", "2", "--seed", str(seed)]
+        code = main(argv)
+        out, err = capsys.readouterr()
+        assert code in (0, 2, 3, 4), (argv, code, err)
+        assert "Traceback" not in err
+        assert code == 2 and out == "", (argv, code, out)
+        assert err == (f"error: sensitive position {past} outside 1..{cut}, "
+                       f"the n that {name} masks\n"), err
+
+    check()

@@ -19,6 +19,8 @@ from genomask import (
 )
 from genomask.hardness import random_instance, reduction_report
 
+from conftest import assemble
+
 
 def chain_instance():
     return HittingSetInstance.from_lists(3, [[1, 2], [2, 3]])
@@ -65,7 +67,7 @@ def test_parity_table_support_is_the_assembled_bit_vectors():
     model = ParityModel(HittingSetInstance.from_lists(3, [[1, 2], [2, 3],
                                                          [1, 3]]))
     space, probs = model.joint_table()
-    assembled = {model.assemble(bits) for bits in
+    assembled = {assemble(model, bits) for bits in
                  itertools.product((0, 1), repeat=model.num_edges)}
     assert len(assembled) == 2 ** model.num_edges
     assert {tuple(x) for x in space[probs > 0].tolist()} == assembled

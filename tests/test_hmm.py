@@ -31,9 +31,13 @@ from genomask.info import sample_stderr
 from genomask.mechanism import EnumeratedMechanism
 
 from conftest import (
+    conditional,
+    emissions,
     possible_assignments,
     random_hmm,
     random_markov,
+    release_table,
+    step_factor,
     zero_transition_chain,
 )
 from strategies import seeded_examples, small_models
@@ -54,7 +58,7 @@ def path_probability_table(model, K):
     sensitive emissions."""
     K = tuple(sorted(K))
     chain = model.hidden_chain()
-    t, emis = chain.trans, chain.emissions
+    t, emis = chain.trans, emissions(chain)
     us = sensitive_assignments(model.arities, K)
     out = np.zeros((len(us), chain.m))
     for s0 in range(chain.m):
@@ -79,14 +83,14 @@ def reference_backward(model, K):
     K = tuple(sorted(K))
     us = sensitive_assignments(model.arities, K)
     ucomp = np.array(us, dtype=np.int64).reshape(len(us), len(K))
-    n, t = model.n, chain.trans
+    n, t, emis = model.n, chain.trans, emissions(chain)
     values = np.ones((n, ucomp.shape[0], chain.m))
     slot = {k: j for j, k in enumerate(K)}
     for i in range(n - 1, -1, -1):
         if i < n - 1:
             values[i] = values[i + 1] @ t.T
         if i in slot:
-            values[i] *= chain.emissions[i][ucomp[:, slot[i]]]
+            values[i] *= emis[i][ucomp[:, slot[i]]]
     prods = np.ones_like(values)
     for i in range(n - 1):
         prods[i] = values[i + 1] @ t.T
@@ -96,7 +100,7 @@ def reference_backward(model, K):
 def segment_rows(table):
     """Every backward row and product, (n, num_u, m) each, walked through
     `SensitiveBackwardTable.segment` one segment at a time."""
-    n, stride = table.chain.emissions.shape[0], table.stride
+    n, stride = table.chain.n, table.stride
     rows, prods = np.empty((2, n, table.num_u, table.chain.m))
     for j in range(len(table.values)):
         table.segment(j, rows[j * stride:], prods[j * stride:])
@@ -224,7 +228,7 @@ def test_first_predictive_is_direct_marginalization(rng):
     ses = BatchMaskingSession(model, K, [[1]])
     engine = EnumeratedMechanism(model, K)
     for u in possible_assignments(engine):
-        assert ses.predictive(u)[0] == pytest.approx(engine.conditional(0, u),
+        assert ses.predictive(u)[0] == pytest.approx(conditional(engine, 0, u),
                                                      abs=1e-10)
 
 
@@ -252,11 +256,11 @@ def _walk_all_prefixes(model, K, x_sensitive):
                 continue
             got = ses.predictive(u)[0]
             worst = max(worst, float(np.max(np.abs(got - cond[code]))))
-        mins, ratios = eng.release_table(cond, totals, depth)
+        mins, ratios = release_table(eng, cond, totals, depth)
         for y in (*range(model.arities[depth]), STAR):
             if y != STAR and mins[y] <= 0.0:
                 continue
-            wq2 = wq * eng.step_factor(depth, y, ratios)
+            wq2 = wq * step_factor(eng, depth, y, ratios)
             if wq2.max() <= 0.0:
                 continue
             nxt = copy.deepcopy(ses)

@@ -45,6 +45,8 @@ from genomask.masking import (
 from genomask.mechanism import EnumeratedMechanism, OutputDistribution
 
 from conftest import (
+    conditional,
+    erasure_count,
     first_seen_window_leakage,
     parity_n3,
     possible_assignments,
@@ -52,7 +54,9 @@ from conftest import (
     random_hmm,
     radius_window,
     random_markov,
+    release_table,
     replayed_ratios,
+    step_factor,
     zero_transition_chain,
 )
 from strategies import seeded_examples, small_models
@@ -69,20 +73,20 @@ def independent_model(n=3, p1=0.3):
     return ExplicitJointModel(probs, n=n, alphabet=2)
 
 
-# --- EnumeratedMechanism.conditional -----------------------------------------
+# --- the conditional oracle --------------------------------------------------
 
 
 def test_conditional_of_independent_model_is_marginal():
     m = independent_model()
-    d = EnumeratedMechanism(m, [0]).conditional(2, (0,), [(0, STAR), (1, 1)])
+    d = conditional(EnumeratedMechanism(m, [0]), 2, (0,), [(0, STAR), (1, 1)])
     assert d == pytest.approx([0.5, 0.5])  # P(1) = 0.3 + 2/10
 
 
 def test_markov_conditional_with_erased_sensitive():
     mc = MarkovChainModel.binary_symmetric(0.9, 3)
     engine = EnumeratedMechanism(mc, [0])
-    d0 = engine.conditional(1, (0,), [(0, STAR)])
-    d1 = engine.conditional(1, (1,), [(0, STAR)])
+    d0 = conditional(engine, 1, (0,), [(0, STAR)])
+    d1 = conditional(engine, 1, (1,), [(0, STAR)])
     assert d0 == pytest.approx([0.9, 0.1], abs=1e-12)
     assert d1 == pytest.approx([0.1, 0.9], abs=1e-12)
 
@@ -91,7 +95,7 @@ def test_conditional_sums_to_one_on_reachable_prefixes(rng):
     model = random_markov(rng, 4)
     engine = EnumeratedMechanism(model, [1])
     for u in possible_assignments(engine):
-        d = engine.conditional(3, u, [(1, STAR), (0, 0)])
+        d = conditional(engine, 3, u, [(1, STAR), (0, 0)])
         assert d.sum() == pytest.approx(1.0, abs=1e-9)
 
 
@@ -99,15 +103,15 @@ def test_impossible_context_raises():
     m = ExplicitJointModel([0.5, 0.0, 0.0, 0.5], n=2, alphabet=2)
     with pytest.raises(ImpossibleContextError):
         # y0=1 under u=0
-        EnumeratedMechanism(m, [0]).conditional(1, (0,), [(0, 1)])
+        conditional(EnumeratedMechanism(m, [0]), 1, (0,), [(0, 1)])
 
 
 def test_prefix_validation():
     engine = EnumeratedMechanism(independent_model(), [0])
     with pytest.raises(InputError):
-        engine.conditional(1, (0,), [(1, 0)])
+        conditional(engine, 1, (0,), [(1, 0)])
     with pytest.raises(InputError):
-        engine.conditional(1, (0,), [(0, 5)])
+        conditional(engine, 1, (0,), [(0, 5)])
 
 
 # --- erasure probability -------------------------------------------------------
@@ -169,10 +173,10 @@ def _full_support_mask(engine, x, ordering, rng):
     transcript = []
     for pos in ordering:
         cond, totals = engine.predictive(wq, pos)
-        _, ratios = engine.release_table(cond, totals, pos)
+        _, ratios = release_table(engine, cond, totals, pos)
         r = float(ratios[u, x[pos]])
         y = x[pos] if rng.random() < r else STAR
-        wq *= engine.step_factor(pos, y, ratios)
+        wq *= step_factor(engine, pos, y, ratios)
         transcript.append(TranscriptEntry(pos, r, y))
     return tuple(transcript)
 
@@ -402,7 +406,7 @@ def test_local_optimality_release_mass(rng):
         mins = None
         for u in possible_assignments(engine):
             try:
-                d = engine.conditional(depth, u, prefix)
+                d = conditional(engine, depth, u, prefix)
             except ImpossibleContextError:
                 continue
             mins = d if mins is None else np.minimum(mins, d)
@@ -443,7 +447,7 @@ def test_masked_sequence_roundtrip():
     ms = MaskedSequence((1, STAR, 0))
     assert ms.text() == "1*0"
     assert MaskedSequence.parse("1*0") == ms
-    assert ms.erasure_count == 1
+    assert erasure_count(ms) == 1
     assert ms.is_faithful_to((1, 1, 0))
     assert not ms.is_faithful_to((1, 1, 1))
 
@@ -471,8 +475,8 @@ def test_transcript_serialization():
 
 # --- level-batched walker -------------------------------------------------------
 #
-# The per-node primitives (`predictive`, `release_table`, `step_factor`) are
-# the oracle: replaying them along one output path must give that output's
+# The one-node `predictive` and conftest's `release_table` and `step_factor`
+# are the oracle: replaying them along one output path must give that output's
 # column of the law bit for bit, since the batched walk does the same
 # arithmetic on the same rows in the same order.
 
@@ -484,8 +488,8 @@ def _replay(engine, ordering, y):
     wp, wq = engine.p.copy(), engine.q.copy()
     for pos in ordering:
         cond, totals = engine.predictive(wq, pos)
-        _, ratios = engine.release_table(cond, totals, pos)
-        f = engine.step_factor(pos, y[pos], ratios)
+        _, ratios = release_table(engine, cond, totals, pos)
+        f = step_factor(engine, pos, y[pos], ratios)
         wp, wq = wp * f, wq * f
         if not wp.max() > 0.0:
             return None, False
