@@ -23,10 +23,11 @@ position, so a `NodeBatch` stores many nodes flat, one entry per (node,
 support row), and the predictive and release tables of the whole batch are
 single array operations.  Each entry's flat cell (node, hypothesis, own
 symbol) sums it into the first and reads its step factor off the second.
-The per-node `predictive` is their one-node case, for the prior table of
-the converse bound (`EnumeratedMechanism.sensitive_conditionals`).  The
-release probabilities come from one rule, `masking.release_rule`, here and
-in the HMM session alike.  Batches are cut at node boundaries and walked depth
+The per-node `predictive`, `release_table` and `step_factor` are their
+one-node case, for the prior table of the converse bound
+(`EnumeratedMechanism.sensitive_conditionals`) and the tests.  The release
+probabilities come from one rule, `masking.release_rule`, here and in the
+HMM session alike.  Batches are cut at node boundaries and walked depth
 first, so the walk's live arrays stay within
 ``distributions.BELIEF_BUDGET_BYTES``.
 
@@ -133,7 +134,7 @@ class EnumeratedMechanism:
     # Each table is computed for a batch of nodes of the prefix tree that
     # sit at the same position, stored flat: entry e is support row
     # ``row[e]`` of node ``node[e]``.  ``row`` may be a slice; the one-node
-    # `predictive` passes node 0 and every row.
+    # primitives below pass node 0 and every row.
 
     def _cells(self, pos: int, node, row):
         """Per-entry flat index (node, hypothesis, own symbol) into the
@@ -154,7 +155,7 @@ class EnumeratedMechanism:
         np.divide(sums, totals[..., None], out=cond, where=totals[..., None] > 0)
         return cond, totals
 
-    # -- one-node queries ---------------------------------------------------
+    # -- primitive queries --------------------------------------------------
 
     def predictive(self, wq: np.ndarray, pos: int):
         """Per-hypothesis conditional of X_pos given the current weights.
@@ -174,6 +175,23 @@ class EnumeratedMechanism:
         for pos, arity in enumerate(self.arities):
             out[pos, :, :arity] = self.predictive(self.q, pos)[0]
         return out
+
+    def release_table(self, cond: np.ndarray, totals: np.ndarray, pos: int):
+        """Release probabilities for position pos.
+
+        Returns (mins, ratios): ``mins[v]`` is the over-hypotheses minimum
+        conditional of symbol v (also the marginal probability of releasing
+        v), ``ratios[u, v]`` the probability of release for a holder of
+        assignment u observing symbol v.
+        """
+        return release_rule(cond, totals > 0, pos in self.K)
+
+    def step_factor(self, pos: int, y: int, ratios: np.ndarray) -> np.ndarray:
+        """Per-sequence weight multiplier for outcome y at position pos."""
+        release = ratios.reshape(-1)[self._cells(pos, 0, slice(None))]
+        if y == STAR:
+            return 1.0 - release
+        return np.where(self.space[:, pos] == y, release, 0.0)
 
     # -- single runs ---------------------------------------------------------
 
@@ -377,9 +395,9 @@ class NodeBatch:
     otherwise.  The tables at ``pos`` have the node on their leading axis:
     ``cond`` and ``ratios`` (nodes, num_u, arity), ``totals`` (nodes, num_u)
     and ``mins`` (nodes, arity), as `EnumeratedMechanism.predictive` and
-    `masking.release_rule` give them for one node.  ``cell[e]`` is entry
-    e's flat index into the (nodes, num_u, arity) tables: its node, its
-    row's hypothesis and its row's symbol at ``pos``.
+    `EnumeratedMechanism.release_table` give them for one node.  ``cell[e]``
+    is entry e's flat index into the (nodes, num_u, arity) tables: its
+    node, its row's hypothesis and its row's symbol at ``pos``.
     """
 
     depth: int

@@ -14,10 +14,8 @@ from genomask.distributions import (
     assignment_index,
     first_seen_ranks,
     row_codes,
-    validate_sequence,
 )
 from genomask.info import entropy, mutual_information
-from genomask.masking import release_rule
 
 
 @pytest.fixture
@@ -80,19 +78,6 @@ def parity_n3():
     return ExplicitJointModel(probs, n=3, alphabet=2)
 
 
-def release_table(engine, cond, totals, pos):
-    """The walker's oracle for one node's (mins, ratios) at pos."""
-    return release_rule(cond, totals > 0, pos in engine.K)
-
-
-def step_factor(engine, pos, y, ratios):
-    """The walker's oracle for each support row's weight factor of y at pos."""
-    release = ratios.reshape(-1)[engine._cells(pos, 0, slice(None))]
-    if y == STAR:
-        return 1.0 - release
-    return np.where(engine.space[:, pos] == y, release, 0.0)
-
-
 def conditional(engine, i, u, y_prefix=()):
     """The walker's oracle for p(X_i | u, (position, outcome) prefix pairs)."""
     if not 0 <= i < engine.n:
@@ -110,8 +95,8 @@ def conditional(engine, i, u, y_prefix=()):
             raise InputError(f"invalid prefix outcome {val} at {pos}")
         seen.add(pos)
         cond, totals = engine.predictive(wq, pos)
-        _, ratios = release_table(engine, cond, totals, pos)
-        wq *= step_factor(engine, pos, val, ratios)
+        _, ratios = engine.release_table(cond, totals, pos)
+        wq *= engine.step_factor(pos, val, ratios)
     cond, totals = engine.predictive(wq, i)
     code = assignment_index(u, engine.arities, engine.K)
     if totals[code] <= 0.0:
@@ -127,33 +112,15 @@ def replayed_ratios(engine, i, y_prefix=()):
     wq = engine.q.copy()
     for pos, y in y_prefix:
         cond, totals = engine.predictive(wq, pos)
-        _, ratios = release_table(engine, cond, totals, pos)
-        wq *= step_factor(engine, pos, y, ratios)
+        _, ratios = engine.release_table(cond, totals, pos)
+        wq *= engine.step_factor(pos, y, ratios)
     cond, totals = engine.predictive(wq, i)
-    return release_table(engine, cond, totals, i)[1]
+    return engine.release_table(cond, totals, i)[1]
 
 
 def emissions(chain):
-    """The oracle for `chain.emission`: its write-locked (n, a, m) stack."""
-    stack = np.moveaxis(chain.law.take(chain.classes, axis=1), 0, 1)
-    stack.setflags(write=False)
-    return stack
-
-
-def index_of(model, x):
-    """The oracle for an explicit model's table index of sequence x."""
-    return int(row_codes([validate_sequence(x, model.arities)],
-                         model.arities)[0])
-
-
-def assemble(model, bits):
-    """The oracle for the sequence a parity model's edge bits imply."""
-    return tuple(model._encode(np.reshape(bits, (1, -1)))[0].tolist())
-
-
-def erasure_count(masked):
-    """The oracle for a masked sequence's number of erasures."""
-    return sum(1 for v in masked.symbols if v == STAR)
+    """The oracle for `chain.emission`: its dense (n, arity, m) stack."""
+    return np.moveaxis(chain.law.take(chain.classes, axis=1), 0, 1)
 
 
 def possible_assignments(engine):

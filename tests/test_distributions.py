@@ -23,6 +23,7 @@ from genomask import STAR, distributions
 from genomask.distributions import (
     assignment_index,
     parse_symbols,
+    row_codes,
     sensitive_assignments,
     symbols_text,
 )
@@ -32,7 +33,6 @@ from genomask.mechanism import EnumeratedMechanism
 from conftest import (
     conditional,
     emissions,
-    index_of,
     random_explicit,
     random_hmm,
     random_markov,
@@ -57,7 +57,7 @@ def test_explicit_table_is_row_major_position0_most_significant():
     probs = np.arange(8) / 28.0
     m = ExplicitJointModel(probs, n=3, alphabet=2)
     assert m.joint_prob((1, 0, 1)) == pytest.approx(5 / 28.0)
-    assert index_of(m, (1, 1, 0)) == 6
+    assert row_codes([(1, 1, 0)], m.arities)[0] == 6
     assert np.array_equal(m.joint_table()[1], probs)
 
 
@@ -140,7 +140,7 @@ def test_hmm_hidden_chain_is_cached_closed_form_and_locked(rng, m):
                 copied = v == model.panel[s, i]
                 want = 1.0 - theta if copied else theta / (size - 1)
                 assert emis[i, v, s] == want
-    for array in (chain.initial, chain.trans, emis):
+    for array in (chain.initial, chain.trans, chain.law, chain.classes):
         assert not array.flags.writeable
         with pytest.raises(ValueError):
             array[(0,) * array.ndim] = 0.5

@@ -19,8 +19,6 @@ from genomask import (
 )
 from genomask.hardness import random_instance, reduction_report
 
-from conftest import assemble
-
 
 def chain_instance():
     return HittingSetInstance.from_lists(3, [[1, 2], [2, 3]])
@@ -67,7 +65,8 @@ def test_parity_table_support_is_the_assembled_bit_vectors():
     model = ParityModel(HittingSetInstance.from_lists(3, [[1, 2], [2, 3],
                                                          [1, 3]]))
     space, probs = model.joint_table()
-    assembled = {assemble(model, bits) for bits in
+    assembled = {tuple(model._encode(np.reshape(bits, (1, -1)))[0].tolist())
+                 for bits in
                  itertools.product((0, 1), repeat=model.num_edges)}
     assert len(assembled) == 2 ** model.num_edges
     assert {tuple(x) for x in space[probs > 0].tolist()} == assembled

@@ -36,8 +36,6 @@ from conftest import (
     possible_assignments,
     random_hmm,
     random_markov,
-    release_table,
-    step_factor,
     zero_transition_chain,
 )
 from strategies import seeded_examples, small_models
@@ -256,11 +254,11 @@ def _walk_all_prefixes(model, K, x_sensitive):
                 continue
             got = ses.predictive(u)[0]
             worst = max(worst, float(np.max(np.abs(got - cond[code]))))
-        mins, ratios = release_table(eng, cond, totals, depth)
+        mins, ratios = eng.release_table(cond, totals, depth)
         for y in (*range(model.arities[depth]), STAR):
             if y != STAR and mins[y] <= 0.0:
                 continue
-            wq2 = wq * step_factor(eng, depth, y, ratios)
+            wq2 = wq * eng.step_factor(depth, y, ratios)
             if wq2.max() <= 0.0:
                 continue
             nxt = copy.deepcopy(ses)
