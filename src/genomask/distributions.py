@@ -141,9 +141,10 @@ class HiddenChain:
     """A hidden Markov chain (write-locked): ``initial[s]`` = p(S_0 = s),
     ``trans[s, t]`` = p(S_i+1 = t | S_i = s), ``law[v, c]`` = p(x = v | class
     c) and ``classes[i, s]``, the class of state s at position i.  Only
-    `forward`, `backward` and `emission(i)`, p(x_i = v | S_i = s) made one
-    position at a time, read T and the law, so a structured T (copying:
-    diagonal plus rank one) or a byte check has one site to change."""
+    `forward`, `backward`, `power` and `emission(i)`, p(x_i = v | S_i = s)
+    made one position at a time, read T and the law, so a structured T
+    (copying: diagonal plus rank one) or a byte check has one site to
+    change."""
 
     initial: np.ndarray      # (m,)
     trans: np.ndarray        # (m, m)
@@ -169,6 +170,19 @@ class HiddenChain:
     def backward(self, b: np.ndarray, out=None) -> np.ndarray:
         """b @ T.T: a likelihood given S_i+1 carried back to S_i."""
         return np.matmul(b, self.trans.T, out=out)
+
+    def power(self, k: int) -> np.ndarray:
+        """T^k for k >= 1 (T itself when k = 1) by repeated squaring, left to
+        right over the bits of k (Knuth, TAOCP vol. 2 §4.6.3): floor(log2 k)
+        squarings and one product with T per further set bit, at most
+        2 ceil(log2 k) (m, m) products.  At most two (m, m) arrays of its own
+        are alive at once."""
+        p = self.trans
+        for bit in bin(k)[3:]:
+            p = np.matmul(p, p)
+            if bit == "1":
+                p = self.forward(p)
+        return p
 
     def emission(self, i: int) -> np.ndarray:
         """The (arity, m) law p(x_i = v | S_i = s), a new array per call."""

@@ -9,7 +9,10 @@ chain with m symbols) gives it in O(n m^2) arithmetic per hypothesis:
   sensitive assignment u, the likelihood of the not-yet-passed sensitive
   symbols given the current hidden state; it keeps about sqrt(n) of those
   rows and recomputes the others one segment at a time as the forward
-  pass reaches them;
+  pass reaches them.  A segment of s = ceil(sqrt(n)) rows that holds no
+  sensitive position takes its checkpoint in one product with (T^s)^T,
+  so with few sensitive positions the pass makes O(sqrt(n)) kernel
+  products, not n;
 * a per-hypothesis belief over hidden states is filtered forward through
   the outputs actually produced, folding in the mechanism's own release
   randomness, not just the chain's.
@@ -30,9 +33,10 @@ the per-run minima sums.  Since P(Y_i = v | prefix, u) = mins_i(v) for
 every hypothesis u, its runs draw their outputs from the minima and need
 no sampled x.
 Every product with T and every emission law comes from
-`HiddenChain.forward`, `backward` and `emission`, so a structured kernel or
-a byte check on the chain changes that class alone; the window sweep makes
-its powers T^omega through `forward` and then uses them as plain products.
+`HiddenChain.forward`, `backward`, `power` and `emission`, so a structured
+kernel or a byte check on the chain changes that class alone; the window
+sweep makes its powers T^omega through `forward`, the backward table its
+T^s through `power`, and both then use them as plain products.
 """
 
 from __future__ import annotations
@@ -76,11 +80,18 @@ class SensitiveBackwardTable:
     sensitive positions at or after i carry the values assigned by u, given
     hidden state s at position i.  ``values`` stores only every
     ``stride``-th row, ``values[j] = row(j * stride)`` with stride =
-    ceil(sqrt(n)); `segment` recomputes the rows between two checkpoints
-    with the build's own products, bit for bit (Tarnas & Hughey,
-    Bioinformatics 14:401, 1998).  Rows from ``plain_from`` on are products
-    of T's row sums, 1 only up to rounding; the recursion runs through them
-    unstored, so the rows before them keep the bits of the full pass.
+    ceil(sqrt(n)) (Tarnas & Hughey, Bioinformatics 14:401, 1998).
+
+    A free segment, ``stride`` rows with no sensitive position below the
+    top segment, takes its checkpoint in one jump, ``values[j + 1] @
+    (T^s).T``, when the row products it saves outweigh the 2 ceil(log2 s)
+    (m, m) products of T^s and T^s's two (m, m) arrays fit
+    ``BELIEF_BUDGET_BYTES``.  A jumped checkpoint equals the row-by-row
+    recursion up to rounding (1.1e-12 relative at n = 1000, m = 500).  Every
+    other checkpoint is the last row of the row-by-row recursion from the
+    checkpoint above, as `segment` recomputes it, bit for bit.  Rows from
+    ``plain_from`` on are products of T's row sums, 1 only up to rounding;
+    they are computed as the others are, not set to ones.
     """
 
     K: tuple[int, ...]
@@ -101,10 +112,13 @@ class SensitiveBackwardTable:
 
     def segment(self, j: int, rows: np.ndarray, prods: np.ndarray) -> None:
         """Recompute rows a .. b-1, a = j * stride and b = min(a + stride,
-        n), into ``rows[:b - a]`` from the checkpoint above (the pass starts
-        from ones at row n - 1).  ``prods[k]`` receives row(a + k + 1) @ T.T,
-        the product before position a + k's emission factor, which is the
-        masking session's normalizer at position a + k + 1.
+        n), into ``rows[:b - a]`` by the row-by-row recursion from the
+        checkpoint above (from ones at row n - 1), with the build's own
+        products: bit for bit the build's rows on a segment it did not jump,
+        and on a jumped one ``rows[0]`` equals ``values[j]`` up to rounding.
+        ``prods[k]`` receives row(a + k + 1) @ T.T, the product before
+        position a + k's emission factor, which is the masking session's
+        normalizer at position a + k + 1.
         """
         n, a = self.chain.n, j * self.stride
         b = min(a + self.stride, n)
@@ -155,13 +169,26 @@ def sensitive_backward_table(model: SequenceModel, K) -> SensitiveBackwardTable:
     us = sensitive_assignments(model.arities, K)
     ucomp = np.array(us, dtype=np.int64).reshape(num_u, len(K))
     stride = _stride(n)
-    values = np.empty((-(-n // stride), num_u, m))
+    segments = -(-n // stride)
+    free = set(range(segments - 1)) - {k // stride for k in K}
+    # the jump rule of `SensitiveBackwardTable`; T^s comes before the
+    # checkpoints, so that its two (m, m) arrays are the peak
+    jump = (chain.power(stride)
+            if (len(free) * (stride - 1) * num_u
+                > 2 * (stride - 1).bit_length() * m
+                and 2 * 8 * m * m <= distributions.BELIEF_BUDGET_BYTES)
+            else None)
+    values = np.empty((segments, num_u, m))
     pre, row = np.empty((2, num_u, m))
-    for i in range(n - 1, -1, -1):
-        _backward_step(chain, K, ucomp, i, None if i == n - 1 else row,
-                       pre, row)
-        if i % stride == 0:
-            values[i // stride] = row
+    for j in range(segments - 1, -1, -1):
+        if jump is not None and j in free:
+            np.matmul(values[j + 1], jump.T, out=values[j])
+            continue
+        nxt = values[j + 1] if j + 1 < segments else None
+        for i in range(min(j * stride + stride, n) - 1, j * stride - 1, -1):
+            _backward_step(chain, K, ucomp, i, nxt, pre, row)
+            nxt = row
+        values[j] = row
     prior = values[0] @ chain.initial
     plain_from = (max(K) + 1) if K else 0
     return SensitiveBackwardTable(K, values, ucomp, prior, plain_from, chain)

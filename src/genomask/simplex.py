@@ -95,7 +95,9 @@ def linear_program(c, a, b,
     len(c) columns.  The first run skips presolve; unless its answer is
     optimal and ``accept`` takes it, a second run with presolve follows,
     and its result is returned as it is.  ``iterations`` counts HiGHS's
-    simplex iterations over both runs.
+    simplex iterations over both runs.  Inconsistent or non-finite data,
+    and data that HiGHS refuses (a matrix value of 1e15 or more, say),
+    raise `ValueError` before any run.
     """
     c = np.asarray(c, dtype=float).reshape(-1)
     b = np.asarray(b, dtype=float).reshape(-1)
@@ -111,23 +113,21 @@ def linear_program(c, a, b,
     keys, where = np.unique(cols * m + rows, return_inverse=True)
     vals = np.bincount(where, weights=vals, minlength=keys.size)
     keys, vals = keys[vals != 0], vals[vals != 0]
+    start = np.concatenate([[0], np.cumsum(np.bincount(keys // m,
+                                                          minlength=n))])
 
     core = _highs()
-    lp = core.HighsLp()
-    lp.num_col_, lp.num_row_ = n, m
-    lp.col_cost_ = c
-    lp.col_lower_, lp.col_upper_ = np.zeros(n), np.full(n, np.inf)
-    lp.row_lower_ = lp.row_upper_ = b
-    matrix = lp.a_matrix_
-    matrix.format_ = core.MatrixFormat.kColwise
-    matrix.num_col_, matrix.num_row_ = n, m
-    matrix.start_ = np.concatenate(
-        [[0], np.cumsum(np.bincount(keys // m, minlength=n))])
-    matrix.index_ = keys % m
-    matrix.value_ = vals
     highs = core._Highs()
     highs.setOptionValue("output_flag", False)
-    highs.passModel(lp)
+    # the overload that takes the arrays, in place of a HighsLp's property
+    # setters; its integrality needs one entry a column (0, continuous)
+    status = highs.passModel(
+        n, m, keys.size, core.MatrixFormat.kColwise, core.ObjSense.kMinimize,
+        0.0, c, np.zeros(n), np.full(n, np.inf), b, b,
+        start.astype(np.int32), (keys % m).astype(np.int32), vals,
+        np.zeros(n, dtype=np.int32))
+    if status == core.HighsStatus.kError:
+        raise ValueError("HiGHS rejected the LP data")
     result = _run(core, highs, presolve=False)
     if result.status == "optimal" and accept(result):
         return result

@@ -25,6 +25,7 @@ from genomask import (
     upper_bound_rate,
     window_leakage_sweep,
 )
+import genomask.distributions as dist_mod
 from genomask.distributions import assignment_index, sensitive_assignments
 from genomask.hmm import BatchMaskingSession, erasure_rate_mc
 from genomask.info import sample_stderr
@@ -73,25 +74,27 @@ def path_probability_table(model, K):
     return out
 
 
-def reference_backward(model, K):
+def reference_backward(model, K, table=None):
     """The full backward table by one recursion over all n rows, and the
     products row(i + 1) @ T.T (ones at n - 1) that the checkpointed table
-    must reproduce bit for bit."""
+    must reproduce bit for bit.  Given a ``table``, each segment's recursion
+    starts instead from that table's checkpoint above it, as
+    `SensitiveBackwardTable.segment` does."""
     chain = model.hidden_chain()
     K = tuple(sorted(K))
     us = sensitive_assignments(model.arities, K)
     ucomp = np.array(us, dtype=np.int64).reshape(len(us), len(K))
     n, t, emis = model.n, chain.trans, emissions(chain)
-    values = np.ones((n, ucomp.shape[0], chain.m))
+    values, prods = np.ones((2, n, ucomp.shape[0], chain.m))
     slot = {k: j for j, k in enumerate(K)}
     for i in range(n - 1, -1, -1):
         if i < n - 1:
-            values[i] = values[i + 1] @ t.T
+            nxt = (table.values[(i + 1) // table.stride]
+                   if table is not None and (i + 1) % table.stride == 0
+                   else values[i + 1])
+            values[i] = prods[i] = nxt @ t.T
         if i in slot:
             values[i] *= emis[i][ucomp[:, slot[i]]]
-    prods = np.ones_like(values)
-    for i in range(n - 1):
-        prods[i] = values[i + 1] @ t.T
     return values, prods
 
 
@@ -117,6 +120,36 @@ def assert_segments_equal_reference(model, K):
                           ref_rows[0] @ model.hidden_chain().initial)
 
 
+#: Checkpoints that a free segment takes in one product with (T^s).T agree
+#: with the full recursion to this relative tolerance; 1.1e-12 was the
+#: largest deviation measured, at `mask_wide`'s shape.
+JUMP_RTOL = 1e-11
+
+
+def without_the_jump(monkeypatch, model):
+    """Patch the budget one byte below the two (m, m) arrays of T^s, so that
+    ``model``'s tables take every row on the sequential path: the full
+    recursion, bit for bit."""
+    m = model.hidden_chain().m
+    monkeypatch.setattr(dist_mod, "BELIEF_BUDGET_BYTES", 2 * 8 * m * m - 1)
+
+
+def assert_segments_equal_checkpoint_recursion(model, K):
+    """On either path: the checkpoints within `JUMP_RTOL` of the full
+    recursion, and every segment's rows and products bit for bit the
+    recursion from its own checkpoint above."""
+    table = sensitive_backward_table(model, K)
+    full_rows, _ = reference_backward(model, K)
+    ref_rows, ref_prods = reference_backward(model, K, table)
+    rows, prods = segment_rows(table)
+    np.testing.assert_allclose(table.values, full_rows[::table.stride],
+                               rtol=JUMP_RTOL, atol=0)
+    assert np.array_equal(rows, ref_rows)
+    assert np.array_equal(prods, ref_prods)
+    assert np.array_equal(table.prior,
+                          table.values[0] @ model.hidden_chain().initial)
+
+
 # n in {1, 2, 3, s^2, s^2 + 1} for s = 3 and 4; K empty, on a segment
 # boundary (the strides are 3, 4, 4 and 5) and at n - 1
 @pytest.mark.parametrize("n,K", [
@@ -128,13 +161,19 @@ def assert_segments_equal_reference(model, K):
 def test_backward_segments_equal_full_recursion(rng, kind, n, K):
     model = (random_hmm(rng, n, 3) if kind == "hmm"
              else random_markov(rng, n, alphabet=3))
-    assert_segments_equal_reference(model, K)
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        without_the_jump(monkeypatch, model)
+        assert_segments_equal_reference(model, K)
+    assert_segments_equal_checkpoint_recursion(model, K)
 
 
 @seeded_examples(30)
 def test_backward_segments_equal_full_recursion_on_drawn_models(seed):
     model, K, _ = small_models(seed, kinds=("markov", "hmm"))
-    assert_segments_equal_reference(model, K)
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        without_the_jump(monkeypatch, model)
+        assert_segments_equal_reference(model, K)
+    assert_segments_equal_checkpoint_recursion(model, K)
 
 
 def test_backward_table_memory_at_mask_wide_shape():
@@ -152,6 +191,64 @@ def test_backward_table_memory_at_mask_wide_shape():
         tracemalloc.stop()
     assert peak <= 4 * mib
     assert table.values.nbytes <= 1.1 * mib
+
+
+def test_backward_table_work_at_mask_wide_shape(monkeypatch):
+    # counted products, no clock: s = 32, and K = {166, 500, 833} leaves 28
+    # of the 31 full segments free.  Each takes its checkpoint in one jump
+    # product with (T^32).T, made by 5 squarings; the 3 segments that hold
+    # a sensitive position and the 8-row top segment stay sequential.
+    # Sequentially built, with the budget below T^s's two (m, m) arrays,
+    # the checkpoints are the full recursion's, bit for bit
+    panel = np.random.default_rng(3).integers(2, size=(500, 1000))
+    model, K = HmmModel(panel, 0.05, 0.01), (166, 500, 833)
+    n, m, num_u, s = 1000, 500, 8, 32
+    counts = dict.fromkeys(["sequential", "rows", "squarings", "by_t"], 0)
+    backward, matmul = dist_mod.HiddenChain.backward, np.matmul
+
+    def counted_backward(self, b, out=None):
+        counts["sequential"] += 1
+        return backward(self, b, out)
+
+    def counted_matmul(a, b, **kwargs):
+        if a.shape == (num_u, m):
+            counts["rows"] += 1
+        elif a.shape == (m, m):
+            counts["squarings" if a is b else "by_t"] += 1
+        return matmul(a, b, **kwargs)
+
+    monkeypatch.setattr(dist_mod.HiddenChain, "backward", counted_backward)
+    monkeypatch.setattr(np, "matmul", counted_matmul)
+    table = sensitive_backward_table(model, K)
+    monkeypatch.undo()
+    jumps = counts["rows"] - counts["sequential"]
+    assert counts["sequential"] <= 3 * s + (n - 31 * s)
+    assert 0 < jumps <= 28
+    assert (counts["squarings"], counts["by_t"]) == (5, 0)
+    without_the_jump(monkeypatch, model)
+    sequential = sensitive_backward_table(model, K)
+    np.testing.assert_allclose(table.values, sequential.values,
+                               rtol=JUMP_RTOL, atol=0)
+
+
+def test_the_jump_is_taken_only_where_it_saves_work(rng, monkeypatch):
+    # the saved row products must outweigh T^s's 2 ceil(log2 s) (m, m)
+    # products, and T^s's two (m, m) arrays must fit the budget
+    powers = []
+    power = dist_mod.HiddenChain.power
+    monkeypatch.setattr(dist_mod.HiddenChain, "power",
+                        lambda self, k: powers.append(k) or power(self, k))
+    # fig4_mc's shape, n = m = 100 and K = {0}: 8 free segments save
+    # 8 * 9 * 2 = 144 row products, fewer than 2 * 4 * 100
+    sensitive_backward_table(random_hmm(rng, 100, 100), (0,))
+    assert powers == []
+    # 9 hypotheses, one free segment of 5: 1 * 4 * 9 > 2 * 3 * 3
+    chain_model = random_markov(rng, 17, alphabet=3)
+    sensitive_backward_table(chain_model, (5, 10))
+    assert powers == [5]
+    without_the_jump(monkeypatch, chain_model)
+    sensitive_backward_table(chain_model, (5, 10))
+    assert powers == [5]
 
 
 def test_backward_table_empty_sensitive(rng):
@@ -415,7 +512,10 @@ def test_session_outcomes_are_pinned():
 def test_session_rates_are_pinned():
     # sha256 of the repr of seeded `erasure_rate_mc` (rate, stderr), the
     # mean and stderr of the per-run minima sums, recorded when the runs
-    # began drawing their outputs from the minima with no sampled x
+    # began drawing their outputs from the minima with no sampled x.
+    # "conditioned" and "markov" were re-pinned when free segments began to
+    # take their checkpoints through T^s: their rates kept every bit, their
+    # stderrs moved by at most 1.1e-19
     got = {}
     for name, model, K in _pinned_sessions():
         got[name] = hashlib.sha256(repr(erasure_rate_mc(
@@ -424,13 +524,13 @@ def test_session_rates_are_pinned():
         "plain":
             "9621b48e9af1cffc2e83739484f62e3e4c23fe74b091de60c9d8d0fd7743da60",
         "conditioned":
-            "1e4e93744232fc80adab74495e3c7d51305c4a4cae3542e541b8240920ba828a",
+            "3e92732f7324ba52c08d19d40ab75e3e58b65a06fa65b506a4d1452d4b5d799f",
         "eps0":
             "edb9863d0f13843978197f18cc152d68f385d437885d3e7fa7a9bb61e75fc2bd",
         "theta0":
             "c2a922be6b17d71d7c5050e47aba84d0a328334d245fcf001a8d5ae09283a709",
         "markov":
-            "0ca206809a7cd7f7adbe315428150c83a69dc2f48b86b409517172accd57716e",
+            "00049fea1dd84af84420d437cda4a5a13565109ba2340e973f23aa1797d6e59d",
     }
 
 
@@ -439,7 +539,10 @@ def test_mask_sequence_transcripts_are_pinned():
     # (index, release_prob, outcome), recorded when the belief began to be
     # normalized through its outcome coefficients: release probabilities
     # moved by rounding (at most 4.5e-16 here), outcomes did not, and the
-    # batch-of-one loop keeps the Python int and float types
+    # batch-of-one loop keeps the Python int and float types.
+    # "conditioned" and "markov" were re-pinned when free segments began to
+    # take their checkpoints through T^s: release probabilities moved by at
+    # most 2.2e-16, outcomes did not
     got = {}
     for name, model, K in _pinned_sessions():
         rng = np.random.default_rng(7)
@@ -451,13 +554,13 @@ def test_mask_sequence_transcripts_are_pinned():
         "plain":
             "1cb39d2b94b7ade65280fa2e6eb3791461b7f9a320e76bf61c1edd3071c2c0d9",
         "conditioned":
-            "5a204066b2dee310c9eb3dd7ba8b4eb73537a61d2315c3fa795be5d77241f46c",
+            "6442b5628d64cf811c36edde4e761a96dc41f10a5348a8e159b8c8430acd2bcd",
         "eps0":
             "db6ae255cfa6069936b200c1b5ef670ec1866ea9d02594408bb784f71bcea5bc",
         "theta0":
             "11ee449e6d99941dfea5cdba33d59be50074f79198d8ca19319ee9d9c610a9ff",
         "markov":
-            "846444d9e5998df14362799eb14167761dddb14dcb20378e70f3e02bea1295ed",
+            "379ef6a76455afd8cb02557efc37fd1f356c90eb46fee3aa1e87204958a8b38c",
     }
 
 

@@ -116,6 +116,13 @@ def test_non_finite_data_is_rejected(c, a, b):
         linear_program(c, a, b)
 
 
+def test_data_that_highs_rejects_raises():
+    # HiGHS refuses a matrix value of 1e15 or more; the refused model used
+    # to be run anyway, twice, and reported "numerical"
+    with pytest.raises(ValueError, match="rejected"):
+        linear_program([1.0, 1.0], ([0, 0], [0, 1], [1e16, 1.0]), [1.0])
+
+
 @pytest.mark.parametrize("a", [
     ([0, 1], [0, 1], [1.0, 1.0]),          # row 1 of a 1-row A
     ([0, 0], [0, 2], [1.0, 1.0]),          # column 2 of a 2-column A
