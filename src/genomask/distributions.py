@@ -54,9 +54,34 @@ class Alphabet:
         return range(self.size)
 
 
+def int_array(values, ndim: int, what: str) -> np.ndarray:
+    """``values``, an array or any iterable, as an int64 array of ``ndim``
+    axes: the one conversion of caller-given symbols and positions.
+    `InputError` naming ``what`` for another nesting (ragged rows too) or a
+    value that is not a finite integer within int64: a float must be
+    integral, and strings, None and other objects are refused."""
+    try:
+        arr = np.asarray(values if isinstance(values, np.ndarray)
+                         else list(values))
+    except (TypeError, ValueError) as exc:
+        raise InputError(f"{what} must be a {ndim}-D array of integers") from exc
+    if arr.ndim != ndim:
+        raise InputError(f"{what} must be a {ndim}-D array of integers, "
+                         f"not {arr.ndim}-D")
+    if arr.dtype.kind == "f":
+        ok = (np.isfinite(arr) & (arr == np.round(arr))
+              & (np.abs(arr) < 2.0 ** 63)).all()
+    else:
+        ok = arr.dtype.kind in "bi" or (arr.dtype.kind == "u" and np.all(
+            arr <= np.iinfo(np.int64).max))
+    if not ok:
+        raise InputError(f"{what} must be finite integers")
+    return arr.astype(np.int64, copy=False)
+
+
 def validate_sequence(x: Sequence[int], arities: Sequence[int]) -> tuple[int, ...]:
     """Check length and per-position symbol range; return x as a tuple."""
-    x = tuple(int(v) for v in x)
+    x = tuple(int_array(x, 1, "a sequence").tolist())
     if len(x) != len(arities):
         raise InputError(f"sequence length {len(x)} != model length {len(arities)}")
     for i, (v, a) in enumerate(zip(x, arities)):
@@ -75,11 +100,11 @@ def sensitive_assignments(arities: Sequence[int], K: Sequence[int]) -> list[tupl
 def row_codes(rows, dims: Sequence[int]) -> np.ndarray:
     """Row-major codes of the rows of an (N, len(dims)) integer array, the
     first column most significant.  With no columns every row has code 0.
-    A row of the wrong length or a value outside 0..dims[j]-1 raises
-    `InputError`."""
-    rows = np.asarray(rows, dtype=np.int64)
+    Rows that `int_array` refuses, a row of the wrong length or a value
+    outside 0..dims[j]-1 raise `InputError`."""
+    rows = int_array(rows, 2, "rows")
     dims = tuple(int(d) for d in dims)
-    if rows.ndim != 2 or rows.shape[1] != len(dims):
+    if rows.shape[1] != len(dims):
         raise InputError(f"rows must have shape (N, {len(dims)})")
     if not dims:
         return np.zeros(rows.shape[0], dtype=np.int64)

@@ -13,15 +13,16 @@ chain with m symbols) gives it in O(n m^2) arithmetic per hypothesis:
   sensitive position takes its checkpoint in one product with (T^s)^T,
   so with few sensitive positions the pass makes O(sqrt(n)) kernel
   products, not n;
-* a per-hypothesis belief over hidden states is filtered forward through
-  the outputs actually produced, folding in the mechanism's own release
-  randomness, not just the chain's.
+* a per-hypothesis filter carries the forward part of the belief over
+  hidden states through the outputs actually produced, folding in the
+  mechanism's own release randomness, not just the chain's; the backward
+  row of each position weighs the filter's prediction into its predictive.
 
-The belief filter is renormalized per position per hypothesis, so long
+The forward part is renormalized per position per hypothesis, so long
 sequences stay in the linear domain without underflow; the normalizers
 come from (batch, num_u, arity) tables and scale the outcome coefficients,
-so the (batch, num_u, m) belief is formed once, already normalized.  All
-state is kept in arrays with a leading batch axis; independent
+so the (batch, num_u, m) forward part is formed once, already normalized.
+All state is kept in arrays with a leading batch axis; independent
 Monte-Carlo runs share the immutable backward table and advance in
 lockstep.  `_monte_carlo` counts out the runs of every Monte-Carlo
 estimator in fixed blocks that the memory budget only cuts into pieces,
@@ -52,6 +53,7 @@ from .distributions import (
     SequenceModel,
     _inverse_or_zero,
     assignment_index,
+    int_array,
     row_codes,
     sensitive_assignments,
 )
@@ -110,22 +112,19 @@ class SensitiveBackwardTable:
         """Rows per segment, ceil(sqrt(n))."""
         return _stride(self.chain.n)
 
-    def segment(self, j: int, rows: np.ndarray, prods: np.ndarray) -> None:
+    def segment(self, j: int, rows: np.ndarray) -> None:
         """Recompute rows a .. b-1, a = j * stride and b = min(a + stride,
         n), into ``rows[:b - a]`` by the row-by-row recursion from the
         checkpoint above (from ones at row n - 1), with the build's own
         products: bit for bit the build's rows on a segment it did not jump,
         and on a jumped one ``rows[0]`` equals ``values[j]`` up to rounding.
-        ``prods[k]`` receives row(a + k + 1) @ T.T, the product before
-        position a + k's emission factor, which is the masking session's
-        normalizer at position a + k + 1.
         """
         n, a = self.chain.n, j * self.stride
         b = min(a + self.stride, n)
         nxt = self.values[j + 1] if b < n else None
         for i in range(b - 1, a - 1, -1):
             _backward_step(self.chain, self.K, self.u_components, i, nxt,
-                           prods[i - a], rows[i - a])
+                           rows[i - a])
             nxt = rows[i - a]
 
 
@@ -134,20 +133,16 @@ def _stride(n: int) -> int:
     return math.isqrt(n - 1) + 1
 
 
-def _backward_step(chain: HiddenChain, K, ucomp, i, nxt, pre, row) -> None:
-    """Backward row i into ``row`` from ``nxt`` = row i + 1, or from ones
-    when ``nxt`` is None (i = n - 1); ``pre`` receives the product before
-    position i's emission factor.  ``row`` may be ``nxt``, which only the
-    product reads."""
+def _backward_step(chain: HiddenChain, K, ucomp, i, nxt, row) -> None:
+    """Backward row i into ``row`` from ``nxt`` = row i + 1, another
+    array, or from ones when ``nxt`` is None (i = n - 1)."""
     if nxt is None:
-        pre[...] = 1.0
+        row[...] = 1.0
     else:
         # row(i)[u, s] = sum_s' T[s, s'] * row(i + 1)[u, s']
-        chain.backward(nxt, out=pre)
+        chain.backward(nxt, out=row)
     if i in K:
-        np.multiply(pre, chain.emission(i)[ucomp[:, K.index(i)]], out=row)
-    else:
-        row[...] = pre
+        row *= chain.emission(i)[ucomp[:, K.index(i)]]
 
 
 def require_chain(model: SequenceModel, what: str) -> HiddenChain:
@@ -179,16 +174,16 @@ def sensitive_backward_table(model: SequenceModel, K) -> SensitiveBackwardTable:
                 and 2 * 8 * m * m <= distributions.BELIEF_BUDGET_BYTES)
             else None)
     values = np.empty((segments, num_u, m))
-    pre, row = np.empty((2, num_u, m))
+    rows = np.empty((2, num_u, m))      # row i + 1 and row i, in turn
     for j in range(segments - 1, -1, -1):
         if jump is not None and j in free:
             np.matmul(values[j + 1], jump.T, out=values[j])
             continue
         nxt = values[j + 1] if j + 1 < segments else None
         for i in range(min(j * stride + stride, n) - 1, j * stride - 1, -1):
-            _backward_step(chain, K, ucomp, i, nxt, pre, row)
-            nxt = row
-        values[j] = row
+            _backward_step(chain, K, ucomp, i, nxt, rows[i % 2])
+            nxt = rows[i % 2]
+        values[j] = nxt
     prior = values[0] @ chain.initial
     plain_from = (max(K) + 1) if K else 0
     return SensitiveBackwardTable(K, values, ucomp, prior, plain_from, chain)
@@ -200,29 +195,22 @@ def sensitive_conditionals(model: SequenceModel, K) -> np.ndarray:
     Positions in K get the indicator of u's component.  Assignments with
     zero prior get NaN rows.  `EnumeratedMechanism.sensitive_conditionals`
     is the enumeration oracle with this contract.
+
+    It is a batch-of-one `BatchMaskingSession` stepped with the neutral
+    outcome, coef = 1 / mass for every symbol, which every state explains
+    alike: each predictive is then a prior conditional.
     """
-    chain = require_chain(model, "the sensitive conditionals")
-    table = sensitive_backward_table(model, K)
-    K = table.K
-    n, (arity, m), num_u = chain.n, chain.emission(0).shape, table.num_u
-    slot = {k: j for j, k in enumerate(K)}
-    out = np.full((n, num_u, arity), np.nan)
-    fwd = np.broadcast_to(chain.initial, (num_u, m)).copy()
-    stride = table.stride
-    back, prods = np.empty((2, stride, num_u, m))
-    for i in range(n):
-        if i % stride == 0:
-            table.segment(i // stride, back, prods)
-        emis = chain.emission(i)  # (arity, m)
+    session = BatchMaskingSession(model, K, 1)
+    table, slot = session.table, session._slot
+    arity = session.chain.emission(0).shape[0]
+    out = np.full((model.n, table.num_u, arity), np.nan)
+    for i in range(model.n):
+        raw, inv_mass, _ = session._predict()
         if i in slot:
-            comp = table.u_components[:, slot[i]]
-            out[i] = np.eye(arity)[comp]
-            fwd = fwd * emis[comp]
+            out[i] = np.eye(arity)[table.u_components[:, slot[i]]]
         else:
-            joint = np.einsum("um,vm,um->uv", fwd, emis, back[i % stride])
-            z = joint.sum(axis=1)
-            np.divide(joint, z[:, None], out=out[i], where=z[:, None] > 0)
-        fwd = chain.forward(fwd)
+            np.multiply(raw[0], inv_mass[0, :, None], out=out[i])
+        session._filter(inv_mass[:, :, None])
     out[:, table.prior <= 0] = np.nan
     return out
 
@@ -239,21 +227,28 @@ class BatchMaskingSession:
 
     Per position, the session computes the per-hypothesis predictive
     distribution of the next symbol, turns it into release probabilities,
-    and — once the outcome is fixed — filters the hidden-state beliefs
-    through the corresponding output likelihood.  ``x_sensitive`` holds the
-    rows' true sensitive values, (batch, |K|), or is a batch size: the
-    output law does not depend on the true values, so such a session can
-    advance through any outcomes its own release tables allow, but it has
-    no `release_probability`.
+    and — once the outcome is fixed — filters the forward part of the
+    hidden-state beliefs through the corresponding output likelihood.
+    ``x_sensitive`` holds the rows' true sensitive values, (batch, |K|), or
+    is a batch size: the output law does not depend on the true values, so
+    such a session can advance through any outcomes its own release tables
+    allow, but it has no `release_probability`.
 
-    ``belief`` (defined once the first position is advanced) and the arrays
-    `_position_tables` returns are session-owned buffers that the next
-    `advance` overwrites; while sensitive positions remain ahead, computing
-    a position's tables also rescales ``belief`` in place.  Copy what must
-    outlive a step.  Below the last sensitive position the session reads
-    the backward rows from one recomputed segment of the table at a time
-    (`SensitiveBackwardTable.segment`), kept in a buffer of its own.  A deep
-    copy of a session owns its own buffers and advances independently.
+    ``belief`` (defined once the first position is advanced) is the forward
+    part a: p(S_pos-1 = s | u, outputs so far) = a[s] z[s], with z =
+    row(pos) @ T.T the likelihood of the sensitive symbols ahead (scaled
+    forward-backward, Rabiner, Proc. IEEE 77:257, 1989).  A step makes a' =
+    (coef @ emis) (a @ T), times e_pos(u_pos) at a sensitive position, and
+    the predictive weighs a @ T by the backward row g = row(pos): raw[b, u,
+    v] = sum_s (a @ T)[b, u, s] g[u, s] e(v, s).  Nothing divides by z, so
+    this holds also where z = 0.  Position 0 reads g from the table's first
+    checkpoint, later positions below ``plain_from`` from one recomputed
+    segment at a time (`SensitiveBackwardTable.segment`) in a buffer of the
+    session's own; from ``plain_from`` on g is ones.  ``belief`` and the
+    arrays `_position_tables` returns are session-owned buffers that the
+    next `advance` overwrites, and while g is read the tables leave (a @ T) g
+    in ``belief``'s buffer till then.  Copy what must outlive a step.  A
+    deep copy of a session owns its own buffers and advances independently.
     """
 
     def __init__(self, model: SequenceModel, K, x_sensitive, table=None):
@@ -286,88 +281,80 @@ class BatchMaskingSession:
         self._cache: tuple | None = None
         self._inv_mass: np.ndarray | None = None
         self._px_raw: np.ndarray | None = None
-        # (rows, prods) of backward segment ``_back_seg``, made on first use
+        # the rows of backward segment ``_back_seg``, made on first use
         self._back: np.ndarray | None = None
         self._back_seg = -1
 
     # -- per-position quantities -------------------------------------------
 
-    def _predicted_states(self) -> np.ndarray:
-        """p(S_pos = s | u, prefix) as (batch, num_u, m), in the session's
-        buffer and up to the defensive renormalization of
-        `_position_tables`."""
-        pred = self._pred
+    def _predict(self):
+        """(raw, inv_mass, live), the half of `_position_tables` before the
+        release rule; once a position, as it consumes ``belief``.  a @ T goes
+        to ``_pred`` (initial / p(u) at position 0, so that the mass is 1 as
+        later); raw is the unscaled predictive, whose row sums are the
+        predicted-state mass, 1 for live hypotheses unless a degenerate
+        (theta or epsilon = 0) model starved some states.  Its inverse, the
+        defensive renormalization, is 0 unless the mass exceeds 1e-12."""
+        if self.pos >= self.model.n:
+            raise InputError("session already consumed the whole sequence")
+        pred, num_u = self._pred, self.table.num_u
+        emis = self._emis = self.chain.emission(self.pos)
+        flat = (self.batch * num_u, self.chain.m)
         if self.pos == 0:
-            base = self.chain.initial[None, :] * self.table.values[0]
-            pred[...] = base * _inverse_or_zero(base.sum(axis=1))[:, None]
-            return pred
-        flat = (self.batch * self.table.num_u, self.chain.m)
-        # pred[b,u,k] = sum_s belief[b,u,s] / z[u,s] * T[s,k] * g[u,k] with
-        # g the backward row at pos and z = g @ T.T, the pass's product for
-        # row pos - 1; with no sensitive position ahead the plain kernel
-        # applies.  z is read before g's segment may overwrite it, and the
-        # belief is not read again before `advance` overwrites it.
-        ahead = self.pos < self.table.plain_from
-        if ahead:
-            self.belief *= _inverse_or_zero(self._backward(self.pos - 1)[1])
-        self.chain.forward(self.belief.reshape(flat), out=pred.reshape(flat))
-        if ahead:
-            pred *= self._backward(self.pos)[0]
-        return pred
+            np.multiply(self.chain.initial,
+                        _inverse_or_zero(self.table.prior)[:, None], out=pred)
+            back = self.table.values[0]
+        else:
+            self.chain.forward(self.belief.reshape(flat), out=pred.reshape(flat))
+            back = (self._backward(self.pos)
+                    if self.pos < self.table.plain_from else None)
+        if back is not None:
+            # a's buffer is free until `_filter`: it takes (a @ T) g
+            pred = np.multiply(pred, back, out=self.belief)
+        # one 2-D product: a 3-D matmul with emis.T costs twice, and one per
+        # hypothesis rounds differently at another batch size
+        raw = (pred.reshape(flat) @ np.ascontiguousarray(emis.T)).reshape(
+            self.batch, num_u, -1)
+        mass = _row_sums(raw)
+        live = self.live & (mass > 1e-12)
+        self._px_raw, self._inv_mass = raw, _inverse_or_zero(mass, live)
+        return raw, self._inv_mass, live
 
-    def _backward(self, i: int):
-        """(row i, row i + 1 @ T.T) of the backward pass as views of the
-        session's segment buffer, recomputing i's segment unless it is the
-        one held."""
+    def _backward(self, i: int) -> np.ndarray:
+        """Row i of the backward pass as a view of the session's segment
+        buffer, recomputing i's segment unless it is the one held."""
         j, k = divmod(i, self.table.stride)
         if self._back_seg != j:
             if self._back is None:
-                self._back = np.empty((2, self.table.stride,
-                                       self.table.num_u, self.chain.m))
-            self.table.segment(j, *self._back)
+                self._back = np.empty((self.table.stride, self.table.num_u,
+                                       self.chain.m))
+            self.table.segment(j, self._back)
             self._back_seg = j
-        return self._back[0, k], self._back[1, k]
+        return self._back[k]
 
     def _position_tables(self):
-        """(pred_states, pred_symbols, mins, ratios) for the current position.
-
-        pred_states is not renormalized.  Emission columns sum to 1, so the
-        row sums of the unscaled pred_symbols are the predicted-state mass,
-        which is 1 for live hypotheses unless a degenerate (theta or epsilon
-        = 0) model starved some states.  Its inverse, the defensive
-        renormalization, scales pred_symbols here and the outcome
-        coefficients in `advance`: (batch, num_u, arity) tables, not the
-        (batch, num_u, m) pred_states.  The unscaled pred_symbols stay for
-        `advance`'s normalizers.
-        """
+        """(pred, pred_symbols, mins, ratios) for the current position: pred
+        is a @ T, pred_symbols `_predict`'s raw times its inverse mass, which
+        scales the outcome coefficients in `advance` too; raw stays for
+        `advance`'s normalizers."""
         if self._cache is not None:
             return self._cache
-        if self.pos >= self.model.n:
-            raise InputError("session already consumed the whole sequence")
-        pred = self._predicted_states()
-        # kept for `advance`; one 2-D product: a 3-D matmul with emis.T costs twice
-        self._emis = self.chain.emission(self.pos)
-        emis_t = np.ascontiguousarray(self._emis.T)
-        (m, arity), num_u = emis_t.shape, self.table.num_u
-        raw = self._px_raw = (pred.reshape(self.batch * num_u, m)
-                              @ emis_t).reshape(self.batch, num_u, arity)
-        mass = _row_sums(raw)
-        live = self.live & (mass > 1e-12)
-        self._inv_mass = _inverse_or_zero(mass, live)
+        raw, inv_mass, live = self._predict()
         if self.pos in self._slot:
             comp = self.table.u_components[:, self._slot[self.pos]]
-            px = np.where(live[:, :, None] & (comp[:, None] == np.arange(arity)),
+            px = np.where(live[:, :, None]
+                          & (comp[:, None] == np.arange(raw.shape[2])),
                           1.0, 0.0)
         else:
-            px = raw * self._inv_mass[:, :, None]
+            px = raw * inv_mass[:, :, None]
         mins, ratios = release_rule(px, live, self.pos in self._slot)
-        self._cache = (pred, px, mins, ratios)
+        self._cache = (self._pred, px, mins, ratios)
         return self._cache
 
     def _column(self, col, outcomes: bool) -> np.ndarray:
         """``col`` as int64 of shape (batch,); `InputError` for another shape
         or a symbol outside 0..arity-1 (STAR also allowed for outcomes)."""
-        col = np.asarray(col, dtype=np.int64)
+        col = int_array(col, 1, "a column")
         arity = self.model.arities[self.pos]
         if col.shape != (self.batch,):
             raise InputError(f"a column must have shape ({self.batch},), "
@@ -398,27 +385,25 @@ class BatchMaskingSession:
         return ratios[np.arange(self.batch), self.u_true, x_col]
 
     def advance(self, y_col) -> None:
-        """Filter beliefs through the produced outcomes and move on.
+        """Filter the forward part through the produced outcomes and move on.
 
         The output likelihood given state s is sum_v coef[u, v] p(v | s): for
         a released y, coef is ratio(u, y) at v = y and 0 elsewhere; for an
         erasure, coef is 1 - ratio(u, v), which is right only because
         sum_v p(v | s) = 1.  Ratios lie in [0, 1], so the factor is >= 0.
 
-        The new belief's row sums are sum_v coef[u, v] times the unscaled
-        pred_symbols, (batch, num_u, arity) tables; times the defensive
-        renormalization they are the normalizers, which must match the
-        output probability.  Their inverses scale coef, where the
-        renormalization cancels, before the one product that forms the
-        (batch, num_u, m) belief.
+        The normalizers are sum_v coef[u, v] times the unscaled predictive,
+        (batch, num_u, arity) tables, times the defensive renormalization;
+        they must match the output probability.  The inverses of the
+        unrenormalized ones scale coef before `_filter`, so that the new
+        forward part keeps sum_s a[s] z[s] = 1.
         """
-        pred, _, mins, ratios = self._position_tables()
+        _, _, mins, ratios = self._position_tables()
         y_col = self._column(y_col, outcomes=True)
         released = y_col != STAR
         if self.pos in self._slot and released.any():
             raise InputError("sensitive positions must be erased")
-        (arity, m), num_u = self._emis.shape, self.table.num_u
-        hit = y_col[:, None] == np.arange(arity)            # (batch, arity)
+        hit = y_col[:, None] == np.arange(self._emis.shape[0])  # (batch, arity)
         coef = np.where(released[:, None, None], ratios * hit[:, None, :],
                         1.0 - ratios)
         sums = _row_sums(coef * self._px_raw)
@@ -434,10 +419,20 @@ class BatchMaskingSession:
         # hypotheses whose context became impossible drop out of the minimum
         self.live = self.live & (norms > 0)
         coef *= _inverse_or_zero(sums, self.live)[:, :, None]
-        belief = self.belief
-        np.matmul(coef.reshape(self.batch * num_u, arity), self._emis,
-                  out=belief.reshape(self.batch * num_u, m))
-        belief *= pred
+        (arity, m), flat = self._emis.shape, self.batch * self.table.num_u
+        np.matmul(coef.reshape(flat, arity), self._emis,
+                  out=self.belief.reshape(flat, m))
+        self._filter(self.belief)
+
+    def _filter(self, weights) -> None:
+        """a' = weights (a @ T), times e_pos(u_pos) at a sensitive position,
+        into ``belief``; then the next position.  ``weights``, coef @ emis
+        or anything that broadcasts against (batch, num_u, m), may be
+        ``belief``.  Needs `_predict` at this position first."""
+        np.multiply(weights, self._pred, out=self.belief)
+        if self.pos in self._slot:
+            self.belief *= self._emis[
+                self.table.u_components[:, self._slot[self.pos]]]
         self.pos += 1
         self._cache = None
 
@@ -469,8 +464,8 @@ def _mask_in_lockstep(model, xs, K, rng, table, runs=0):
     on x alone, so the draw is exactly ``uniform < r``."""
     given = xs is not None
     if given:
-        xs = np.asarray(xs, dtype=np.int64)
-        if xs.ndim != 2 or xs.shape[1] != model.n:
+        xs = int_array(xs, 2, "xs")
+        if xs.shape[1] != model.n:
             raise InputError(f"xs must have shape (batch, {model.n})")
         if xs.size and (xs.min() < 0 or xs.max() >= max(model.arities)):
             raise InputError(

@@ -10,7 +10,14 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .distributions import STAR, STAR_CHAR, parse_symbols, row_codes, symbols_text
+from .distributions import (
+    STAR,
+    STAR_CHAR,
+    int_array,
+    parse_symbols,
+    row_codes,
+    symbols_text,
+)
 from .errors import InputError, NumericalError
 
 #: Probabilities may leave [0, 1] by at most this much before it is treated
@@ -25,7 +32,7 @@ RATIO_SNAP = 1e-13
 
 
 def _validate_sensitive(K, n: int) -> tuple[int, ...]:
-    K = tuple(sorted({int(k) for k in K}))
+    K = tuple(sorted(set(int_array(K, 1, "sensitive positions").tolist())))
     if any(k < 0 or k >= n for k in K):
         raise InputError(f"sensitive positions {K} outside 0..{n - 1}")
     return K

@@ -75,47 +75,45 @@ def path_probability_table(model, K):
 
 
 def reference_backward(model, K, table=None):
-    """The full backward table by one recursion over all n rows, and the
-    products row(i + 1) @ T.T (ones at n - 1) that the checkpointed table
-    must reproduce bit for bit.  Given a ``table``, each segment's recursion
-    starts instead from that table's checkpoint above it, as
-    `SensitiveBackwardTable.segment` does."""
+    """The full backward table by one recursion over all n rows, which the
+    checkpointed table must reproduce bit for bit.  Given a ``table``, each
+    segment's recursion starts instead from that table's checkpoint above
+    it, as `SensitiveBackwardTable.segment` does."""
     chain = model.hidden_chain()
     K = tuple(sorted(K))
     us = sensitive_assignments(model.arities, K)
     ucomp = np.array(us, dtype=np.int64).reshape(len(us), len(K))
     n, t, emis = model.n, chain.trans, emissions(chain)
-    values, prods = np.ones((2, n, ucomp.shape[0], chain.m))
+    values = np.ones((n, ucomp.shape[0], chain.m))
     slot = {k: j for j, k in enumerate(K)}
     for i in range(n - 1, -1, -1):
         if i < n - 1:
             nxt = (table.values[(i + 1) // table.stride]
                    if table is not None and (i + 1) % table.stride == 0
                    else values[i + 1])
-            values[i] = prods[i] = nxt @ t.T
+            values[i] = nxt @ t.T
         if i in slot:
             values[i] *= emis[i][ucomp[:, slot[i]]]
-    return values, prods
+    return values
 
 
 def segment_rows(table):
-    """Every backward row and product, (n, num_u, m) each, walked through
+    """Every backward row, (n, num_u, m), walked through
     `SensitiveBackwardTable.segment` one segment at a time."""
     n, stride = table.chain.n, table.stride
-    rows, prods = np.empty((2, n, table.num_u, table.chain.m))
+    rows = np.empty((n, table.num_u, table.chain.m))
     for j in range(len(table.values)):
-        table.segment(j, rows[j * stride:], prods[j * stride:])
-    return rows, prods
+        table.segment(j, rows[j * stride:])
+    return rows
 
 
 def assert_segments_equal_reference(model, K):
     table = sensitive_backward_table(model, K)
-    ref_rows, ref_prods = reference_backward(model, K)
-    rows, prods = segment_rows(table)
+    ref_rows = reference_backward(model, K)
+    rows = segment_rows(table)
     assert table.values.shape[0] == -(-model.n // table.stride)
     assert np.array_equal(table.values, ref_rows[::table.stride])
     assert np.array_equal(rows, ref_rows)
-    assert np.array_equal(prods, ref_prods)
     assert np.array_equal(table.prior,
                           ref_rows[0] @ model.hidden_chain().initial)
 
@@ -136,16 +134,15 @@ def without_the_jump(monkeypatch, model):
 
 def assert_segments_equal_checkpoint_recursion(model, K):
     """On either path: the checkpoints within `JUMP_RTOL` of the full
-    recursion, and every segment's rows and products bit for bit the
-    recursion from its own checkpoint above."""
+    recursion, and every segment's rows bit for bit the recursion from its
+    own checkpoint above."""
     table = sensitive_backward_table(model, K)
-    full_rows, _ = reference_backward(model, K)
-    ref_rows, ref_prods = reference_backward(model, K, table)
-    rows, prods = segment_rows(table)
+    full_rows = reference_backward(model, K)
+    ref_rows = reference_backward(model, K, table)
+    rows = segment_rows(table)
     np.testing.assert_allclose(table.values, full_rows[::table.stride],
                                rtol=JUMP_RTOL, atol=0)
     assert np.array_equal(rows, ref_rows)
-    assert np.array_equal(prods, ref_prods)
     assert np.array_equal(table.prior,
                           table.values[0] @ model.hidden_chain().initial)
 
@@ -261,7 +258,7 @@ def test_backward_table_empty_sensitive(rng):
 def test_backward_table_last_position_not_sensitive(rng):
     model = random_hmm(rng, 4, 3)
     table = sensitive_backward_table(model, [1])
-    rows, _ = segment_rows(table)
+    rows = segment_rows(table)
     assert np.all(rows[3] == 1.0)
     assert np.all(rows[2] == 1.0)  # past the last sensitive index
     assert table.plain_from == 2
@@ -515,22 +512,25 @@ def test_session_rates_are_pinned():
     # began drawing their outputs from the minima with no sampled x.
     # "conditioned" and "markov" were re-pinned when free segments began to
     # take their checkpoints through T^s: their rates kept every bit, their
-    # stderrs moved by at most 1.1e-19
+    # stderrs moved by at most 1.1e-19.  "plain", "conditioned", "eps0" and
+    # "markov" were re-pinned when the session began to filter the forward
+    # part only: rates moved by at most 2.2e-16 (eps0; the others kept
+    # every bit), stderrs by at most 8.7e-19
     got = {}
     for name, model, K in _pinned_sessions():
         got[name] = hashlib.sha256(repr(erasure_rate_mc(
             model, K, 300, np.random.default_rng(7))).encode()).hexdigest()
     assert got == {
         "plain":
-            "9621b48e9af1cffc2e83739484f62e3e4c23fe74b091de60c9d8d0fd7743da60",
+            "9a6f72c82e4bc10ba1ef0d59ef44798f09b3e3672447c7b96bcb493e5fa4b5ae",
         "conditioned":
-            "3e92732f7324ba52c08d19d40ab75e3e58b65a06fa65b506a4d1452d4b5d799f",
+            "d2ec8b7119cf085fb83e4e87a78c552537ae966faf1562ac7acdb14fd2e142a9",
         "eps0":
-            "edb9863d0f13843978197f18cc152d68f385d437885d3e7fa7a9bb61e75fc2bd",
+            "2a2ea8cdc2a21fe233c327ea39e07af92aa1f9a7a96b994cab28e756eb0361f0",
         "theta0":
             "c2a922be6b17d71d7c5050e47aba84d0a328334d245fcf001a8d5ae09283a709",
         "markov":
-            "00049fea1dd84af84420d437cda4a5a13565109ba2340e973f23aa1797d6e59d",
+            "0ca206809a7cd7f7adbe315428150c83a69dc2f48b86b409517172accd57716e",
     }
 
 
@@ -542,7 +542,9 @@ def test_mask_sequence_transcripts_are_pinned():
     # batch-of-one loop keeps the Python int and float types.
     # "conditioned" and "markov" were re-pinned when free segments began to
     # take their checkpoints through T^s: release probabilities moved by at
-    # most 2.2e-16, outcomes did not
+    # most 2.2e-16, outcomes did not.  All five were re-pinned when the
+    # session began to filter the forward part only: release probabilities
+    # moved by at most 3.3e-16, outcomes did not
     got = {}
     for name, model, K in _pinned_sessions():
         rng = np.random.default_rng(7)
@@ -552,15 +554,15 @@ def test_mask_sequence_transcripts_are_pinned():
         ).encode()).hexdigest()
     assert got == {
         "plain":
-            "1cb39d2b94b7ade65280fa2e6eb3791461b7f9a320e76bf61c1edd3071c2c0d9",
+            "76cac53a6500ca0769dd216b693bb52bac3b6db01665e25c82cd65bc5f31c22a",
         "conditioned":
-            "6442b5628d64cf811c36edde4e761a96dc41f10a5348a8e159b8c8430acd2bcd",
+            "cffe2ee0031bb3e975da2d7de8343f43c62c9426b4f9b1e4e0d47765d4d2dc88",
         "eps0":
-            "db6ae255cfa6069936b200c1b5ef670ec1866ea9d02594408bb784f71bcea5bc",
+            "5405c6f8f24483e8a2c0e9e8600055ba2522e491a12820c5b29016f98a937f19",
         "theta0":
-            "11ee449e6d99941dfea5cdba33d59be50074f79198d8ca19319ee9d9c610a9ff",
+            "fab1befdc8a806a7caca2b8bd4154fcbed9416076ba1f487d12fa12810fb6de3",
         "markov":
-            "379ef6a76455afd8cb02557efc37fd1f356c90eb46fee3aa1e87204958a8b38c",
+            "14275ac225954fd796ddd3eef07f243398dccd21967674927740d997d57d14d5",
     }
 
 
@@ -755,15 +757,83 @@ def test_sessions_reject_sensitive_values_outside_alphabet(rng, bad):
         BatchMaskingSession(model, [0, 2], [[0, 1], [1, bad]])
 
 
+def broken_symbols(rng, good, arity):
+    """``good``, an int array of symbols, with one piece broken: a symbol
+    out of range, negative (below STAR), non-integral or NaN, or the array
+    cut short, nested one axis deeper or made ragged."""
+    kind = int(rng.integers(7))
+    if kind < 4:
+        bad = good.astype(float)
+        bad.flat[rng.integers(bad.size)] = (arity, -2, 0.5, np.nan)[kind]
+        return bad
+    if kind == 4:
+        return good[..., :-1]
+    if kind == 5:
+        return good[..., None]
+    rows = [list(r) for r in good.reshape(len(good), -1)]
+    rows[-1] = rows[-1][:-1]
+    return rows
+
+
+def broken_positions(rng, K, n):
+    """Sorted positions ``K`` with one piece broken: a position past the
+    end, negative, non-integral or NaN, the list nested, or None."""
+    j = int(rng.integers(len(K)))
+    return [K + [n], K + [-1], K[:j] + [K[j] + 0.5] + K[j + 1:],
+            K + [np.nan], [[k] for k in K], None][int(rng.integers(6))]
+
+
+@seeded_examples(21)
+def test_chain_entry_points_raise_only_input_error(seed):
+    # ROADMAP item 8 at the chain's entry points: one malformed argument a
+    # seed, given to `mask_hmm_batch`, a session's constructor,
+    # `release_probability` or `advance`, or `EnumeratedMechanism`, raises
+    # `InputError` and nothing else.  Non-integral symbols and positions
+    # were once truncated without a word, a NaN raised ValueError, ragged
+    # rows ValueError, and a nested or None K TypeError
+    model, K, _ = small_models(seed, kinds=("markov", "hmm"))
+    rng = np.random.default_rng(seed)
+    xs, arity = model.sample_batch(2, rng), model.arities[0]
+    target = ("mask-xs", "mask-K", "session-K", "session-x", "release",
+              "advance", "enumerated")[seed % 7]
+    if target == "mask-xs":
+        call = lambda: mask_hmm_batch(model, broken_symbols(rng, xs, arity),
+                                      K, rng)
+    elif target == "session-x":
+        call = lambda: BatchMaskingSession(
+            model, K, broken_symbols(rng, xs[:, K], arity))
+    elif target in ("release", "advance"):
+        ses = BatchMaskingSession(model, K, xs[:, K])
+        for _ in range(int(rng.integers(model.n))):
+            ses.advance([STAR, STAR])
+        col = broken_symbols(rng, xs[:, ses.pos], arity)
+        call = lambda: (ses.release_probability(col) if target == "release"
+                        else ses.advance(col))
+    else:
+        bad_K = broken_positions(rng, K, model.n)
+        call = {"mask-K": lambda: mask_hmm_batch(model, xs, bad_K, rng),
+                "session-K": lambda: BatchMaskingSession(model, bad_K,
+                                                         xs[:, K]),
+                "enumerated": lambda: EnumeratedMechanism(model, bad_K),
+                }[target]
+    with pytest.raises(InputError):
+        call()
+
+
 def test_belief_rows_stay_normalized(rng):
+    # the session keeps the forward part a of the belief: weighed by the
+    # backward row of its next position through T, z = row(pos) @ T.T
+    # (ones past the end), it sums to 1 for every live hypothesis
     model = random_hmm(rng, 6, 3)
     ses = BatchMaskingSession(model, [1], [[0]])
+    rows, t = reference_backward(model, [1]), model.hidden_chain().trans
     x = model.sample(rng)
     for i in range(model.n):
         r = ses.release_probability([x[i]])
         ses.advance(np.where(rng.random(1) < r, x[i], STAR))
         live = ses.live[0]
-        sums = ses.belief[0].sum(axis=1)
+        z = rows[ses.pos] @ t.T if ses.pos < model.n else np.ones(model.m)
+        sums = (ses.belief[0] * z).sum(axis=1)
         assert sums[live] == pytest.approx(np.ones(live.sum()), abs=1e-9)
 
 
