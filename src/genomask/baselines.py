@@ -15,7 +15,6 @@ divergence D(p || q) over whole sequences bounds that leakage.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -163,25 +162,6 @@ def sequence_kl(p_model: SequenceModel, q_model: SequenceModel) -> float:
     """D(p || q) over whole sequences, in bits (exact, enumerated)."""
     MismatchPair(p_model, q_model)      # InputError unless the arities match
     return kl_divergence(p_model.joint_table()[1], q_model.joint_table()[1])
-
-
-def sequence_kl_mc(p_model: SequenceModel, q_model: SequenceModel,
-                   samples: int, rng: np.random.Generator):
-    """Monte-Carlo estimate of D(p || q) in bits for models too long to
-    enumerate, drawn in `hmm._monte_carlo`'s blocks, or (inf, 0.0) once a
-    drawn x has q(x) = 0; both models need a hidden chain, whose forward
-    pass gives log p(x)."""
-    MismatchPair(p_model, q_model)      # InputError unless the arities match
-    p_chain = _hmm.require_chain(p_model, "sequence_kl_mc")
-    q_chain = _hmm.require_chain(q_model, "sequence_kl_mc")
-
-    def score(count):
-        xs = p_model.sample_batch(count, rng)
-        return (p_chain.log_probs(xs) - q_chain.log_probs(xs)) / math.log(2)
-
-    with np.errstate(invalid="ignore"):     # the stderr of infinite scores
-        (mean,), (err,) = _hmm._monte_carlo(samples, score)
-    return (float(mean), float(err)) if mean < math.inf else (math.inf, 0.0)
 
 
 def robustness_experiment(pair: MismatchPair, K,

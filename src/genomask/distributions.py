@@ -79,15 +79,29 @@ def int_array(values, ndim: int, what: str) -> np.ndarray:
     return arr.astype(np.int64, copy=False)
 
 
+def symbol_rows(xs, arities: Sequence[int], what: str) -> np.ndarray:
+    """``xs`` as an (N, n) int64 array of sequences, n = len(arities): the
+    one check of caller-given symbol rows.  `InputError` naming ``what``
+    where `int_array` refuses them, for another column count, or for a
+    symbol outside 0..arities[i]-1 in column i."""
+    xs = int_array(xs, 2, what)
+    if xs.shape[1] != len(arities):
+        raise InputError(f"{what} must have {len(arities)} positions, "
+                         f"not {xs.shape[1]}")
+    # as uint64 a negative symbol is huge; the flat maximum spares most
+    # rows the per-column one, about 10 times slower
+    wide = xs.view(np.uint64)
+    if xs.size and wide.max() >= min(arities):
+        if (bad := np.flatnonzero(wide.max(axis=0) >= arities)).size:
+            raise InputError(f"{what}: a symbol at position {bad[0]} lies "
+                             f"outside 0..{arities[bad[0]] - 1}")
+    return xs
+
+
 def validate_sequence(x: Sequence[int], arities: Sequence[int]) -> tuple[int, ...]:
     """Check length and per-position symbol range; return x as a tuple."""
-    x = tuple(int_array(x, 1, "a sequence").tolist())
-    if len(x) != len(arities):
-        raise InputError(f"sequence length {len(x)} != model length {len(arities)}")
-    for i, (v, a) in enumerate(zip(x, arities)):
-        if not 0 <= v < a:
-            raise InputError(f"symbol {v} at position {i} outside 0..{a - 1}")
-    return x
+    x = int_array(x, 1, "a sequence")
+    return tuple(symbol_rows(x[None], arities, "a sequence")[0].tolist())
 
 
 def sensitive_assignments(arities: Sequence[int], K: Sequence[int]) -> list[tuple[int, ...]]:
@@ -100,18 +114,11 @@ def sensitive_assignments(arities: Sequence[int], K: Sequence[int]) -> list[tupl
 def row_codes(rows, dims: Sequence[int]) -> np.ndarray:
     """Row-major codes of the rows of an (N, len(dims)) integer array, the
     first column most significant.  With no columns every row has code 0.
-    Rows that `int_array` refuses, a row of the wrong length or a value
-    outside 0..dims[j]-1 raise `InputError`."""
-    rows = int_array(rows, 2, "rows")
-    dims = tuple(int(d) for d in dims)
-    if rows.shape[1] != len(dims):
-        raise InputError(f"rows must have shape (N, {len(dims)})")
-    if not dims:
+    Rows that `symbol_rows` refuses raise `InputError`."""
+    rows = symbol_rows(rows, dims, "rows")
+    if not len(dims):
         return np.zeros(rows.shape[0], dtype=np.int64)
-    try:
-        return np.ravel_multi_index(tuple(rows.T), dims)
-    except ValueError as exc:
-        raise InputError(f"value outside the ranges {dims}") from exc
+    return np.ravel_multi_index(tuple(rows.T), tuple(dims))
 
 
 def symbols_text(row) -> str:
@@ -169,7 +176,8 @@ class HiddenChain:
     `forward`, `backward`, `power` and `emission(i)`, p(x_i = v | S_i = s)
     made one position at a time, read T and the law, so a structured T
     (copying: diagonal plus rank one) or a byte check has one site to
-    change."""
+    change.  A model builds its chain once, so the chain's identity names
+    the model: a backward table serves the sessions of its own model only."""
 
     initial: np.ndarray      # (m,)
     trans: np.ndarray        # (m, m)
@@ -213,12 +221,6 @@ class HiddenChain:
         """The (arity, m) law p(x_i = v | S_i = s), a new array per call."""
         return self.law.take(self.classes[i], axis=1)
 
-    def same_as(self, other: HiddenChain) -> bool:
-        """The same chain, by identity or else by value: some models build a
-        new chain on each `hidden_chain()` call."""
-        return self is other or all(map(np.array_equal, vars(self).values(),
-                                        vars(other).values()))
-
     def filtered(self, rows: np.ndarray):
         """The scaled forward filter (Rabiner 1989) of (rows, n) symbols: per
         position i, (f, total) with f / total = p(S_i | x_0..x_i) and total =
@@ -236,7 +238,7 @@ class HiddenChain:
         impossible rows.  Rows go in pieces whose four live (rows, m) float64
         arrays fit in ``BELIEF_BUDGET_BYTES``; a row that does not fit goes
         alone, as a node of the walk that reaches this via `joint_table`."""
-        xs = np.asarray(xs, dtype=np.int64)
+        xs = symbol_rows(xs, (self.law.shape[0],) * self.n, "rows")
         log_p = np.zeros(xs.shape[0])
         row_bytes = min(4 * 8 * self.m, BELIEF_BUDGET_BYTES)
         for piece in budget_pieces(xs.shape[0], row_bytes):
@@ -366,8 +368,9 @@ class MarkovChainModel(SequenceModel):
             raise InputError("n must be >= 1")
         self.n = int(n)
         self.arities = (size,) * self.n
-        self.initial.setflags(write=False)
-        self.transition.setflags(write=False)
+        self._chain = HiddenChain(
+            self.initial, self.transition, np.eye(size),
+            np.broadcast_to(np.arange(size), (self.n, size)))
 
     @classmethod
     def binary_symmetric(cls, stay: float, n: int,
@@ -376,13 +379,12 @@ class MarkovChainModel(SequenceModel):
         return cls(initial, t, n)
 
     def hidden_chain(self) -> HiddenChain:
-        """The chain itself: the hidden state is the symbol, emitted as is."""
-        size = self.alphabet.size
-        return HiddenChain(self.initial, self.transition, np.eye(size),
-                           np.broadcast_to(np.arange(size), (self.n, size)))
+        """The chain itself, built once in ``__init__`` (which write-locks
+        ``initial`` and ``transition``): the state is the symbol, emitted as is."""
+        return self._chain
 
     def joint_probs(self, xs: np.ndarray) -> np.ndarray:
-        xs = np.asarray(xs, dtype=np.int64)
+        xs = symbol_rows(xs, self.arities, "rows")
         p = self.initial[xs[:, 0]]
         for i in range(1, self.n):
             p = p * self.transition[xs[:, i - 1], xs[:, i]]

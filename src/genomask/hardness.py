@@ -22,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .distributions import SequenceModel
+from .distributions import SequenceModel, symbol_rows
 from .errors import CapacityError, InputError
 from .masking import Ordering
 from .mechanism import EnumeratedMechanism
@@ -136,7 +136,7 @@ class ParityModel(SequenceModel):
         return xs
 
     def joint_probs(self, xs: np.ndarray) -> np.ndarray:
-        xs = np.asarray(xs, dtype=np.int64)
+        xs = symbol_rows(xs, self.arities, "rows")
         # the edge bits read off the element codes must give the parities
         bits = (xs[:, self._elem] >> self._shift) & 1
         ok = np.all(self._encode(bits) == xs, axis=1)

@@ -7,12 +7,13 @@ chain with m symbols) gives it in O(n m^2) arithmetic per hypothesis:
 
 * a backward pass over hidden states gives, for every position and
   sensitive assignment u, the likelihood of the not-yet-passed sensitive
-  symbols given the current hidden state; it keeps about sqrt(n) of those
-  rows and recomputes the others one segment at a time as the forward
-  pass reaches them.  A segment of s = ceil(sqrt(n)) rows that holds no
-  sensitive position takes its checkpoint in one product with (T^s)^T,
-  so with few sensitive positions the pass makes O(sqrt(n)) kernel
-  products, not n;
+  symbols given the current hidden state.  One loop,
+  `SensitiveBackwardTable.segment`, makes those rows: the build runs it
+  once per segment of s = ceil(sqrt(n)) rows and keeps each segment's
+  first row, and the forward pass reruns it one segment at a time as it
+  reaches them.  A segment that holds no sensitive position takes its
+  checkpoint in one product with (T^s)^T instead, so with few sensitive
+  positions the build makes O(sqrt(n)) kernel products, not n;
 * a per-hypothesis filter carries the forward part of the belief over
   hidden states through the outputs actually produced, folding in the
   mechanism's own release randomness, not just the chain's; the backward
@@ -56,6 +57,7 @@ from .distributions import (
     int_array,
     row_codes,
     sensitive_assignments,
+    symbol_rows,
 )
 from .errors import CapacityError, ImpossibleContextError, InputError, NumericalError
 from .info import sample_stderr
@@ -89,9 +91,10 @@ class SensitiveBackwardTable:
     (T^s).T``, when the row products it saves outweigh the 2 ceil(log2 s)
     (m, m) products of T^s and T^s's two (m, m) arrays fit
     ``BELIEF_BUDGET_BYTES``.  A jumped checkpoint equals the row-by-row
-    recursion up to rounding (1.1e-12 relative at n = 1000, m = 500).  Every
-    other checkpoint is the last row of the row-by-row recursion from the
-    checkpoint above, as `segment` recomputes it, bit for bit.  Rows from
+    recursion up to rounding (1.1e-12 relative at n = 1000, m = 500).  The
+    build takes every other checkpoint as ``rows[0]`` of `segment`, run in a
+    (stride, num_u, m) buffer the size of a session's own, so `segment`
+    recomputes those bit for bit by construction.  Rows from
     ``plain_from`` on are products of T's row sums, 1 only up to rounding;
     they are computed as the others are, not set to ones.
     """
@@ -99,7 +102,6 @@ class SensitiveBackwardTable:
     K: tuple[int, ...]
     values: np.ndarray            # (ceil(n / stride), num_u, m) checkpoints
     u_components: np.ndarray      # (num_u, |K|)
-    prior: np.ndarray             # (num_u,) = p(sensitive = u)
     plain_from: int               # first position with no sensitive suffix
     chain: HiddenChain
 
@@ -112,37 +114,35 @@ class SensitiveBackwardTable:
         """Rows per segment, ceil(sqrt(n))."""
         return _stride(self.chain.n)
 
+    @property
+    def prior(self) -> np.ndarray:
+        """(num_u,) p(sensitive = u), from the first checkpoint."""
+        return self.values[0] @ self.chain.initial
+
     def segment(self, j: int, rows: np.ndarray) -> None:
         """Recompute rows a .. b-1, a = j * stride and b = min(a + stride,
         n), into ``rows[:b - a]`` by the row-by-row recursion from the
-        checkpoint above (from ones at row n - 1), with the build's own
-        products: bit for bit the build's rows on a segment it did not jump,
-        and on a jumped one ``rows[0]`` equals ``values[j]`` up to rounding.
-        """
+        checkpoint above (from ones at row n - 1): the one loop that makes a
+        backward row, the build's too.  On a jumped segment ``rows[0]``
+        equals ``values[j]`` up to rounding."""
         n, a = self.chain.n, j * self.stride
         b = min(a + self.stride, n)
-        nxt = self.values[j + 1] if b < n else None
         for i in range(b - 1, a - 1, -1):
-            _backward_step(self.chain, self.K, self.u_components, i, nxt,
-                           rows[i - a])
-            nxt = rows[i - a]
+            row = rows[i - a]
+            if i == n - 1:
+                row[...] = 1.0
+            else:
+                # row(i)[u, s] = sum_s' T[s, s'] * row(i + 1)[u, s']
+                self.chain.backward(rows[i - a + 1] if i < b - 1
+                                    else self.values[j + 1], out=row)
+            if i in self.K:
+                row *= self.chain.emission(i)[
+                    self.u_components[:, self.K.index(i)]]
 
 
 def _stride(n: int) -> int:
     """ceil(sqrt(n)) for n >= 1."""
     return math.isqrt(n - 1) + 1
-
-
-def _backward_step(chain: HiddenChain, K, ucomp, i, nxt, row) -> None:
-    """Backward row i into ``row`` from ``nxt`` = row i + 1, another
-    array, or from ones when ``nxt`` is None (i = n - 1)."""
-    if nxt is None:
-        row[...] = 1.0
-    else:
-        # row(i)[u, s] = sum_s' T[s, s'] * row(i + 1)[u, s']
-        chain.backward(nxt, out=row)
-    if i in K:
-        row *= chain.emission(i)[ucomp[:, K.index(i)]]
 
 
 def require_chain(model: SequenceModel, what: str) -> HiddenChain:
@@ -154,7 +154,8 @@ def require_chain(model: SequenceModel, what: str) -> HiddenChain:
 
 
 def sensitive_backward_table(model: SequenceModel, K) -> SensitiveBackwardTable:
-    """Backward recursion over hidden states, one column per hypothesis."""
+    """Backward recursion over hidden states, one column per hypothesis:
+    each checkpoint by a jump or by `SensitiveBackwardTable.segment`."""
     chain = require_chain(model, "the backward table")
     K = _validate_sensitive(K, model.n)
     if (num_u := math.prod(model.arities[k] for k in K)) > 2 ** MAX_SENSITIVE:
@@ -173,20 +174,16 @@ def sensitive_backward_table(model: SequenceModel, K) -> SensitiveBackwardTable:
                 > 2 * (stride - 1).bit_length() * m
                 and 2 * 8 * m * m <= distributions.BELIEF_BUDGET_BYTES)
             else None)
-    values = np.empty((segments, num_u, m))
-    rows = np.empty((2, num_u, m))      # row i + 1 and row i, in turn
+    table = SensitiveBackwardTable(K, np.empty((segments, num_u, m)), ucomp,
+                                   (max(K) + 1) if K else 0, chain)
+    rows = np.empty((stride, num_u, m))
     for j in range(segments - 1, -1, -1):
         if jump is not None and j in free:
-            np.matmul(values[j + 1], jump.T, out=values[j])
-            continue
-        nxt = values[j + 1] if j + 1 < segments else None
-        for i in range(min(j * stride + stride, n) - 1, j * stride - 1, -1):
-            _backward_step(chain, K, ucomp, i, nxt, rows[i % 2])
-            nxt = rows[i % 2]
-        values[j] = nxt
-    prior = values[0] @ chain.initial
-    plain_from = (max(K) + 1) if K else 0
-    return SensitiveBackwardTable(K, values, ucomp, prior, plain_from, chain)
+            np.matmul(table.values[j + 1], jump.T, out=table.values[j])
+        else:
+            table.segment(j, rows)
+            table.values[j] = rows[0]
+    return table
 
 
 def sensitive_conditionals(model: SequenceModel, K) -> np.ndarray:
@@ -232,7 +229,8 @@ class BatchMaskingSession:
     ``x_sensitive`` holds the rows' true sensitive values, (batch, |K|), or
     is a batch size: the output law does not depend on the true values, so
     such a session can advance through any outcomes its own release tables
-    allow, but it has no `release_probability`.
+    allow, but it has no `release_probability`.  A given ``table`` must be
+    built for K from this very model: its chain is matched by identity.
 
     ``belief`` (defined once the first position is advanced) is the forward
     part a: p(S_pos-1 = s | u, outputs so far) = a[s] z[s], with z =
@@ -258,7 +256,7 @@ class BatchMaskingSession:
         self.table = table if table is not None else sensitive_backward_table(model, self.K)
         if self.table.K != self.K:
             raise InputError("backward table was built for a different K")
-        if not self.table.chain.same_as(self.chain):
+        if self.table.chain is not self.chain:
             raise InputError("backward table was built for a different model")
         if isinstance(x_sensitive, (int, np.integer)):
             if x_sensitive < 0:
@@ -464,12 +462,7 @@ def _mask_in_lockstep(model, xs, K, rng, table, runs=0):
     on x alone, so the draw is exactly ``uniform < r``."""
     given = xs is not None
     if given:
-        xs = int_array(xs, 2, "xs")
-        if xs.shape[1] != model.n:
-            raise InputError(f"xs must have shape (batch, {model.n})")
-        if xs.size and (xs.min() < 0 or xs.max() >= max(model.arities)):
-            raise InputError(
-                f"symbols must lie in 0..{max(model.arities) - 1}")
+        xs = symbol_rows(xs, model.arities, "xs")
         rows, out, probs = len(xs), np.empty_like(xs), np.empty(xs.shape)
     else:
         rows, mass = runs, np.zeros(runs)

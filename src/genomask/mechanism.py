@@ -437,10 +437,9 @@ class OutputDistribution:
                        ys: np.ndarray, w: np.ndarray) -> "OutputDistribution":
         """Law of a mechanism that releases sequence ``xs[j]`` as ``ys[j]``
         with probability ``w[j]``, the inputs drawn from ``model``: p(x) is
-        ``model.joint_probs(xs)``, each row checked as one of its sequences."""
+        ``model.joint_probs(xs)``, which checks the rows."""
         K = _validate_sensitive(K, model.n)
         us = sensitive_assignments(model.arities, K)
-        row_codes(xs, model.arities)        # InputError unless valid rows
         px = model.joint_probs(xs)
         keep = (px > 0) & (w > 0)
         # a 1-D unique of codes: far faster than np.unique(axis=0) on rows

@@ -18,7 +18,6 @@ from genomask import (
     window_leakage_sweep,
     window_mask,
 )
-from genomask.baselines import sequence_kl_mc
 from genomask.mechanism import EnumeratedMechanism
 
 from conftest import random_hmm, random_markov
@@ -145,8 +144,9 @@ def test_pure_noise_emissions_leak_nothing(rng):
 
 
 def test_sweep_batch_fits_belief_budget(rng, monkeypatch):
-    # the 30 samples are one block, drawn at once; the budget holds the
-    # powers T^2 and T^4 and only cuts the block into pieces of at most 7 rows
+    # 1100 samples are drawn in `_monte_carlo`'s blocks of 512; the 30
+    # samples are one block, drawn at once; the budget holds the powers T^2
+    # and T^4 and only cuts the block into pieces of at most 7 rows
     import genomask.distributions as dist_mod
 
     model = random_hmm(rng, 6, 3, eps=0.15, theta=0.05)
@@ -165,6 +165,9 @@ def test_sweep_batch_fits_belief_budget(rng, monkeypatch):
         return cut
 
     monkeypatch.setattr(model, "sample_batch", recording)
+    window_leakage_sweep(model, [0], [2], 1100, rng)
+    assert sizes == [512, 512, 76]
+    sizes.clear()
     monkeypatch.setattr(dist_mod, "budget_pieces", recording_pieces)
     monkeypatch.setattr(dist_mod, "BELIEF_BUDGET_BYTES", 7 * row + 5 + powers)
     window_leakage_sweep(model, [0], [0, 2, 4, 2], 30, rng)
@@ -188,46 +191,21 @@ def test_repeated_omega_is_estimated_once():
         assert (est[i], err[i]) == (alone[0][0], alone[1][0])
 
 
-def test_kl_mc_draws_in_fixed_blocks(rng, monkeypatch):
-    # a Markov chain draws row by row, so its blocks give the draws, and
-    # here the estimate, of one batch
-    p = random_markov(rng, 6)
-    q = MarkovChainModel(p.initial, [[0.6, 0.4], [0.3, 0.7]], 6)
-    xs = p.sample_batch(1100, np.random.default_rng(3))
-    vals = (p.hidden_chain().log_probs(xs)
-            - q.hidden_chain().log_probs(xs)) / np.log(2)
-    sizes = []
-    real = p.sample_batch
-
-    def recording(count, rng_):
-        sizes.append(count)
-        return real(count, rng_)
-
-    monkeypatch.setattr(p, "sample_batch", recording)
-    est, err = sequence_kl_mc(p, q, 1100, np.random.default_rng(3))
-    assert sizes == [512, 512, 76]
-    assert est == float(vals.mean())
-
-
-def test_kl_mc_is_infinite_when_q_misses_a_drawn_row(rng):
-    # q never switches symbols, so any drawn p-row that switches has
-    # q-probability 0; the scores' stderr raises no warning
+def test_kl_mc_is_infinite_when_q_misses_a_drawn_row():
+    # q never switches symbols, so any p-row that switches has
+    # q-probability 0
     p = MarkovChainModel.binary_symmetric(0.8, 4)
     q = MarkovChainModel([0.5, 0.5], [[1.0, 0.0], [0.0, 1.0]], 4)
     assert sequence_kl(p, q) == float("inf")
-    assert sequence_kl_mc(p, q, 100, rng) == (float("inf"), 0.0)
 
 
 def test_markov_sweep_and_kl_mc_match_exact(rng):
     p = random_markov(rng, 7)
-    q = MarkovChainModel(p.initial, [[0.6, 0.4], [0.3, 0.7]], 7)
     omegas = [0, 1, 3, 6]
     est, err = window_leakage_sweep(p, [0], omegas, 4000,
                                     np.random.default_rng(11))
     for w, e, s in zip(omegas, est, err):
         assert abs(e - window_leakage_exact(p, [0], w)) <= 4 * max(s, 1e-4)
-    est, err = sequence_kl_mc(p, q, 4000, np.random.default_rng(12))
-    assert abs(est - sequence_kl(p, q)) <= 4 * max(err, 1e-4)
 
 
 def test_sweep_rejects_empty_omegas(rng):
@@ -241,25 +219,8 @@ def test_sweep_rejects_zero_samples(rng):
 
 
 def test_sweep_and_kl_mc_need_a_hidden_chain(rng):
-    table = ExplicitJointModel.uniform(4)
-    chain = MarkovChainModel.binary_symmetric(0.8, 4)
     with pytest.raises(InputError):
-        window_leakage_sweep(table, [0], [1], 10, rng)
-    for p, q in ((table, chain), (chain, table)):
-        with pytest.raises(InputError):
-            sequence_kl_mc(p, q, 10, rng)
-
-
-def test_kl_mc_rejects_models_of_different_shapes(rng):
-    # a shorter q used to score only a prefix (a negative "divergence"), a
-    # narrower q to index past its emissions
-    p = MarkovChainModel.binary_symmetric(0.8, 5)
-    wide = MarkovChainModel([0.2, 0.3, 0.5], np.full((3, 3), 1 / 3), 5)
-    for q in (MarkovChainModel.binary_symmetric(0.7, 4), wide):
-        with pytest.raises(InputError):
-            sequence_kl_mc(p, q, 100, rng)
-        with pytest.raises(InputError):
-            sequence_kl_mc(q, p, 100, rng)
+        window_leakage_sweep(ExplicitJointModel.uniform(4), [0], [1], 10, rng)
 
 
 def test_sequence_kl_rejects_models_of_different_arities():
@@ -328,14 +289,6 @@ def test_mismatched_support_gives_infinite_bound(rng):
     q = ExplicitJointModel([0.0, 0.5, 0.25, 0.25], n=2, alphabet=2)
     res = robustness_experiment(MismatchPair(p, q), [0])
     assert res.kl_bound_bits == float("inf")
-
-
-def test_sequence_kl_exact_vs_mc(rng):
-    p = random_hmm(rng, 5, 3, eps=0.2, theta=0.1)
-    q = HmmModel(p.panel, 0.3, 0.15)
-    exact = sequence_kl(p, q)
-    est, err = sequence_kl_mc(p, q, 4000, rng)
-    assert abs(est - exact) <= 4 * max(err, 1e-4)
 
 
 def test_q_built_mechanism_private_under_q():

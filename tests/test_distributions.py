@@ -172,6 +172,7 @@ def test_hmm_hidden_chain_holds_no_emission_stack(rng):
 def test_markov_hidden_chain_emits_the_state(rng):
     chain_model = random_markov(rng, 4, alphabet=3)
     chain = chain_model.hidden_chain()
+    assert chain_model.hidden_chain() is chain      # built once, in __init__
     assert chain.initial is chain_model.initial
     assert chain.trans is chain_model.transition
     assert np.array_equal(emissions(chain), np.broadcast_to(np.eye(3), (4, 3, 3)))
@@ -383,6 +384,24 @@ def test_out_of_range_assignments_raise_input_error(u):
         HmmModel(np.array([[0, 1, 1], [1, 0, 1]]), 0.1, 0.05), [0], [[0]])
     with pytest.raises(InputError):
         session.predictive(u)
+
+
+@seeded_examples(24)
+def test_joint_probs_raise_only_input_error(seed):
+    # one symbol of a row made 0.7, -1, the position's arity or NaN:
+    # `joint_probs` used to read 0.7 as 0 and -1 as the last symbol on a
+    # Markov chain, raise IndexError for the arity on an HMM, and score a
+    # non-integral row on a parity model
+    rng = np.random.default_rng(seed)
+    model = {"markov": lambda: random_markov(rng, 5, alphabet=3),
+             "hmm": lambda: random_hmm(rng, 5, 3),
+             "parity": lambda: ParityModel(HittingSetInstance.from_lists(
+                 2, [[1], [1, 2]]))}[("markov", "hmm", "parity")[seed % 3]]()
+    xs = model.sample_batch(3, rng).astype(float)
+    i = int(rng.integers(model.n))
+    xs[rng.integers(3), i] = (0.7, -1, model.arities[i], np.nan)[seed // 3 % 4]
+    with pytest.raises(InputError):
+        model.joint_probs(xs)
 
 
 def test_assignment_indexing():

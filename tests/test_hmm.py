@@ -12,6 +12,7 @@ from genomask import (
     HmmModel,
     ImpossibleContextError,
     InputError,
+    MarkovChainModel,
     NumericalError,
     Ordering,
     STAR,
@@ -660,14 +661,23 @@ def test_prior_zero_sensitive_value_rejected():
 @pytest.mark.parametrize("m,K,match", [
     pytest.param(3, [0], "different model", id="same-m"),
     pytest.param(4, [0], "different model", id="other-m"),
+    pytest.param("equal", [0], "different model", id="equal-hmm"),
+    pytest.param("markov", [0], "different model", id="equal-markov"),
     pytest.param(None, [1], "different K", id="other-K")])
 def test_session_rejects_a_table_of_another_model(rng, m, K, match):
     # same n and K: a table of the same m was used silently, and one of
     # another m failed inside numpy; a table of the model itself built for
-    # another K is refused too
-    model = random_hmm(rng, 5, 3)
-    table = sensitive_backward_table(
-        model if m is None else random_hmm(rng, 5, m), K)
+    # another K is refused too.  A table is matched to its model's chain by
+    # identity, so one of a distinct model with equal values is refused
+    if m == "markov":
+        model = random_markov(rng, 5)
+        other = MarkovChainModel(model.initial, model.transition, model.n)
+    else:
+        model = random_hmm(rng, 5, 3)
+        other = (model if m is None
+                 else HmmModel(model.panel, model.epsilon, model.theta)
+                 if m == "equal" else random_hmm(rng, 5, m))
+    table = sensitive_backward_table(other, K)
     with pytest.raises(InputError, match=match):
         BatchMaskingSession(model, [0], [[0]], table)
     for batch in (2, 0):
@@ -677,8 +687,8 @@ def test_session_rejects_a_table_of_another_model(rng, m, K, match):
 
 
 def test_session_accepts_a_table_of_an_equal_chain(rng):
-    # a Markov chain builds a new hidden chain on each call, so its table
-    # is matched by value; an HMM's cached chain is matched by identity
+    # every chain model builds its hidden chain once, so a table of the
+    # model itself is matched by identity
     for model in (random_markov(rng, 5, alphabet=3), random_hmm(rng, 5, 3)):
         table = sensitive_backward_table(model, [0])
         xs = model.sample_batch(4, rng)

@@ -24,7 +24,8 @@ from genomask import (
     window_leakage_exact,
 )
 from genomask import bounds, distributions, mechanism
-from genomask.baselines import MismatchPair, robustness_experiment, sequence_kl_mc
+from genomask.baselines import (MismatchPair, robustness_experiment,
+                                window_leakage_sweep)
 from genomask.bounds import markov_sufficient_condition_check
 from genomask.distributions import assignment_index
 from genomask.hmm import erasure_rate_mc
@@ -294,14 +295,15 @@ def test_deterministic_mechanism_has_zero_mc_variance(rng):
 
 @pytest.mark.parametrize("runs", [0, -1])
 @pytest.mark.parametrize("estimator", ["erasure_rate_mc", "fallback",
-                                       "sequence_kl_mc"])
+                                       "window_leakage_sweep"])
 def test_monte_carlo_estimators_need_a_run(rng, estimator, runs):
     # one check, in the driver that draws every estimator's runs
     chain, table = random_markov(rng, 4), random_explicit(rng, 4)
     call = {"erasure_rate_mc": lambda: erasure_rate_mc(chain, [0], runs, rng),
             "fallback": lambda: achievable_rate_mc(table, [0], runs=runs,
                                                    rng=rng),
-            "sequence_kl_mc": lambda: sequence_kl_mc(chain, chain, runs, rng)}
+            "window_leakage_sweep": lambda: window_leakage_sweep(
+                chain, [0], [1], runs, rng)}
     with pytest.raises(InputError, match="runs must be >= 1"):
         call[estimator]()
 
