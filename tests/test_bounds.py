@@ -13,6 +13,7 @@ from genomask import (
     MarkovChainModel,
     Ordering,
     achievable_rate_exact,
+    bounds,
     entropy,
     kl_divergence,
     lp_optimal_rate,
@@ -391,7 +392,7 @@ def test_wrong_duals_fail_the_certificate(mutate, highs_runs, monkeypatch):
     sol = lp_optimal_rate(model, [0])
     assert sol.status == "numerical" and sol.gap > LP_GAP_TOL, sol.gap
     assert sol.w is None
-    assert [presolve for presolve, _ in highs_runs] == [False, True]
+    assert [presolve for presolve, _ in highs_runs] == [False, True, False, True]
 
 
 def test_an_infeasible_verdict_is_numerical(monkeypatch):
@@ -431,6 +432,117 @@ def test_lp_is_certified_on_drawn_degenerate_chains():
             assert sol.optimal_rate <= bound + 1e-7, (K, bound, sol)
     assert set(statuses) <= {"optimal", "numerical"}, statuses
     assert statuses["optimal"] >= 373, statuses
+
+
+def solved_columns(model, K):
+    """`lp_optimal_rate`'s answer, and the column count of each LP that it
+    hands to `simplex.linear_program`."""
+    columns = []
+    solve = bounds.linear_program
+
+    def counted(c, a, b, accept):
+        columns.append(len(c))
+        return solve(c, a, b, accept)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(bounds, "linear_program", counted)
+        sol = lp_optimal_rate(model, K)
+    return sol, columns
+
+
+def two_hypothesis_model(seed):
+    """(model, K) from ``seed`` with exactly two positive-prior sensitive
+    assignments: an explicit, Markov or HMM model with one binary
+    sensitive position, two sensitive positions of which two assignments
+    have zero mass, or a ternary sensitive position with one value of zero
+    mass."""
+    rng = np.random.default_rng([seed, 39])
+    kind = ("explicit", "markov", "hmm")[seed % 3]
+    case = ("binary", "two", "ternary")[seed // 3 % 3]
+    n = int(rng.integers(2, 5 if case == "ternary" else 6))
+    K = sorted(int(v) for v in rng.choice(n, size=1 + (case == "two"),
+                                          replace=False))
+    k = K[0]
+    alphabet = 3 if case == "ternary" else 2
+    if kind == "explicit":
+        # binary elsewhere: ternary neighbours can make the transport the
+        # larger LP
+        arities = [alphabet if i == k else 2 for i in range(n)]
+        size = int(np.prod(arities))
+        space = ExplicitJointModel(np.full(size, 1 / size),
+                                   arities).enumerate_space()
+        probs = rng.dirichlet(np.full(len(space), 0.6))
+        if case == "two":
+            # two of the four assignments of (x_k, x_k') get no mass
+            u = space[:, K[0]] * 2 + space[:, K[1]]
+            probs[np.isin(u, rng.choice(4, size=2, replace=False))] = 0.0
+        elif case == "ternary":
+            probs[space[:, k] == rng.integers(3)] = 0.0
+        return ExplicitJointModel(probs / probs.sum(), arities), K
+    if kind == "markov":
+        initial = rng.dirichlet(np.ones(alphabet))
+        rows = rng.dirichlet(np.ones(alphabet), size=alphabet)
+        if case == "two":       # x_0 is fixed, so x_k' takes both values
+            K = [0, K[1]]
+            initial = np.eye(2)[rng.integers(2)]
+        elif case == "ternary":     # one symbol never at position k
+            v = rng.integers(3)
+            if k == 0:
+                initial[v] = 0.0
+            else:
+                rows[:, v] = 0.0
+            initial /= initial.sum()
+            rows /= rows.sum(axis=1, keepdims=True)
+        return MarkovChainModel(initial, rows, n), K
+    # copying without error from a panel whose column k holds two symbols:
+    # one fixed column, with "two", holds the other sensitive position
+    panel = rng.integers(alphabet, size=(4, n))
+    theta = float(rng.uniform(0.02, 0.4))
+    if case == "two":
+        panel[:, K[0]] = rng.integers(2)
+        panel[:2, K[1]] = [0, 1]
+        theta = 0.0
+    elif case == "ternary":
+        values = rng.choice(3, size=2, replace=False)
+        panel[:, k] = values[rng.integers(2, size=4)]
+        panel[:2, k] = values
+        theta = 0.0
+    return HmmModel(panel, float(rng.uniform(0.02, 0.5)), theta, alphabet), K
+
+
+@seeded_examples(40)
+def test_transport_lp_matches_the_subset_lp(seed):
+    # with two positive-prior sensitive assignments the transport LP runs,
+    # is certified on its own, and has the subset LP's optimum
+    model, K = two_hypothesis_model(seed)
+    t = bounds._table(model, tuple(K))
+    positive = np.flatnonzero(t.p_u)
+    assert positive.size == 2, (seed, t.p_u)
+    sol, columns = solved_columns(model, K)
+    assert sol.status == "optimal" and sol.gap <= LP_GAP_TOL, sol
+    sides = [np.count_nonzero((t.p > 0) & (t.u == v)) for v in positive]
+    assert columns == [sides[0] * sides[1]], (columns, sides)
+    subset = bounds._solve(bounds._subset_lp(model, tuple(K), t),
+                           t.space[t.p == 0])
+    assert subset.status == "optimal"
+    assert abs(sol.optimal_rate - subset.optimal_rate) <= 1e-9
+    assert lp_output_distribution(model, K, sol
+                                  ).max_conditional_deviation() <= 1e-10
+    assert_lp_arrays_are_a_mechanism(model, sol)
+    pairs = [(x, y) for x, y, _ in json.loads(sol.to_json())["mechanism"]]
+    assert len(pairs) == len(set(pairs))
+
+
+def test_a_larger_transport_leaves_the_subset_lp():
+    # ternary, n = 5, x_0 never 2: the transport would pair 81 sequences
+    # with 81 (6561 variables), the subset LP has 162 * 2^5 = 5184
+    rows = np.random.default_rng(39).dirichlet(np.ones(3), size=3)
+    model = MarkovChainModel([0.4, 0.6, 0.0], rows, 5)
+    sol, columns = solved_columns(model, [0])
+    assert columns == [162 * 2 ** 5]
+    assert sol.status == "optimal" and sol.gap <= LP_GAP_TOL
+    assert achievable_rate_exact(model, [0]) <= sol.optimal_rate + 1e-7
+    assert sol.optimal_rate <= upper_bound_rate(model, [0]) + 1e-7
 
 
 def test_lp_json_sorts_triples_and_erases_impossible_sequences():

@@ -797,6 +797,37 @@ def test_lp_command_exits_cleanly(tmp_path, capsys):
     assert {"config", "panel", "ragged", "digit"} <= set(faults), faults
 
 
+def test_lp_command_meets_the_variable_budget_at_n_8(tmp_path, capsys):
+    # argv drawn for `lp --k 1` over generated binary panels with n from 6
+    # to 10: the transport LP of n = 8 pairs 128 sequences with 128, 16384
+    # variables inside LP_VAR_BUDGET, and from n = 9 on it has 65536 or
+    # more, so the command exits 3 with one error line
+    @seeded_examples(10)
+    def check(seed):
+        rng = np.random.default_rng([seed, 39])
+        n = 6 + seed % 5
+        panel = tmp_path / f"budget{seed}.txt"
+        assert main(["gen-panel", "--m", str(int(rng.integers(2, 7))),
+                     "--n", str(n), "--seed", str(seed),
+                     "--out", str(panel)]) == 0
+        argv = ["lp", "--panel", str(panel),
+                "--epsilon", f"{rng.uniform(0.01, 0.5):.3f}",
+                "--theta", f"{rng.uniform(0.01, 0.3):.3f}", "--k", "1"]
+        capsys.readouterr()
+        code = main(argv)
+        out, err = capsys.readouterr()
+        assert "Traceback" not in err
+        if n <= 8:
+            assert code == 0 and err == "", (argv, code, err)
+            assert out.split()[1] == "(optimal)", out
+        else:
+            assert code == 3 and out == "", (argv, code, out)
+            assert err.startswith("error: ") and err.count("\n") == 1, err
+            assert "LP_VAR_BUDGET" in err, err
+
+    check()
+
+
 def test_mask_command_exits_cleanly(tmp_path, capsys):
     # argv drawn for `mask`, which runs the lockstep loop on a chain in the
     # linear order and the enumeration otherwise, over panels and Markov
